@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -174,3 +175,19 @@ def test_sequence_text_summary(capsys):
     assert code == 0
     assert "|W_2| = 1" in out
     assert "|W_3| = 11" in out
+
+
+# sha256 of `sepk sequence --builtin <g> --depth 3 --format json`; any change to
+# generated names, orders or the JSON layout changes these digests.
+SEQUENCE_DIGESTS = {
+    "E(2,2)": "b4a81f780520362988eb1b59f3ff0b1d5699f7000c93505080dc4e43f28689a0",
+    "E(2,3)": "2520445177f97f8cd9c28978c6e27981d67cf1f0bb65dbc8187f3308da84049e",
+    "lamplighter(2)": "b3cbe95cc9f330d1f83757d82449bd89305b0824c311cf08a8e0ed8c1e8975dc",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(SEQUENCE_DIGESTS))
+def test_sequence_json_golden_digest(capsys, spec):
+    code, out, _ = run(capsys, "sequence", "--builtin", spec, "--depth", "3", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SEQUENCE_DIGESTS[spec]
