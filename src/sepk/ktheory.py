@@ -30,11 +30,11 @@ from .transform import (
     DEFAULT_BUDGET,
     PreconditionError,
     bipartite_companion,
-    canonical_sequence,
     canonical_step_data,
     ensure_valid,
     generated_vertex_name,
     multiresolution_data,
+    w_set_sizes,
 )
 
 
@@ -215,9 +215,7 @@ def k0_tame(
     else:
         h = g
         via_companion = False
-    seq = canonical_sequence(h, depth, budget)
-    ranks = tuple(len(seq.w_sets[k]) for k in range(2, depth + 2))
-    return TameK0Result(base, ranks, depth, via_companion)
+    return TameK0Result(base, w_set_sizes(h, depth, budget), depth, via_companion)
 
 
 # kernel transport across a canonical step -----------------------------------

@@ -12,23 +12,21 @@ vertices with at least two coordinates that are not first in their group make
 up the W sets whose counts are the free ranks added to the K-theory of the
 tame algebra.
 
-Generated names are deterministic ("u|x1,...,xk" for vertices and
-"a^x|companions" for arrows, with separator characters escaped) so repeated
-runs serialize byte-identically.
+Steps run on integer ids; names are rendered only to build a graph, once
+per layer, so w_set_sizes names nothing.  Generated names are deterministic
+("u|x1,...,xk" for vertices and "a^x|companions" for arrows, with separator
+characters escaped) so repeated runs serialize byte-identically.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import re
 from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
-from .graph_model import (
-    Edge,
-    GroupKey,
-    SeparatedGraph,
-    ValidationReport,
-    validate,
-)
+from .graph_model import Edge, GroupKey, SeparatedGraph, ValidationReport, to_obj, validate
 
 DEFAULT_BUDGET = 10**6
 
@@ -67,58 +65,158 @@ def _esc(s: str) -> str:
     return s.replace("\\", "\\\\").replace("|", "\\|").replace(",", "\\,")
 
 
+_PIECE = re.compile(r"(?:[^\\|,]|\\[\\|,])*")  # one escaped name
+_UNESCAPE = re.compile(r"\\(.)")
+
+
+def _split_generated(name: str) -> tuple[str, list[str]] | None:
+    """(head, coords) when name == _esc(head) + "|" + ",".join(map(_esc, coords))."""
+    pieces, seps, pos = [], "", -1
+    while pos < len(name):
+        m = _PIECE.match(name, pos + 1)
+        pieces.append(_UNESCAPE.sub(r"\1", m[0]))
+        pos = m.end()
+        seps += name[pos : pos + 1]
+    return (pieces[0], pieces[1:]) if seps == "|" + "," * (len(seps) - 1) else None
+
+
 def generated_vertex_name(base: str, coords: tuple[str, ...]) -> str:
     return _esc(base) + "|" + ",".join(_esc(x) for x in coords)
 
 
-def generated_edge_name(distinguished: str, companions: tuple[str, ...]) -> str:
-    return "a^" + _esc(distinguished) + "|" + ",".join(_esc(x) for x in companions)
+# the integer generator -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GeneratedVertex:
-    """The vertex v(x_1, ..., x_k) over base u, one coordinate per group of C_u."""
-
-    base: str
-    coords: tuple[str, ...]
-
-    @property
-    def name(self) -> str:
-        return generated_vertex_name(self.base, self.coords)
+class _Layer(NamedTuple):
+    groups: list[Sequence[Sequence[int]]]  # per range vertex, its groups of edge ints
+    out: list[Sequence[int]]  # per source vertex, its edge ints in edge-list order
 
 
-@dataclass(frozen=True)
-class GeneratedEdge:
-    """The arrow with distinguished edge x_i and the remaining coordinates.
+def _int_layer(g: SeparatedGraph, bases, sources) -> tuple[_Layer, list[str]]:
+    """The edges of g into bases, numbered in edge-list order, and their names."""
+    into = set(bases)
+    names = [e.id for e in g.edges if e.dst in into]
+    index = {x: i for i, x in enumerate(names)}
+    groups = [[[index[x] for x in grp] for grp in g.groups_at(b)] for b in bases]
+    out = [[index[e.id] for e in g.s_inv(w) if e.dst in into] for w in sources]
+    return _Layer(groups, out), names
 
-    Runs from the tuple vertex v(x_1, ..., x_k) to s(x_i).
+
+def _step(layer: _Layer) -> tuple[list[int], _Layer]:
+    """One canonical step on integers: the W tuples and the next layer.
+
+    Tuples are numbered base by base in left-lexicographic order, and the arrow
+    in slot i of tuple t is edge first_edge(t) + i.  W holds the tuples with at
+    least two coordinates not first in their group.  In the next layer each old
+    source carries X(x) for its edges x: the arrows with distinguished edge x.
     """
+    w: list[int] = []
+    new_groups: list[list[int]] = [[] for xs in layer.out for _ in xs]
+    out: list[Sequence[int]] = []
+    e0 = 0
+    for groups in layer.groups:
+        k, count = len(groups), math.prod(map(len, groups))
+        non_first = itertools.product(*((0,) + (1,) * (len(grp) - 1) for grp in groups))
+        w.extend(len(out) + j for j, c in enumerate(map(sum, non_first)) if c >= 2)
+        stride = count
+        for i, grp in enumerate(groups):
+            # the tuples with digit d in slot i: runs of stride, one per block
+            block, stride = stride, stride // len(grp)
+            for d, x in enumerate(grp):
+                for start in range(e0 + k * d * stride + i, e0 + k * count, k * block):
+                    new_groups[x].extend(range(start, start + k * stride, k))
+        out.extend(range(e, e + k) for e in range(e0, e0 + k * count, k))
+        e0 += k * count
+    return w, _Layer([[new_groups[x] for x in xs] for xs in layer.out], out)
 
-    index: int  # position of the distinguished coordinate in the tuple
-    distinguished: str
-    companions: tuple[str, ...]  # coordinates other than index, in slot order
-    source: str  # generated vertex name
-    range: str  # s(distinguished)
 
-    @property
-    def name(self) -> str:
-        return generated_edge_name(self.distinguished, self.companions)
+def _tuple_count(groups_per_base) -> int:
+    return sum(math.prod(map(len, groups)) for groups in groups_per_base)
+
+
+def _raise_on_clash(kind: str, names) -> None:
+    if names:
+        raise PreconditionError(f"generated {kind} names collide: {sorted(names)[:3]}")
+
+
+def _resolve(g: SeparatedGraph, bases, sources, separation: dict[str, list]):
+    """Generate over bases and render the names; X(x) joins separation at s(x).
+
+    Returns new vertex names, new edges, roots, W names and old edge -> X(x) key.
+    """
+    layer, edge_names = _int_layer(g, bases, sources)
+    w, new = _step(layer)
+    esc = [_esc(x) for x in edge_names]
+    ranges = [g.edge(x).src for x in edge_names]
+    root: dict[str, str] = {}
+    edges: list[Edge] = []
+    for base, groups in zip(bases, layer.groups):
+        head = _esc(base) + "|"
+        for tup in itertools.product(*groups):
+            coords = [esc[x] for x in tup]
+            v = head + ",".join(coords)
+            root[v] = base
+            for i, x in enumerate(tup):
+                companions = ",".join(coords[:i] + coords[i + 1 :])
+                edges.append(Edge(f"a^{coords[i]}|{companions}", v, ranges[x]))
+    ids = [e.id for e in edges]
+    _raise_on_clash("vertex", root.keys() & set(g.vertices))
+    _raise_on_clash("edge", set(ids) & {e.id for e in g.edges})
+
+    group_of_edge: dict[str, GroupKey] = {}
+    for source, xs, groups in zip(sources, layer.out, new.groups):
+        for x, members in zip(xs, groups):
+            group_of_edge[edge_names[x]] = (source, len(separation[source]))
+            separation[source].append([ids[j] for j in members])
+    names = list(root)
+    return names, edges, root, tuple(names[t] for t in w), group_of_edge
+
+
+def _check_input_names(g: SeparatedGraph, step: int) -> None:
+    """The name check of canonical step 0 or 1 from g, made by parsing g's names.
+
+    Escaping is injective, so a generated name equals an older one only if their
+    heads are equal.  From step 2 on both heads were generated and checked by
+    earlier steps, so no collision can happen; at step 1 only a new vertex can
+    equal an input (layer1) vertex.
+    """
+    slots = {u: [(u, i) for i in range(len(g.groups_at(u)))] for u in g.layer0}
+    where = {x: key for u in g.layer0 for key, grp in zip(slots[u], g.groups_at(u)) for x in grp}
+    others = {x: [key for key in slots[u] if key != (u, i)] for x, (u, i) in where.items()}
+
+    def head(name, expected, coord=where.get):  # head when coords map onto expected[head]
+        p = _split_generated(name)
+        if p is None or p[0] not in expected:
+            return None
+        want = expected[p[0]]
+        if [coord(c) for c in p[1]] == want or (not want and p[1] == [""]):  # "x|" has none
+            return p[0]
+        return None
+
+    def arrow(name):  # x when name is a step-0 arrow name a^x|..., else None
+        return head(name[2:], others) if name.startswith("a^") else None
+
+    if step == 0:
+        _raise_on_clash("vertex", {v for v in g.vertices if head(v, slots) is not None})
+        _raise_on_clash("edge", {e.id for e in g.edges if arrow(e.id) is not None})
+    else:
+        sent = {w: [e.id for e in g.s_inv(w)] for w in g.layer1}
+        _raise_on_clash("vertex", {w for w in g.layer1 if head(w, sent, arrow) is not None})
+
+
+# multiresolution --------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class MultiresolutionData:
     """A multiresolution together with its bookkeeping.
 
-    group_of_edge maps each old edge x with range in the resolved set to the
-    key of its new group X(x) in the output graph; w_vertices lists the
-    generated vertices with at least two non-first coordinates.
+    w_vertices lists the generated vertices with two or more non-first coordinates.
     """
 
     graph: SeparatedGraph
     resolved: tuple[str, ...]
-    generated: tuple[GeneratedVertex, ...]
     w_vertices: tuple[str, ...]
-    group_of_edge: dict[str, GroupKey] = field(repr=False)
 
 
 def _check_resolved_set(g: SeparatedGraph, vertex_set) -> tuple[str, ...]:
@@ -141,95 +239,18 @@ def _check_resolved_set(g: SeparatedGraph, vertex_set) -> tuple[str, ...]:
     return ordered
 
 
-def _generate(g: SeparatedGraph, resolved: tuple[str, ...]):
-    """Enumerate generated vertices and edges in canonical order.
-
-    Vertices: resolved bases in their order, tuples in left-lexicographic
-    product order.  Edges: grouped by source tuple, distinguished slot
-    ascending, which is exactly the induced source-fiber order.
-    """
-    gen_vertices: list[GeneratedVertex] = []
-    gen_edges: list[GeneratedEdge] = []
-    w_names: list[str] = []
-    for u in resolved:
-        groups = g.groups_at(u)
-        first = {grp[0] for grp in groups}
-        for tup in itertools.product(*groups):
-            gv = GeneratedVertex(u, tup)
-            gen_vertices.append(gv)
-            if sum(1 for x in tup if x not in first) >= 2:
-                w_names.append(gv.name)
-            for i, x in enumerate(tup):
-                companions = tup[:i] + tup[i + 1 :]
-                gen_edges.append(
-                    GeneratedEdge(i, x, companions, gv.name, g.edge(x).src)
-                )
-    return gen_vertices, gen_edges, w_names
-
-
-def _new_groups(g: SeparatedGraph, resolved: tuple[str, ...]):
-    """The groups X(x), keyed by the old edge x, members in left-lex order."""
-    vset = set(resolved)
-    groups: dict[str, list[str]] = {}
-    for u in resolved:
-        gs = g.groups_at(u)
-        for i, grp in enumerate(gs):
-            others = gs[:i] + gs[i + 1 :]
-            for x in grp:
-                groups[x] = [
-                    generated_edge_name(x, comps)
-                    for comps in itertools.product(*others)
-                ]
-    # Attachment order at each vertex w: the order of x inside s^-1(w).
-    per_vertex: dict[str, list[str]] = {}
-    for e in g.edges:
-        if e.dst in vset:
-            per_vertex.setdefault(e.src, []).append(e.id)
-    return groups, per_vertex
-
-
-def _check_fresh_names(g: SeparatedGraph, vertices, edges):
-    clash_v = set(vertices) & set(g.vertices)
-    if clash_v:
-        raise PreconditionError(f"generated vertex names collide: {sorted(clash_v)[:3]}")
-    existing = {e.id for e in g.edges}
-    clash_e = set(edges) & existing
-    if clash_e:
-        raise PreconditionError(f"generated edge names collide: {sorted(clash_e)[:3]}")
-
-
 def multiresolution_data(g: SeparatedGraph, vertex_set) -> MultiresolutionData:
-    """Multiresolution of g at a vertex set V, with provenance tables.
+    """Multiresolution of g at a vertex set V, with its W vertices.
 
     Preconditions: g validates, every u in V has a nonempty C_u, and no edge
     runs between two elements of V.
     """
     ensure_valid(g)
     resolved = _check_resolved_set(g, vertex_set)
-    gen_vertices, gen_edges, w_names = _generate(g, resolved)
-    new_groups, per_vertex = _new_groups(g, resolved)
-
-    _check_fresh_names(g, [gv.name for gv in gen_vertices], [ge.name for ge in gen_edges])
-
-    vertices = list(g.vertices) + [gv.name for gv in gen_vertices]
-    edges = list(g.edges) + [Edge(ge.name, ge.source, ge.range) for ge in gen_edges]
-    separation: dict[str, list[list[str]]] = {
-        v: [list(grp) for grp in g.groups_at(v)] for v in g.vertices
-    }
-    group_of_edge: dict[str, GroupKey] = {}
-    for w, old_edges in per_vertex.items():
-        for x in old_edges:
-            group_of_edge[x] = (w, len(separation[w]))
-            separation[w].append(new_groups[x])
-
-    graph = SeparatedGraph.build(vertices, edges, separation)
-    return MultiresolutionData(
-        graph=graph,
-        resolved=resolved,
-        generated=tuple(gen_vertices),
-        w_vertices=tuple(w_names),
-        group_of_edge=group_of_edge,
-    )
+    separation = {v: [list(grp) for grp in g.groups_at(v)] for v in g.vertices}
+    names, edges, _, w_names, _ = _resolve(g, resolved, g.vertices, separation)
+    graph = SeparatedGraph.build(list(g.vertices) + names, list(g.edges) + edges, separation)
+    return MultiresolutionData(graph, resolved, w_names)
 
 
 def multiresolution_at(g: SeparatedGraph, vertex_set) -> SeparatedGraph:
@@ -241,10 +262,7 @@ def w_count_formula(g: SeparatedGraph, vertex_set) -> int:
     total = 0
     for u in vertex_set:
         sizes = [len(grp) for grp in g.groups_at(u)]
-        prod = 1
-        for s in sizes:
-            prod *= s
-        total += prod - sum(sizes) + len(sizes) - 1
+        total += math.prod(sizes) - sum(sizes) + len(sizes) - 1
     return total
 
 
@@ -256,7 +274,6 @@ class StepData:
     """One step of the canonical sequence: the fresh bipartite layer only."""
 
     graph: SeparatedGraph
-    generated: tuple[GeneratedVertex, ...]
     w_vertices: tuple[str, ...]
     root: dict[str, str] = field(repr=False)  # generated vertex -> base vertex
     group_of_edge: dict[str, GroupKey] = field(repr=False)  # old edge -> new group
@@ -272,36 +289,11 @@ def canonical_step_data(g: SeparatedGraph) -> StepData:
     ensure_valid(g)
     if g.bipartite is None:
         raise PreconditionError("canonical step requires a bipartite graph")
-    resolved = g.layer0
-    gen_vertices, gen_edges, w_names = _generate(g, resolved)
-    new_groups, per_vertex = _new_groups(g, resolved)
-
     layer0 = list(g.layer1)
-    gen_names = [gv.name for gv in gen_vertices]
-    _check_fresh_names(g, gen_names, [ge.name for ge in gen_edges])
-
-    separation: dict[str, list[list[str]]] = {}
-    group_of_edge: dict[str, GroupKey] = {}
-    for w in layer0:
-        groups = []
-        for x in per_vertex.get(w, []):
-            group_of_edge[x] = (w, len(groups))
-            groups.append(new_groups[x])
-        separation[w] = groups
-
-    graph = SeparatedGraph.build(
-        vertices=layer0 + gen_names,
-        edges=[Edge(ge.name, ge.source, ge.range) for ge in gen_edges],
-        separation=separation,
-        bipartite=(layer0, gen_names),
-    )
-    return StepData(
-        graph=graph,
-        generated=tuple(gen_vertices),
-        w_vertices=tuple(w_names),
-        root={gv.name: gv.base for gv in gen_vertices},
-        group_of_edge=group_of_edge,
-    )
+    separation: dict[str, list] = {w: [] for w in layer0}
+    names, edges, root, w_names, group_of_edge = _resolve(g, g.layer0, layer0, separation)
+    graph = SeparatedGraph.build(layer0 + names, edges, separation, (layer0, names))
+    return StepData(graph, w_names, root, group_of_edge)
 
 
 def canonical_step(g: SeparatedGraph) -> SeparatedGraph:
@@ -310,13 +302,24 @@ def canonical_step(g: SeparatedGraph) -> SeparatedGraph:
 
 def projected_step_size(g: SeparatedGraph) -> int:
     """Number of vertices the next canonical step generates."""
-    total = 0
-    for u in g.layer0:
-        prod = 1
-        for grp in g.groups_at(u):
-            prod *= len(grp)
-        total += prod
-    return total
+    return _tuple_count(g.groups_at(u) for u in g.layer0)
+
+
+def _check_sequence_input(g: SeparatedGraph, depth: int) -> None:
+    ensure_valid(g)
+    if g.bipartite is None:
+        raise PreconditionError("canonical sequence requires a bipartite graph")
+    if depth < 0:
+        raise PreconditionError("depth must be nonnegative")
+
+
+def _check_budget(size: int, n: int, budget: int) -> None:
+    if size > budget:
+        raise BudgetExceededError(
+            f"layer {n + 1} would generate {size} vertices "
+            f"(budget {budget}); last completed layer is {n}",
+            last_layer=n,
+        )
 
 
 @dataclass(frozen=True)
@@ -327,14 +330,11 @@ class CanonicalSequence:
     graph n-1 for n >= 1; consecutive graphs share D_n as an ordered set.
     w_sets[k] lists the W vertices inside D_k, and root_tables[k] maps D_k
     onto D_{k-2} (a generated vertex to its base), for k = 2..depth+1.
-    group_maps[n] maps each edge of layer n to the key of its group X(x) in
-    layer n+1.
     """
 
     graphs: tuple[SeparatedGraph, ...]
     w_sets: dict[int, tuple[str, ...]]
     root_tables: dict[int, dict[str, str]]
-    group_maps: dict[int, dict[str, GroupKey]]
 
     @property
     def depth(self) -> int:
@@ -367,8 +367,6 @@ class CanonicalSequence:
         return v
 
     def to_json_obj(self) -> dict:
-        from .graph_model import to_obj
-
         return {
             "depth": self.depth,
             "layers": [to_obj(g) for g in self.graphs],
@@ -388,29 +386,31 @@ def canonical_sequence(
     generate more than budget vertices, a BudgetExceededError reports the
     last completed layer.
     """
-    ensure_valid(g)
-    if g.bipartite is None:
-        raise PreconditionError("canonical sequence requires a bipartite graph")
-    if depth < 0:
-        raise PreconditionError("depth must be nonnegative")
+    _check_sequence_input(g, depth)
     graphs = [g]
     w_sets: dict[int, tuple[str, ...]] = {}
     root_tables: dict[int, dict[str, str]] = {}
-    group_maps: dict[int, dict[str, GroupKey]] = {}
     for n in range(depth):
-        size = projected_step_size(graphs[n])
-        if size > budget:
-            raise BudgetExceededError(
-                f"layer {n + 1} would generate {size} vertices "
-                f"(budget {budget}); last completed layer is {n}",
-                last_layer=n,
-            )
+        _check_budget(projected_step_size(graphs[n]), n, budget)
         step = canonical_step_data(graphs[n])
         graphs.append(step.graph)
         w_sets[n + 2] = step.w_vertices
         root_tables[n + 2] = step.root
-        group_maps[n] = step.group_of_edge
-    return CanonicalSequence(tuple(graphs), w_sets, root_tables, group_maps)
+    return CanonicalSequence(tuple(graphs), w_sets, root_tables)
+
+
+def w_set_sizes(g: SeparatedGraph, depth: int, budget: int = DEFAULT_BUDGET) -> tuple[int, ...]:
+    """|W_2|, ..., |W_{depth+1}|, with the checks of canonical_sequence, unnamed."""
+    _check_sequence_input(g, depth)
+    layer = _int_layer(g, g.layer0, g.layer1)[0]
+    sizes = []
+    for n in range(depth):
+        _check_budget(_tuple_count(layer.groups), n, budget)
+        if n < 2:
+            _check_input_names(g, n)
+        w, layer = _step(layer)
+        sizes.append(len(w))
+    return tuple(sizes)
 
 
 def root_of(seq: CanonicalSequence, v: str, target_layer: int) -> str:

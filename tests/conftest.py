@@ -116,3 +116,39 @@ def random_kernel_element(g: SeparatedGraph, rng: random.Random, bound=2):
         if combo:
             return combo
     return None
+
+
+def name_collision_graphs():
+    """Bipartite graphs whose names meet generated ones: (label, graph, step, kind).
+
+    The canonical step numbered step (0 or 1) would generate a vertex or an
+    edge ("kind") that the graph, or step 0 from it, already names.
+    """
+    # step 0 names the tuple (a1,) over v "v|a1"
+    vertex0 = SeparatedGraph.build(
+        ["v", "w", "v|a1"],
+        [("a1", "w", "v"), ("a2", "v|a1", "v")],
+        {"v": [["a1", "a2"]]},
+        (["v"], ["w", "v|a1"]),
+    )
+    # step 0 names the arrow of the tuple (a1, b1) with distinguished edge a1 "a^a1|b1"
+    edge0 = SeparatedGraph.build(
+        ["v", "w"],
+        [("a1", "w", "v"), ("b1", "w", "v"), ("a^a1|b1", "w", "v")],
+        {"v": [["a1"], ["b1", "a^a1|b1"]]},
+        (["v"], ["w"]),
+    )
+    # step 0 makes the arrow "a^a|b" leaving w; step 1 names the tuple over w
+    # "w|a^a\|b", which is an input vertex (of layer1)
+    s = "w|a^a\\|b"
+    vertex1 = SeparatedGraph.build(
+        ["v", "w", s],
+        [("a", "w", "v"), ("b", s, "v")],
+        {"v": [["a"], ["b"]]},
+        (["v"], ["w", s]),
+    )
+    return [
+        ("step0-vertex", vertex0, 0, "vertex"),
+        ("step0-edge", edge0, 0, "edge"),
+        ("step1-vertex", vertex1, 1, "vertex"),
+    ]

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from sepk.exact_linalg import AbelianGroupInvariants, IntMatrix, smith_diagonal, smith_normal_form
-from sepk.graph_model import SeparatedGraph, builtin
+from sepk.graph_model import SeparatedGraph, builtin, builtin_from_spec
 from sepk.ktheory import (
     CharacterAssignment,
     CharacterError,
@@ -19,11 +19,21 @@ from sepk.ktheory import (
     monoid_universal_group,
     phi_transport,
 )
-from sepk.transform import bipartite_companion, canonical_step_data, multiresolution_at, multiresolution_data, w_count_formula
+from sepk.transform import (
+    BudgetExceededError,
+    PreconditionError,
+    bipartite_companion,
+    canonical_sequence,
+    canonical_step_data,
+    multiresolution_at,
+    multiresolution_data,
+    w_count_formula,
+)
 
 from conftest import (
     admissible_vertex_set,
     bipartite_graph_with_kernel,
+    name_collision_graphs,
     random_bipartite_graph,
     random_separated_graph,
 )
@@ -121,6 +131,77 @@ def test_k0_tame_routes_through_companion():
     r = k0_tame(g, 1)
     assert r.via_companion
     assert r.base == k_groups_full(g).k0
+
+
+def _ranks_by_oracles(g, depth, materialized, budget=10**6):
+    """|W_k| counted on the named layers of canonical_sequence(g, materialized)
+    and by w_count_formula on each source layer, up to the given depth."""
+    seq = canonical_sequence(g, materialized, budget)
+    named = tuple(len(seq.w_sets[k]) for k in range(2, materialized + 2))
+    formula = tuple(w_count_formula(h, h.layer0) for h in seq.graphs[:depth])
+    return named, formula
+
+
+@pytest.mark.parametrize(
+    "spec, depth, materialized",
+    [
+        ("E(2,2)", 3, 3),
+        ("E(2,3)", 3, 3),
+        ("E(3,3)", 3, 2),  # its layer 4 has 532 170 vertices: counted, not named
+        ("lamplighter(2)", 3, 3),
+        ("lamplighter(3)", 3, 3),
+    ],
+)
+def test_k0_tame_ranks_match_materialized_layers(spec, depth, materialized):
+    g = builtin_from_spec(spec)
+    named, formula = _ranks_by_oracles(g, depth, materialized)
+    ranks = k0_tame(g, depth).layer_ranks
+    assert ranks == formula
+    assert ranks[:materialized] == named
+    assert k0_tame(g, 1).layer_ranks == ranks[:1]
+
+
+def test_k0_tame_ranks_match_materialized_layers_random():
+    rng = random.Random(41)
+    budget = 5000
+    for _ in range(50):
+        g = random_bipartite_graph(rng)
+        try:
+            named, formula = _ranks_by_oracles(g, 2, 2, budget)
+        except BudgetExceededError as exc:
+            with pytest.raises(BudgetExceededError) as tame:
+                k0_tame(g, 2, budget)
+            assert (str(tame.value), tame.value.last_layer) == (str(exc), exc.last_layer)
+            continue
+        assert k0_tame(g, 2, budget).layer_ranks == named == formula
+
+
+def test_k0_tame_budget_error_matches_sequence():
+    cases = [builtin_from_spec(s) for s in ("E(2,2)", "E(2,3)", "lamplighter(3)")]
+    cases.append(SeparatedGraph.build(  # no bipartite split: through the companion
+        ["u", "w"],
+        [("x1", "w", "u"), ("x2", "w", "u"), ("y1", "w", "u"), ("y2", "w", "u"), ("z", "u", "w")],
+        {"u": [["x1", "x2"], ["y1", "y2"]], "w": [["z"]]},
+    ))
+    for g in cases:
+        h = g if g.bipartite else bipartite_companion(g)
+        with pytest.raises(BudgetExceededError) as seq:
+            canonical_sequence(h, 3, budget=10)
+        with pytest.raises(BudgetExceededError) as tame:
+            k0_tame(g, 3, budget=10)
+        assert str(tame.value) == str(seq.value)
+        assert tame.value.last_layer == seq.value.last_layer
+
+
+def test_k0_tame_rejects_name_collisions():
+    for _, g, step, kind in name_collision_graphs():
+        with pytest.raises(PreconditionError) as seq:
+            canonical_sequence(g, 2)
+        with pytest.raises(PreconditionError, match=f"generated {kind} names collide") as tame:
+            k0_tame(g, 2)
+        assert str(tame.value) == str(seq.value)
+        if step:
+            assert k0_tame(g, 1).layer_ranks == (0,)
 
 
 def test_monoid_agrees_with_k0():

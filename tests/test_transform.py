@@ -14,9 +14,15 @@ from sepk.transform import (
     multiresolution_data,
     root_of,
     w_count_formula,
+    w_set_sizes,
 )
 
-from conftest import admissible_vertex_set, random_bipartite_graph, random_separated_graph
+from conftest import (
+    admissible_vertex_set,
+    name_collision_graphs,
+    random_bipartite_graph,
+    random_separated_graph,
+)
 
 
 def test_multires_e22_counts():
@@ -30,9 +36,9 @@ def test_multires_e22_counts():
     assert all(len(grp) == 2 for grp in new_groups)
     # old groups at v untouched, generated vertices are sources
     assert out.groups_at("v") == g.groups_at("v")
-    for gv in md.generated:
-        assert out.groups_at(gv.name) == ()
-        assert out.s_inv(gv.name)
+    for name in out.vertices[len(g.vertices) :]:
+        assert out.groups_at(name) == ()
+        assert out.s_inv(name)
     assert validate(out).ok
 
 
@@ -258,3 +264,64 @@ def test_w_members_have_two_non_first_coordinates():
         # the name encodes base|x1,...,xk
         coords = name.split("|", 1)[1].split(",")
         assert sum(1 for x in coords if x not in firsts) >= 2
+
+
+@pytest.mark.parametrize(
+    "g, step, kind", [c[1:] for c in name_collision_graphs()], ids=[c[0] for c in name_collision_graphs()]
+)
+def test_name_collision_detected_through_canonical_step(g, step, kind):
+    h = canonical_step(g) if step else g
+    with pytest.raises(PreconditionError, match=f"generated {kind} names collide") as exc:
+        canonical_step(h)
+    # the sequence and the name-free count stop at the same step, with the same message
+    for run in (lambda: canonical_sequence(g, 2), lambda: w_set_sizes(g, 2)):
+        with pytest.raises(PreconditionError) as other:
+            run()
+        assert str(other.value) == str(exc.value)
+    if step:
+        assert w_set_sizes(g, 1) == (len(canonical_sequence(g, 1).w_sets[2]),)
+
+
+def _rename(g, rng, pool):
+    """g with some vertices and edges renamed from pool or to short odd strings."""
+
+    def fresh():
+        if rng.random() < 0.6:
+            return rng.choice(pool)
+        return "".join(rng.choice(("a", "w", "|", ",", "\\", "a^")) for _ in range(rng.randint(1, 3)))
+
+    vs = {v: fresh() if rng.random() < 0.4 else v for v in g.vertices}
+    es = {e.id: fresh() if rng.random() < 0.3 else e.id for e in g.edges}
+    if len(set(vs.values())) < len(vs) or len(set(es.values())) < len(es):
+        return None
+    return SeparatedGraph.build(
+        [vs[v] for v in g.vertices],
+        [(es[e.id], vs[e.src], vs[e.dst]) for e in g.edges],
+        {vs[v]: [[es[x] for x in grp] for grp in g.groups_at(v)] for v in g.vertices},
+        ([vs[v] for v in g.layer0], [vs[v] for v in g.layer1]),
+    )
+
+
+def test_name_free_collision_check_agrees_with_rendered_names():
+    # names drawn from the first two generated layers make every kind of
+    # collision (and many near misses); both paths must decide alike
+    def outcome(run):
+        try:
+            return run()
+        except PreconditionError as exc:
+            return str(exc)
+
+    rng = random.Random(13)
+    collisions = 0
+    for _ in range(300):
+        g = random_bipartite_graph(rng, max_l0=2, max_l1=2, max_groups=2, max_size=2)
+        seq = canonical_sequence(g, 2)
+        pool = [v for h in seq.graphs[1:] for v in h.layer1]
+        pool += [e.id for h in seq.graphs[1:] for e in h.edges]
+        h = _rename(g, rng, pool)
+        if h is None:
+            continue
+        want = outcome(lambda: tuple(len(ws) for ws in canonical_sequence(h, 2).w_sets.values()))
+        assert outcome(lambda: w_set_sizes(h, 2)) == want
+        collisions += isinstance(want, str)
+    assert collisions >= 10
