@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import graph_model, ktheory, transform
@@ -82,6 +83,22 @@ def _budget(args) -> int:
     return transform.DEFAULT_BUDGET
 
 
+# A term runs to the first comma after a ":<integer>" coefficient, so group
+# names may contain commas, as generated vertex names do.
+_TERM = re.compile(r"[\s,]*(.*?:\s*[+-]?\d+)\s*(?:,|\Z)")
+
+
+def _element_terms(text: str):
+    pos = 0
+    while pos < len(text):
+        m = _TERM.match(text, pos)
+        if m is None:  # no coefficient left: one term, reported below
+            yield text[pos:]
+            return
+        yield m[1]
+        pos = m.end()
+
+
 def _parse_element(text: str, loaded: _Loaded) -> dict[GroupKey, int]:
     """Parse comma-separated "group:coef" pairs.
 
@@ -90,7 +107,7 @@ def _parse_element(text: str, loaded: _Loaded) -> dict[GroupKey, int]:
     """
     g = loaded.graph
     out: dict[GroupKey, int] = {}
-    for chunk in text.split(","):
+    for chunk in _element_terms(text):
         chunk = chunk.strip()
         if not chunk:
             continue

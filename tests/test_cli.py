@@ -4,7 +4,11 @@ import json
 import pytest
 
 from sepk.cli import main
-from sepk.graph_model import builtin, parse, serialize
+from sepk.graph_model import builtin, group_label, parse, serialize
+from sepk.ktheory import phi_transport
+from sepk.transform import canonical_sequence
+
+from conftest import name_collision_graphs
 
 
 def run(capsys, *argv):
@@ -121,6 +125,33 @@ def test_phi_command(capsys):
     code, out, _ = run(capsys, "phi", "--builtin", "E(2,2)", "--element", "X:1,Y:-1")
     assert code == 0
     assert out.strip() == "-X(a1) - X(a2) + X(b1) + X(b2)"
+
+
+def test_phi_on_generated_layer_with_commas_in_group_names(tmp_path, capsys):
+    # groups of layer 2 are named after generated vertices such as "v|a1,b1"
+    graphs = canonical_sequence(builtin("E", [2, 2]), 2).graphs
+    x = {("v", 0): 1, ("v", 1): -1}
+    for g in graphs[:2]:
+        x = phi_transport(g, x)
+    path = tmp_path / "layer2.graph"
+    path.write_bytes(serialize(graphs[2]))
+    element = ",".join(f"{group_label(k)}:{c}" for k, c in sorted(x.items()))
+    assert "," in group_label(next(iter(x)))
+    code, out, _ = run(capsys, "phi", str(path), "--element", element, "--format", "json")
+    assert code == 0
+    image = phi_transport(graphs[2], x)
+    assert json.loads(out)["image"] == {group_label(k): c for k, c in sorted(image.items())}
+
+
+def test_k0_tame_name_collision_exits_4(tmp_path, capsys):
+    for label, g, _, kind in name_collision_graphs():
+        path = tmp_path / f"{label}.graph"
+        path.write_bytes(serialize(g))
+        code, out, err = run(capsys, "k0-tame", str(path), "--depth", "2")
+        assert code == 4
+        assert out == ""
+        assert err.startswith(f"error: generated {kind} names collide")
+        assert err.count("\n") == 1
 
 
 def test_verify_generator_command(capsys):
