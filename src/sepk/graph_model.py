@@ -421,11 +421,12 @@ def from_obj(obj: object, location: str = "graph") -> SeparatedGraph:
     raw_vs = obj["vertices"]
     _expect(isinstance(raw_vs, list), "vertices must be a list", f"{location}.vertices")
     vertices: list[str] = []
+    vset: set[str] = set()
     for i, v in enumerate(raw_vs):
         _expect(isinstance(v, str), "vertex id must be a string", f"{location}.vertices[{i}]")
-        _expect(v not in vertices, f"duplicate vertex id {v!r}", f"{location}.vertices[{i}]")
+        _expect(v not in vset, f"duplicate vertex id {v!r}", f"{location}.vertices[{i}]")
         vertices.append(v)
-    vset = set(vertices)
+        vset.add(v)
 
     raw_es = obj["edges"]
     _expect(isinstance(raw_es, list), "edges must be a list", f"{location}.edges")

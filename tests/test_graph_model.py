@@ -134,9 +134,10 @@ def test_parse_unknown_vertex_in_edge():
 
 
 def test_parse_duplicate_ids():
-    text = '{"vertices": ["v", "v"], "edges": [], "separation": {}}'
-    with pytest.raises(GraphFormatError, match="duplicate vertex"):
+    text = '{"vertices": ["v", "w", "v"], "edges": [], "separation": {}}'
+    with pytest.raises(GraphFormatError, match="duplicate vertex id 'v'") as exc:
         parse(text)
+    assert exc.value.location == "graph.vertices[2]"
     text = (
         '{"vertices": ["v"], "edges": [{"id": "a", "src": "v", "dst": "v"},'
         ' {"id": "a", "src": "v", "dst": "v"}], "separation": {}}'
