@@ -209,10 +209,8 @@ def _check_input_names(g: SeparatedGraph, step: int) -> None:
 
 @dataclass(frozen=True)
 class MultiresolutionData:
-    """A multiresolution together with its bookkeeping.
-
-    w_vertices lists the generated vertices with two or more non-first coordinates.
-    """
+    """A multiresolution with its resolved set and its W vertices, the
+    generated vertices with two or more non-first coordinates."""
 
     graph: SeparatedGraph
     resolved: tuple[str, ...]

@@ -21,7 +21,6 @@ from sepk.ktheory import (
 )
 from sepk.transform import (
     BudgetExceededError,
-    PreconditionError,
     bipartite_companion,
     canonical_sequence,
     canonical_step_data,
@@ -33,7 +32,6 @@ from sepk.transform import (
 from conftest import (
     admissible_vertex_set,
     bipartite_graph_with_kernel,
-    name_collision_graphs,
     random_bipartite_graph,
     random_separated_graph,
 )
@@ -191,17 +189,6 @@ def test_k0_tame_budget_error_matches_sequence():
             k0_tame(g, 3, budget=10)
         assert str(tame.value) == str(seq.value)
         assert tame.value.last_layer == seq.value.last_layer
-
-
-def test_k0_tame_rejects_name_collisions():
-    for _, g, step, kind in name_collision_graphs():
-        with pytest.raises(PreconditionError) as seq:
-            canonical_sequence(g, 2)
-        with pytest.raises(PreconditionError, match=f"generated {kind} names collide") as tame:
-            k0_tame(g, 2)
-        assert str(tame.value) == str(seq.value)
-        if step:
-            assert k0_tame(g, 1).layer_ranks == (0,)
 
 
 def test_monoid_agrees_with_k0():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from sepk.graph_model import SeparatedGraph, builtin, serialize, validate
+from sepk.ktheory import k0_tame
 from sepk.transform import (
     BudgetExceededError,
     PreconditionError,
@@ -266,20 +267,21 @@ def test_w_members_have_two_non_first_coordinates():
         assert sum(1 for x in coords if x not in firsts) >= 2
 
 
-@pytest.mark.parametrize(
-    "g, step, kind", [c[1:] for c in name_collision_graphs()], ids=[c[0] for c in name_collision_graphs()]
-)
+COLLISIONS = name_collision_graphs()
+
+
+@pytest.mark.parametrize("g, step, kind", [c[1:] for c in COLLISIONS], ids=[c[0] for c in COLLISIONS])
 def test_name_collision_detected_through_canonical_step(g, step, kind):
     h = canonical_step(g) if step else g
     with pytest.raises(PreconditionError, match=f"generated {kind} names collide") as exc:
         canonical_step(h)
     # the sequence and the name-free count stop at the same step, with the same message
-    for run in (lambda: canonical_sequence(g, 2), lambda: w_set_sizes(g, 2)):
+    for run in (lambda: canonical_sequence(g, 2), lambda: w_set_sizes(g, 2), lambda: k0_tame(g, 2)):
         with pytest.raises(PreconditionError) as other:
             run()
         assert str(other.value) == str(exc.value)
     if step:
-        assert w_set_sizes(g, 1) == (len(canonical_sequence(g, 1).w_sets[2]),)
+        assert k0_tame(g, 1).layer_ranks == (len(canonical_sequence(g, 1).w_sets[2]),)
 
 
 def _rename(g, rng, pool):
@@ -303,8 +305,8 @@ def _rename(g, rng, pool):
 
 
 def test_name_free_collision_check_agrees_with_rendered_names():
-    # names drawn from the first two generated layers make every kind of
-    # collision (and many near misses); both paths must decide alike
+    # names drawn from the first generated layers make collisions and many
+    # near misses; the parsing check and the rendered names must decide alike
     def outcome(run):
         try:
             return run()
