@@ -73,14 +73,18 @@ class UsageError(Exception):
 
 def _budget(args) -> int:
     if getattr(args, "budget", None) is not None:
-        return args.budget
-    env = os.environ.get("SEPK_BUDGET")
-    if env is not None:
+        budget, source = args.budget, "--budget"
+    else:
+        env = os.environ.get("SEPK_BUDGET")
+        if env is None:
+            return transform.DEFAULT_BUDGET
         try:
-            return int(env)
+            budget, source = int(env), "SEPK_BUDGET"
         except ValueError:
             raise UsageError(f"SEPK_BUDGET must be an integer, got {env!r}")
-    return transform.DEFAULT_BUDGET
+    if budget < 0:
+        raise UsageError(f"{source} must not be negative, got {budget}")
+    return budget
 
 
 # A term runs to the first comma after a ":<integer>" coefficient, so group
@@ -152,13 +156,19 @@ def _load_character_file(path: str) -> dict[str, complex]:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise GraphFormatError(f"malformed character file: {exc.msg}", path)
+        except UnicodeDecodeError as exc:
+            raise GraphFormatError(f"character file is not UTF-8 text: {exc.reason}", path)
     if not isinstance(obj, dict):
         raise GraphFormatError("character file must be a map", path)
     out = {}
     for name, val in obj.items():
         if isinstance(val, (int, float)):
             out[name] = cmath.exp(2j * cmath.pi * val)
-        elif isinstance(val, list) and len(val) == 2:
+        elif (
+            isinstance(val, list)
+            and len(val) == 2
+            and all(isinstance(t, (int, float)) for t in val)
+        ):
             out[name] = complex(val[0], val[1])
         else:
             raise GraphFormatError(
@@ -508,7 +518,7 @@ def main(argv=None) -> int:
     except (PreconditionError, ParameterRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except FileNotFoundError as exc:
+    except OSError as exc:  # missing, unreadable or directory input paths
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

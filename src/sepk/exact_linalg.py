@@ -1,15 +1,23 @@
-"""Exact integer matrix algebra: Smith normal form, kernel bases, cokernels.
+"""Exact integer matrix algebra: cokernels, kernel bases, Smith and Hermite forms.
 
 Everything runs over plain Python ints (arbitrary precision); intermediate
 entries of normal-form computations blow up quickly even for modest inputs,
-so machine integers are never used.  Pivots are chosen with minimal absolute
-value to damp entry growth; correctness does not depend on the choice.
+so machine integers are never used.
+
+Cokernels, kernels and ranks share one sparse elimination, ColumnReduction:
+it pivots on +-1 entries first, in Markowitz order, and leaves only a core
+without unit entries, usually tiny, to dense Smith form (cokernel) and
+column echelon (kernel).  Dense Smith form picks pivots of minimal absolute
+value to damp entry growth.  Correctness depends on neither pivot order,
+and kernel bases come out in canonical Hermite form, so results do not
+depend on the elimination path.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 
 @dataclass(frozen=True)
@@ -133,21 +141,6 @@ class AbelianGroupInvariants:
         return " ⊕ ".join(parts) if parts else "0"
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    # Returns (g, x, y) with x*a + y*b == g >= 0.
-    x, next_x = 1, 0
-    y, next_y = 0, 1
-    g, next_g = a, b
-    while next_g:
-        q = g // next_g
-        x, next_x = next_x, x - q * next_x
-        y, next_y = next_y, y - q * next_y
-        g, next_g = next_g, g - q * next_g
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return g, x, y
-
-
 def _min_abs_pivot(a: list[list[int]], k: int) -> tuple[int, int] | None:
     # Smallest nonzero |entry| in the submatrix a[k:, k:]; early exit on 1.
     best = None
@@ -261,6 +254,8 @@ def smith_normal_form(matrix: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatri
 
     D is diagonal with nonnegative entries forming a divisibility chain.
     """
+    if not matrix.rows:  # _smith cannot see the column count of no rows
+        return IntMatrix.identity(()), matrix, IntMatrix.identity(matrix.cols)
     a = matrix.to_lists()
     u, v = _smith(a, track=True)
     m = IntMatrix.from_rows
@@ -271,45 +266,133 @@ def smith_normal_form(matrix: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatri
     )
 
 
-def smith_diagonal(matrix: IntMatrix) -> tuple[int, ...]:
-    """Diagonal of the Smith form, without tracking transforms (faster)."""
-    a = matrix.to_lists()
-    _smith(a, track=False)
-    return tuple(a[i][i] for i in range(min(matrix.shape)))
-
-
-def cokernel_invariants(matrix: IntMatrix) -> AbelianGroupInvariants:
-    """Invariants of Z^rows / column-span(matrix)."""
-    diag = smith_diagonal(matrix)
-    nonzero = [d for d in diag if d]
-    rank = len(matrix.rows) - len(nonzero)
-    factors = tuple(d for d in nonzero if d > 1)
-    return AbelianGroupInvariants(rank, factors)
-
-
 # sparse column elimination -------------------------------------------------
 #
-# kernel_basis and matrix_rank run a column-echelon reduction on a sparse
-# column representation; the incidence matrices of deep canonical-sequence
-# layers are tall (thousands of rows) but have only a handful of nonzeros
-# per row, which dense SNF would handle needlessly slowly.
+# Cokernels, kernels and ranks all run through ColumnReduction, which takes a
+# matrix as columns of {row: entry} dicts.  The incidence matrices of deep
+# canonical-sequence layers are tall (thousands of rows), have a handful of
+# nonzeros per row, and nearly all their entries are +-1.  A +-1 entry is a
+# unit pivot: column operations clear the rest of its row, and then its row
+# and column can leave the matrix without changing the cokernel (Dumas,
+# Saunders, Villard, "On efficient sparse integer matrix Smith normal form
+# computations", J. Symbolic Comput. 32, 2001).  Only the core left without
+# a unit entry, usually tiny, goes to dense Smith form or column echelon.
 
 
-def _column_echelon(matrix: IntMatrix):
-    """Unimodular column reduction; returns (pivot count, kernel tails).
+class ColumnReduction:
+    """Unit-pivot elimination of the integer matrix with the given columns.
+
+    columns[j] maps row indices in range(nrows) to the nonzero entries of
+    column j; the input is not modified.  Every pivot is a +-1 entry.
+    Pivoting drops one row and one column, so the cokernel loses a trivial
+    summand and the rank gains one.  The columns that remain form the core:
+    they have no +-1 entry, and each carries its tail, the combination of
+    input columns that it now is, from which kernel() reads kernel vectors.
+    """
+
+    def __init__(self, nrows: int, columns: Sequence[Mapping[int, int]]):
+        cols: list[dict[int, int] | None] = [dict(c) for c in columns]
+        tails: list[dict[int, int] | None] = [{j: 1} for j in range(len(cols))]
+        units = [sum(1 for x in col.values() if x == 1 or x == -1) for col in cols]
+        in_row: list[set[int]] = [set() for _ in range(nrows)]
+        for j, col in enumerate(cols):
+            for i in col:
+                in_row[i].add(j)
+        # Markowitz order, approximated: the shortest column with a unit
+        # entry, pivoted at its shortest row, fills in least.  A column is
+        # queued again whenever a pivot changes it; stale entries are skipped.
+        queue = [(len(col), j) for j, col in enumerate(cols) if units[j]]
+        heapq.heapify(queue)
+        pivots = 0
+        while queue:
+            size, c = heapq.heappop(queue)
+            col = cols[c]
+            if col is None or size != len(col) or not units[c]:
+                continue
+            r, shortest = -1, len(cols) + 1  # a row meets at most len(cols) columns
+            for i, x in col.items():
+                if (x == 1 or x == -1) and len(in_row[i]) < shortest:
+                    r, shortest = i, len(in_row[i])
+            unit = col[r]
+            tail = tails[c]
+            for q in [q for q in in_row[r] if q != c]:
+                colq = cols[q]
+                t = colq[r] * unit  # unit is its own inverse
+                u = units[q]
+                for i, x in col.items():
+                    old = colq.get(i, 0)
+                    new = old - t * x
+                    if old == 1 or old == -1:
+                        u -= 1
+                    if new:
+                        if not old:
+                            in_row[i].add(q)
+                        colq[i] = new
+                        if new == 1 or new == -1:
+                            u += 1
+                    else:
+                        del colq[i]
+                        in_row[i].discard(q)
+                units[q] = u
+                tq = tails[q]
+                for k, x in tail.items():
+                    new = tq.get(k, 0) - t * x
+                    if new:
+                        tq[k] = new
+                    else:
+                        del tq[k]
+                if u:
+                    heapq.heappush(queue, (len(colq), q))
+            for i in col:
+                in_row[i].discard(c)
+            cols[c] = tails[c] = None
+            pivots += 1
+        self.nrows = nrows
+        self.ncols = len(cols)
+        self.pivots = pivots
+        self.core = [col for col in cols if col is not None]
+        self.tails = [tail for tail in tails if tail is not None]
+
+    def rank(self) -> int:
+        core_rank, _ = _column_echelon(self.core, self.tails)
+        return self.pivots + core_rank
+
+    def cokernel(self) -> AbelianGroupInvariants:
+        """Invariants of Z^nrows / column span, by dense Smith form of the core."""
+        cols = [col for col in self.core if col]
+        rows = sorted({i for col in cols for i in col})
+        index = {i: k for k, i in enumerate(rows)}
+        a = [[0] * len(cols) for _ in rows]
+        for j, col in enumerate(cols):
+            for i, x in col.items():
+                a[index[i]][j] = x
+        _smith(a, track=False)
+        nonzero = [a[k][k] for k in range(min(len(rows), len(cols))) if a[k][k]]
+        rank = self.nrows - self.pivots - len(nonzero)
+        return AbelianGroupInvariants(rank, tuple(d for d in nonzero if d > 1))
+
+    def kernel(self) -> list[tuple[int, ...]]:
+        """A Z-basis of the kernel, in canonical column Hermite form."""
+        if not self.ncols:
+            return []
+        _, tails = _column_echelon(self.core, self.tails)
+        dense = []
+        for tail in tails:
+            vec = [0] * self.ncols
+            for j, x in tail.items():
+                vec[j] = x
+            dense.append(vec)
+        return hnf_column_basis(dense, self.ncols)
+
+
+def _column_echelon(core, core_tails):
+    """Unimodular column reduction of a copy; returns (pivot count, kernel tails).
 
     Each kernel tail expresses a combination of original columns that the
     reduction sent to zero, i.e. a kernel vector of the matrix.
     """
-    ncols = len(matrix.cols)
-    cols: list[dict[int, int]] = []
-    for j in range(ncols):
-        col = {}
-        for i, row in enumerate(matrix.data):
-            if row[j]:
-                col[i] = row[j]
-        cols.append(col)
-    tails: list[dict[int, int]] = [{j: 1} for j in range(ncols)]
+    cols = [dict(col) for col in core]
+    tails = [dict(tail) for tail in core_tails]
     row_index: dict[int, set[int]] = {}
     for j, col in enumerate(cols):
         for r in col:
@@ -322,7 +405,7 @@ def _column_echelon(matrix: IntMatrix):
             new = colq.get(r, 0) - t * val
             if new:
                 if r not in colq:
-                    row_index.setdefault(r, set()).add(q)
+                    row_index[r].add(q)
                 colq[r] = new
             elif r in colq:
                 del colq[r]
@@ -336,8 +419,8 @@ def _column_echelon(matrix: IntMatrix):
                 del tq[r]
 
     pivoted: set[int] = set()
-    for r in range(len(matrix.rows)):
-        live = [j for j in row_index.get(r, ()) if j not in pivoted]
+    for r in sorted(row_index):
+        live = [j for j in row_index[r] if j not in pivoted]
         while len(live) > 1:
             live.sort(key=lambda j: abs(cols[j][r]))
             p = live[0]
@@ -354,16 +437,29 @@ def _column_echelon(matrix: IntMatrix):
             pivoted.add(live[0])
 
     kernel_tails = []
-    for j in range(ncols):
+    for j in range(len(cols)):
         if j not in pivoted:
             assert not cols[j], "column elimination left a nonzero non-pivot column"
             kernel_tails.append(tails[j])
     return len(pivoted), kernel_tails
 
 
+def _reduction(matrix: IntMatrix) -> ColumnReduction:
+    cols: list[dict[int, int]] = [{} for _ in matrix.cols]
+    for i, row in enumerate(matrix.data):
+        for j, x in enumerate(row):
+            if x:
+                cols[j][i] = x
+    return ColumnReduction(len(matrix.rows), cols)
+
+
+def cokernel_invariants(matrix: IntMatrix) -> AbelianGroupInvariants:
+    """Invariants of Z^rows / column-span(matrix)."""
+    return _reduction(matrix).cokernel()
+
+
 def matrix_rank(matrix: IntMatrix) -> int:
-    rank, _ = _column_echelon(matrix)
-    return rank
+    return _reduction(matrix).rank()
 
 
 def hnf_column_basis(vectors: Sequence[Sequence[int]], dim: int) -> list[tuple[int, ...]]:
@@ -414,17 +510,7 @@ def kernel_basis(matrix: IntMatrix) -> list[tuple[int, ...]]:
     Vectors are returned as dense coordinate tuples over matrix.cols; the
     list is empty when the kernel is trivial.
     """
-    ncols = len(matrix.cols)
-    if ncols == 0:
-        return []
-    _, tails = _column_echelon(matrix)
-    dense = []
-    for tail in tails:
-        vec = [0] * ncols
-        for j, val in tail.items():
-            vec[j] = val
-        dense.append(vec)
-    return hnf_column_basis(dense, ncols)
+    return _reduction(matrix).kernel()
 
 
 def in_lattice_span(basis: Sequence[Sequence[int]], target: Sequence[int]) -> bool:
@@ -443,32 +529,3 @@ def in_lattice_span(basis: Sequence[Sequence[int]], target: Sequence[int]) -> bo
             for i in range(dim):
                 residue[i] -= t * vec[i]
     return not any(residue)
-
-
-def det_bareiss(matrix: IntMatrix) -> int:
-    """Fraction-free determinant of a square integer matrix."""
-    n = len(matrix.rows)
-    if n != len(matrix.cols):
-        raise ValueError("determinant needs a square matrix")
-    if n == 0:
-        return 1
-    a = matrix.to_lists()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def is_unimodular(matrix: IntMatrix) -> bool:
-    return abs(det_bareiss(matrix)) == 1

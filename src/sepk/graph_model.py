@@ -485,7 +485,10 @@ def from_obj(obj: object, location: str = "graph") -> SeparatedGraph:
 
 def parse(data: bytes | str) -> SeparatedGraph:
     """Parse a graph file.  Raises GraphFormatError with a location on failure."""
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"not UTF-8 text: {exc.reason}", f"byte {exc.start}") from exc
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from .exact_linalg import (
     AbelianGroupInvariants,
+    ColumnReduction,
     IntMatrix,
     cokernel_invariants,
-    kernel_basis,
 )
 from .graph_model import GroupKey, SeparatedGraph, group_label
 from .transform import (
@@ -51,45 +52,58 @@ class CharacterError(PreconditionError):
     """A character assignment violates a relation or misses required values."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IncidencePair:
-    """The two labeled integer matrices from the group basis to the vertex basis.
+    """The incidence of a graph, from the group basis to the vertex basis.
 
     Rows are vertices in list order; columns are group keys in vertex-then-
-    group order.  one marks the range vertex of each group; counts tallies
-    the arrows of each group by source vertex.
+    group order.  columns[j] maps row indices to the nonzero entries of
+    column j of the difference, which is all the K-group computations read.
+    The dense views are built on demand: one marks the range vertex of each
+    group, counts tallies the arrows of each group by source vertex, and
+    difference() is one minus counts.
     """
 
-    one: IntMatrix
-    counts: IntMatrix
+    vertices: tuple[str, ...]
+    cols: tuple[GroupKey, ...]
+    columns: tuple[dict[int, int], ...]
 
-    @property
-    def cols(self) -> tuple[GroupKey, ...]:
-        return self.one.cols  # type: ignore[return-value]
+    @cached_property
+    def one(self) -> IntMatrix:
+        vidx = {v: i for i, v in enumerate(self.vertices)}
+        data = [[0] * len(self.cols) for _ in self.vertices]
+        for j, (v, _) in enumerate(self.cols):
+            data[vidx[v]][j] = 1
+        return IntMatrix.from_rows(self.vertices, self.cols, data)
 
-    @property
-    def vertices(self) -> tuple[str, ...]:
-        return self.one.rows  # type: ignore[return-value]
+    @cached_property
+    def counts(self) -> IntMatrix:
+        return self.one.sub(self.difference())
 
     def difference(self) -> IntMatrix:
-        return self.one.sub(self.counts)
+        data = [[0] * len(self.cols) for _ in self.vertices]
+        for j, col in enumerate(self.columns):
+            for i, x in col.items():
+                data[i][j] = x
+        return IntMatrix.from_rows(self.vertices, self.cols, data)
+
+    def reduction(self) -> ColumnReduction:
+        """The unit-pivot elimination of the difference, shared by K_0 and K_1."""
+        return ColumnReduction(len(self.vertices), self.columns)
 
 
 def incidence(g: SeparatedGraph) -> IncidencePair:
     ensure_valid(g)
-    keys = g.group_keys()
     vidx = {v: i for i, v in enumerate(g.vertices)}
-    one = [[0] * len(keys) for _ in g.vertices]
-    counts = [[0] * len(keys) for _ in g.vertices]
-    for j, key in enumerate(keys):
-        v, _ = key
-        one[vidx[v]][j] = 1
-        for eid in g.group(key):
-            counts[vidx[g.edge(eid).src]][j] += 1
-    return IncidencePair(
-        IntMatrix.from_rows(g.vertices, keys, one),
-        IntMatrix.from_rows(g.vertices, keys, counts),
-    )
+    keys = g.group_keys()
+    columns = []
+    for v, gi in keys:
+        col = {vidx[v]: 1}
+        for eid in g.groups_at(v)[gi]:
+            i = vidx[g.edge(eid).src]
+            col[i] = col.get(i, 0) - 1
+        columns.append({i: x for i, x in col.items() if x})
+    return IncidencePair(g.vertices, keys, tuple(columns))
 
 
 # kernel elements ------------------------------------------------------------
@@ -100,15 +114,13 @@ KernelElement = dict[GroupKey, int]
 def element_residual(pair: IncidencePair, x: Mapping[GroupKey, int]) -> dict[str, int]:
     """The image of x under the incidence difference, as a vertex vector."""
     col_index = {key: j for j, key in enumerate(pair.cols)}
-    residual = {v: 0 for v in pair.vertices}
-    diff = pair.difference()
+    residual = dict.fromkeys(pair.vertices, 0)
     for key, coef in x.items():
         if key not in col_index:
             raise PreconditionError(f"unknown group {group_label(key)}")
         if coef:
-            j = col_index[key]
-            for i, v in enumerate(pair.vertices):
-                residual[v] += coef * diff.data[i][j]
+            for i, val in pair.columns[col_index[key]].items():
+                residual[pair.vertices[i]] += coef * val
     return residual
 
 
@@ -160,13 +172,11 @@ class KGroups:
 def k_groups_full(g: SeparatedGraph) -> KGroups:
     """K-groups of the (untamed) graph algebra: cokernel and kernel."""
     pair = incidence(g)
-    diff = pair.difference()
-    k0 = cokernel_invariants(diff)
-    basis = kernel_basis(diff)
+    reduction = pair.reduction()
     vecs = tuple(
-        {key: c for key, c in zip(pair.cols, vec) if c} for vec in basis
+        {key: c for key, c in zip(pair.cols, vec) if c} for vec in reduction.kernel()
     )
-    return KGroups(k0, len(vecs), vecs, pair.cols)
+    return KGroups(reduction.cokernel(), len(vecs), vecs, pair.cols)
 
 
 def k1_tame(g: SeparatedGraph) -> KGroups:
@@ -207,8 +217,7 @@ def k0_tame(
     companion, which leaves both K-groups unchanged; the result records the
     routing.
     """
-    ensure_valid(g)
-    base = cokernel_invariants(incidence(g).difference())
+    base = incidence(g).reduction().cokernel()
     if g.bipartite is None:
         h = bipartite_companion(g)
         via_companion = True

@@ -1,0 +1,43 @@
+"""Dense reference computations that the tests check sepk against.
+
+Nothing in sepk calls these.  smith_diagonal reads the dense Smith form,
+which never goes through the sparse unit-pivot elimination behind
+cokernel_invariants and kernel_basis; the fraction-free determinant
+decides whether a Smith transform is unimodular.
+"""
+
+from sepk.exact_linalg import IntMatrix, smith_normal_form
+
+
+def smith_diagonal(matrix: IntMatrix) -> tuple[int, ...]:
+    """Diagonal of the dense Smith form of matrix."""
+    return smith_normal_form(matrix)[1].diagonal()
+
+
+def det_bareiss(matrix: IntMatrix) -> int:
+    """Fraction-free determinant of a square integer matrix."""
+    n = len(matrix.rows)
+    if n != len(matrix.cols):
+        raise ValueError("determinant needs a square matrix")
+    if n == 0:
+        return 1
+    a = matrix.to_lists()
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def is_unimodular(matrix: IntMatrix) -> bool:
+    return abs(det_bareiss(matrix)) == 1

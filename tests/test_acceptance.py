@@ -16,7 +16,6 @@ from sepk.exact_linalg import (
     in_lattice_span,
     kernel_basis,
     matrix_rank,
-    smith_diagonal,
     smith_normal_form,
 )
 from sepk.graph_model import builtin, validate
@@ -45,6 +44,7 @@ from conftest import (
     random_kernel_element,
     random_separated_graph,
 )
+from dense_oracles import smith_diagonal
 
 
 def report(number: int, ok: bool, detail: str):

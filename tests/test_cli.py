@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -66,9 +70,15 @@ def test_malformed_file_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "ktheory", str(bad))
     assert code == 2
     assert "malformed" in err
+    latin1 = tmp_path / "latin1.graph"
+    latin1.write_bytes(b'{"vertices": ["\xe9"]}')
+    for command in ("ktheory", "validate"):
+        code, out, err = run(capsys, command, str(latin1))
+        assert code == 2 and out == ""
+        assert err == "error: byte 15: not UTF-8 text: invalid continuation byte\n"
 
 
-def test_usage_errors_exit_1(tmp_path, capsys):
+def test_usage_errors_exit_1(tmp_path, capsys, monkeypatch):
     assert main(["no-such-command"]) == 1
     capsys.readouterr()
     good = tmp_path / "g.graph"
@@ -77,6 +87,19 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert code == 1
     code, _, err = run(capsys, "ktheory")
     assert code == 1
+    # a directory as input, and negative budgets from the flag or the environment
+    for argv in (
+        ("ktheory", str(tmp_path)),
+        ("validate", str(tmp_path)),
+        ("k0-tame", "--builtin", "E(2,2)", "--depth", "1", "--budget", "-5"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    monkeypatch.setenv("SEPK_BUDGET", "-5")
+    code, out, err = run(capsys, "sequence", "--builtin", "E(2,2)", "--depth", "1")
+    assert code == 1 and out == ""
+    assert err == "error: SEPK_BUDGET must not be negative, got -5\n"
 
 
 def test_builtin_range_error_exits_4(capsys):
@@ -199,6 +222,36 @@ def test_character_command(tmp_path, capsys):
     obj = json.loads(out)
     assert obj["max_relation_error"] < 1e-9
     assert len(obj["values"]) == 6
+
+
+def test_character_file_errors_exit_2(tmp_path, capsys):
+    free = tmp_path / "free.json"
+    free.write_text("{}")
+    strings = tmp_path / "strings.json"
+    strings.write_text(json.dumps({"v": ["a", "b"], "w": 0}))
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"\xe9": 0}')
+    for base, detail in (
+        (strings, "value at 'v' must be an angle in turns or [re, im]"),
+        (latin1, "character file is not UTF-8 text: invalid continuation byte"),
+    ):
+        code, out, err = run(
+            capsys, "character", "--builtin", "E(2,2)", "--base", str(base),
+            "--free", str(free),
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: {base}: {detail}\n"
+
+
+def test_python_m_sepk_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sepk", "ktheory", "--builtin", "E(3,3)"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "K0 = Z, K1 = Z, K1 basis: X - Y\n"
 
 
 def test_sequence_text_summary(capsys):

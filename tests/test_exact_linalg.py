@@ -7,15 +7,14 @@ from sepk.exact_linalg import (
     AbelianGroupInvariants,
     IntMatrix,
     cokernel_invariants,
-    det_bareiss,
     hnf_column_basis,
     in_lattice_span,
-    is_unimodular,
     kernel_basis,
     matrix_rank,
-    smith_diagonal,
     smith_normal_form,
 )
+
+from dense_oracles import det_bareiss, is_unimodular, smith_diagonal
 
 
 def mat(rows):
@@ -42,6 +41,12 @@ def test_snf_zero_matrix():
     assert d.to_lists() == [[0, 0], [0, 0]]
     assert u.to_lists() == [[1, 0], [0, 1]]
     assert v.to_lists() == [[1, 0], [0, 1]]
+    # empty shapes: the transforms are identities of the right sizes
+    for r, c in ((0, 3), (3, 0), (0, 0)):
+        u, d, v = smith_normal_form(IntMatrix.from_rows(range(r), range(c), [[0] * c] * r))
+        assert (u.shape, d.shape, v.shape) == ((r, r), (r, c), (c, c))
+        assert u.to_lists() == [[int(i == j) for j in range(r)] for i in range(r)]
+        assert v.to_lists() == [[int(i == j) for j in range(c)] for i in range(c)]
 
 
 def test_snf_properties_random():
@@ -136,16 +141,73 @@ def test_kernel_annihilates_and_is_independent():
             assert all(d == 1 for d in diag)
 
 
+def assert_small_kernel_vectors_in_span(m, basis):
+    """Brute force: every kernel vector with entries in [-3, 3] is in the span."""
+    r, c = m.shape
+    for vec in itertools.product(range(-3, 4), repeat=c):
+        if all(sum(m.data[i][j] * vec[j] for j in range(c)) == 0 for i in range(r)):
+            assert in_lattice_span(basis, vec)
+
+
 def test_kernel_brute_force_oracle_small():
     rng = random.Random(13)
     for _ in range(30):
         r = rng.randint(1, 3)
         c = rng.randint(1, 3)
         m = mat([[rng.randint(-3, 3) for _ in range(c)] for _ in range(r)])
+        assert_small_kernel_vectors_in_span(m, kernel_basis(m))
+
+
+def oracle_matrix(rng, kind):
+    """A seeded matrix of at most 6 x 6, possibly empty, of the given kind.
+
+    "units" has many +-1 entries, so unit pivots do most of the work;
+    "no-units" has none, so the whole matrix is the dense core; "sparse" is
+    mostly zero, with zero rows and columns; "large" mixes +-1 with entries
+    of up to 84 bits.
+    """
+    r, c = rng.randint(0, 6), rng.randint(0, 6)
+    entry = {
+        "units": lambda: rng.choice((0, 0, 1, -1, rng.randint(-4, 4))),
+        "no-units": lambda: rng.choice((0, 2, -2, 3, -4, 6, 9)),
+        "sparse": lambda: rng.choice((0, 0, 0, 0, 0, 1, -1, 2)),
+        "large": lambda: rng.choice((0, 1, -1, rng.randint(-(10**25), 10**25))),
+    }[kind]
+    rows = [[entry() for _ in range(c)] for _ in range(r)]
+    if r and c and rng.random() < 0.3:
+        rows[rng.randrange(r)] = [0] * c
+        zero = rng.randrange(c)
+        for row in rows:
+            row[zero] = 0
+    return IntMatrix.from_rows(range(r), range(c), rows)
+
+
+def test_unit_pivot_elimination_against_sympy_and_dense_smith():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    rng = random.Random(2001)
+    kinds = ("units", "no-units", "sparse", "large")
+    for n in range(500):
+        m = oracle_matrix(rng, kinds[n % len(kinds)])
+        r, c = m.shape
+        flat = [x for row in m.data for x in row]
+        factors = [abs(int(d)) for d in invariant_factors(sympy.Matrix(r, c, flat))]
+        nonzero = [d for d in factors if d]
+        assert [d for d in smith_diagonal(m) if d] == nonzero
+        assert cokernel_invariants(m) == AbelianGroupInvariants(
+            r - len(nonzero), tuple(d for d in nonzero if d > 1)
+        )
+        assert matrix_rank(m) == len(nonzero)
         basis = kernel_basis(m)
-        for vec in itertools.product(range(-3, 4), repeat=c):
-            if all(sum(m.data[i][j] * vec[j] for j in range(c)) == 0 for i in range(r)):
-                assert in_lattice_span(basis, vec)
+        assert len(basis) == c - len(nonzero)
+        for vec in basis:
+            assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in m.data)
+        if basis:  # a saturated sublattice of the right rank is the whole kernel
+            stacked = IntMatrix.from_rows(range(c), range(len(basis)), list(zip(*basis)))
+            assert set(smith_diagonal(stacked)) == {1}
+        if c <= 3:
+            assert_small_kernel_vectors_in_span(m, basis)
 
 
 def test_hnf_canonical_form():

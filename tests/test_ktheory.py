@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from sepk.exact_linalg import AbelianGroupInvariants, IntMatrix, smith_diagonal, smith_normal_form
+from sepk.exact_linalg import AbelianGroupInvariants, IntMatrix
 from sepk.graph_model import SeparatedGraph, builtin, builtin_from_spec
 from sepk.ktheory import (
     CharacterAssignment,
@@ -35,6 +35,7 @@ from conftest import (
     random_bipartite_graph,
     random_separated_graph,
 )
+from dense_oracles import smith_diagonal
 
 
 def test_incidence_emn():
@@ -346,6 +347,21 @@ def test_k0_grows_by_w_rank_along_sequence():
             assert invs[n + 1] == invs[n].with_free_summand(len(seq.w_sets[n + 2]))
         full = multiresolution_at(g, g.layer0)
         assert k_groups_full(full).k0 == invs[1]
+
+
+def test_k0_grows_by_w_rank_to_layer_3():
+    # layer 3 of E(2,3) has 5 256 vertices: the sparse unit-pivot path gives
+    # K0(layer 3) = K0(base) + Z^(|W_2| + |W_3| + |W_4|), the same K1 rank, and
+    # the same cokernel as the base of k0_tame on the layer
+    for spec in (("E", [2, 2]), ("E", [2, 3]), ("lamplighter", [2])):
+        g = builtin(*spec)
+        seq = canonical_sequence(g, 3)
+        layer = seq.graphs[3]
+        base, top = k_groups_full(g), k_groups_full(layer)
+        rank = sum(len(seq.w_sets[k]) for k in (2, 3, 4))
+        assert top.k0 == base.k0.with_free_summand(rank)
+        assert top.k1_rank == base.k1_rank
+        assert k0_tame(layer, 0).base == top.k0
 
 
 def test_companion_preserves_k_groups_small():
