@@ -113,5 +113,6 @@ __all__ = [
     "serialize",
     "smith_normal_form",
     "validate",
+    "verify_partial_unitary",
     "w_count_formula",
 ]

@@ -181,14 +181,7 @@ def _load_character_file(path: str) -> dict[str, complex]:
 
 
 def _cmd_validate(args) -> int:
-    if args.builtin:
-        g = graph_model.builtin_from_spec(args.builtin)
-    else:
-        if not args.input:
-            raise UsageError("an input file or --builtin is required")
-        with open(args.input, "rb") as fh:
-            g = graph_model.parse(fh.read())
-    report = graph_model.validate(g)
+    report = graph_model.validate(_load_graph(args).graph)
     if args.format == "json":
         print(_dump_json({
             "ok": report.ok,
@@ -349,8 +342,7 @@ def _cmd_verify_generator(args) -> int:
 def _cmd_phi(args) -> int:
     loaded = _load_graph(args)
     x = _parse_element(args.element, loaded)
-    image = ktheory.phi_transport(loaded.graph, x)
-    step = transform.canonical_step_data(loaded.graph)
+    image, step = ktheory._phi_with_step(loaded.graph, x)
     provenance = {key: f"X({eid})" for eid, key in step.group_of_edge.items()}
     if args.format == "json":
         print(_dump_json({

@@ -12,6 +12,14 @@ irreducible atom.
 Words are capped at length 2: a product whose reduced form would be longer
 raises UnsupportedWordError instead of guessing a reduction.
 
+A StarContext memoizes, for its graph, the normal form of each word.
+Normalization is linear and idempotent, so an expression normalizes to the
+sum of its words' memoized normal forms; the memo only spares repeated work
+and adds no reduction rule.  Each word is still checked, once per context,
+and a word that fails its check is not memoized, so it fails again on every
+later use.  Products are not memoized: within one context a pair of words
+seldom recurs, and a pair memo held memory without saving time.
+
 The module also builds the labeled generator matrices realizing the K_1
 class of a kernel element (a row per unit of positive coefficient, a column
 per arrow occurrence) and verifies, by formal matrix arithmetic, that they
@@ -142,11 +150,13 @@ class StarContext:
         for key in g.group_keys():
             for eid in g.group(key):
                 self.group_of[eid] = key
+        self._vertices = frozenset(g.vertices)
+        self._normal: dict[Word, tuple[tuple[Word, int], ...]] = {}
 
     # constructors ----------------------------------------------------------
 
     def vertex(self, v: str) -> FormalExpr:
-        if v not in set(self.graph.vertices):
+        if v not in self._vertices:
             raise MalformedExpressionError(f"unknown vertex {v!r}")
         return FormalExpr({("v", v): 1})
 
@@ -194,7 +204,7 @@ class StarContext:
         tag = word[0]
         g = self.graph
         if tag == "v":
-            if word[1] not in set(g.vertices):
+            if word[1] not in self._vertices:
                 raise MalformedExpressionError(f"unknown vertex {word[1]!r}")
             return
         for e in word[1:]:
@@ -251,6 +261,33 @@ class StarContext:
             + " ".join(e + ("" if t == "E" else "*") for t, e in letters)
         )
 
+    def _word_normal(self, word: Word) -> tuple[tuple[Word, int], ...]:
+        """Normal form of one word, checked; memoized once the check passes."""
+        self._check_word(word)
+        if word[0] == "ae":
+            e, f = word[1], word[2]
+            if self.group_of[e] != self.group_of[f]:
+                out: tuple = ((word, 1),)
+            elif e == f:
+                out = ((("v", self.graph.edge(e).src), 1),)
+            else:
+                out = ()  # distinct edges of one group: zero
+        elif word[0] == "ea" and word[1] == word[2]:
+            # Complete-sum elimination: the diagonal word of the last member
+            # of each group rewrites to the range vertex minus the others.
+            key = self.group_of[word[1]]
+            members = self.graph.group(key)
+            if word[1] == members[-1]:
+                out = ((("v", key[0]), 1),) + tuple(
+                    (("ea", other, other), -1) for other in members[:-1]
+                )
+            else:
+                out = ((word, 1),)
+        else:
+            out = ((word, 1),)
+        self._normal[word] = out
+        return out
+
     # public operations -------------------------------------------------------
 
     def normalize(self, expr: FormalExpr) -> FormalExpr:
@@ -259,43 +296,30 @@ class StarContext:
         Idempotent and linear; raises MalformedExpressionError on words that
         do not compose.
         """
-        acc: dict[Word, int] = {}
+        return FormalExpr.of(self._normal_terms(expr.terms))
 
-        def put(word: Word, coef: int):
+    def _normal_terms(
+        self, terms: Mapping[Word, int], acc: dict[Word, int] | None = None
+    ) -> dict[Word, int]:
+        """Add the normal form of terms into acc (a new dict by default)."""
+        normal = self._normal
+        if acc is None:
+            acc = {}
+        for word, coef in terms.items():
+            nf = normal.get(word)
+            if nf is None:
+                nf = self._word_normal(word)
             if coef:
-                acc[word] = acc.get(word, 0) + coef
-
-        for word, coef in expr.terms.items():
-            self._check_word(word)
-            if word[0] == "ae":
-                e, f = word[1], word[2]
-                if self.group_of[e] == self.group_of[f]:
-                    if e == f:
-                        put(("v", self.graph.edge(e).src), coef)
-                    continue  # distinct edges of one group: zero
-            put(word, coef)
-
-        # Complete-sum elimination: the diagonal word of the last member of
-        # each group rewrites to the range vertex minus the other diagonals.
-        for word in list(acc):
-            if word[0] != "ea" or word[1] != word[2]:
-                continue
-            e = word[1]
-            key = self.group_of[e]
-            members = self.graph.group(key)
-            if e != members[-1]:
-                continue
-            coef = acc.pop(word)
-            if not coef:
-                continue
-            put(("v", key[0]), coef)
-            for other in members[:-1]:
-                put(("ea", other, other), -coef)
-
-        return FormalExpr.of(acc)
+                for w, c in nf:
+                    acc[w] = acc.get(w, 0) + coef * c
+        return acc
 
     def mul(self, a: FormalExpr, b: FormalExpr) -> FormalExpr:
         """Product in the algebra, normalized."""
+        return FormalExpr.of(self._normal_terms(self._product_terms(a, b)))
+
+    def _product_terms(self, a: FormalExpr, b: FormalExpr) -> dict[Word, int]:
+        """The unnormalized product of a and b, zero coefficients dropped."""
         acc: dict[Word, int] = {}
         for w1, c1 in a.terms.items():
             for w2, c2 in b.terms.items():
@@ -307,7 +331,7 @@ class StarContext:
                     continue
                 word = self._word_of_letters(reduced, self._dom(w2))
                 acc[word] = acc.get(word, 0) + c1 * c2
-        return self.normalize(FormalExpr.of(acc))
+        return {w: c for w, c in acc.items() if c}
 
     def equal(self, a: FormalExpr, b: FormalExpr) -> bool:
         return self.normalize(a).terms == self.normalize(b).terms
@@ -368,17 +392,18 @@ def matmul(ctx: StarContext, a: FormalMatrix, b: FormalMatrix) -> FormalMatrix:
     by_row: dict[int, list[tuple[int, FormalExpr]]] = {}
     for (k, j), expr in b.entries.items():
         by_row.setdefault(k, []).append((j, expr))
-    acc: dict[tuple[int, int], FormalExpr] = {}
+    acc: dict[tuple[int, int], dict[Word, int]] = {}
     for (i, k), left in a.entries.items():
         for j, right in by_row.get(k, ()):
-            prod = ctx.mul(left, right)
-            if prod.is_zero:
-                continue
-            pos = (i, j)
-            acc[pos] = acc[pos] + prod if pos in acc else prod
+            # ctx.mul(left, right), summed into the entry in place
+            prod = ctx._product_terms(left, right)
+            if prod:
+                ctx._normal_terms(prod, acc.setdefault((i, j), {}))
+    # A sum of normal forms is a normal form: normalization is a linear
+    # projection, and each word here came out of one, checked.
     entries = {}
-    for pos, expr in acc.items():
-        norm = ctx.normalize(expr)
+    for pos, terms in acc.items():
+        norm = FormalExpr.of(terms)
         if not norm.is_zero:
             entries[pos] = norm
     return FormalMatrix(a.rows, b.cols, entries)
@@ -424,26 +449,33 @@ class GeneratorMatrices:
 
 
 def _side_labels(g: SeparatedGraph, part: Mapping[GroupKey, int]):
-    """Row and column labels of one side, plus the edge of each column."""
+    """Row and column labels of one side, plus the edge of each column.
+
+    Rows run over the used groups in group order; columns over the source
+    vertices in layer1 order, then the used groups with an arrow from that
+    source, in group order, then t, then the arrows in their group order.
+    """
     rows: list[RowLabel] = []
+    by_source: dict[str, dict[GroupKey, list[str]]] = {}
+    used: dict[GroupKey, int] = {}
     for u in g.layer0:
-        for i in range(len(g.groups_at(u))):
-            for t in range(1, part.get((u, i), 0) + 1):
+        for i, group in enumerate(g.groups_at(u)):
+            n = part.get((u, i), 0)
+            for t in range(1, n + 1):
                 rows.append(((u, i), t))
+            if n:
+                used[(u, i)] = n
+                for eid in group:
+                    by_source.setdefault(g.edge(eid).src, {}).setdefault((u, i), []).append(eid)
     cols: list[ColLabel] = []
     col_edge: dict[ColLabel, str] = {}
     for w in g.layer1:
-        for u in g.layer0:
-            for i in range(len(g.groups_at(u))):
-                n = part.get((u, i), 0)
-                if not n:
-                    continue
-                arrows = [eid for eid in g.group((u, i)) if g.edge(eid).src == w]
-                for t in range(1, n + 1):
-                    for s, eid in enumerate(arrows, start=1):
-                        label = ((u, i), t, w, s)
-                        cols.append(label)
-                        col_edge[label] = eid
+        for key, arrows in by_source.get(w, {}).items():
+            for t in range(1, used[key] + 1):
+                for s, eid in enumerate(arrows, start=1):
+                    label = (key, t, w, s)
+                    cols.append(label)
+                    col_edge[label] = eid
     return rows, cols, col_edge
 
 
@@ -485,30 +517,40 @@ def assemble_generator_matrices(
     sigma2: dict[ColLabel, ColLabel],
 ) -> GeneratorMatrices:
     """Build the matrices for explicitly chosen bijections (testing hook)."""
+    sides = (_side_labels(g, positive_part(x)), _side_labels(g, negative_part(x)))
+    return _assemble(g, x, sides, sigma1, sigma2)
+
+
+def _assemble(
+    g: SeparatedGraph,
+    x: Mapping[GroupKey, int],
+    sides: tuple,
+    sigma1: dict[RowLabel, RowLabel],
+    sigma2: dict[ColLabel, ColLabel],
+) -> GeneratorMatrices:
+    """The matrices for the given bijections, on sides made by _side_labels."""
     ctx = StarContext(g)
-    pos = positive_part(x)
-    neg = negative_part(x)
-    rows1, cols1, col_edge1 = _side_labels(g, pos)
-    rows2, cols2, col_edge2 = _side_labels(g, neg)
+    (rows1, cols1, col_edge1), (rows2, cols2, col_edge2) = sides
     z = _side_matrix(ctx, rows1, cols1, col_edge1)
     t = _side_matrix(ctx, rows2, cols2, col_edge2)
 
+    # sigma_t[i1, j1] = t[sigma1(row i1), sigma2(col j1)]: pull each nonzero
+    # entry of t back along the maps, read as relations in case they are not
+    # injective, and keep the entries in row-major order.
     r2index = {r: i for i, r in enumerate(rows2)}
     c2index = {c: i for i, c in enumerate(cols2)}
-    t_entries_by_pos = {}
-    for (i2, j2), expr in t.entries.items():
-        t_entries_by_pos[(i2, j2)] = expr
+    rows_over: dict[int, list[int]] = {}
+    for i1, r1 in enumerate(rows1):
+        rows_over.setdefault(r2index[sigma1[r1]], []).append(i1)
+    cols_over: dict[int, list[int]] = {}
+    for j1, c1 in enumerate(cols1):
+        cols_over.setdefault(c2index[sigma2[c1]], []).append(j1)
     entries = {}
-    r1list = list(rows1)
-    c1list = list(cols1)
-    for i1, r1 in enumerate(r1list):
-        i2 = r2index[sigma1[r1]]
-        for j1, c1 in enumerate(c1list):
-            j2 = c2index[sigma2[c1]]
-            expr = t_entries_by_pos.get((i2, j2))
-            if expr is not None:
+    for (i2, j2), expr in t.entries.items():
+        for i1 in rows_over.get(i2, ()):
+            for j1 in cols_over.get(j2, ()):
                 entries[(i1, j1)] = expr
-    sigma_t = FormalMatrix(tuple(rows1), tuple(cols1), entries)
+    sigma_t = FormalMatrix(tuple(rows1), tuple(cols1), dict(sorted(entries.items())))
     u = matmul(ctx, z, sigma_t.star())
     return GeneratorMatrices(g, dict(x), z, t, dict(sigma1), dict(sigma2), sigma_t, u)
 
@@ -530,14 +572,12 @@ def build_generator_matrices(
     require_kernel_element(incidence(g), x)
     if not any(x.values()):
         raise PreconditionError("the zero element has no generator")
-    pos = positive_part(x)
-    neg = negative_part(x)
-    rows1, cols1, _ = _side_labels(g, pos)
-    rows2, cols2, _ = _side_labels(g, neg)
+    sides = (_side_labels(g, positive_part(x)), _side_labels(g, negative_part(x)))
+    (rows1, cols1, _), (rows2, cols2, _) = sides
     rng = random.Random(seed) if seed is not None else None
     sigma1 = _pair_blocks(rows1, rows2, lambda r: r[0][0], "row", rng)
     sigma2 = _pair_blocks(cols1, cols2, lambda c: c[2], "column", rng)
-    return assemble_generator_matrices(g, x, sigma1, sigma2)
+    return _assemble(g, x, sides, sigma1, sigma2)
 
 
 # verification -----------------------------------------------------------------

@@ -83,7 +83,8 @@ class SeparatedGraph:
     Instances are immutable after construction and safe to share across
     threads.  Construction is lenient: semantic invariants (partitioning,
     bipartite shape) are checked by validate(), not here, so that broken
-    candidate data can be represented and reported on.
+    candidate data can be represented and reported on.  transform's
+    ensure_valid keeps the report of its first run on the instance.
     """
 
     vertices: tuple[str, ...]

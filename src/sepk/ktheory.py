@@ -24,12 +24,12 @@ from .exact_linalg import (
     AbelianGroupInvariants,
     ColumnReduction,
     IntMatrix,
-    cokernel_invariants,
 )
 from .graph_model import GroupKey, SeparatedGraph, group_label
 from .transform import (
     DEFAULT_BUDGET,
     PreconditionError,
+    StepData,
     bipartite_companion,
     canonical_step_data,
     ensure_valid,
@@ -239,6 +239,13 @@ def phi_transport(g: SeparatedGraph, x: Mapping[GroupKey, int]) -> KernelElement
     The image is a kernel element of the next layer, and the transport of a
     basis is again a basis.
     """
+    return _phi_with_step(g, x)[0]
+
+
+def _phi_with_step(
+    g: SeparatedGraph, x: Mapping[GroupKey, int]
+) -> tuple[KernelElement, StepData]:
+    """phi_transport's image together with the canonical step it ran."""
     ensure_valid(g)
     if g.bipartite is None:
         raise PreconditionError("kernel transport requires a bipartite graph")
@@ -260,7 +267,7 @@ def phi_transport(g: SeparatedGraph, x: Mapping[GroupKey, int]) -> KernelElement
                 out[key] = out.get(key, 0) - n_i
     out = {k: c for k, c in out.items() if c}
     require_kernel_element(incidence(step.graph), out)
-    return out
+    return out, step
 
 
 def connecting_map_image(g: SeparatedGraph, x: Mapping[GroupKey, int]) -> dict[str, int]:
@@ -297,17 +304,14 @@ def monoid_universal_group(g: SeparatedGraph) -> AbelianGroupInvariants:
     ensure_valid(g)
     vidx = {v: i for i, v in enumerate(g.vertices)}
     columns = []
-    keys = []
-    for v in g.vertices:
-        for gi, grp in enumerate(g.groups_at(v)):
-            col = [0] * len(g.vertices)
-            col[vidx[v]] += 1
+    for v, groups in zip(g.vertices, g.separation):
+        for grp in groups:
+            col = {vidx[v]: 1}
             for eid in grp:
-                col[vidx[g.edge(eid).src]] -= 1
-            columns.append(col)
-            keys.append((v, gi))
-    rows = [[col[i] for col in columns] for i in range(len(g.vertices))]
-    return cokernel_invariants(IntMatrix.from_rows(g.vertices, keys, rows))
+                i = vidx[g.edge(eid).src]
+                col[i] = col.get(i, 0) - 1
+            columns.append({i: x for i, x in col.items() if x})
+    return ColumnReduction(len(g.vertices), columns).cokernel()
 
 
 # characters -------------------------------------------------------------------

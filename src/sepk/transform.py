@@ -52,7 +52,16 @@ class BudgetExceededError(Exception):
 
 
 def ensure_valid(g: SeparatedGraph) -> SeparatedGraph:
-    report = validate(g)
+    """Return g when it validates, else raise ValidationError with its report.
+
+    The report is computed once per graph and kept on it: a SeparatedGraph
+    is immutable, so its report cannot change, and an invalid graph raises
+    the same error on every call.
+    """
+    report = g.__dict__.get("_validation")
+    if report is None:
+        report = validate(g)
+        object.__setattr__(g, "_validation", report)
     if not report.ok:
         raise ValidationError(report)
     return g

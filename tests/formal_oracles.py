@@ -1,0 +1,155 @@
+"""Unmemoized word calculus: a second path for StarContext's reductions.
+
+ReferenceCalculus re-derives every normal form and product from the graph on
+each call, checking each word as it goes, exactly as the calculus did before
+StarContext memoized its reductions.  Tests compare the two on seeded random
+words, malformed ones included.
+"""
+
+from sepk.formal_star import (
+    FormalExpr,
+    MalformedExpressionError,
+    UnsupportedWordError,
+    word_str,
+)
+from sepk.graph_model import SeparatedGraph
+
+
+class ReferenceCalculus:
+    def __init__(self, g: SeparatedGraph):
+        self.graph = g
+        self.group_of = {eid: key for key in g.group_keys() for eid in g.group(key)}
+
+    def _known_edge(self, e):
+        if not self.graph.has_edge(e):
+            raise MalformedExpressionError(f"unknown edge {e!r}")
+
+    def _dom(self, word):
+        tag, g = word[0], self.graph
+        if tag == "v":
+            return word[1]
+        if tag == "e":
+            return g.edge(word[1]).src
+        if tag == "a":
+            return g.edge(word[1]).dst
+        if tag == "ea":
+            return g.edge(word[2]).dst
+        return g.edge(word[2]).src
+
+    def _cod(self, word):
+        tag, g = word[0], self.graph
+        if tag == "v":
+            return word[1]
+        if tag == "e":
+            return g.edge(word[1]).dst
+        if tag == "a":
+            return g.edge(word[1]).src
+        if tag == "ea":
+            return g.edge(word[1]).dst
+        return g.edge(word[1]).src
+
+    def _check_word(self, word):
+        tag, g = word[0], self.graph
+        if tag == "v":
+            if word[1] not in set(g.vertices):
+                raise MalformedExpressionError(f"unknown vertex {word[1]!r}")
+            return
+        for e in word[1:]:
+            self._known_edge(e)
+        if tag == "ea" and g.edge(word[1]).src != g.edge(word[2]).src:
+            raise MalformedExpressionError(
+                f"{word_str(word)}: sources differ, word is not composable"
+            )
+        if tag == "ae" and g.edge(word[1]).dst != g.edge(word[2]).dst:
+            raise MalformedExpressionError(
+                f"{word_str(word)}: ranges differ, word is not composable"
+            )
+
+    @staticmethod
+    def _letters(word):
+        tag = word[0]
+        if tag == "v":
+            return []
+        if tag == "e":
+            return [("E", word[1])]
+        if tag == "a":
+            return [("A", word[1])]
+        if tag == "ea":
+            return [("E", word[1]), ("A", word[2])]
+        return [("A", word[1]), ("E", word[2])]
+
+    def _reduce_letters(self, letters):
+        i = 0
+        while i + 1 < len(letters):
+            (t1, e1), (t2, e2) = letters[i], letters[i + 1]
+            if t1 == "A" and t2 == "E" and self.group_of[e1] == self.group_of[e2]:
+                if e1 != e2:
+                    return None
+                del letters[i : i + 2]
+                i = max(i - 1, 0)
+            else:
+                i += 1
+        return letters
+
+    @staticmethod
+    def _word_of_letters(letters, anchor):
+        if not letters:
+            return ("v", anchor)
+        if len(letters) == 1:
+            tag, e = letters[0]
+            return ("e", e) if tag == "E" else ("a", e)
+        if len(letters) == 2:
+            (t1, e1), (t2, e2) = letters
+            if (t1, t2) == ("E", "A"):
+                return ("ea", e1, e2)
+            if (t1, t2) == ("A", "E"):
+                return ("ae", e1, e2)
+        raise UnsupportedWordError(
+            "irreducible word of length > 2: "
+            + " ".join(e + ("" if t == "E" else "*") for t, e in letters)
+        )
+
+    def normalize(self, expr: FormalExpr) -> FormalExpr:
+        acc = {}
+
+        def put(word, coef):
+            if coef:
+                acc[word] = acc.get(word, 0) + coef
+
+        for word, coef in expr.terms.items():
+            self._check_word(word)
+            if word[0] == "ae":
+                e, f = word[1], word[2]
+                if self.group_of[e] == self.group_of[f]:
+                    if e == f:
+                        put(("v", self.graph.edge(e).src), coef)
+                    continue
+            put(word, coef)
+        for word in list(acc):
+            if word[0] != "ea" or word[1] != word[2]:
+                continue
+            e = word[1]
+            key = self.group_of[e]
+            members = self.graph.group(key)
+            if e != members[-1]:
+                continue
+            coef = acc.pop(word)
+            if not coef:
+                continue
+            put(("v", key[0]), coef)
+            for other in members[:-1]:
+                put(("ea", other, other), -coef)
+        return FormalExpr.of(acc)
+
+    def mul(self, a: FormalExpr, b: FormalExpr) -> FormalExpr:
+        acc = {}
+        for w1, c1 in a.terms.items():
+            for w2, c2 in b.terms.items():
+                if self._dom(w1) != self._cod(w2):
+                    continue
+                reduced = self._reduce_letters(self._letters(w1) + self._letters(w2))
+                if reduced is None:
+                    continue
+                word = self._word_of_letters(reduced, self._dom(w2))
+                acc[word] = acc.get(word, 0) + c1 * c2
+        return self.normalize(FormalExpr.of(acc))

@@ -275,3 +275,46 @@ def test_sequence_json_golden_digest(capsys, spec):
     code, out, _ = run(capsys, "sequence", "--builtin", spec, "--depth", "3", "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SEQUENCE_DIGESTS[spec]
+
+
+EXTRA_ARGS = {
+    "k0-tame": ["--depth", "1"],
+    "sequence": ["--depth", "1"],
+    "multires": ["--at", "v"],
+    "k1-generator": ["--element", "X:1,Y:-1"],
+    "verify-generator": ["--element", "X:1,Y:-1"],
+    "phi": ["--element", "X:1,Y:-1"],
+    "delta": ["--element", "X:1,Y:-1"],
+    "character": ["--base", "base.json", "--free", "free.json"],
+}
+COMMANDS = (
+    "validate", "ktheory", "k1-tame", "k0-tame", "multires", "sequence", "companion",
+    "k1-generator", "verify-generator", "phi", "delta", "character",
+)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_input_file_and_builtin_together_exit_1(command, tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    argv = [command, str(missing), "--builtin", "E(2,2)", *EXTRA_ARGS.get(command, [])]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: give either an input file or --builtin, not both\n"
+
+
+def test_phi_runs_one_canonical_step(capsys, monkeypatch):
+    import sepk.ktheory
+    import sepk.transform
+
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return sepk.transform.canonical_step_data.__wrapped__(g)
+
+    counted.__wrapped__ = sepk.transform.canonical_step_data
+    monkeypatch.setattr(sepk.transform, "canonical_step_data", counted)
+    monkeypatch.setattr(sepk.ktheory, "canonical_step_data", counted)
+    code, out, _ = run(capsys, "phi", "--builtin", "E(2,2)", "--element", "X:1,Y:-1")
+    assert code == 0 and len(calls) == 1
+    assert out.strip() == "-X(a1) - X(a2) + X(b1) + X(b2)"

@@ -14,9 +14,10 @@ from sepk.formal_star import (
 )
 from sepk.graph_model import builtin
 from sepk.ktheory import NotInKernelError, connecting_map_image
-from sepk.transform import PreconditionError
+from sepk.transform import PreconditionError, canonical_sequence
 
 from conftest import bipartite_graph_with_kernel, random_kernel_element
+from formal_oracles import ReferenceCalculus
 
 
 def ctx_e(m, n):
@@ -191,3 +192,99 @@ def test_diagonal_classes_match_connecting_map():
             diff[v] = diff.get(v, 0) - c
         diff = {v: c for v, c in diff.items() if c}
         assert diff == delta
+
+
+# memoized calculus against the unmemoized reference ---------------------------
+
+
+def _random_word(g, rng):
+    """A random word of g, well formed or (about one time in six) not."""
+    edges = g.edges
+    e = rng.choice(edges)
+    kind = rng.randrange(12)
+    if kind == 0:
+        return rng.choice((("e", "zz"), ("a", "zz"), ("v", "nowhere"), ("ea", e.id, "zz")))
+    if kind == 1:
+        apart = [f for f in edges if f.src != e.src]
+        if apart:
+            return ("ea", e.id, rng.choice(apart).id)  # sources differ
+        across = [f for f in edges if f.dst != e.dst]
+        if across:
+            return ("ae", e.id, rng.choice(across).id)  # ranges differ
+        return ("v", "nowhere")
+    if kind in (2, 3):
+        return ("v", rng.choice(g.vertices))
+    if kind in (4, 5):
+        return ("e", e.id)
+    if kind in (6, 7):
+        return ("a", e.id)
+    if kind in (8, 9):
+        return ("ea", e.id, rng.choice(g.s_inv(e.src)).id)
+    return ("ae", e.id, rng.choice(g.r_inv(e.dst)).id)
+
+
+def _random_expr(g, rng):
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        terms[_random_word(g, rng)] = rng.choice((-3, -2, -1, 0, 1, 2, 3))
+    return FormalExpr(terms)  # zero coefficients kept: their words are checked too
+
+
+def _outcome(fn, *args):
+    try:
+        return ("ok", fn(*args).terms)
+    except (MalformedExpressionError, UnsupportedWordError, KeyError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+ORACLE_GRAPHS = {
+    "E(2,2)": lambda: builtin("E", [2, 2]),
+    "E(3,3)": lambda: builtin("E", [3, 3]),
+    "lamplighter(2) L2": lambda: canonical_sequence(builtin("lamplighter", [2]), 2).graphs[2],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+def test_memoized_calculus_matches_unmemoized_reference(name):
+    g = ORACLE_GRAPHS[name]()
+    rng = random.Random(sum(map(ord, name)))
+    ctx, ref = StarContext(g), ReferenceCalculus(g)
+    seen = set()
+    for _ in range(400):
+        a, b = _random_expr(g, rng), _random_expr(g, rng)
+        # twice each: the second call reads the memos the first one filled
+        for _ in range(2):
+            got = _outcome(ctx.normalize, a)
+            assert got == _outcome(ref.normalize, a)
+            seen.add(got[0])
+            got = _outcome(ctx.mul, a, b)
+            assert got == _outcome(ref.mul, a, b)
+            seen.add(got[0])
+    assert {"ok", "MalformedExpressionError", "UnsupportedWordError"} <= seen
+
+
+def _reference_matmul(ref, a, b):
+    entries = {}
+    for i in range(len(a.rows)):
+        for j in range(len(b.cols)):
+            total = FormalExpr({})
+            for k in range(len(a.cols)):
+                total = total + ref.mul(a.entry(i, k), b.entry(k, j))
+            total = ref.normalize(total)
+            if not total.is_zero:
+                entries[(i, j)] = total
+    return entries
+
+
+def test_matmul_matches_unmemoized_reference_on_generator_matrices():
+    rng = random.Random(14)
+    cases = [(builtin("E", [3, 3]), {("v", 0): 2, ("v", 1): -2}, None)]
+    for seed in range(6):
+        g, x0 = bipartite_graph_with_kernel(rng)
+        cases.append((g, random_kernel_element(g, rng) or x0, seed))
+    for g, x, seed in cases:
+        gm = build_generator_matrices(g, x, seed=seed)
+        ctx, ref = StarContext(g), ReferenceCalculus(g)
+        for m in (gm.z, gm.t, gm.sigma_t, gm.u):
+            for a, b in ((m, m.star()), (m.star(), m)):
+                assert matmul(ctx, a, b).entries == _reference_matmul(ref, a, b)

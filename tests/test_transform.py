@@ -3,14 +3,16 @@ import random
 import pytest
 
 from sepk.graph_model import SeparatedGraph, builtin, serialize, validate
-from sepk.ktheory import k0_tame
+from sepk.ktheory import incidence, k0_tame, k_groups_full
 from sepk.transform import (
     BudgetExceededError,
     PreconditionError,
+    ValidationError,
     bipartite_companion,
     canonical_sequence,
     canonical_step,
     canonical_step_data,
+    ensure_valid,
     multiresolution_at,
     multiresolution_data,
     root_of,
@@ -327,3 +329,35 @@ def test_name_free_collision_check_agrees_with_rendered_names():
         assert outcome(lambda: w_set_sizes(h, 2)) == want
         collisions += isinstance(want, str)
     assert collisions >= 10
+
+
+def test_validation_report_is_computed_once_per_graph(monkeypatch):
+    import sepk.transform
+
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return validate(g)
+
+    monkeypatch.setattr(sepk.transform, "validate", counted)
+    broken = SeparatedGraph.build(
+        ["v", "w"], [("a", "w", "v"), ("b", "w", "v")], {"v": [["a"], []]}
+    )
+    reports = []
+    for call in (ensure_valid, incidence, ensure_valid, k_groups_full, incidence, canonical_step):
+        with pytest.raises(ValidationError) as exc:
+            call(broken)
+        reports.append(exc.value.report)
+        assert str(exc.value) == "graph fails validation:\n" + str(validate(broken))
+    assert all(r == validate(broken) for r in reports)
+    assert {v.kind for v in reports[0].violations} == {"empty-group", "partition-not-covering"}
+    assert calls == [broken]
+
+    g = builtin("E", [2, 2])
+    for _ in range(3):
+        assert ensure_valid(g) is g
+        incidence(g)
+    assert calls == [broken, g]
+    # the kept report is not part of the graph's value
+    assert g == builtin("E", [2, 2]) and hash(g) == hash(builtin("E", [2, 2]))
