@@ -307,12 +307,12 @@ def test_phi_runs_one_canonical_step(capsys, monkeypatch):
     import sepk.transform
 
     calls = []
+    original = sepk.transform.canonical_step_data
 
     def counted(g):
         calls.append(g)
-        return sepk.transform.canonical_step_data.__wrapped__(g)
+        return original(g)
 
-    counted.__wrapped__ = sepk.transform.canonical_step_data
     monkeypatch.setattr(sepk.transform, "canonical_step_data", counted)
     monkeypatch.setattr(sepk.ktheory, "canonical_step_data", counted)
     code, out, _ = run(capsys, "phi", "--builtin", "E(2,2)", "--element", "X:1,Y:-1")
