@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from sepk.graph_model import (
     SeparatedGraph,
     builtin,
     builtin_from_spec,
+    from_obj,
     parse,
     serialize,
     validate,
@@ -178,3 +180,110 @@ def test_graph_immutability_and_equality():
     assert g != builtin("E", [2, 3])
     with pytest.raises(Exception):
         g.vertices = ()
+
+
+# Error contract of parse/from_obj: one malformed document per failure branch,
+# with the exact message and location.  Documents that break two rules pin
+# which check runs first.
+_V = ["v", "w"]
+_E = [{"id": "a", "src": "w", "dst": "v"}]
+
+
+def _doc(**over):
+    d = {"vertices": _V, "edges": _E, "separation": {"v": [["a"]]}}
+    for key, val in over.items():
+        if val is None:
+            del d[key]
+        else:
+            d[key] = val
+    return json.dumps(d)
+
+
+FORMAT_ERRORS = [
+    ("[]", "top level must be a map", "graph"),
+    ("3", "top level must be a map", "graph"),
+    (_doc(zz=1, extra=2), "unknown keys ['extra', 'zz']", "graph"),
+    ('{"vertices": [], "extra": 1}', "unknown keys ['extra']", "graph"),
+    (_doc(separation=None), "missing key 'separation'", "graph"),
+    ('{"vertices": []}', "missing key 'edges'", "graph"),
+    (_doc(vertices={"v": 1}), "vertices must be a list", "graph.vertices"),
+    (_doc(vertices=["v", 3]), "vertex id must be a string", "graph.vertices[1]"),
+    (
+        _doc(vertices=["v", "w", "q'\\\"", "q'\\\""]),
+        "duplicate vertex id 'q\\'\\\\\"'",
+        "graph.vertices[3]",
+    ),
+    (_doc(edges="a"), "edges must be a list", "graph.edges"),
+    (_doc(edges=[_E[0], ["a", "w", "v"]]), "edge must be a map", "graph.edges[1]"),
+    (_doc(edges=[{"id": "a", "src": "w"}]), "edge must have exactly id, src, dst", "graph.edges[0]"),
+    (
+        _doc(edges=[{"id": ["a"], "src": "w", "dst": "v"}]),
+        "edge fields must be strings",
+        "graph.edges[0]",
+    ),
+    (
+        _doc(edges=[_E[0], {"id": "a", "src": "ghost", "dst": "v"}]),
+        "duplicate edge id 'a'",
+        "graph.edges[1]",
+    ),
+    (
+        _doc(edges=[{"id": "a", "src": "ghost\n", "dst": "ghost"}]),
+        "unknown source vertex 'ghost\\n'",
+        "graph.edges[0].src",
+    ),
+    (
+        _doc(edges=[{"id": "a", "src": "w", "dst": "ghost"}]),
+        "unknown range vertex 'ghost'",
+        "graph.edges[0].dst",
+    ),
+    (_doc(separation=[["a"]]), "separation must be a map", "graph.separation"),
+    (
+        _doc(separation={"v": [["a"]], "x y": []}),
+        "separation key 'x y' is not a vertex",
+        "graph.separation.x y",
+    ),
+    (_doc(separation={"v": {"0": ["a"]}}), "groups must be a list of lists", "graph.separation.v"),
+    (
+        _doc(separation={"v": [["a"], "a"]}),
+        "group must be a list of edge ids",
+        "graph.separation.v[1]",
+    ),
+    (_doc(separation={"v": [["a", 7]]}), "edge id must be a string", "graph.separation.v[0][1]"),
+    (_doc(separation={"v": [["a"], ["zz"]]}), "unknown edge id 'zz'", "graph.separation.v[1][0]"),
+    (_doc(bipartite=[["v"], ["w"]]), "bipartite must be a map", "graph.bipartite"),
+    (_doc(bipartite={"layer0": ["v"]}), "bipartite needs layer0 and layer1", "graph.bipartite"),
+    (
+        _doc(bipartite={"layer0": ["v"], "layer1": "w"}),
+        "layer1 must be a list",
+        "graph.bipartite.layer1",
+    ),
+    (
+        _doc(bipartite={"layer0": [None], "layer1": ["w"]}),
+        "vertex id must be a string",
+        "graph.bipartite.layer0[0]",
+    ),
+    (
+        _doc(bipartite={"layer0": ["v"], "layer1": ["w", "u"]}),
+        "unknown vertex 'u'",
+        "graph.bipartite.layer1[1]",
+    ),
+    (b'{"vertices": ["v", "\xff"]}', "not UTF-8 text: invalid start byte", "byte 20"),
+    ('{"vertices": [,]}', "malformed syntax: Expecting value", "line 1 column 15"),
+    ('{"vertices": ["v"],\n "edges": [', "malformed syntax: Expecting value", "line 2 column 12"),
+    ("", "malformed syntax: Expecting value", "line 1 column 1"),
+]
+
+
+@pytest.mark.parametrize("data,message,location", FORMAT_ERRORS)
+def test_parse_error_contract(data, message, location):
+    with pytest.raises(GraphFormatError) as exc:
+        parse(data)
+    assert exc.value.location == location
+    assert str(exc.value) == f"{location}: {message}"
+
+
+def test_from_obj_error_location_prefix():
+    with pytest.raises(GraphFormatError) as exc:
+        from_obj({"vertices": ["v", "v"], "edges": [], "separation": {}}, "sequence.layers[3]")
+    assert exc.value.location == "sequence.layers[3].vertices[1]"
+    assert str(exc.value) == "sequence.layers[3].vertices[1]: duplicate vertex id 'v'"
