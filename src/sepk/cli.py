@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 usage error, 2 validation or file-format failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -133,7 +134,7 @@ def _parse_element(text: str, loaded: _Loaded) -> dict[GroupKey, int]:
                 raise PreconditionError(f"group name {name!r} is not of the form v.k")
             key = (vertex, k - 1)
         v, idx = key
-        if v not in set(g.vertices) or not 0 <= idx < len(g.groups_at(v)):
+        if not g.has_vertex(v) or not 0 <= idx < len(g.groups_at(v)):
             raise PreconditionError(f"unknown group {name!r}")
         out[key] = out.get(key, 0) + coef
     return {k: c for k, c in out.items() if c}
@@ -141,6 +142,11 @@ def _parse_element(text: str, loaded: _Loaded) -> dict[GroupKey, int]:
 
 def _element_obj(x: dict[GroupKey, int], loaded: _Loaded) -> dict:
     return {loaded.label(k): c for k, c in sorted(x.items())}
+
+
+def _is_number(val) -> bool:
+    # JSON true/false decode to bool, which is a subclass of int.
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
 
 
 def _load_character_file(path: str) -> dict[str, complex]:
@@ -162,13 +168,9 @@ def _load_character_file(path: str) -> dict[str, complex]:
         raise GraphFormatError("character file must be a map", path)
     out = {}
     for name, val in obj.items():
-        if isinstance(val, (int, float)):
+        if _is_number(val):
             out[name] = cmath.exp(2j * cmath.pi * val)
-        elif (
-            isinstance(val, list)
-            and len(val) == 2
-            and all(isinstance(t, (int, float)) for t in val)
-        ):
+        elif isinstance(val, list) and len(val) == 2 and all(map(_is_number, val)):
             out[name] = complex(val[0], val[1])
         else:
             raise GraphFormatError(
@@ -486,10 +488,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    # Parsing leaves no state on the parser: each call fills a new namespace.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage problems; remap to the documented code 1.
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE

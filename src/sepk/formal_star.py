@@ -639,14 +639,15 @@ def verify_partial_unitary(gm: GeneratorMatrices) -> VerificationReport:
     def source_of_col(c):
         return c[2]
 
-    zz = matmul(ctx, z, z.star())
-    zsz = matmul(ctx, z.star(), z)
-    tt = matmul(ctx, t, t.star())
-    tst = matmul(ctx, t.star(), t)
-    ss = matmul(ctx, st, st.star())
-    sst = matmul(ctx, st.star(), st)
-    uu = matmul(ctx, u, u.star())
-    usu = matmul(ctx, u.star(), u)
+    def grams(m):
+        """M M* and M* M, with the adjoint formed once."""
+        adj = m.star()
+        return matmul(ctx, m, adj), matmul(ctx, adj, m)
+
+    zz, zsz = grams(z)
+    tt, tst = grams(t)
+    ss, sst = grams(st)
+    uu, usu = grams(u)
 
     checks = []
 

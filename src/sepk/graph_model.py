@@ -130,7 +130,7 @@ class SeparatedGraph:
         for key in separation:
             if key not in vset:
                 raise GraphFormatError(f"separation key {key!r} is not a vertex")
-        es = tuple(Edge(*e) for e in edges)
+        es = tuple(e if isinstance(e, Edge) else Edge(*e) for e in edges)
         sep = tuple(
             tuple(tuple(group) for group in separation.get(v, ())) for v in vs
         )
@@ -146,6 +146,9 @@ class SeparatedGraph:
 
     def edge(self, eid: str) -> Edge:
         return self._edge_map[eid]
+
+    def has_vertex(self, v: str) -> bool:
+        return v in self._vindex
 
     def has_edge(self, eid: str) -> bool:
         return eid in self._edge_map
@@ -196,25 +199,27 @@ def validate(g: SeparatedGraph) -> ValidationReport:
     partition-not-covering, and the bipartite-* family.
     """
     out: list[Violation] = []
-    seen_v: set[str] = set()
-    for v in g.vertices:
-        if v in seen_v:
-            out.append(Violation("duplicate-vertex", v, "vertex id appears twice"))
-        seen_v.add(v)
+    vindex = g._vindex
+    edge_map = g._edge_map
+    if len(vindex) != len(g.vertices):
+        seen_v: set[str] = set()
+        for v in g.vertices:
+            if v in seen_v:
+                out.append(Violation("duplicate-vertex", v, "vertex id appears twice"))
+            seen_v.add(v)
     seen_e: set[str] = set()
     for e in g.edges:
         if e.id in seen_e:
             out.append(Violation("duplicate-edge", e.id, "edge id appears twice"))
         seen_e.add(e.id)
-        for which, endpoint in (("source", e.src), ("range", e.dst)):
-            if endpoint not in seen_v:
-                out.append(
-                    Violation(
-                        "dangling-endpoint",
-                        e.id,
-                        f"{which} vertex {endpoint!r} does not exist",
-                    )
-                )
+        if e.src not in vindex:
+            out.append(
+                Violation("dangling-endpoint", e.id, f"source vertex {e.src!r} does not exist")
+            )
+        if e.dst not in vindex:
+            out.append(
+                Violation("dangling-endpoint", e.id, f"range vertex {e.dst!r} does not exist")
+            )
 
     # Group membership: each edge in at most one group, under its own range
     # vertex, groups nonempty.
@@ -226,7 +231,8 @@ def validate(g: SeparatedGraph) -> ValidationReport:
                     Violation("empty-group", group_label((v, gi)), "group has no edges")
                 )
             for eid in grp:
-                if not g.has_edge(eid):
+                e = edge_map.get(eid)
+                if e is None:
                     out.append(
                         Violation(
                             "unknown-edge",
@@ -235,12 +241,12 @@ def validate(g: SeparatedGraph) -> ValidationReport:
                         )
                     )
                     continue
-                if g.edge(eid).dst != v:
+                if e.dst != v:
                     out.append(
                         Violation(
                             "wrong-range-vertex",
                             eid,
-                            f"listed under {v!r} but its range is {g.edge(eid).dst!r}",
+                            f"listed under {v!r} but its range is {e.dst!r}",
                         )
                     )
                 if eid in owner:
@@ -256,7 +262,7 @@ def validate(g: SeparatedGraph) -> ValidationReport:
 
     # Covering: every edge into a known vertex must be owned by a group there.
     for e in g.edges:
-        if e.dst not in seen_v:
+        if e.dst not in vindex:
             continue
         own = owner.get(e.id)
         if own is None or own[0] != e.dst:
@@ -279,7 +285,7 @@ def validate(g: SeparatedGraph) -> ValidationReport:
                     "vertex in both layers",
                 )
             )
-        if l0 | l1 != set(g.vertices) or len(layer0) + len(layer1) != len(g.vertices):
+        if l0 | l1 != vindex.keys() or len(layer0) + len(layer1) != len(g.vertices):
             out.append(
                 Violation(
                     "bipartite-layers-not-partition",
@@ -297,12 +303,12 @@ def validate(g: SeparatedGraph) -> ValidationReport:
                     )
                 )
         for v in layer0:
-            if v in seen_v and not g.r_inv(v):
+            if v in vindex and not g._r_inv[v]:
                 out.append(
                     Violation("bipartite-range-empty", v, "layer0 vertex receives no edge")
                 )
         for v in layer1:
-            if v in seen_v and not g.s_inv(v):
+            if v in vindex and not g._s_inv[v]:
                 out.append(
                     Violation("bipartite-source-empty", v, "layer1 vertex emits no edge")
                 )
@@ -405,83 +411,115 @@ def serialize(g: SeparatedGraph) -> bytes:
     return (json.dumps(to_obj(g), indent=2, ensure_ascii=False) + "\n").encode("utf-8")
 
 
-def _expect(cond: bool, message: str, location: str):
-    if not cond:
-        raise GraphFormatError(message, location)
+_TOP_KEYS = frozenset(("vertices", "edges", "separation", "bipartite"))
+_EDGE_KEYS = frozenset(("id", "src", "dst"))
 
 
 def from_obj(obj: object, location: str = "graph") -> SeparatedGraph:
-    """Build a graph from parsed JSON, checking shape and referential integrity."""
-    _expect(isinstance(obj, dict), "top level must be a map", location)
-    assert isinstance(obj, dict)
-    unknown = set(obj) - {"vertices", "edges", "separation", "bipartite"}
-    _expect(not unknown, f"unknown keys {sorted(unknown)}", location)
+    """Build a graph from parsed JSON, checking shape and referential integrity.
+
+    The checks run in document order and stop at the first failure; its
+    message and location are formatted only then.
+    """
+    if not isinstance(obj, dict):
+        raise GraphFormatError("top level must be a map", location)
+    unknown = obj.keys() - _TOP_KEYS
+    if unknown:
+        raise GraphFormatError(f"unknown keys {sorted(unknown)}", location)
     for key in ("vertices", "edges", "separation"):
-        _expect(key in obj, f"missing key {key!r}", location)
+        if key not in obj:
+            raise GraphFormatError(f"missing key {key!r}", location)
 
     raw_vs = obj["vertices"]
-    _expect(isinstance(raw_vs, list), "vertices must be a list", f"{location}.vertices")
-    vertices: list[str] = []
+    if not isinstance(raw_vs, list):
+        raise GraphFormatError("vertices must be a list", f"{location}.vertices")
     vset: set[str] = set()
     for i, v in enumerate(raw_vs):
-        _expect(isinstance(v, str), "vertex id must be a string", f"{location}.vertices[{i}]")
-        _expect(v not in vset, f"duplicate vertex id {v!r}", f"{location}.vertices[{i}]")
-        vertices.append(v)
+        if not isinstance(v, str):
+            raise GraphFormatError("vertex id must be a string", f"{location}.vertices[{i}]")
+        if v in vset:
+            raise GraphFormatError(f"duplicate vertex id {v!r}", f"{location}.vertices[{i}]")
         vset.add(v)
 
     raw_es = obj["edges"]
-    _expect(isinstance(raw_es, list), "edges must be a list", f"{location}.edges")
+    if not isinstance(raw_es, list):
+        raise GraphFormatError("edges must be a list", f"{location}.edges")
     edges: list[Edge] = []
     eids: set[str] = set()
     for i, e in enumerate(raw_es):
-        loc = f"{location}.edges[{i}]"
-        _expect(isinstance(e, dict), "edge must be a map", loc)
-        _expect(set(e) == {"id", "src", "dst"}, "edge must have exactly id, src, dst", loc)
-        _expect(
-            all(isinstance(e[k], str) for k in ("id", "src", "dst")),
-            "edge fields must be strings",
-            loc,
-        )
-        _expect(e["id"] not in eids, f"duplicate edge id {e['id']!r}", loc)
-        _expect(e["src"] in vset, f"unknown source vertex {e['src']!r}", f"{loc}.src")
-        _expect(e["dst"] in vset, f"unknown range vertex {e['dst']!r}", f"{loc}.dst")
-        eids.add(e["id"])
-        edges.append(Edge(e["id"], e["src"], e["dst"]))
+        if not isinstance(e, dict):
+            raise GraphFormatError("edge must be a map", f"{location}.edges[{i}]")
+        if e.keys() != _EDGE_KEYS:
+            raise GraphFormatError("edge must have exactly id, src, dst", f"{location}.edges[{i}]")
+        eid, src, dst = e["id"], e["src"], e["dst"]
+        if not (isinstance(eid, str) and isinstance(src, str) and isinstance(dst, str)):
+            raise GraphFormatError("edge fields must be strings", f"{location}.edges[{i}]")
+        if eid in eids:
+            raise GraphFormatError(f"duplicate edge id {eid!r}", f"{location}.edges[{i}]")
+        if src not in vset:
+            raise GraphFormatError(
+                f"unknown source vertex {src!r}", f"{location}.edges[{i}].src"
+            )
+        if dst not in vset:
+            raise GraphFormatError(
+                f"unknown range vertex {dst!r}", f"{location}.edges[{i}].dst"
+            )
+        eids.add(eid)
+        edges.append(Edge(eid, src, dst))
 
     raw_sep = obj["separation"]
-    _expect(isinstance(raw_sep, dict), "separation must be a map", f"{location}.separation")
-    separation: dict[str, list[list[str]]] = {}
+    if not isinstance(raw_sep, dict):
+        raise GraphFormatError("separation must be a map", f"{location}.separation")
+    separation: dict[str, list[tuple[str, ...]]] = {}
     for v, groups in raw_sep.items():
-        loc = f"{location}.separation.{v}"
-        _expect(v in vset, f"separation key {v!r} is not a vertex", loc)
-        _expect(isinstance(groups, list), "groups must be a list of lists", loc)
-        checked: list[list[str]] = []
+        if v not in vset:
+            raise GraphFormatError(
+                f"separation key {v!r} is not a vertex", f"{location}.separation.{v}"
+            )
+        if not isinstance(groups, list):
+            raise GraphFormatError(
+                "groups must be a list of lists", f"{location}.separation.{v}"
+            )
+        checked: list[tuple[str, ...]] = []
         for gi, grp in enumerate(groups):
-            gloc = f"{loc}[{gi}]"
-            _expect(isinstance(grp, list), "group must be a list of edge ids", gloc)
+            if not isinstance(grp, list):
+                raise GraphFormatError(
+                    "group must be a list of edge ids", f"{location}.separation.{v}[{gi}]"
+                )
             for mi, eid in enumerate(grp):
-                _expect(isinstance(eid, str), "edge id must be a string", f"{gloc}[{mi}]")
-                _expect(eid in eids, f"unknown edge id {eid!r}", f"{gloc}[{mi}]")
-            checked.append(list(grp))
+                if not isinstance(eid, str):
+                    raise GraphFormatError(
+                        "edge id must be a string", f"{location}.separation.{v}[{gi}][{mi}]"
+                    )
+                if eid not in eids:
+                    raise GraphFormatError(
+                        f"unknown edge id {eid!r}", f"{location}.separation.{v}[{gi}][{mi}]"
+                    )
+            checked.append(tuple(grp))
         separation[v] = checked
 
     bipartite = None
     if "bipartite" in obj:
         raw_bp = obj["bipartite"]
         loc = f"{location}.bipartite"
-        _expect(isinstance(raw_bp, dict), "bipartite must be a map", loc)
-        _expect(set(raw_bp) == {"layer0", "layer1"}, "bipartite needs layer0 and layer1", loc)
+        if not isinstance(raw_bp, dict):
+            raise GraphFormatError("bipartite must be a map", loc)
+        if raw_bp.keys() != {"layer0", "layer1"}:
+            raise GraphFormatError("bipartite needs layer0 and layer1", loc)
         layers = []
         for key in ("layer0", "layer1"):
             layer = raw_bp[key]
-            _expect(isinstance(layer, list), f"{key} must be a list", f"{loc}.{key}")
+            if not isinstance(layer, list):
+                raise GraphFormatError(f"{key} must be a list", f"{loc}.{key}")
             for i, v in enumerate(layer):
-                _expect(isinstance(v, str), "vertex id must be a string", f"{loc}.{key}[{i}]")
-                _expect(v in vset, f"unknown vertex {v!r}", f"{loc}.{key}[{i}]")
-            layers.append(list(layer))
+                if not isinstance(v, str):
+                    raise GraphFormatError("vertex id must be a string", f"{loc}.{key}[{i}]")
+                if v not in vset:
+                    raise GraphFormatError(f"unknown vertex {v!r}", f"{loc}.{key}[{i}]")
+            layers.append(layer)
         bipartite = (layers[0], layers[1])
 
-    return SeparatedGraph.build(vertices, edges, separation, bipartite)
+    return SeparatedGraph.build(raw_vs, edges, separation, bipartite)
 
 
 def parse(data: bytes | str) -> SeparatedGraph:

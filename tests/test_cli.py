@@ -231,8 +231,14 @@ def test_character_file_errors_exit_2(tmp_path, capsys):
     strings.write_text(json.dumps({"v": ["a", "b"], "w": 0}))
     latin1 = tmp_path / "latin1.json"
     latin1.write_bytes(b'{"\xe9": 0}')
+    angle_bool = tmp_path / "angle_bool.json"
+    angle_bool.write_text(json.dumps({"v": True, "w": 0}))
+    pair_bool = tmp_path / "pair_bool.json"
+    pair_bool.write_text(json.dumps({"v": 0.5, "w": [True, 0]}))
     for base, detail in (
         (strings, "value at 'v' must be an angle in turns or [re, im]"),
+        (angle_bool, "value at 'v' must be an angle in turns or [re, im]"),
+        (pair_bool, "value at 'w' must be an angle in turns or [re, im]"),
         (latin1, "character file is not UTF-8 text: invalid continuation byte"),
     ):
         code, out, err = run(
@@ -252,6 +258,32 @@ def test_python_m_sepk_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "K0 = Z, K1 = Z, K1 basis: X - Y\n"
+
+
+def test_shared_parser_matches_fresh_processes(capsys, monkeypatch):
+    # One process reuses its parser; each call must behave like a fresh run.
+    monkeypatch.delenv("SEPK_BUDGET", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    k0 = ["k0-tame", "--builtin", "E(2,2)", "--depth", "3"]
+    sequence = (
+        [*k0, "--budget", "10"],
+        k0,
+        ["--help"],
+        ["k0-tame", "--builtin", "E(2,2)"],
+        ["ktheory", "--builtin", "E(3,3)"],
+    )
+    codes = []
+    for argv in sequence:
+        got = run(capsys, *argv)
+        proc = subprocess.run(
+            [sys.executable, "-m", "sepk", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert got == (proc.returncode, proc.stdout, proc.stderr), argv
+        codes.append(got[0])
+    assert codes == [3, 0, 0, 1, 0]
 
 
 def test_sequence_text_summary(capsys):

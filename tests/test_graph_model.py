@@ -4,6 +4,7 @@ import random
 import pytest
 
 from sepk.graph_model import (
+    Edge,
     GraphFormatError,
     ParameterRangeError,
     SeparatedGraph,
@@ -15,7 +16,8 @@ from sepk.graph_model import (
     validate,
 )
 
-from conftest import random_separated_graph
+from conftest import random_bipartite_graph, random_separated_graph
+from graph_oracles import reference_validate
 
 
 def test_builtin_e23_shape():
@@ -287,3 +289,81 @@ def test_from_obj_error_location_prefix():
         from_obj({"vertices": ["v", "v"], "edges": [], "separation": {}}, "sequence.layers[3]")
     assert exc.value.location == "sequence.layers[3].vertices[1]"
     assert str(exc.value) == "sequence.layers[3].vertices[1]: duplicate vertex id 'v'"
+
+
+def _corrupt(g: SeparatedGraph, rng: random.Random) -> SeparatedGraph:
+    """g with one to three seeded defects of the kinds validate reports."""
+    vertices = list(g.vertices)
+    edges = list(g.edges)
+    groups = {v: [list(grp) for grp in g.groups_at(v)] for v in g.vertices}
+    layers = [list(g.bipartite[0]), list(g.bipartite[1])] if g.bipartite else None
+
+    def some_group():
+        keys = [(v, i) for v, gs in groups.items() for i in range(len(gs))]
+        if not keys:
+            groups[vertices[0]].append([])
+            keys = [(vertices[0], len(groups[vertices[0]]) - 1)]
+        v, i = rng.choice(keys)
+        return groups[v][i]
+
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randrange(10)
+        if kind == 0:  # duplicate vertex id
+            vertices.insert(rng.randrange(len(vertices) + 1), rng.choice(vertices))
+        elif kind == 1 and edges:  # duplicate edge id
+            i, j = rng.randrange(len(edges)), rng.randrange(len(edges))
+            edges.insert(j, Edge(edges[i].id, rng.choice(vertices), rng.choice(vertices)))
+        elif kind == 2 and edges:  # dangling source or range
+            i = rng.randrange(len(edges))
+            e = edges[i]
+            edges[i] = e._replace(**{rng.choice(("src", "dst")): f"ghost{i}"})
+        elif kind == 3:  # empty group
+            groups[rng.choice(vertices)].append([])
+        elif kind == 4:  # unknown member
+            some_group().append("zz")
+        elif kind == 5 and edges:  # member under the wrong range vertex, or listed twice
+            some_group().append(rng.choice(edges).id)
+        elif kind == 6:  # not covering: drop a member
+            grp = some_group()
+            if grp:
+                grp.pop(rng.randrange(len(grp)))
+        elif kind == 7 and edges:  # an edge with a new id that no group lists
+            e = rng.choice(edges)
+            edges.append(Edge(f"new{len(edges)}", e.src, e.dst))
+        elif layers is not None:  # broken bipartite layers
+            move = rng.randrange(5)
+            if move == 0:
+                layers[0].append(rng.choice(layers[1]))
+            elif move == 1:
+                layers[rng.randrange(2)].pop()
+            elif move == 2:
+                layers[1].append("ghost")
+            elif move == 3:  # a silent vertex, in either layer
+                vertices.append(f"silent{len(vertices)}")
+                groups[vertices[-1]] = []
+                layers[rng.randrange(2)].append(vertices[-1])
+            elif edges and edges[0].src in groups:  # an edge from layer0 to layer1
+                e = edges[0]
+                edges.append(Edge(f"rev{len(edges)}", e.dst, e.src))
+                groups[e.src].append([edges[-1].id])
+    separation = tuple(tuple(tuple(grp) for grp in groups[v]) for v in vertices)
+    bipartite = (tuple(layers[0]), tuple(layers[1])) if layers is not None else None
+    return SeparatedGraph(tuple(vertices), tuple(edges), separation, bipartite)
+
+
+def test_validate_matches_reference_on_corrupted_graphs():
+    rng = random.Random(5150)
+    kinds = set()
+    for i in range(300):
+        base = random_bipartite_graph(rng) if i % 2 else random_separated_graph(rng)
+        g = _corrupt(base, rng)
+        report = validate(g)
+        assert report.violations == reference_validate(g).violations
+        kinds.update(v.kind for v in report.violations)
+    assert kinds == {
+        "duplicate-vertex", "duplicate-edge", "dangling-endpoint", "empty-group",
+        "unknown-edge", "wrong-range-vertex", "edge-in-multiple-groups",
+        "partition-not-covering", "bipartite-layers-overlap",
+        "bipartite-layers-not-partition", "bipartite-edge-direction",
+        "bipartite-range-empty", "bipartite-source-empty",
+    }
