@@ -6,11 +6,14 @@ so machine integers are never used.
 
 Cokernels, kernels and ranks share one sparse elimination, ColumnReduction:
 it pivots on +-1 entries first, in Markowitz order, and leaves only a core
-without unit entries, usually tiny, to dense Smith form (cokernel) and
-column echelon (kernel).  Dense Smith form picks pivots of minimal absolute
-value to damp entry growth.  Correctness depends on neither pivot order,
-and kernel bases come out in canonical Hermite form, so results do not
-depend on the elimination path.
+without unit entries, usually tiny, to one dense Smith elimination.  The
+cokernel and the rank read its diagonal; the kernel reads the column
+transform V, collected, like both transforms of smith_normal_form, by
+identity rows or columns appended to the matrix the elimination works on.
+Smith form picks pivots of minimal absolute value to damp entry growth.
+Hermite form only canonicalizes: kernel bases come out in canonical column
+Hermite form, so results do not depend on the elimination path, and
+lattice membership compares two such forms.
 """
 
 from __future__ import annotations
@@ -88,18 +91,21 @@ class IntMatrix:
 
     def format_grid(self) -> str:
         """Human-readable labeled grid."""
-        col_heads = [str(c) for c in self.cols]
-        row_heads = [str(r) for r in self.rows]
-        cells = [[str(x) for x in row] for row in self.data]
-        widths = [
-            max([len(col_heads[j])] + [len(cells[i][j]) for i in range(len(cells))] or [1])
-            for j in range(len(col_heads))
-        ]
-        head_w = max([len(h) for h in row_heads] + [0])
-        lines = [" " * head_w + "  " + "  ".join(h.rjust(w) for h, w in zip(col_heads, widths))]
-        for rh, row in zip(row_heads, cells):
-            lines.append(rh.rjust(head_w) + "  " + "  ".join(c.rjust(w) for c, w in zip(row, widths)))
-        return "\n".join(lines)
+        return _format_grid(
+            [str(r) for r in self.rows],
+            [str(c) for c in self.cols],
+            [[str(x) for x in row] for row in self.data],
+        )
+
+
+def _format_grid(row_heads: list[str], col_heads: list[str], cells: list[list[str]]) -> str:
+    # Right-justified columns, each as wide as its widest head or cell.
+    widths = [max([len(h)] + [len(row[j]) for row in cells]) for j, h in enumerate(col_heads)]
+    head_w = max([len(h) for h in row_heads] + [0])
+    lines = [" " * head_w + "  " + "  ".join(h.rjust(w) for h, w in zip(col_heads, widths))]
+    for rh, row in zip(row_heads, cells):
+        lines.append(rh.rjust(head_w) + "  " + "  ".join(c.rjust(w) for c, w in zip(row, widths)))
+    return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -141,13 +147,13 @@ class AbelianGroupInvariants:
         return " ⊕ ".join(parts) if parts else "0"
 
 
-def _min_abs_pivot(a: list[list[int]], k: int) -> tuple[int, int] | None:
-    # Smallest nonzero |entry| in the submatrix a[k:, k:]; early exit on 1.
+def _min_abs_pivot(a: list[list[int]], k: int, m: int, n: int) -> tuple[int, int] | None:
+    # Smallest nonzero |entry| in the block a[k:m][k:n]; early exit on 1.
     best = None
     best_val = 0
-    for i in range(k, len(a)):
+    for i in range(k, m):
         row = a[i]
-        for j in range(k, len(row)):
+        for j in range(k, n):
             v = row[j]
             if v:
                 av = abs(v)
@@ -159,59 +165,29 @@ def _min_abs_pivot(a: list[list[int]], k: int) -> tuple[int, int] | None:
     return best
 
 
-def _smith(a: list[list[int]], track: bool):
-    """In-place SNF of a; returns (U_ops, V_ops) as matrices when track is set.
+def _smith(a: list[list[int]], m: int, n: int) -> None:
+    """In-place Smith normal form of the block a[:m][:n].
 
-    Row operations are mirrored into u, column operations into v, keeping
-    u * original * v == a at every step.
+    Row operations act on whole rows and column operations on every row of
+    a, so an identity appended to the right of the first m rows becomes U,
+    and identity rows appended below become V, with U * block * V == D.
+    Pivots and the divisibility scan stay inside the block.
     """
-    m, n = len(a), len(a[0]) if a else 0
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if track else None
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if track else None
-
-    def swap_rows(i1, i2):
-        if i1 != i2:
-            a[i1], a[i2] = a[i2], a[i1]
-            if track:
-                u[i1], u[i2] = u[i2], u[i1]
-
-    def swap_cols(j1, j2):
-        if j1 != j2:
-            for row in a:
-                row[j1], row[j2] = row[j2], row[j1]
-            if track:
-                for row in v:
-                    row[j1], row[j2] = row[j2], row[j1]
 
     def add_row(dst, src, t):
         # row dst += t * row src
-        ad, asrc = a[dst], a[src]
-        for j in range(n):
-            ad[j] += t * asrc[j]
-        if track:
-            ud, usrc = u[dst], u[src]
-            for j in range(m):
-                ud[j] += t * usrc[j]
-
-    def add_col(dst, src, t):
-        for row in a:
-            row[dst] += t * row[src]
-        if track:
-            for row in v:
-                row[dst] += t * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        if track:
-            u[i] = [-x for x in u[i]]
+        a[dst] = [x + t * y for x, y in zip(a[dst], a[src])]
 
     for k in range(min(m, n)):
         while True:
-            pos = _min_abs_pivot(a, k)
+            pos = _min_abs_pivot(a, k, m, n)
             if pos is None:
                 break
-            swap_rows(k, pos[0])
-            swap_cols(k, pos[1])
+            i, j = pos
+            a[k], a[i] = a[i], a[k]
+            if j != k:
+                for row in a:
+                    row[k], row[j] = row[j], row[k]
             pivot = a[k][k]
             dirty = False
             for i in range(k + 1, m):
@@ -224,29 +200,24 @@ def _smith(a: list[list[int]], track: bool):
             for j in range(k + 1, n):
                 if a[k][j]:
                     q = a[k][j] // pivot
-                    if q:
-                        add_col(j, k, -q)
+                    if q:  # column j -= q * column k
+                        for row in a:
+                            row[j] -= q * row[k]
                     if a[k][j]:
                         dirty = True
             if dirty:
                 continue
-            # Pivot must divide the remaining submatrix for the divisibility
+            # Pivot must divide the remaining block for the divisibility
             # chain; if not, fold the offending row in and restart.
-            offender = None
-            for i in range(k + 1, m):
-                row = a[i]
-                for j in range(k + 1, n):
-                    if row[j] % pivot:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = next(
+                (i for i in range(k + 1, m) if any(a[i][j] % pivot for j in range(k + 1, n))),
+                None,
+            )
             if offender is None:
                 break
             add_row(k, offender, 1)
-        if k < min(m, n) and a[k][k] < 0:
-            negate_row(k)
-    return u, v
+        if a[k][k] < 0:
+            a[k] = [-x for x in a[k]]
 
 
 def smith_normal_form(matrix: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -254,15 +225,15 @@ def smith_normal_form(matrix: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatri
 
     D is diagonal with nonnegative entries forming a divisibility chain.
     """
-    if not matrix.rows:  # _smith cannot see the column count of no rows
-        return IntMatrix.identity(()), matrix, IntMatrix.identity(matrix.cols)
-    a = matrix.to_lists()
-    u, v = _smith(a, track=True)
-    m = IntMatrix.from_rows
+    m, n = matrix.shape
+    a = [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(matrix.data)]
+    a += [[int(i == j) for j in range(n)] for i in range(n)]
+    _smith(a, m, n)
+    rows = IntMatrix.from_rows
     return (
-        m(matrix.rows, matrix.rows, u if u is not None else []),
-        m(matrix.rows, matrix.cols, a),
-        m(matrix.cols, matrix.cols, v if v is not None else []),
+        rows(matrix.rows, matrix.rows, [row[n:] for row in a[:m]]),
+        rows(matrix.rows, matrix.cols, [row[:n] for row in a[:m]]),
+        rows(matrix.cols, matrix.cols, a[m:]),
     )
 
 
@@ -276,7 +247,8 @@ def smith_normal_form(matrix: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatri
 # and column can leave the matrix without changing the cokernel (Dumas,
 # Saunders, Villard, "On efficient sparse integer matrix Smith normal form
 # computations", J. Symbolic Comput. 32, 2001).  Only the core left without
-# a unit entry, usually tiny, goes to dense Smith form or column echelon.
+# a unit entry, usually tiny, goes to the dense Smith elimination, behind
+# the cokernel, the rank and the kernel alike.
 
 
 class ColumnReduction:
@@ -353,95 +325,49 @@ class ColumnReduction:
         self.core = [col for col in cols if col is not None]
         self.tails = [tail for tail in tails if tail is not None]
 
-    def rank(self) -> int:
-        core_rank, _ = _column_echelon(self.core, self.tails)
-        return self.pivots + core_rank
-
-    def cokernel(self) -> AbelianGroupInvariants:
-        """Invariants of Z^nrows / column span, by dense Smith form of the core."""
-        cols = [col for col in self.core if col]
-        rows = sorted({i for col in cols for i in col})
+    def _dense_core(self) -> list[list[int]]:
+        # The core as dense rows over the rows it meets, one column per core column.
+        rows = sorted({i for col in self.core for i in col})
         index = {i: k for k, i in enumerate(rows)}
-        a = [[0] * len(cols) for _ in rows]
-        for j, col in enumerate(cols):
+        a = [[0] * len(self.core) for _ in rows]
+        for j, col in enumerate(self.core):
             for i, x in col.items():
                 a[index[i]][j] = x
-        _smith(a, track=False)
-        nonzero = [a[k][k] for k in range(min(len(rows), len(cols))) if a[k][k]]
+        return a
+
+    def rank(self) -> int:
+        return self.nrows - self.cokernel().rank
+
+    def cokernel(self) -> AbelianGroupInvariants:
+        """Invariants of Z^nrows / column span, by Smith form of the core."""
+        a = self._dense_core()
+        m, n = len(a), len(self.core)
+        _smith(a, m, n)
+        nonzero = [a[k][k] for k in range(min(m, n)) if a[k][k]]
         rank = self.nrows - self.pivots - len(nonzero)
         return AbelianGroupInvariants(rank, tuple(d for d in nonzero if d > 1))
 
     def kernel(self) -> list[tuple[int, ...]]:
-        """A Z-basis of the kernel, in canonical column Hermite form."""
-        if not self.ncols:
-            return []
-        _, tails = _column_echelon(self.core, self.tails)
-        dense = []
-        for tail in tails:
+        """A Z-basis of the kernel, in canonical column Hermite form.
+
+        The columns of the core's V past its rank span the core's kernel;
+        summing the tails they select carries them to the input columns.
+        """
+        a = self._dense_core()
+        m, n = len(a), len(self.core)
+        a += [[int(i == j) for j in range(n)] for i in range(n)]
+        _smith(a, m, n)
+        core_rank = sum(1 for k in range(min(m, n)) if a[k][k])
+        vectors = []
+        for j in range(core_rank, n):
             vec = [0] * self.ncols
-            for j, x in tail.items():
-                vec[j] = x
-            dense.append(vec)
-        return hnf_column_basis(dense, self.ncols)
-
-
-def _column_echelon(core, core_tails):
-    """Unimodular column reduction of a copy; returns (pivot count, kernel tails).
-
-    Each kernel tail expresses a combination of original columns that the
-    reduction sent to zero, i.e. a kernel vector of the matrix.
-    """
-    cols = [dict(col) for col in core]
-    tails = [dict(tail) for tail in core_tails]
-    row_index: dict[int, set[int]] = {}
-    for j, col in enumerate(cols):
-        for r in col:
-            row_index.setdefault(r, set()).add(j)
-
-    def submul(q: int, p: int, t: int):
-        # col q -= t * col p (both the matrix part and the tail part)
-        colq, colp = cols[q], cols[p]
-        for r, val in colp.items():
-            new = colq.get(r, 0) - t * val
-            if new:
-                if r not in colq:
-                    row_index[r].add(q)
-                colq[r] = new
-            elif r in colq:
-                del colq[r]
-                row_index[r].discard(q)
-        tq, tp = tails[q], tails[p]
-        for r, val in tp.items():
-            new = tq.get(r, 0) - t * val
-            if new:
-                tq[r] = new
-            elif r in tq:
-                del tq[r]
-
-    pivoted: set[int] = set()
-    for r in sorted(row_index):
-        live = [j for j in row_index[r] if j not in pivoted]
-        while len(live) > 1:
-            live.sort(key=lambda j: abs(cols[j][r]))
-            p = live[0]
-            pv = cols[p][r]
-            remaining = [p]
-            for q in live[1:]:
-                t = cols[q][r] // pv
+            for c, tail in enumerate(self.tails):
+                t = a[m + c][j]
                 if t:
-                    submul(q, p, t)
-                if cols[q].get(r):
-                    remaining.append(q)
-            live = remaining
-        if live:
-            pivoted.add(live[0])
-
-    kernel_tails = []
-    for j in range(len(cols)):
-        if j not in pivoted:
-            assert not cols[j], "column elimination left a nonzero non-pivot column"
-            kernel_tails.append(tails[j])
-    return len(pivoted), kernel_tails
+                    for q, x in tail.items():
+                        vec[q] += t * x
+            vectors.append(vec)
+        return hnf_column_basis(vectors, self.ncols)
 
 
 def _reduction(matrix: IntMatrix) -> ColumnReduction:
@@ -515,17 +441,5 @@ def kernel_basis(matrix: IntMatrix) -> list[tuple[int, ...]]:
 
 def in_lattice_span(basis: Sequence[Sequence[int]], target: Sequence[int]) -> bool:
     """Exact membership of target in the integer span of basis vectors."""
-    if not basis:
-        return not any(target)
     dim = len(target)
-    hnf = hnf_column_basis(basis, dim)
-    residue = list(target)
-    for vec in hnf:
-        r = next(i for i, x in enumerate(vec) if x)
-        if residue[r] % vec[r]:
-            return False
-        t = residue[r] // vec[r]
-        if t:
-            for i in range(dim):
-                residue[i] -= t * vec[i]
-    return not any(residue)
+    return hnf_column_basis(basis, dim) == hnf_column_basis([*basis, target], dim)

@@ -32,6 +32,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from .exact_linalg import _format_grid
 from .graph_model import GroupKey, SeparatedGraph, group_label
 from .ktheory import (
     incidence,
@@ -359,21 +360,14 @@ class FormalMatrix:
         )
 
     def format_grid(self) -> str:
-        cells = [
-            [str(self.entry(i, j)) for j in range(len(self.cols))]
-            for i in range(len(self.rows))
-        ]
-        col_heads = [_label_str(c) for c in self.cols]
-        row_heads = [_label_str(r) for r in self.rows]
-        widths = [
-            max([len(col_heads[j])] + [len(cells[i][j]) for i in range(len(cells))])
-            for j in range(len(self.cols))
-        ]
-        head_w = max([len(h) for h in row_heads] + [0])
-        lines = [" " * head_w + "  " + "  ".join(h.rjust(w) for h, w in zip(col_heads, widths))]
-        for rh, row in zip(row_heads, cells):
-            lines.append(rh.rjust(head_w) + "  " + "  ".join(c.rjust(w) for c, w in zip(row, widths)))
-        return "\n".join(lines)
+        return _format_grid(
+            [_label_str(r) for r in self.rows],
+            [_label_str(c) for c in self.cols],
+            [
+                [str(self.entry(i, j)) for j in range(len(self.cols))]
+                for i in range(len(self.rows))
+            ],
+        )
 
 
 def _label_str(label) -> str:
