@@ -149,14 +149,28 @@ def _is_number(val) -> bool:
     return isinstance(val, (int, float)) and not isinstance(val, bool)
 
 
-def _load_character_file(path: str) -> dict[str, complex]:
-    """JSON map from vertex name to a value on the unit circle.
+def _character_value(val) -> complex | None:
+    """The value an entry of a character file denotes, None if it names none.
 
-    A number is read as an angle in turns (0.25 means i); a two-element
-    list is read as [re, im].
+    A number is an angle in turns (0.25 means i); a two-element list is
+    [re, im].  NaN, Infinity and numbers beyond float range name no value.
     """
     import cmath
 
+    try:
+        if _is_number(val):
+            z = cmath.exp(2j * cmath.pi * val)
+        elif isinstance(val, list) and len(val) == 2 and all(map(_is_number, val)):
+            z = complex(val[0], val[1])
+        else:
+            return None
+    except (OverflowError, ValueError):
+        return None
+    return z if cmath.isfinite(z) else None
+
+
+def _load_character_file(path: str) -> dict[str, complex]:
+    """JSON map from vertex name to a value on the unit circle."""
     with open(path, "rb") as fh:
         try:
             obj = json.load(fh)
@@ -164,18 +178,18 @@ def _load_character_file(path: str) -> dict[str, complex]:
             raise GraphFormatError(f"malformed character file: {exc.msg}", path)
         except UnicodeDecodeError as exc:
             raise GraphFormatError(f"character file is not UTF-8 text: {exc.reason}", path)
+        except RecursionError:
+            raise GraphFormatError("malformed character file: nesting too deep", path)
     if not isinstance(obj, dict):
         raise GraphFormatError("character file must be a map", path)
     out = {}
     for name, val in obj.items():
-        if _is_number(val):
-            out[name] = cmath.exp(2j * cmath.pi * val)
-        elif isinstance(val, list) and len(val) == 2 and all(map(_is_number, val)):
-            out[name] = complex(val[0], val[1])
-        else:
+        z = _character_value(val)
+        if z is None:
             raise GraphFormatError(
                 f"value at {name!r} must be an angle in turns or [re, im]", path
             )
+        out[name] = z
     return out
 
 
@@ -383,8 +397,8 @@ def _cmd_character(args) -> int:
         raise PreconditionError("--at is required for a graph without a bipartite split")
     base = ktheory.CharacterAssignment(_load_character_file(args.base))
     free = _load_character_file(args.free)
-    result = ktheory.extend_character(g, vertex_set, base, free)
-    out_graph = transform.multiresolution_at(g, vertex_set)
+    result, data = ktheory._extend_character_with_data(g, vertex_set, base, free)
+    out_graph = data.graph
     errors = ktheory.character_relation_errors(out_graph, result.values)
     max_err = max((e for _, e in errors), default=0.0)
     if args.format == "json":

@@ -534,4 +534,6 @@ def parse(data: bytes | str) -> SeparatedGraph:
         raise GraphFormatError(
             f"malformed syntax: {exc.msg}", f"line {exc.lineno} column {exc.colno}"
         ) from exc
+    except RecursionError as exc:  # the decoder recurses once per nesting level
+        raise GraphFormatError("malformed syntax: nesting too deep") from exc
     return from_obj(obj)

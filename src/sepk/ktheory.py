@@ -28,6 +28,7 @@ from .exact_linalg import (
 from .graph_model import GroupKey, SeparatedGraph, group_label
 from .transform import (
     DEFAULT_BUDGET,
+    MultiresolutionData,
     PreconditionError,
     StepData,
     bipartite_companion,
@@ -328,7 +329,7 @@ class CharacterAssignment:
 
     def __post_init__(self):
         for v, z in self.values.items():
-            if abs(abs(z) - 1.0) > UNIT_MODULUS_TOL:
+            if not abs(abs(z) - 1.0) <= UNIT_MODULUS_TOL:  # NaN fails too
                 raise CharacterError(f"value at {v!r} has modulus {abs(z)!r}, not 1")
 
     def __call__(self, v: str) -> complex:
@@ -362,6 +363,16 @@ def extend_character(
     relation of their distinguished edge's new group, and the all-first
     vertex by the splitting of the base vertex into the generated vertices.
     """
+    return _extend_character_with_data(g, vertex_set, base, free)[0]
+
+
+def _extend_character_with_data(
+    g: SeparatedGraph,
+    vertex_set,
+    base: CharacterAssignment,
+    free: Mapping[str, complex],
+) -> tuple[CharacterAssignment, MultiresolutionData]:
+    """extend_character's assignment together with the multiresolution it built."""
     data = multiresolution_data(g, vertex_set)
     missing = [v for v in g.vertices if v not in base.values]
     if missing:
@@ -380,7 +391,7 @@ def extend_character(
     if missing_free:
         raise CharacterError(f"missing free values for W vertices {missing_free[:3]}")
     for name, z in free.items():
-        if abs(abs(z) - 1.0) > UNIT_MODULUS_TOL:
+        if not abs(abs(z) - 1.0) <= UNIT_MODULUS_TOL:  # NaN fails too
             raise CharacterError(f"free value at {name!r} has modulus {abs(z)!r}, not 1")
 
     values: dict[str, complex] = dict(base.values)
@@ -416,4 +427,4 @@ def extend_character(
             prod *= values[generated_vertex_name(u, tup)]
         values[generated_vertex_name(u, firsts)] = unit(values[u] / prod)
 
-    return CharacterAssignment(values)
+    return CharacterAssignment(values), data

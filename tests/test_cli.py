@@ -76,6 +76,13 @@ def test_malformed_file_exits_2(tmp_path, capsys):
         code, out, err = run(capsys, command, str(latin1))
         assert code == 2 and out == ""
         assert err == "error: byte 15: not UTF-8 text: invalid continuation byte\n"
+    # nesting beyond the decoder's recursion limit
+    nested = tmp_path / "nested.graph"
+    nested.write_text("[" * 200000 + "]" * 200000)
+    for command in ("ktheory", "validate"):
+        code, out, err = run(capsys, command, str(nested))
+        assert code == 2 and out == ""
+        assert err == "error: malformed syntax: nesting too deep\n"
 
 
 def test_usage_errors_exit_1(tmp_path, capsys, monkeypatch):
@@ -235,11 +242,36 @@ def test_character_file_errors_exit_2(tmp_path, capsys):
     angle_bool.write_text(json.dumps({"v": True, "w": 0}))
     pair_bool = tmp_path / "pair_bool.json"
     pair_bool.write_text(json.dumps({"v": 0.5, "w": [True, 0]}))
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 200000 + "]" * 200000)
+    # Python's json reads NaN and Infinity; numbers beyond float range
+    # overflow, and an angle near the float limit overflows 2 pi i times it.
+    non_finite = {}
+    for name, text in (
+        ("nan", '{"v": NaN, "w": 0}'),
+        ("inf", '{"v": 0.5, "w": -Infinity}'),
+        ("pair_nan", '{"v": [NaN, 0], "w": 0}'),
+        ("pair_inf", '{"v": 0.5, "w": [1, Infinity]}'),
+        ("huge_int", '{"v": 1' + "0" * 400 + ', "w": 0}'),
+        ("pair_huge_int", '{"v": [1' + "0" * 400 + ', 0], "w": 0}'),
+        ("huge_angle", '{"v": 1e308, "w": 0}'),
+    ):
+        non_finite[name] = tmp_path / f"{name}.json"
+        non_finite[name].write_text(text)
+    angle = "value at '{}' must be an angle in turns or [re, im]"
     for base, detail in (
-        (strings, "value at 'v' must be an angle in turns or [re, im]"),
-        (angle_bool, "value at 'v' must be an angle in turns or [re, im]"),
-        (pair_bool, "value at 'w' must be an angle in turns or [re, im]"),
+        (strings, angle.format("v")),
+        (angle_bool, angle.format("v")),
+        (pair_bool, angle.format("w")),
         (latin1, "character file is not UTF-8 text: invalid continuation byte"),
+        (nested, "malformed character file: nesting too deep"),
+        (non_finite["nan"], angle.format("v")),
+        (non_finite["inf"], angle.format("w")),
+        (non_finite["pair_nan"], angle.format("v")),
+        (non_finite["pair_inf"], angle.format("w")),
+        (non_finite["huge_int"], angle.format("v")),
+        (non_finite["pair_huge_int"], angle.format("v")),
+        (non_finite["huge_angle"], angle.format("v")),
     ):
         code, out, err = run(
             capsys, "character", "--builtin", "E(2,2)", "--base", str(base),
@@ -247,6 +279,21 @@ def test_character_file_errors_exit_2(tmp_path, capsys):
         )
         assert code == 2 and out == ""
         assert err == f"error: {base}: {detail}\n"
+    # the same checks guard --free, read after a valid --base
+    good_base = tmp_path / "good_base.json"
+    good_base.write_text(json.dumps({"v": 0.5, "w": 0.25}))
+    nan_free = tmp_path / "nan_free.json"
+    nan_free.write_text('{"v|a2,b2": NaN}')
+    for free_file, detail in (
+        (nan_free, angle.format("v|a2,b2")),
+        (nested, "malformed character file: nesting too deep"),
+    ):
+        code, out, err = run(
+            capsys, "character", "--builtin", "E(2,2)", "--base", str(good_base),
+            "--free", str(free_file),
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: {free_file}: {detail}\n"
 
 
 def test_python_m_sepk_runs_the_cli():
@@ -332,6 +379,31 @@ def test_input_file_and_builtin_together_exit_1(command, tmp_path, capsys):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err == "error: give either an input file or --builtin, not both\n"
+
+
+def test_character_runs_one_multiresolution(tmp_path, capsys, monkeypatch):
+    import sepk.ktheory
+    import sepk.transform
+
+    calls = []
+    original = sepk.transform.multiresolution_data
+
+    def counted(g, vertex_set):
+        calls.append(g)
+        return original(g, vertex_set)
+
+    monkeypatch.setattr(sepk.transform, "multiresolution_data", counted)
+    monkeypatch.setattr(sepk.ktheory, "multiresolution_data", counted)
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps({"v": 0.5, "w": 0.25}))
+    free = tmp_path / "free.json"
+    free.write_text(json.dumps({"v|a2,b2": 1.0 / 6.0}))
+    code, out, _ = run(
+        capsys, "character", "--builtin", "E(2,2)", "--base", str(base), "--free", str(free),
+    )
+    assert code == 0 and len(calls) == 1
+    assert out.splitlines()[-1].startswith("max relation error: ")
+    assert len(out.splitlines()) == 7
 
 
 def test_phi_runs_one_canonical_step(capsys, monkeypatch):

@@ -332,6 +332,14 @@ def test_character_rejects_wrong_free_set():
 def test_character_rejects_non_unit_modulus():
     with pytest.raises(CharacterError, match="modulus"):
         CharacterAssignment({"v": 2 + 0j})
+    # NaN compares false with everything, so it must fail the check, not pass it
+    for z in (complex("nan"), complex(1, float("nan")), complex("inf")):
+        with pytest.raises(CharacterError, match="modulus"):
+            CharacterAssignment({"v": z})
+    g = builtin("E", [2, 2])
+    base = CharacterAssignment({"v": -1 + 0j, "w": 1j})
+    with pytest.raises(CharacterError, match="free value at 'v|a2,b2' has modulus nan"):
+        extend_character(g, ["v"], base, {"v|a2,b2": complex("nan")})
 
 
 def test_k0_grows_by_w_rank_along_sequence():
