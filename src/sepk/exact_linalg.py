@@ -361,8 +361,8 @@ class ColumnReduction:
         vectors = []
         for j in range(core_rank, n):
             vec = [0] * self.ncols
-            for c, tail in enumerate(self.tails):
-                t = a[m + c][j]
+            for v_row, tail in zip(a[m:], self.tails):
+                t = v_row[j]
                 if t:
                     for q, x in tail.items():
                         vec[q] += t * x

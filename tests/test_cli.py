@@ -244,35 +244,29 @@ def test_character_file_errors_exit_2(tmp_path, capsys):
     pair_bool.write_text(json.dumps({"v": 0.5, "w": [True, 0]}))
     nested = tmp_path / "nested.json"
     nested.write_text("[" * 200000 + "]" * 200000)
-    # Python's json reads NaN and Infinity; numbers beyond float range
-    # overflow, and an angle near the float limit overflows 2 pi i times it.
-    non_finite = {}
-    for name, text in (
-        ("nan", '{"v": NaN, "w": 0}'),
-        ("inf", '{"v": 0.5, "w": -Infinity}'),
-        ("pair_nan", '{"v": [NaN, 0], "w": 0}'),
-        ("pair_inf", '{"v": 0.5, "w": [1, Infinity]}'),
-        ("huge_int", '{"v": 1' + "0" * 400 + ', "w": 0}'),
-        ("pair_huge_int", '{"v": [1' + "0" * 400 + ', 0], "w": 0}'),
-        ("huge_angle", '{"v": 1e308, "w": 0}'),
-    ):
-        non_finite[name] = tmp_path / f"{name}.json"
-        non_finite[name].write_text(text)
     angle = "value at '{}' must be an angle in turns or [re, im]"
-    for base, detail in (
+    cases = [
         (strings, angle.format("v")),
         (angle_bool, angle.format("v")),
         (pair_bool, angle.format("w")),
         (latin1, "character file is not UTF-8 text: invalid continuation byte"),
         (nested, "malformed character file: nesting too deep"),
-        (non_finite["nan"], angle.format("v")),
-        (non_finite["inf"], angle.format("w")),
-        (non_finite["pair_nan"], angle.format("v")),
-        (non_finite["pair_inf"], angle.format("w")),
-        (non_finite["huge_int"], angle.format("v")),
-        (non_finite["pair_huge_int"], angle.format("v")),
-        (non_finite["huge_angle"], angle.format("v")),
-    ):
+    ]
+    # Python's json reads NaN and Infinity; numbers beyond float range
+    # overflow, and an angle near the float limit overflows 2 pi i times it.
+    for k, (text, vertex) in enumerate((
+        ('{"v": NaN, "w": 0}', "v"),
+        ('{"v": 0.5, "w": -Infinity}', "w"),
+        ('{"v": [NaN, 0], "w": 0}', "v"),
+        ('{"v": 0.5, "w": [1, Infinity]}', "w"),
+        ('{"v": 1' + "0" * 400 + ', "w": 0}', "v"),
+        ('{"v": [1' + "0" * 400 + ', 0], "w": 0}', "v"),
+        ('{"v": 1e308, "w": 0}', "v"),
+    )):
+        path = tmp_path / f"non_finite_{k}.json"
+        path.write_text(text)
+        cases.append((path, angle.format(vertex)))
+    for base, detail in cases:
         code, out, err = run(
             capsys, "character", "--builtin", "E(2,2)", "--base", str(base),
             "--free", str(free),
