@@ -211,45 +211,23 @@ def _cmd_validate(args) -> int:
     return EXIT_OK if report.ok else EXIT_INVALID
 
 
-def _format_basis(basis, loaded) -> list[str]:
-    names = loaded.names
-    return [ktheory.format_element(vec, names) for vec in basis]
-
-
 def _cmd_ktheory(args) -> int:
+    """K_0 and K_1; with args.tame only K_1, which the tame quotient shares."""
     loaded = _load_graph(args)
     kg = ktheory.k_groups_full(loaded.graph)
     if args.format == "json":
-        print(_dump_json({
-            "k0": _invariants_obj(kg.k0),
-            "k1": {
-                "rank": kg.k1_rank,
-                "basis": [_element_obj(vec, loaded) for vec in kg.k1_basis],
-            },
-        }))
+        obj = {} if args.tame else {"k0": _invariants_obj(kg.k0)}
+        obj["k1"] = {
+            "rank": kg.k1_rank,
+            "basis": [_element_obj(vec, loaded) for vec in kg.k1_basis],
+        }
+        print(_dump_json(obj))
     else:
         k1 = ktheory.AbelianGroupInvariants(kg.k1_rank)
-        line = f"K0 = {kg.k0}, K1 = {k1}"
+        line = f"K1(tame) = {k1}" if args.tame else f"K0 = {kg.k0}, K1 = {k1}"
         if kg.k1_basis:
-            line += ", K1 basis: " + "; ".join(_format_basis(kg.k1_basis, loaded))
-        print(line)
-    return EXIT_OK
-
-
-def _cmd_k1_tame(args) -> int:
-    loaded = _load_graph(args)
-    kg = ktheory.k1_tame(loaded.graph)
-    if args.format == "json":
-        print(_dump_json({
-            "k1": {
-                "rank": kg.k1_rank,
-                "basis": [_element_obj(vec, loaded) for vec in kg.k1_basis],
-            },
-        }))
-    else:
-        line = f"K1(tame) = {ktheory.AbelianGroupInvariants(kg.k1_rank)}"
-        if kg.k1_basis:
-            line += ", basis: " + "; ".join(_format_basis(kg.k1_basis, loaded))
+            line += ", basis: " if args.tame else ", K1 basis: "
+            line += "; ".join(ktheory.format_element(vec, loaded.names) for vec in kg.k1_basis)
         print(line)
     return EXIT_OK
 
@@ -272,13 +250,29 @@ def _cmd_k0_tame(args) -> int:
     return EXIT_OK
 
 
-def _vertex_list(text: str) -> list[str]:
-    return [v.strip() for v in text.split(",") if v.strip()]
+def _vertex_list(text: str, g: SeparatedGraph) -> list[str]:
+    """Split comma-separated vertices; a vertex name may contain commas.
+
+    From each nonempty piece on, the shortest run of pieces that names a
+    vertex is taken; a piece that starts no such run stands alone, so that
+    the resolved-set check reports it.
+    """
+    pieces = text.split(",")
+    longest = 1 + max((v.count(",") for v in g.vertices), default=0)
+    out, i = [], 0
+    while i < len(pieces):
+        j = i + 1
+        if pieces[i].strip():  # empty pieces, as in "a,,b", are skipped
+            runs = range(j, min(i + longest, len(pieces)) + 1)
+            j = next((k for k in runs if g.has_vertex(",".join(pieces[i:k]).strip())), j)
+            out.append(",".join(pieces[i:j]).strip())
+        i = j
+    return out
 
 
 def _cmd_multires(args) -> int:
     loaded = _load_graph(args)
-    out = transform.multiresolution_at(loaded.graph, _vertex_list(args.at))
+    out = transform.multiresolution_at(loaded.graph, _vertex_list(args.at, loaded.graph))
     sys.stdout.write(graph_model.serialize(out).decode("utf-8"))
     return EXIT_OK
 
@@ -311,30 +305,21 @@ def _cmd_k1_generator(args) -> int:
     x = _parse_element(args.element, loaded)
     gm = build_generator_matrices(loaded.graph, x, seed=args.sigma_seed)
     if args.format == "json":
-        def grid(m):
-            return [
-                [str(m.entry(i, j)) for j in range(len(m.cols))]
-                for i in range(len(m.rows))
-            ]
-
         print(_dump_json({
             "element": _element_obj(x, loaded),
             "rows": [str(r) for r in gm.z.rows],
             "cols": [str(c) for c in gm.z.cols],
-            "Z": grid(gm.z),
-            "T": grid(gm.t),
-            "sigmaT": grid(gm.sigma_t),
-            "U": grid(gm.u),
+            "Z": gm.z.cells(),
+            "T": gm.t.cells(),
+            "sigmaT": gm.sigma_t.cells(),
+            "U": gm.u.cells(),
         }))
     else:
-        print("Z =")
-        print(gm.z.format_grid())
-        print("T =")
-        print(gm.t.format_grid())
-        print("sigma(T) =")
-        print(gm.sigma_t.format_grid())
-        print("U_x = Z sigma(T)* =")
-        print(gm.u.format_grid())
+        for title, m in (
+            ("Z", gm.z), ("T", gm.t), ("sigma(T)", gm.sigma_t), ("U_x = Z sigma(T)*", gm.u)
+        ):
+            print(f"{title} =")
+            print(m.format_grid())
     return EXIT_OK
 
 
@@ -390,7 +375,7 @@ def _cmd_character(args) -> int:
     loaded = _load_graph(args)
     g = loaded.graph
     if args.at:
-        vertex_set = _vertex_list(args.at)
+        vertex_set = _vertex_list(args.at, g)
     elif g.bipartite is not None:
         vertex_set = list(g.layer0)
     else:
@@ -445,11 +430,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("ktheory", help="K0 and K1 of the graph algebra")
     _add_common(p)
-    p.set_defaults(func=_cmd_ktheory)
+    p.set_defaults(func=_cmd_ktheory, tame=False)
 
     p = subs.add_parser("k1-tame", help="K1 of the tame algebra (same as K1)")
     _add_common(p)
-    p.set_defaults(func=_cmd_k1_tame)
+    p.set_defaults(func=_cmd_ktheory, tame=True)
 
     p = subs.add_parser("k0-tame", help="truncated K0 of the tame algebra")
     _add_common(p, budget=True)
@@ -508,6 +493,18 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+# Each error class and its exit code; the first class that matches wins.
+_EXIT_CODES = {
+    UsageError: EXIT_USAGE,
+    GraphFormatError: EXIT_INVALID,
+    ValidationError: EXIT_INVALID,
+    BudgetExceededError: EXIT_BUDGET,
+    PreconditionError: EXIT_PRECONDITION,
+    ParameterRangeError: EXIT_PRECONDITION,
+    OSError: EXIT_USAGE,  # missing, unreadable or directory input paths
+}
+
+
 def main(argv=None) -> int:
     try:
         args = _shared_parser().parse_args(argv)
@@ -516,24 +513,9 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return args.func(args)
-    except UsageError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (GraphFormatError,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (PreconditionError, ParameterRangeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except OSError as exc:  # missing, unreadable or directory input paths
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -51,14 +51,6 @@ class IntMatrix:
     ) -> "IntMatrix":
         return cls(tuple(rows), tuple(cols), tuple(tuple(int(x) for x in r) for r in data))
 
-    @classmethod
-    def identity(cls, labels: Iterable[Hashable]) -> "IntMatrix":
-        labels = tuple(labels)
-        n = len(labels)
-        return cls(labels, labels, tuple(
-            tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
-        ))
-
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.rows), len(self.cols))
@@ -68,23 +60,6 @@ class IntMatrix:
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.cols, self.rows, tuple(zip(*self.data)) if self.data else tuple(() for _ in self.cols))
-
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if len(self.cols) != len(other.rows):
-            raise ValueError("inner dimensions do not match")
-        bt = list(zip(*other.data)) if other.data else [()] * len(other.cols)
-        out = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in bt)
-            for row in self.data
-        )
-        return IntMatrix(self.rows, other.cols, out)
-
-    def sub(self, other: "IntMatrix") -> "IntMatrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("labels do not match")
-        return IntMatrix(self.rows, self.cols, tuple(
-            tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.data, other.data)
-        ))
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.data[i][i] for i in range(min(self.shape)))
@@ -129,10 +104,6 @@ class AbelianGroupInvariants:
             if prev is not None and d % prev != 0:
                 raise ValueError("invariant factors must form a divisibility chain")
             prev = d
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.rank == 0 and not self.factors
 
     def with_free_summand(self, extra_rank: int) -> "AbelianGroupInvariants":
         return AbelianGroupInvariants(self.rank + extra_rank, self.factors)

@@ -29,18 +29,20 @@ multiply to the expected vertex diagonals.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping
 
 from .exact_linalg import _format_grid
 from .graph_model import GroupKey, SeparatedGraph, group_label
 from .ktheory import (
+    format_signed_sum,
     incidence,
     negative_part,
     positive_part,
     require_kernel_element,
 )
-from .transform import PreconditionError, ensure_valid
+from .transform import PreconditionError, ensure_bipartite, ensure_valid
 
 
 class MalformedExpressionError(ValueError):
@@ -121,16 +123,8 @@ class FormalExpr:
         return FormalExpr(flipped)
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         items = sorted(self.terms.items(), key=lambda it: (it[0][0], it[0][1:]))
-        parts = []
-        for i, (w, c) in enumerate(items):
-            sign = "-" if c < 0 else ("+" if i else "")
-            mag = abs(c)
-            body = word_str(w) if mag == 1 else f"{mag} {word_str(w)}"
-            parts.append(f"{sign} {body}".strip() if i else f"{sign}{body}")
-        return " ".join(parts)
+        return format_signed_sum((word_str(w), c) for w, c in items)
 
 
 ZERO = FormalExpr({})
@@ -334,9 +328,6 @@ class StarContext:
                 acc[word] = acc.get(word, 0) + c1 * c2
         return {w: c for w, c in acc.items() if c}
 
-    def equal(self, a: FormalExpr, b: FormalExpr) -> bool:
-        return self.normalize(a).terms == self.normalize(b).terms
-
 
 # formal matrices -------------------------------------------------------------
 
@@ -359,14 +350,13 @@ class FormalMatrix:
             {(j, i): expr.star() for (i, j), expr in self.entries.items()},
         )
 
+    def cells(self) -> list[list[str]]:
+        """The rendered entries, row by row."""
+        return [[str(self.entry(i, j)) for j in range(len(self.cols))] for i in range(len(self.rows))]
+
     def format_grid(self) -> str:
         return _format_grid(
-            [_label_str(r) for r in self.rows],
-            [_label_str(c) for c in self.cols],
-            [
-                [str(self.entry(i, j)) for j in range(len(self.cols))]
-                for i in range(len(self.rows))
-            ],
+            [_label_str(r) for r in self.rows], [_label_str(c) for c in self.cols], self.cells()
         )
 
 
@@ -560,9 +550,7 @@ def build_generator_matrices(
     labels, and a seed requests a random (but still blockwise) choice, which
     must leave all verification identities intact.
     """
-    ensure_valid(g)
-    if g.bipartite is None:
-        raise PreconditionError("generator matrices require a bipartite graph")
+    ensure_bipartite(g, "generator matrices require a bipartite graph")
     require_kernel_element(incidence(g), x)
     if not any(x.values()):
         raise PreconditionError("the zero element has no generator")
@@ -611,11 +599,7 @@ def _vertex_diag(ctx: StarContext, labels, vertex_of) -> FormalMatrix:
 
 
 def _class_counts(labels, vertex_of) -> dict[str, int]:
-    out: dict[str, int] = {}
-    for lbl in labels:
-        v = vertex_of(lbl)
-        out[v] = out.get(v, 0) + 1
-    return out
+    return dict(Counter(map(vertex_of, labels)))
 
 
 def verify_partial_unitary(gm: GeneratorMatrices) -> VerificationReport:
@@ -669,21 +653,11 @@ def verify_partial_unitary(gm: GeneratorMatrices) -> VerificationReport:
     # vertices per block), which is what the row/column balance asserts.
     range_class = _class_counts(z.rows, range_of_row)
     source_class = _class_counts(z.cols, source_of_col)
-    t_range = _class_counts(t.rows, range_of_row)
-    t_source = _class_counts(t.cols, source_of_col)
-    checks.append(
-        Check(
-            "TT* class matches ZZ* class",
-            t_range == range_class,
-            "" if t_range == range_class else f"{t_range} != {range_class}",
-        )
-    )
-    checks.append(
-        Check(
-            "T*T class matches Z*Z class",
-            t_source == source_class,
-            "" if t_source == source_class else f"{t_source} != {source_class}",
-        )
-    )
+    for name, t_class, z_class in (
+        ("TT* class matches ZZ* class", _class_counts(t.rows, range_of_row), range_class),
+        ("T*T class matches Z*Z class", _class_counts(t.cols, source_of_col), source_class),
+    ):
+        same = t_class == z_class
+        checks.append(Check(name, same, "" if same else f"{t_class} != {z_class}"))
 
     return VerificationReport(tuple(checks), range_class, source_class)

@@ -33,6 +33,7 @@ from .transform import (
     StepData,
     bipartite_companion,
     canonical_step_data,
+    ensure_bipartite,
     ensure_valid,
     generated_vertex_name,
     multiresolution_data,
@@ -61,8 +62,7 @@ class IncidencePair:
     group order.  columns[j] maps row indices to the nonzero entries of
     column j of the difference, which is all the K-group computations read.
     The dense views are built on demand: one marks the range vertex of each
-    group, counts tallies the arrows of each group by source vertex, and
-    difference() is one minus counts.
+    group, and difference() spells out the columns.
     """
 
     vertices: tuple[str, ...]
@@ -76,10 +76,6 @@ class IncidencePair:
         for j, (v, _) in enumerate(self.cols):
             data[vidx[v]][j] = 1
         return IntMatrix.from_rows(self.vertices, self.cols, data)
-
-    @cached_property
-    def counts(self) -> IntMatrix:
-        return self.one.sub(self.difference())
 
     def difference(self) -> IntMatrix:
         data = [[0] * len(self.cols) for _ in self.vertices]
@@ -140,21 +136,19 @@ def negative_part(x: Mapping[GroupKey, int]) -> dict[GroupKey, int]:
     return {k: -c for k, c in x.items() if c < 0}
 
 
-def format_element(x: Mapping[GroupKey, int], names: Mapping[GroupKey, str] | None = None) -> str:
-    def label(key):
-        return names.get(key, group_label(key)) if names else group_label(key)
-
-    items = [(label(k), c) for k, c in x.items() if c]
-    items.sort()
-    if not items:
-        return "0"
+def format_signed_sum(items) -> str:
+    """Render (label, nonzero coefficient) pairs, in order, as "a - 2 b + c"."""
     parts = []
     for i, (lbl, c) in enumerate(items):
+        term = lbl if abs(c) == 1 else f"{abs(c)} {lbl}"
         sign = "-" if c < 0 else ("+" if i else "")
-        mag = abs(c)
-        term = lbl if mag == 1 else f"{mag} {lbl}"
-        parts.append(f"{sign} {term}".strip() if i else (f"{sign}{term}" if sign else term))
-    return " ".join(parts)
+        parts.append(f"{sign} {term}".strip() if i else f"{sign}{term}")
+    return " ".join(parts) if parts else "0"
+
+
+def format_element(x: Mapping[GroupKey, int], names: Mapping[GroupKey, str] | None = None) -> str:
+    names = names or {}
+    return format_signed_sum(sorted((names.get(k, group_label(k)), c) for k, c in x.items() if c))
 
 
 # K-groups -------------------------------------------------------------------
@@ -180,10 +174,9 @@ def k_groups_full(g: SeparatedGraph) -> KGroups:
     return KGroups(reduction.cokernel(), len(vecs), vecs, pair.cols)
 
 
-def k1_tame(g: SeparatedGraph) -> KGroups:
-    """K_1 of the tame algebra: the projection is a K_1-isomorphism, so this
-    coincides with the untamed answer for every finitely separated graph."""
-    return k_groups_full(g)
+# K_1 of the tame algebra: the projection is a K_1-isomorphism, so the
+# untamed answer is the tame one for every finitely separated graph.
+k1_tame = k_groups_full
 
 
 @dataclass(frozen=True)
@@ -247,9 +240,7 @@ def _phi_with_step(
     g: SeparatedGraph, x: Mapping[GroupKey, int]
 ) -> tuple[KernelElement, StepData]:
     """phi_transport's image together with the canonical step it ran."""
-    ensure_valid(g)
-    if g.bipartite is None:
-        raise PreconditionError("kernel transport requires a bipartite graph")
+    ensure_bipartite(g, "kernel transport requires a bipartite graph")
     pair = incidence(g)
     require_kernel_element(pair, x)
     step = canonical_step_data(g)
@@ -278,9 +269,7 @@ def connecting_map_image(g: SeparatedGraph, x: Mapping[GroupKey, int]) -> dict[s
     range vertex of X).  On a bipartite graph the two parts live on
     different layers, so the image is nonzero whenever x is.
     """
-    ensure_valid(g)
-    if g.bipartite is None:
-        raise PreconditionError("connecting map image requires a bipartite graph")
+    ensure_bipartite(g, "connecting map image requires a bipartite graph")
     require_kernel_element(incidence(g), x)
     out: dict[str, int] = {}
     for key, n in positive_part(x).items():
@@ -321,6 +310,11 @@ UNIT_MODULUS_TOL = 1e-12
 RELATION_TOL = 1e-9
 
 
+def _require_unit(what: str, z: complex) -> None:
+    if not abs(abs(z) - 1.0) <= UNIT_MODULUS_TOL:  # NaN fails too
+        raise CharacterError(f"{what} has modulus {abs(z)!r}, not 1")
+
+
 @dataclass(frozen=True)
 class CharacterAssignment:
     """Unit-modulus complex values on vertices."""
@@ -329,8 +323,7 @@ class CharacterAssignment:
 
     def __post_init__(self):
         for v, z in self.values.items():
-            if not abs(abs(z) - 1.0) <= UNIT_MODULUS_TOL:  # NaN fails too
-                raise CharacterError(f"value at {v!r} has modulus {abs(z)!r}, not 1")
+            _require_unit(f"value at {v!r}", z)
 
     def __call__(self, v: str) -> complex:
         return self.values[v]
@@ -391,8 +384,7 @@ def _extend_character_with_data(
     if missing_free:
         raise CharacterError(f"missing free values for W vertices {missing_free[:3]}")
     for name, z in free.items():
-        if not abs(abs(z) - 1.0) <= UNIT_MODULUS_TOL:  # NaN fails too
-            raise CharacterError(f"free value at {name!r} has modulus {abs(z)!r}, not 1")
+        _require_unit(f"free value at {name!r}", z)
 
     values: dict[str, complex] = dict(base.values)
     values.update(free)

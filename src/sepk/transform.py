@@ -67,6 +67,13 @@ def ensure_valid(g: SeparatedGraph) -> SeparatedGraph:
     return g
 
 
+def ensure_bipartite(g: SeparatedGraph, message: str) -> SeparatedGraph:
+    """ensure_valid(g), then PreconditionError(message) unless g is bipartite."""
+    if ensure_valid(g).bipartite is None:
+        raise PreconditionError(message)
+    return g
+
+
 # deterministic generated names ---------------------------------------------
 
 
@@ -198,7 +205,8 @@ def _check_input_names(g: SeparatedGraph, step: int) -> None:
         if p is None or p[0] not in expected:
             return None
         want = expected[p[0]]
-        if [coord(c) for c in p[1]] == want or (not want and p[1] == [""]):  # "x|" has none
+        # an arrow of a one-group vertex, "a^x|", has no companions
+        if [coord(c) for c in p[1]] == want or (not want and p[1] == [""]):
             return p[0]
         return None
 
@@ -293,9 +301,7 @@ def canonical_step_data(g: SeparatedGraph) -> StepData:
     layer1 the generated tuple vertices, and one group X(x) per old edge x,
     attached at s(x) in source-fiber order.
     """
-    ensure_valid(g)
-    if g.bipartite is None:
-        raise PreconditionError("canonical step requires a bipartite graph")
+    ensure_bipartite(g, "canonical step requires a bipartite graph")
     layer0 = list(g.layer1)
     separation: dict[str, list] = {w: [] for w in layer0}
     names, edges, root, w_names, group_of_edge = _resolve(g, g.layer0, layer0, separation)
@@ -313,9 +319,7 @@ def projected_step_size(g: SeparatedGraph) -> int:
 
 
 def _check_sequence_input(g: SeparatedGraph, depth: int) -> None:
-    ensure_valid(g)
-    if g.bipartite is None:
-        raise PreconditionError("canonical sequence requires a bipartite graph")
+    ensure_bipartite(g, "canonical sequence requires a bipartite graph")
     if depth < 0:
         raise PreconditionError("depth must be nonnegative")
 
@@ -420,9 +424,8 @@ def w_set_sizes(g: SeparatedGraph, depth: int, budget: int = DEFAULT_BUDGET) -> 
     return tuple(sizes)
 
 
-def root_of(seq: CanonicalSequence, v: str, target_layer: int) -> str:
-    """Iterated root of v down to the given layer (same parity, not above)."""
-    return seq.root_of(v, target_layer)
+# Iterated root of v down to the given layer: root_of(seq, v, target_layer).
+root_of = CanonicalSequence.root_of
 
 
 # bipartite companion --------------------------------------------------------

@@ -3,7 +3,8 @@
 Nothing in sepk calls these.  smith_diagonal reads the dense Smith form,
 which never goes through the sparse unit-pivot elimination behind
 cokernel_invariants and kernel_basis; the fraction-free determinant
-decides whether a Smith transform is unimodular.
+decides whether a Smith transform is unimodular, and mat_mul checks that
+the transforms multiply the input to its Smith form.
 """
 
 from sepk.exact_linalg import IntMatrix, smith_normal_form
@@ -12,6 +13,15 @@ from sepk.exact_linalg import IntMatrix, smith_normal_form
 def smith_diagonal(matrix: IntMatrix) -> tuple[int, ...]:
     """Diagonal of the dense Smith form of matrix."""
     return smith_normal_form(matrix)[1].diagonal()
+
+
+def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """The product a b of two labeled integer matrices."""
+    if len(a.cols) != len(b.rows):
+        raise ValueError("inner dimensions do not match")
+    bt = list(zip(*b.data)) if b.data else [()] * len(b.cols)
+    out = tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a.data)
+    return IntMatrix(a.rows, b.cols, out)
 
 
 def det_bareiss(matrix: IntMatrix) -> int:

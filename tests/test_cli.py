@@ -10,7 +10,7 @@ import pytest
 from sepk.cli import main
 from sepk.graph_model import builtin, group_label, parse, serialize
 from sepk.ktheory import phi_transport
-from sepk.transform import canonical_sequence
+from sepk.transform import canonical_sequence, multiresolution_at, multiresolution_data
 
 from conftest import name_collision_graphs
 
@@ -139,6 +139,41 @@ def test_multires_and_companion_emit_parseable_graphs(capsys):
     code, out, _ = run(capsys, "companion", "--builtin", "lamplighter(2)")
     assert code == 0
     assert len(parse(out).vertices) == 6
+
+
+def _layer2_file(tmp_path):
+    # vertices of generated layers, such as "v|a1,b1", contain commas
+    g = canonical_sequence(builtin("E", [2, 2]), 2).graphs[2]
+    path = tmp_path / "layer2.graph"
+    path.write_bytes(serialize(g))
+    return g, str(path)
+
+
+def test_multires_at_vertices_that_contain_commas(tmp_path, capsys):
+    g, path = _layer2_file(tmp_path)
+    code, out, err = run(capsys, "multires", path, "--at", "v|a1,b1, v|a2,b2")
+    assert (code, err) == (0, "")
+    assert out == serialize(multiresolution_at(g, ["v|a1,b1", "v|a2,b2"])).decode("utf-8")
+    # a piece that starts no vertex name is still reported on its own
+    code, out, err = run(capsys, "multires", path, "--at", "v|a1,b1,zz")
+    assert (code, out, err) == (4, "", "error: unknown vertices in V: ['zz']\n")
+
+
+def test_character_at_a_vertex_that_contains_commas(tmp_path, capsys):
+    g, path = _layer2_file(tmp_path)
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps(dict.fromkeys(g.vertices, 0)))
+    data = multiresolution_data(g, ["v|a1,b1"])
+    free = tmp_path / "free.json"
+    free.write_text(json.dumps(dict.fromkeys(data.w_vertices, 0.25)))
+    code, out, err = run(
+        capsys, "character", path, "--base", str(base), "--free", str(free),
+        "--at", "v|a1,b1", "--format", "json",
+    )
+    assert (code, err) == (0, "")
+    obj = json.loads(out)
+    assert list(obj["values"]) == list(data.graph.vertices)
+    assert obj["max_relation_error"] < 1e-9
 
 
 def test_element_syntax_and_errors(capsys):

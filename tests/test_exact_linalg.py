@@ -14,7 +14,7 @@ from sepk.exact_linalg import (
     smith_normal_form,
 )
 
-from dense_oracles import det_bareiss, is_unimodular, smith_diagonal
+from dense_oracles import det_bareiss, is_unimodular, mat_mul, smith_diagonal
 
 
 def mat(rows):
@@ -27,7 +27,7 @@ def test_snf_unimodular_2x2():
     # det = 1, so the form is the identity
     u, d, v = smith_normal_form(mat([[1, 1], [-3, -2]]))
     assert d.to_lists() == [[1, 0], [0, 1]]
-    assert u.mul(mat([[1, 1], [-3, -2]])).mul(v).to_lists() == d.to_lists()
+    assert mat_mul(mat_mul(u, mat([[1, 1], [-3, -2]])), v).to_lists() == d.to_lists()
 
 
 def test_snf_rank_one():
@@ -56,7 +56,7 @@ def test_snf_properties_random():
         c = rng.randint(1, 6)
         m = mat([[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)])
         u, d, v = smith_normal_form(m)
-        assert u.mul(m).mul(v).to_lists() == d.to_lists()
+        assert mat_mul(mat_mul(u, m), v).to_lists() == d.to_lists()
         assert abs(det_bareiss(u)) == 1
         assert abs(det_bareiss(v)) == 1
         diag = d.diagonal()
@@ -246,6 +246,6 @@ def test_big_integer_entries_survive():
     n = 10**40
     m = mat([[n, 1], [1, n]])
     u, d, v = smith_normal_form(m)
-    assert u.mul(m).mul(v).to_lists() == d.to_lists()
+    assert mat_mul(mat_mul(u, m), v).to_lists() == d.to_lists()
     assert d.data[0][0] == 1
     assert d.data[1][1] == n * n - 1
