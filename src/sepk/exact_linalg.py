@@ -191,6 +191,13 @@ def _smith(a: list[list[int]], m: int, n: int) -> None:
             a[k] = [-x for x in a[k]]
 
 
+def _smith_cokernel(a: list[list[int]], m: int, n: int) -> AbelianGroupInvariants:
+    """Invariants of Z^m / span of the columns of the block a[:m][:n]; a is consumed."""
+    _smith(a, m, n)
+    nonzero = [a[k][k] for k in range(min(m, n)) if a[k][k]]
+    return AbelianGroupInvariants(m - len(nonzero), tuple(d for d in nonzero if d > 1))
+
+
 def smith_normal_form(matrix: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Return (U, D, V) with U * matrix * V == D, U and V unimodular.
 
@@ -312,11 +319,8 @@ class ColumnReduction:
     def cokernel(self) -> AbelianGroupInvariants:
         """Invariants of Z^nrows / column span, by Smith form of the core."""
         a = self._dense_core()
-        m, n = len(a), len(self.core)
-        _smith(a, m, n)
-        nonzero = [a[k][k] for k in range(min(m, n)) if a[k][k]]
-        rank = self.nrows - self.pivots - len(nonzero)
-        return AbelianGroupInvariants(rank, tuple(d for d in nonzero if d > 1))
+        core = _smith_cokernel(a, len(a), len(self.core))
+        return core.with_free_summand(self.nrows - self.pivots - len(a))
 
     def kernel(self) -> list[tuple[int, ...]]:
         """A Z-basis of the kernel, in canonical column Hermite form.

@@ -37,7 +37,6 @@ from .exact_linalg import _format_grid
 from .graph_model import GroupKey, SeparatedGraph, group_label
 from .ktheory import (
     format_signed_sum,
-    incidence,
     negative_part,
     positive_part,
     require_kernel_element,
@@ -145,13 +144,12 @@ class StarContext:
         for key in g.group_keys():
             for eid in g.group(key):
                 self.group_of[eid] = key
-        self._vertices = frozenset(g.vertices)
         self._normal: dict[Word, tuple[tuple[Word, int], ...]] = {}
 
     # constructors ----------------------------------------------------------
 
     def vertex(self, v: str) -> FormalExpr:
-        if v not in self._vertices:
+        if not self.graph.has_vertex(v):
             raise MalformedExpressionError(f"unknown vertex {v!r}")
         return FormalExpr({("v", v): 1})
 
@@ -199,7 +197,7 @@ class StarContext:
         tag = word[0]
         g = self.graph
         if tag == "v":
-            if word[1] not in self._vertices:
+            if not g.has_vertex(word[1]):
                 raise MalformedExpressionError(f"unknown vertex {word[1]!r}")
             return
         for e in word[1:]:
@@ -551,7 +549,7 @@ def build_generator_matrices(
     must leave all verification identities intact.
     """
     ensure_bipartite(g, "generator matrices require a bipartite graph")
-    require_kernel_element(incidence(g), x)
+    require_kernel_element(g, x)
     if not any(x.values()):
         raise PreconditionError("the zero element has no generator")
     sides = (_side_labels(g, positive_part(x)), _side_labels(g, negative_part(x)))

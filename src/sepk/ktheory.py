@@ -24,6 +24,7 @@ from .exact_linalg import (
     AbelianGroupInvariants,
     ColumnReduction,
     IntMatrix,
+    _smith_cokernel,
 )
 from .graph_model import GroupKey, SeparatedGraph, group_label
 from .transform import (
@@ -91,13 +92,13 @@ class IncidencePair:
 
 def incidence(g: SeparatedGraph) -> IncidencePair:
     ensure_valid(g)
-    vidx = {v: i for i, v in enumerate(g.vertices)}
+    vidx = g.vertex_index
     keys = g.group_keys()
     columns = []
     for v, gi in keys:
-        col = {vidx[v]: 1}
+        col = {vidx(v): 1}
         for eid in g.groups_at(v)[gi]:
-            i = vidx[g.edge(eid).src]
+            i = vidx(g.edge(eid).src)
             col[i] = col.get(i, 0) - 1
         columns.append({i: x for i, x in col.items() if x})
     return IncidencePair(g.vertices, keys, tuple(columns))
@@ -108,21 +109,24 @@ def incidence(g: SeparatedGraph) -> IncidencePair:
 KernelElement = dict[GroupKey, int]
 
 
-def element_residual(pair: IncidencePair, x: Mapping[GroupKey, int]) -> dict[str, int]:
-    """The image of x under the incidence difference, as a vertex vector."""
-    col_index = {key: j for j, key in enumerate(pair.cols)}
-    residual = dict.fromkeys(pair.vertices, 0)
+def element_residual(g: SeparatedGraph, x: Mapping[GroupKey, int]) -> dict[str, int]:
+    """(1_C - A)x over g.vertices: +c at v and -c at s(e) for each edge e of the group."""
+    residual = dict.fromkeys(g.vertices, 0)
     for key, coef in x.items():
-        if key not in col_index:
+        v, i = key
+        groups = g.groups_at(v) if g.has_vertex(v) else ()
+        if i not in range(len(groups)):
             raise PreconditionError(f"unknown group {group_label(key)}")
         if coef:
-            for i, val in pair.columns[col_index[key]].items():
-                residual[pair.vertices[i]] += coef * val
+            residual[v] += coef
+            for eid in groups[i]:
+                residual[g.edge(eid).src] -= coef
     return residual
 
 
-def require_kernel_element(pair: IncidencePair, x: Mapping[GroupKey, int]) -> None:
-    residual = element_residual(pair, x)
+def require_kernel_element(g: SeparatedGraph, x: Mapping[GroupKey, int]) -> None:
+    ensure_valid(g)
+    residual = element_residual(g, x)
     if any(residual.values()):
         raise NotInKernelError(residual)
 
@@ -159,9 +163,11 @@ class KGroups:
     """K_0 invariants and a canonical basis of the free group K_1."""
 
     k0: AbelianGroupInvariants
-    k1_rank: int
     k1_basis: tuple[KernelElement, ...]
-    cols: tuple[GroupKey, ...]
+
+    @property
+    def k1_rank(self) -> int:
+        return len(self.k1_basis)
 
 
 def k_groups_full(g: SeparatedGraph) -> KGroups:
@@ -171,7 +177,7 @@ def k_groups_full(g: SeparatedGraph) -> KGroups:
     vecs = tuple(
         {key: c for key, c in zip(pair.cols, vec) if c} for vec in reduction.kernel()
     )
-    return KGroups(reduction.cokernel(), len(vecs), vecs, pair.cols)
+    return KGroups(reduction.cokernel(), vecs)
 
 
 # K_1 of the tame algebra: the projection is a K_1-isomorphism, so the
@@ -192,7 +198,7 @@ class TameK0Result:
     layer_ranks: tuple[int, ...]
     depth: int
     via_companion: bool
-    truncated: bool = True
+    truncated = True  # a class constant, not a field
 
     def total(self) -> AbelianGroupInvariants:
         return self.base.with_free_summand(sum(self.layer_ranks))
@@ -241,8 +247,7 @@ def _phi_with_step(
 ) -> tuple[KernelElement, StepData]:
     """phi_transport's image together with the canonical step it ran."""
     ensure_bipartite(g, "kernel transport requires a bipartite graph")
-    pair = incidence(g)
-    require_kernel_element(pair, x)
+    require_kernel_element(g, x)
     step = canonical_step_data(g)
     out: dict[GroupKey, int] = {}
     for u in g.layer0:
@@ -258,27 +263,20 @@ def _phi_with_step(
                 key = step.group_of_edge[e]
                 out[key] = out.get(key, 0) - n_i
     out = {k: c for k, c in out.items() if c}
-    require_kernel_element(incidence(step.graph), out)
+    require_kernel_element(step.graph, out)
     return out, step
 
 
 def connecting_map_image(g: SeparatedGraph, x: Mapping[GroupKey, int]) -> dict[str, int]:
     """Image of the K_1 class of x under the connecting map, over vertices.
 
-    Sum over the positive support of n_X times (source-sum of X minus the
-    range vertex of X).  On a bipartite graph the two parts live on
-    different layers, so the image is nonzero whenever x is.
+    Minus the residual of x's positive part: n_X times (source-sum of X
+    minus the range vertex of X), summed.  On a bipartite graph the two
+    parts live on different layers, so the image is nonzero whenever x is.
     """
     ensure_bipartite(g, "connecting map image requires a bipartite graph")
-    require_kernel_element(incidence(g), x)
-    out: dict[str, int] = {}
-    for key, n in positive_part(x).items():
-        v, _ = key
-        for eid in g.group(key):
-            w = g.edge(eid).src
-            out[w] = out.get(w, 0) + n
-        out[v] = out.get(v, 0) - n
-    return {v: c for v, c in out.items() if c}
+    require_kernel_element(g, x)
+    return {v: -c for v, c in element_residual(g, positive_part(x)).items() if c}
 
 
 # the graph monoid's universal group ------------------------------------------
@@ -288,20 +286,19 @@ def monoid_universal_group(g: SeparatedGraph) -> AbelianGroupInvariants:
     """Universal group of the graph monoid, presented directly.
 
     Generators are the vertices; one relation per group X in C_v identifies
-    the vertex with the sum of the sources of the edges of X.  This is an
-    independent code path that must agree with the K_0 cokernel.
+    the vertex with the sum of the sources of the edges of X.  One dense
+    Smith elimination, with no sparse unit pivoting, makes this a check of
+    the K_0 cokernel independent of ColumnReduction.
     """
     ensure_valid(g)
-    vidx = {v: i for i, v in enumerate(g.vertices)}
-    columns = []
-    for v, groups in zip(g.vertices, g.separation):
-        for grp in groups:
-            col = {vidx[v]: 1}
-            for eid in grp:
-                i = vidx[g.edge(eid).src]
-                col[i] = col.get(i, 0) - 1
-            columns.append({i: x for i, x in col.items() if x})
-    return ColumnReduction(len(g.vertices), columns).cokernel()
+    vidx = g.vertex_index
+    relations = [(v, grp) for v, groups in zip(g.vertices, g.separation) for grp in groups]
+    a = [[0] * len(relations) for _ in g.vertices]
+    for j, (v, grp) in enumerate(relations):
+        a[vidx(v)][j] += 1
+        for eid in grp:
+            a[vidx(g.edge(eid).src)][j] -= 1
+    return _smith_cokernel(a, len(a), len(relations))
 
 
 # characters -------------------------------------------------------------------

@@ -3,14 +3,16 @@ import random
 
 import pytest
 
+from sepk import formal_star, ktheory
 from sepk.exact_linalg import AbelianGroupInvariants, IntMatrix
-from sepk.graph_model import SeparatedGraph, builtin, builtin_from_spec
+from sepk.graph_model import SeparatedGraph, builtin, builtin_from_spec, group_label
 from sepk.ktheory import (
     CharacterAssignment,
     CharacterError,
     NotInKernelError,
     character_relation_errors,
     connecting_map_image,
+    element_residual,
     extend_character,
     incidence,
     k0_tame,
@@ -18,9 +20,11 @@ from sepk.ktheory import (
     k_groups_full,
     monoid_universal_group,
     phi_transport,
+    require_kernel_element,
 )
 from sepk.transform import (
     BudgetExceededError,
+    PreconditionError,
     bipartite_companion,
     canonical_sequence,
     canonical_step_data,
@@ -80,6 +84,80 @@ def test_incidence_invariants_random():
             col_counts = [counts[i][j] for i in range(nv)]
             assert all(c >= 0 for c in col_counts)
             assert sum(col_counts) == len(g.group(key))
+
+
+def column_residual(g, x):
+    """Sum of c times column over incidence(g).columns, keyed by vertex."""
+    pair = incidence(g)
+    col_of = dict(zip(pair.cols, pair.columns))
+    out = dict.fromkeys(pair.vertices, 0)
+    for key, c in x.items():
+        if key not in col_of:
+            raise PreconditionError(f"unknown group {group_label(key)}")
+        for i, val in col_of[key].items():
+            out[pair.vertices[i]] += c * val
+    return out
+
+
+def test_residual_read_from_graph_matches_incidence_columns():
+    rng = random.Random(53)
+    kernel_seen = outside_seen = unknown_seen = 0
+    for _ in range(60):
+        g = random_separated_graph(rng)
+        keys = list(g.group_keys())
+        unknown = [("nowhere", 0), (g.vertices[0], len(g.groups_at(g.vertices[0]))),
+                   (g.vertices[-1], -1)]
+        for _ in range(5):
+            picked = rng.sample(keys, rng.randint(0, len(keys)))
+            x = {key: rng.randint(-2, 2) for key in picked}  # zeros included
+            if rng.random() < 0.3:
+                x[rng.choice(unknown)] = rng.randint(-1, 1)
+            try:
+                want = column_residual(g, x)
+            except PreconditionError as exc:
+                with pytest.raises(PreconditionError) as got:
+                    element_residual(g, x)
+                assert str(got.value) == str(exc)
+                with pytest.raises(PreconditionError) as got:
+                    require_kernel_element(g, x)
+                assert str(got.value) == str(exc)
+                unknown_seen += 1
+                continue
+            residual = element_residual(g, x)
+            assert residual == want
+            assert list(residual) == list(g.vertices)
+            if any(want.values()):
+                with pytest.raises(NotInKernelError) as exc:
+                    require_kernel_element(g, x)
+                assert exc.value.residual == want
+                outside_seen += 1
+            else:
+                require_kernel_element(g, x)
+                kernel_seen += 1
+    assert kernel_seen and outside_seen and unknown_seen
+    with pytest.raises(PreconditionError, match=r"^unknown group v\.3$"):
+        element_residual(builtin("E", [2, 2]), {("v", 2): 0})
+
+
+def test_membership_checks_build_no_incidence(monkeypatch):
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return incidence(g)
+
+    monkeypatch.setattr(ktheory, "incidence", counting)
+    monkeypatch.setattr(formal_star, "incidence", counting, raising=False)
+    rng = random.Random(59)
+    for _ in range(10):
+        g, x = bipartite_graph_with_kernel(rng)
+        formal_star.build_generator_matrices(g, x)
+        ktheory.connecting_map_image(g, x)
+        ktheory.phi_transport(g, x)
+        assert calls == []
+        ktheory.k_groups_full(g)
+        assert calls == [g]
+        calls.clear()
 
 
 def test_k_groups_examples():
@@ -204,6 +282,18 @@ def test_monoid_agrees_with_k0():
     for _ in range(30):
         g = random_separated_graph(rng)
         assert monoid_universal_group(g) == k_groups_full(g).k0
+
+
+def test_monoid_independent_of_column_reduction(monkeypatch):
+    rng = random.Random(23)
+    graphs = [random_separated_graph(rng) for _ in range(30)]
+    want = [k_groups_full(g).k0 for g in graphs]
+
+    def refuse(*args):
+        raise AssertionError("the monoid group must not use ColumnReduction")
+
+    monkeypatch.setattr(ktheory, "ColumnReduction", refuse)
+    assert [monoid_universal_group(g) for g in graphs] == want
 
 
 def test_monoid_edgeless():
