@@ -4,9 +4,10 @@ A digest is sha256 of json.dumps([code, stdout, stderr]) after the
 temporary input directory is replaced by "<tmp>", so a change to any
 output byte, any error line or any exit code changes it.  The cases cover
 the K-group commands in text and JSON on four graphs (one a generated
-layer whose group names contain commas), every command that refuses a
-graph without a bipartite split, and one run for each exception class
-that main maps to an exit code.
+layer whose group names contain commas), the commands that write graph
+files or JSON with floats or deeply escaped names, every command that
+refuses a graph without a bipartite split, and one run for each exception
+class that main maps to an exit code.
 """
 
 import hashlib
@@ -61,10 +62,22 @@ CASES.update({
     "precondition": ["phi", "--builtin", "E(2,2)", "--element", "X:1"],
     "parameter-range": ["ktheory", "--builtin", "E(1,1)"],
     "os-error": ["ktheory", "{tmp}/missing.graph"],
+    # graph files and JSON with floats or deep escaped names
+    "multires-E(2,2)": ["multires", "--builtin", "E(2,2)", "--at", "v"],
+    "companion-lamplighter(2)": ["companion", "--builtin", "lamplighter(2)"],
+    "character-E(2,2)-json": [
+        "character", "--builtin", "E(2,2)", "--base", "{tmp}/base.json",
+        "--free", "{tmp}/free.json", "--at", "v", "--format", "json",
+    ],
+    "sequence-lamplighter(2)-d5-json": [
+        "sequence", "--builtin", "lamplighter(2)", "--depth", "5", "--format", "json",
+    ],
 })
 
 DIGESTS = {
     "budget": "46810bc4157bfbde0b37171edf5f31774e3bfc29fa91763f45276b16e2a90c11",
+    "character-E(2,2)-json": "d7c401b49ab01de0f41b8109bf28f56b976ce3bf1188162926d1171b7cac5903",
+    "companion-lamplighter(2)": "f78f445ca0ed16956a08cdf72c33f293b7bfe21100c0803047f01b1192e897e6",
     "delta-E(2,2)-json": "2a19a103a8d6cb36e9af953c261c1d9b78dfd235e093e201f4b1b913e7c321fc",
     "delta-E(2,2)-text": "aba677600b9edc78a5fb0c7398aefe89c4acf2459ad334748144ec4ac54390c8",
     "delta-E(3,3)-json": "efe436ba199447c0b2bb83ce5c2b6fdcf80f8e60a1acd321b085bc5f94e08a60",
@@ -100,6 +113,7 @@ DIGESTS = {
     "ktheory-lamplighter(2)-text": "2c19132ef057362c726399d81d969523cfa8b61fb31d1b371520cb233aadc481",
     "ktheory-layer2-json": "983c8c5aec18c6f18ea0c0d5a76cd5c357dfd08022de86167779a817ba0fad2b",
     "ktheory-layer2-text": "68099d21dd92b1f214d9a4c1a913bd5345e76f04d3fa1a8c5292b066a1afe484",
+    "multires-E(2,2)": "530310b1d4e1f6eb4452eb18d00a84962e0b26c160fe514b10de0614029751bd",
     "os-error": "ea3972412bd04e5f2ff15eaac404114cee684e4348dbd976f759f22078c1ee45",
     "parameter-range": "d85a423d68a1e4268f5eada1b786c6d9db272d7cae3f35c6d1da47c16c7c93f0",
     "phi-E(2,2)-json": "63edc76d78ea1970adf0a1bacfb75d8016025b7678d245ee8c630adefc901db2",
@@ -112,6 +126,7 @@ DIGESTS = {
     "phi-layer2-text": "ad62cf1a6cd7365bd8d5bbd6c9bbb2b95c9ccf3e047276811f83e3a49309b1e4",
     "phi-loop": "2d737d873e6269cbdcaca0b3149039bab9149f42fc5778862e846d9b10f3c456",
     "precondition": "ef7c12c54e33ede994d439e957488fbac58462a66fa104d2ef11d4e9691d0cbd",
+    "sequence-lamplighter(2)-d5-json": "37791cb0530f7d583e73fc1b194efc6c9a8449a67c517c4c27bfc0d103e634cb",
     "sequence-loop": "959ebe311ac5c7c2adf40f0df08fc97fce59706989d969a02193d7dbd55830c1",
     "usage": "f28fb1df0f7b77ec68c79dbb38eb80d2d659e3755d6de0dcd0b26a827271892f",
     "validation": "764ae2b8a47989eab8d4db126606068f32e6d6766e62299389d7a062af04a994",
@@ -128,6 +143,8 @@ def inputs(tmp_path_factory):
         ' "separation": {"v": [["a"]]}}'
     )
     (tmp / "malformed.graph").write_text("{nope")
+    (tmp / "base.json").write_text('{"v": 0.5, "w": 0.25}')  # v = -1, w = i
+    (tmp / "free.json").write_text('{"v|a2,b2": 0.16666666666666666}')
     (tmp / "invalid.graph").write_text(
         '{"vertices": ["v", "w"], "edges": [{"id": "a", "src": "w", "dst": "v"}],'
         ' "separation": {"v": [[]]}}'
