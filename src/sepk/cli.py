@@ -27,6 +27,7 @@ from .graph_model import (
     GroupKey,
     ParameterRangeError,
     SeparatedGraph,
+    dump_json,
     group_label,
 )
 from .transform import BudgetExceededError, PreconditionError, ValidationError
@@ -36,10 +37,6 @@ EXIT_USAGE = 1
 EXIT_INVALID = 2
 EXIT_BUDGET = 3
 EXIT_PRECONDITION = 4
-
-
-def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, ensure_ascii=False)
 
 
 def _invariants_obj(inv) -> dict:
@@ -199,7 +196,7 @@ def _load_character_file(path: str) -> dict[str, complex]:
 def _cmd_validate(args) -> int:
     report = graph_model.validate(_load_graph(args).graph)
     if args.format == "json":
-        print(_dump_json({
+        print(dump_json({
             "ok": report.ok,
             "violations": [
                 {"kind": v.kind, "subject": v.subject, "detail": v.detail}
@@ -221,7 +218,7 @@ def _cmd_ktheory(args) -> int:
             "rank": kg.k1_rank,
             "basis": [_element_obj(vec, loaded) for vec in kg.k1_basis],
         }
-        print(_dump_json(obj))
+        print(dump_json(obj))
     else:
         k1 = ktheory.AbelianGroupInvariants(kg.k1_rank)
         line = f"K1(tame) = {k1}" if args.tame else f"K0 = {kg.k0}, K1 = {k1}"
@@ -236,7 +233,7 @@ def _cmd_k0_tame(args) -> int:
     loaded = _load_graph(args)
     result = ktheory.k0_tame(loaded.graph, args.depth, budget=_budget(args))
     if args.format == "json":
-        print(_dump_json({
+        print(dump_json({
             "base": _invariants_obj(result.base),
             "layer_ranks": {str(k + 2): r for k, r in enumerate(result.layer_ranks)},
             "depth": result.depth,
@@ -273,7 +270,7 @@ def _vertex_list(text: str, g: SeparatedGraph) -> list[str]:
 def _cmd_multires(args) -> int:
     loaded = _load_graph(args)
     out = transform.multiresolution_at(loaded.graph, _vertex_list(args.at, loaded.graph))
-    sys.stdout.write(graph_model.serialize(out).decode("utf-8"))
+    print(dump_json(graph_model.to_obj(out)))
     return EXIT_OK
 
 
@@ -281,7 +278,7 @@ def _cmd_sequence(args) -> int:
     loaded = _load_graph(args)
     seq = transform.canonical_sequence(loaded.graph, args.depth, budget=_budget(args))
     if args.format == "json":
-        print(_dump_json(seq.to_json_obj()))
+        print(dump_json(seq.to_json_obj()))
     else:
         for n, g in enumerate(seq.graphs):
             print(
@@ -296,7 +293,7 @@ def _cmd_sequence(args) -> int:
 def _cmd_companion(args) -> int:
     loaded = _load_graph(args)
     out = transform.bipartite_companion(loaded.graph)
-    sys.stdout.write(graph_model.serialize(out).decode("utf-8"))
+    print(dump_json(graph_model.to_obj(out)))
     return EXIT_OK
 
 
@@ -305,7 +302,7 @@ def _cmd_k1_generator(args) -> int:
     x = _parse_element(args.element, loaded)
     gm = build_generator_matrices(loaded.graph, x, seed=args.sigma_seed)
     if args.format == "json":
-        print(_dump_json({
+        print(dump_json({
             "element": _element_obj(x, loaded),
             "rows": [str(r) for r in gm.z.rows],
             "cols": [str(c) for c in gm.z.cols],
@@ -329,7 +326,7 @@ def _cmd_verify_generator(args) -> int:
     gm = build_generator_matrices(loaded.graph, x, seed=args.sigma_seed)
     report = verify_partial_unitary(gm)
     if args.format == "json":
-        print(_dump_json({
+        print(dump_json({
             "ok": report.ok,
             "checks": [
                 {"name": c.name, "ok": c.ok, "detail": c.detail} for c in report.checks
@@ -346,7 +343,7 @@ def _cmd_phi(args) -> int:
     image, step = ktheory._phi_with_step(loaded.graph, x)
     provenance = {key: f"X({eid})" for eid, key in step.group_of_edge.items()}
     if args.format == "json":
-        print(_dump_json({
+        print(dump_json({
             "element": _element_obj(x, loaded),
             "image": {group_label(k): c for k, c in sorted(image.items())},
             "groups": {group_label(k): provenance[k] for k in sorted(provenance)},
@@ -361,7 +358,7 @@ def _cmd_delta(args) -> int:
     x = _parse_element(args.element, loaded)
     image = ktheory.connecting_map_image(loaded.graph, x)
     if args.format == "json":
-        print(_dump_json({
+        print(dump_json({
             "element": _element_obj(x, loaded),
             "image": dict(sorted(image.items())),
         }))
@@ -387,7 +384,7 @@ def _cmd_character(args) -> int:
     errors = ktheory.character_relation_errors(out_graph, result.values)
     max_err = max((e for _, e in errors), default=0.0)
     if args.format == "json":
-        print(_dump_json({
+        print(dump_json({
             "values": {
                 v: [result.values[v].real, result.values[v].imag]
                 for v in out_graph.vertices

@@ -58,9 +58,6 @@ class IntMatrix:
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.data]
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows, tuple(zip(*self.data)) if self.data else tuple(() for _ in self.cols))
-
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.data[i][i] for i in range(min(self.shape)))
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 # A group is addressed by (range vertex, position of the group in C_v).
@@ -173,10 +174,6 @@ class SeparatedGraph:
             for v in self.vertices
             for i in range(len(self.groups_at(v)))
         )
-
-    @property
-    def is_bipartite(self) -> bool:
-        return self.bipartite is not None
 
     @property
     def layer0(self) -> tuple[str, ...]:
@@ -382,6 +379,107 @@ def builtin_group_aliases(text_or_name: str) -> dict[str, GroupKey]:
     return {}
 
 
+# JSON text -----------------------------------------------------------------
+
+_INF = float("inf")
+
+
+def _scalar_text(v) -> str:
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        if v != v:
+            return "NaN"
+        if v == _INF:
+            return "Infinity"
+        if v == -_INF:
+            return "-Infinity"
+        return float.__repr__(v)
+    raise TypeError(f"Object of type {v.__class__.__name__} is not JSON serializable")
+
+
+def _key_text(k) -> str:
+    """A non-str dict key as the string the stdlib encoder writes for it."""
+    if k is None or isinstance(k, (int, float)):
+        return _scalar_text(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+class _Quoted(dict):
+    """Each string's JSON literal, escaped on first use."""
+
+    __slots__ = ()
+
+    def __missing__(self, s: str) -> str:
+        q = self[s] = encode_basestring(s)
+        return q
+
+
+def dump_json(obj) -> str:
+    """The text the stdlib's json `dumps(obj, indent=2, ensure_ascii=False)`
+    returns, byte for byte.
+
+    With indent set, the stdlib (before Python 3.13) leaves its C encoder
+    for a pure-Python one built from nested generators, and escapes every
+    occurrence of a string again.  The layers of a canonical sequence name
+    their vertices and edges by nesting the escaped names of the layer
+    before, so the same long names recur many times.  This writer walks the
+    value once, escapes each distinct string once per call, appends every
+    piece to one list and joins it once; long literals are appended, never
+    concatenated.  It accepts what the stdlib call accepts by default,
+    prints int and float subclasses as the built-in type, and raises
+    TypeError for anything else.
+    """
+    quoted = _Quoted()
+    chunks: list[str] = []
+    emit = chunks.append
+
+    def write(v, indent: str) -> None:  # indent: newline and v's own indentation
+        if isinstance(v, str):
+            emit(quoted[v])
+        elif isinstance(v, (list, tuple)):
+            if not v:
+                emit("[]")
+                return
+            inner = indent + "  "
+            sep, comma = "[" + inner, "," + inner
+            for item in v:
+                emit(sep)
+                sep = comma
+                if isinstance(item, str):
+                    emit(quoted[item])
+                else:
+                    write(item, inner)
+            emit(indent + "]")
+        elif isinstance(v, dict):
+            if not v:
+                emit("{}")
+                return
+            inner = indent + "  "
+            sep, comma = "{" + inner, "," + inner
+            for key, item in v.items():
+                emit(sep)
+                sep = comma
+                emit(quoted[key if isinstance(key, str) else _key_text(key)])
+                emit(": ")
+                if isinstance(item, str):
+                    emit(quoted[item])
+                else:
+                    write(item, inner)
+            emit(indent + "}")
+        else:
+            emit(_scalar_text(v))
+
+    write(obj, "\n")
+    return "".join(chunks)
+
+
 # file format ---------------------------------------------------------------
 #
 # Canonical form: a JSON map with keys, in order: "vertices" (list of
@@ -408,7 +506,7 @@ def to_obj(g: SeparatedGraph) -> dict:
 
 
 def serialize(g: SeparatedGraph) -> bytes:
-    return (json.dumps(to_obj(g), indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    return (dump_json(to_obj(g)) + "\n").encode("utf-8")
 
 
 _TOP_KEYS = frozenset(("vertices", "edges", "separation", "bipartite"))

@@ -1,6 +1,7 @@
 """Dense reference computations that the tests check sepk against.
 
-Nothing in sepk calls these.  smith_diagonal reads the dense Smith form,
+Nothing in sepk calls these.  transpose flips a labeled matrix;
+smith_diagonal reads the dense Smith form,
 which never goes through the sparse unit-pivot elimination behind
 cokernel_invariants and kernel_basis; the fraction-free determinant
 decides whether a Smith transform is unimodular, and mat_mul checks that
@@ -15,11 +16,17 @@ def smith_diagonal(matrix: IntMatrix) -> tuple[int, ...]:
     return smith_normal_form(matrix)[1].diagonal()
 
 
+def transpose(matrix: IntMatrix) -> IntMatrix:
+    """The transpose of a labeled integer matrix, labels swapped."""
+    data = tuple(zip(*matrix.data)) if matrix.data else tuple(() for _ in matrix.cols)
+    return IntMatrix(matrix.cols, matrix.rows, data)
+
+
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """The product a b of two labeled integer matrices."""
     if len(a.cols) != len(b.rows):
         raise ValueError("inner dimensions do not match")
-    bt = list(zip(*b.data)) if b.data else [()] * len(b.cols)
+    bt = transpose(b).data
     out = tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a.data)
     return IntMatrix(a.rows, b.cols, out)
 

@@ -44,7 +44,7 @@ from conftest import (
     random_kernel_element,
     random_separated_graph,
 )
-from dense_oracles import smith_diagonal
+from dense_oracles import smith_diagonal, transpose
 
 
 def report(number: int, ok: bool, detail: str):
@@ -189,7 +189,7 @@ def _random_base_character(g, rng):
     them (free coordinates arbitrary, torsion coordinates rationals with
     the invariant factor as denominator).
     """
-    mt = incidence(g).difference().transpose()
+    mt = transpose(incidence(g).difference())
     _, d, v = smith_normal_form(mt)
     diag = d.diagonal()
     n = len(v.cols)

@@ -10,6 +10,7 @@ from sepk.graph_model import (
     SeparatedGraph,
     builtin,
     builtin_from_spec,
+    dump_json,
     from_obj,
     parse,
     serialize,
@@ -18,6 +19,7 @@ from sepk.graph_model import (
 
 from conftest import random_bipartite_graph, random_separated_graph
 from graph_oracles import reference_validate
+from json_oracles import UNSUPPORTED, random_value, reference
 
 
 def test_builtin_e23_shape():
@@ -367,3 +369,18 @@ def test_validate_matches_reference_on_corrupted_graphs():
         "bipartite-layers-not-partition", "bipartite-edge-direction",
         "bipartite-range-empty", "bipartite-source-empty",
     }
+
+
+def test_dump_json_matches_stdlib_on_seeded_values():
+    rng = random.Random(11)
+    for _ in range(500):
+        value = random_value(rng)
+        assert dump_json(value) == reference(value)
+
+
+@pytest.mark.parametrize("value", UNSUPPORTED.values(), ids=UNSUPPORTED)
+def test_dump_json_rejects_what_stdlib_rejects(value):
+    with pytest.raises(TypeError):
+        reference(value)
+    with pytest.raises(TypeError):
+        dump_json(value)
