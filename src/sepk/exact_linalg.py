@@ -58,9 +58,6 @@ class IntMatrix:
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.data]
 
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.data[i][i] for i in range(min(self.shape)))
-
     def format_grid(self) -> str:
         """Human-readable labeled grid."""
         return _format_grid(

@@ -16,8 +16,18 @@ A StarContext memoizes, for its graph, the normal form of each word.
 Normalization is linear and idempotent, so an expression normalizes to the
 sum of its words' memoized normal forms; the memo only spares repeated work
 and adds no reduction rule.  Each word is still checked, once per context,
-and a word that fails its check is not memoized, so it fails again on every
-later use.  Products are not memoized: within one context a pair of words
+and a word that fails its check gets no normal form, so it fails again on
+every later use.
+
+Beside the normal forms the context keeps each word's shape: its source and
+range vertices, its letters (edges and adjoints), whether it is sound (well
+formed, with no e* f of one group inside), and why it is malformed, if it
+is.  One kernel, StarContext._multiply_into, multiplies words for both mul
+and matmul.  Two sound words need reducing only at their junction, where
+the last letter of one meets the first of the other; their product is well
+formed, so its memoized normal form is added at once.  Any other pair goes
+the long way, reducing every letter pair as the defining relations say.
+Products themselves are not memoized: within one context a pair of words
 seldom recurs, and a pair memo held memory without saving time.
 
 The module also builds the labeled generator matrices realizing the K_1
@@ -31,7 +41,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .exact_linalg import _format_grid
 from .graph_model import GroupKey, SeparatedGraph, group_label
@@ -145,6 +155,7 @@ class StarContext:
             for eid in g.group(key):
                 self.group_of[eid] = key
         self._normal: dict[Word, tuple[tuple[Word, int], ...]] = {}
+        self._shape_of: dict[Word, tuple] = {}
 
     # constructors ----------------------------------------------------------
 
@@ -167,62 +178,6 @@ class StarContext:
 
     # word plumbing ----------------------------------------------------------
 
-    def _dom(self, word: Word) -> str:
-        tag = word[0]
-        g = self.graph
-        if tag == "v":
-            return word[1]
-        if tag == "e":
-            return g.edge(word[1]).src
-        if tag == "a":
-            return g.edge(word[1]).dst
-        if tag == "ea":
-            return g.edge(word[2]).dst
-        return g.edge(word[2]).src  # "ae"
-
-    def _cod(self, word: Word) -> str:
-        tag = word[0]
-        g = self.graph
-        if tag == "v":
-            return word[1]
-        if tag == "e":
-            return g.edge(word[1]).dst
-        if tag == "a":
-            return g.edge(word[1]).src
-        if tag == "ea":
-            return g.edge(word[1]).dst
-        return g.edge(word[1]).src  # "ae"
-
-    def _check_word(self, word: Word):
-        tag = word[0]
-        g = self.graph
-        if tag == "v":
-            if not g.has_vertex(word[1]):
-                raise MalformedExpressionError(f"unknown vertex {word[1]!r}")
-            return
-        for e in word[1:]:
-            self._known_edge(e)
-        if tag == "ea" and g.edge(word[1]).src != g.edge(word[2]).src:
-            raise MalformedExpressionError(
-                f"{word_str(word)}: sources differ, word is not composable"
-            )
-        if tag == "ae" and g.edge(word[1]).dst != g.edge(word[2]).dst:
-            raise MalformedExpressionError(
-                f"{word_str(word)}: ranges differ, word is not composable"
-            )
-
-    def _letters(self, word: Word) -> list[tuple[str, str]]:
-        tag = word[0]
-        if tag == "v":
-            return []
-        if tag == "e":
-            return [("E", word[1])]
-        if tag == "a":
-            return [("A", word[1])]
-        if tag == "ea":
-            return [("E", word[1]), ("A", word[2])]
-        return [("A", word[1]), ("E", word[2])]
-
     def _reduce_letters(self, letters: list[tuple[str, str]]):
         # Apply e* f = delta s(e) inside a group; cross-group pairs stand.
         i = 0
@@ -237,7 +192,7 @@ class StarContext:
                 i += 1
         return letters
 
-    def _word_of_letters(self, letters: list[tuple[str, str]], anchor: str) -> Word:
+    def _word_of_letters(self, letters: Sequence[tuple[str, str]], anchor: str) -> Word:
         if not letters:
             return ("v", anchor)
         if len(letters) == 1:
@@ -254,9 +209,55 @@ class StarContext:
             + " ".join(e + ("" if t == "E" else "*") for t, e in letters)
         )
 
+    def _shape(self, word: Word) -> tuple:
+        """(dom, cod, letters, sound, error) of a word, memoized on first use.
+
+        dom and cod are the word's source and range vertices; dom reads its
+        last edge, cod its first, and each is None where that edge is
+        unknown.  letters spell the word as edges "E" and adjoints "A".
+        error says why the word is malformed, or is None.  A sound word is
+        well formed and holds no e* f of one group, so the product of two
+        sound words is reduced only at their junction and is well formed.
+        """
+        tag, g = word[0], self.graph
+        if tag == "v":
+            v = word[1]
+            error = None if g.has_vertex(v) else f"unknown vertex {v!r}"
+            shape: tuple = (v, v, (), error is None, error)
+        else:
+            e, f = word[1], word[-1]
+            first = g.edge(e) if g.has_edge(e) else None
+            last = first if f == e else g.edge(f) if g.has_edge(f) else None
+            cod = None if first is None else first.dst if tag in ("e", "ea") else first.src
+            dom = None if last is None else last.src if tag in ("e", "ae") else last.dst
+            if tag == "e":
+                letters: tuple = (("E", e),)
+            elif tag == "a":
+                letters = (("A", e),)
+            elif tag == "ea":
+                letters = (("E", e), ("A", f))
+            else:
+                letters = (("A", e), ("E", f))
+            if first is None or last is None:
+                error = f"unknown edge {e if first is None else f!r}"
+            elif tag == "ea" and first.src != last.src:
+                error = f"{word_str(word)}: sources differ, word is not composable"
+            elif tag == "ae" and first.dst != last.dst:
+                error = f"{word_str(word)}: ranges differ, word is not composable"
+            else:
+                error = None
+            sound = error is None and (
+                tag != "ae" or self.group_of[e] != self.group_of[f]
+            )
+            shape = (dom, cod, letters, sound, error)
+        self._shape_of[word] = shape
+        return shape
+
     def _word_normal(self, word: Word) -> tuple[tuple[Word, int], ...]:
         """Normal form of one word, checked; memoized once the check passes."""
-        self._check_word(word)
+        error = (self._shape_of.get(word) or self._shape(word))[4]
+        if error is not None:
+            raise MalformedExpressionError(error)
         if word[0] == "ae":
             e, f = word[1], word[2]
             if self.group_of[e] != self.group_of[f]:
@@ -309,22 +310,88 @@ class StarContext:
 
     def mul(self, a: FormalExpr, b: FormalExpr) -> FormalExpr:
         """Product in the algebra, normalized."""
-        return FormalExpr.of(self._normal_terms(self._product_terms(a, b)))
+        cells: dict[int, dict[Word, int]] = {}
+        self._multiply_into(a.terms, ((0, b.terms),), cells)
+        return FormalExpr.of(cells.get(0, {}))
 
-    def _product_terms(self, a: FormalExpr, b: FormalExpr) -> dict[Word, int]:
-        """The unnormalized product of a and b, zero coefficients dropped."""
-        acc: dict[Word, int] = {}
-        for w1, c1 in a.terms.items():
-            for w2, c2 in b.terms.items():
-                if self._dom(w1) != self._cod(w2):
-                    continue
-                letters = self._letters(w1) + self._letters(w2)
-                reduced = self._reduce_letters(letters)
-                if reduced is None:
-                    continue
-                word = self._word_of_letters(reduced, self._dom(w2))
-                acc[word] = acc.get(word, 0) + c1 * c2
-        return {w: c for w, c in acc.items() if c}
+    def _multiply_into(
+        self,
+        left: Mapping[Word, int],
+        row: Iterable[tuple[Hashable, Mapping[Word, int]]],
+        cells: dict,
+    ) -> None:
+        """Add the normal form of left * right into cells[j], for each (j, right) of row.
+
+        This is the one place where words are multiplied.  The product of
+        two sound words is well formed, so its normal form goes straight
+        into the cell.  Any other product is collected first; then its
+        nonzero words are normalized, each checked, in the order they arose.
+        A cell is created once a product leaves a word in it.
+        """
+        shape_of, group_of, normal = self._shape_of, self.group_of, self._normal
+        spare: dict[Word, int] = {}
+        for j, right in row:
+            acc = cells.get(j, spare)
+            rest: dict[Word, int] | None = None
+            for w1, c1 in left.items():
+                s1 = shape_of.get(w1) or self._shape(w1)
+                dom1, _, letters1, sound1, _ = s1
+                for w2, c2 in right.items():
+                    s2 = shape_of.get(w2) or self._shape(w2)
+                    dom2, cod2, letters2, sound2, _ = s2
+                    if not (sound1 and sound2):
+                        word = self._long_product(w1, s1, w2, s2)
+                        if word is not None:
+                            if rest is None:
+                                rest = {}
+                            rest[word] = rest.get(word, 0) + c1 * c2
+                        continue
+                    if dom1 != cod2:
+                        continue
+                    if not letters1:
+                        word = w2
+                    elif not letters2:
+                        word = w1
+                    else:
+                        (t1, e1), (t2, e2) = letters1[-1], letters2[0]
+                        if t1 == "A" and t2 == "E" and group_of[e1] == group_of[e2]:
+                            if e1 != e2:
+                                continue  # distinct edges of one group annihilate
+                            word = self._word_of_letters(letters1[:-1] + letters2[1:], dom2)
+                        else:
+                            word = self._word_of_letters(letters1 + letters2, dom2)
+                    coef = c1 * c2
+                    if coef:
+                        nf = normal.get(word)
+                        if nf is None:
+                            nf = self._word_normal(word)
+                        for w, c in nf:
+                            acc[w] = acc.get(w, 0) + coef * c
+            if rest:
+                self._normal_terms({w: c for w, c in rest.items() if c}, acc)
+            if acc is spare and spare:
+                cells[j] = spare
+                spare = {}
+
+    def _long_product(self, w1: Word, s1: tuple, w2: Word, s2: tuple) -> Word | None:
+        """The word w1 w2 from the shapes s1, s2, or None when it is zero.
+
+        Every letter pair is reduced.  An end that names an unknown edge
+        raises KeyError when it is read, as looking the edge up would.
+        """
+        dom1, cod2 = s1[0], s2[1]
+        if dom1 is None:
+            raise KeyError(w1[-1])
+        if cod2 is None:
+            raise KeyError(w2[1])
+        if dom1 != cod2:
+            return None
+        reduced = self._reduce_letters(list(s1[2] + s2[2]))
+        if reduced is None:
+            return None
+        if s2[0] is None:
+            raise KeyError(w2[-1])
+        return self._word_of_letters(reduced, s2[0])
 
 
 # formal matrices -------------------------------------------------------------
@@ -369,25 +436,33 @@ def _label_str(label) -> str:
 
 
 def matmul(ctx: StarContext, a: FormalMatrix, b: FormalMatrix) -> FormalMatrix:
+    """a b, its entries normalized.
+
+    Pairs of entries are multiplied by row of a, then inner index, then
+    column of b, so the first bad pair raises whatever order the entries
+    were given in.
+    """
     if len(a.cols) != len(b.rows):
         raise ValueError("inner dimensions do not match")
-    by_row: dict[int, list[tuple[int, FormalExpr]]] = {}
-    for (k, j), expr in b.entries.items():
-        by_row.setdefault(k, []).append((j, expr))
-    acc: dict[tuple[int, int], dict[Word, int]] = {}
-    for (i, k), left in a.entries.items():
-        for j, right in by_row.get(k, ()):
-            # ctx.mul(left, right), summed into the entry in place
-            prod = ctx._product_terms(left, right)
-            if prod:
-                ctx._normal_terms(prod, acc.setdefault((i, j), {}))
+    by_row: dict[int, list[tuple[int, dict[Word, int]]]] = {}
+    for (k, j), expr in sorted(b.entries.items()):
+        by_row.setdefault(k, []).append((j, expr.terms))
+    cells_by_row: dict[int, dict[int, dict[Word, int]]] = {}
+    for (i, k), expr in sorted(a.entries.items()):
+        row = by_row.get(k)
+        if row:
+            cells = cells_by_row.get(i)
+            if cells is None:
+                cells = cells_by_row[i] = {}
+            ctx._multiply_into(expr.terms, row, cells)
     # A sum of normal forms is a normal form: normalization is a linear
     # projection, and each word here came out of one, checked.
     entries = {}
-    for pos, terms in acc.items():
-        norm = FormalExpr.of(terms)
-        if not norm.is_zero:
-            entries[pos] = norm
+    for i, cells in cells_by_row.items():
+        for j, terms in cells.items():
+            norm = FormalExpr.of(terms)
+            if norm.terms:
+                entries[(i, j)] = norm
     return FormalMatrix(a.rows, b.cols, entries)
 
 
@@ -395,8 +470,12 @@ def matrices_equal(ctx: StarContext, a: FormalMatrix, b: FormalMatrix):
     """None when equal, else (position, difference) of the first mismatch."""
     if len(a.rows) != len(b.rows) or len(a.cols) != len(b.cols):
         return ((-1, -1), ZERO)
-    for pos in sorted(set(a.entries) | set(b.entries)):
-        diff = ctx.normalize(a.entry(*pos) - b.entry(*pos))
+    ae, be = a.entries, b.entries
+    for pos in sorted(ae.keys() | be.keys()):
+        left, right = ae.get(pos, ZERO), be.get(pos, ZERO)
+        if left.terms == right.terms:
+            continue  # the difference is zero before normalizing
+        diff = ctx.normalize(left - right)
         if not diff.is_zero:
             return (pos, diff)
     return None

@@ -513,6 +513,19 @@ _TOP_KEYS = frozenset(("vertices", "edges", "separation", "bipartite"))
 _EDGE_KEYS = frozenset(("id", "src", "dst"))
 
 
+def _encodable(name: str) -> bool:
+    """False for a name holding a lone surrogate: no UTF-8 output can carry it.
+
+    JSON's \\uXXXX escapes can write one, and every other string of a graph
+    is checked against the vertex and edge ids.
+    """
+    try:
+        name.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def from_obj(obj: object, location: str = "graph") -> SeparatedGraph:
     """Build a graph from parsed JSON, checking shape and referential integrity.
 
@@ -535,6 +548,11 @@ def from_obj(obj: object, location: str = "graph") -> SeparatedGraph:
     for i, v in enumerate(raw_vs):
         if not isinstance(v, str):
             raise GraphFormatError("vertex id must be a string", f"{location}.vertices[{i}]")
+        if not (v.isascii() or _encodable(v)):
+            raise GraphFormatError(
+                f"vertex id {v!r} is not UTF-8 text: surrogates not allowed",
+                f"{location}.vertices[{i}]",
+            )
         if v in vset:
             raise GraphFormatError(f"duplicate vertex id {v!r}", f"{location}.vertices[{i}]")
         vset.add(v)
@@ -552,6 +570,11 @@ def from_obj(obj: object, location: str = "graph") -> SeparatedGraph:
         eid, src, dst = e["id"], e["src"], e["dst"]
         if not (isinstance(eid, str) and isinstance(src, str) and isinstance(dst, str)):
             raise GraphFormatError("edge fields must be strings", f"{location}.edges[{i}]")
+        if not (eid.isascii() or _encodable(eid)):
+            raise GraphFormatError(
+                f"edge id {eid!r} is not UTF-8 text: surrogates not allowed",
+                f"{location}.edges[{i}].id",
+            )
         if eid in eids:
             raise GraphFormatError(f"duplicate edge id {eid!r}", f"{location}.edges[{i}]")
         if src not in vset:

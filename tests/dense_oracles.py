@@ -1,7 +1,7 @@
 """Dense reference computations that the tests check sepk against.
 
-Nothing in sepk calls these.  transpose flips a labeled matrix;
-smith_diagonal reads the dense Smith form,
+Nothing in sepk calls these.  transpose flips a labeled matrix and
+diagonal reads its main diagonal; smith_diagonal reads the dense Smith form,
 which never goes through the sparse unit-pivot elimination behind
 cokernel_invariants and kernel_basis; the fraction-free determinant
 decides whether a Smith transform is unimodular, and mat_mul checks that
@@ -11,9 +11,14 @@ the transforms multiply the input to its Smith form.
 from sepk.exact_linalg import IntMatrix, smith_normal_form
 
 
+def diagonal(matrix: IntMatrix) -> tuple[int, ...]:
+    """The entries (i, i) of a labeled integer matrix, up to its shorter side."""
+    return tuple(matrix.data[i][i] for i in range(min(matrix.shape)))
+
+
 def smith_diagonal(matrix: IntMatrix) -> tuple[int, ...]:
     """Diagonal of the dense Smith form of matrix."""
-    return smith_normal_form(matrix)[1].diagonal()
+    return diagonal(smith_normal_form(matrix)[1])
 
 
 def transpose(matrix: IntMatrix) -> IntMatrix:

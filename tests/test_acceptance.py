@@ -44,7 +44,7 @@ from conftest import (
     random_kernel_element,
     random_separated_graph,
 )
-from dense_oracles import smith_diagonal, transpose
+from dense_oracles import diagonal, smith_diagonal, transpose
 
 
 def report(number: int, ok: bool, detail: str):
@@ -191,7 +191,7 @@ def _random_base_character(g, rng):
     """
     mt = transpose(incidence(g).difference())
     _, d, v = smith_normal_form(mt)
-    diag = d.diagonal()
+    diag = diagonal(d)
     n = len(v.cols)
     y = []
     for j in range(n):

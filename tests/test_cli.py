@@ -76,6 +76,16 @@ def test_malformed_file_exits_2(tmp_path, capsys):
         code, out, err = run(capsys, command, str(latin1))
         assert code == 2 and out == ""
         assert err == "error: byte 15: not UTF-8 text: invalid continuation byte\n"
+    # a lone surrogate, written as a JSON escape, is no name: nothing could print it
+    lone = tmp_path / "lone.graph"
+    lone.write_text('{"vertices": ["\\ud800"], "edges": [], "separation": {"\\ud800": []}}')
+    for command in ("ktheory", "validate", "companion"):
+        code, out, err = run(capsys, command, str(lone))
+        assert code == 2 and out == ""
+        assert err == (
+            "error: graph.vertices[0]: vertex id '\\ud800' is not UTF-8 text:"
+            " surrogates not allowed\n"
+        )
     # nesting beyond the decoder's recursion limit
     nested = tmp_path / "nested.graph"
     nested.write_text("[" * 200000 + "]" * 200000)

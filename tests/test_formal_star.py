@@ -3,13 +3,16 @@ import random
 import pytest
 
 from sepk.formal_star import (
+    ZERO,
     FormalExpr,
+    FormalMatrix,
     MalformedExpressionError,
     StarContext,
     UnsupportedWordError,
     assemble_generator_matrices,
     build_generator_matrices,
     matmul,
+    matrices_equal,
     verify_partial_unitary,
 )
 from sepk.graph_model import builtin
@@ -232,7 +235,7 @@ def _random_expr(g, rng):
 
 def _outcome(fn, *args):
     try:
-        return ("ok", fn(*args).terms)
+        return ("ok", fn(*args))
     except (MalformedExpressionError, UnsupportedWordError, KeyError) as exc:
         return (type(exc).__name__, str(exc))
 
@@ -264,15 +267,22 @@ def test_memoized_calculus_matches_unmemoized_reference(name):
 
 
 def _reference_matmul(ref, a, b):
-    entries = {}
+    """a b by the unmemoized calculus, every entry pair in turn.
+
+    Entry pairs are taken by row of a, then by inner index, then by column
+    of b, so a product with several bad entries raises where matmul does.
+    """
+    totals = {}
     for i in range(len(a.rows)):
-        for j in range(len(b.cols)):
-            total = FormalExpr({})
-            for k in range(len(a.cols)):
-                total = total + ref.mul(a.entry(i, k), b.entry(k, j))
-            total = ref.normalize(total)
-            if not total.is_zero:
-                entries[(i, j)] = total
+        for k in range(len(a.cols)):
+            for j in range(len(b.cols)):
+                prod = ref.mul(a.entry(i, k), b.entry(k, j))
+                totals[(i, j)] = totals.get((i, j), FormalExpr({})) + prod
+    entries = {}
+    for pos, total in totals.items():
+        total = ref.normalize(total)
+        if not total.is_zero:
+            entries[pos] = total
     return entries
 
 
@@ -288,3 +298,105 @@ def test_matmul_matches_unmemoized_reference_on_generator_matrices():
         for m in (gm.z, gm.t, gm.sigma_t, gm.u):
             for a, b in ((m, m.star()), (m.star(), m)):
                 assert matmul(ctx, a, b).entries == _reference_matmul(ref, a, b)
+
+
+def _random_matrix(g, rng, rows, cols):
+    """A seeded sparse FormalMatrix of random expressions, entries in random order."""
+    cells = [(i, j) for i in range(rows) for j in range(cols)]
+    rng.shuffle(cells)
+    entries = {pos: _random_expr(g, rng) for pos in cells if rng.random() < 0.6}
+    return FormalMatrix(tuple(range(rows)), tuple(range(cols)), entries)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+def test_matmul_matches_unmemoized_reference_on_random_matrices(name):
+    g = ORACLE_GRAPHS[name]()
+    rng = random.Random(3 + sum(map(ord, name)))
+    ctx, ref = StarContext(g), ReferenceCalculus(g)
+    seen = set()
+    for _ in range(150):
+        n, m, p = (rng.randint(1, 3) for _ in range(3))
+        a, b = _random_matrix(g, rng, n, m), _random_matrix(g, rng, m, p)
+        got = _outcome(lambda: matmul(ctx, a, b).entries)
+        assert got == _outcome(_reference_matmul, ref, a, b)
+        seen.add(got[0])
+    assert {"ok", "MalformedExpressionError", "UnsupportedWordError", "KeyError"} <= seen
+
+
+def _reference_matrices_equal(ref, a, b):
+    """None when equal, else the first position, in sorted order, with a nonzero difference."""
+    if len(a.rows) != len(b.rows) or len(a.cols) != len(b.cols):
+        return ((-1, -1), ZERO)
+    for pos in sorted(set(a.entries) | set(b.entries)):
+        diff = ref.normalize(a.entry(*pos) - b.entry(*pos))
+        if not diff.is_zero:
+            return (pos, diff)
+    return None
+
+
+def _unnormalized_twin(g, expr, rng):
+    """expr plus words of normal form zero: e* e - s(e), and e* f for e != f of one group."""
+    terms = dict(expr.terms)
+    e = rng.choice(g.edges)
+    for word, coef in ((("ae", e.id, e.id), 1), (("v", e.src), -1)):
+        terms[word] = terms.get(word, 0) + coef
+    members = g.group(rng.choice(g.group_keys()))
+    if len(members) > 1:
+        terms[("ae", members[0], members[1])] = rng.choice((-2, 1, 3))
+    return FormalExpr(terms)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+def test_matrices_equal_matches_reference_on_random_matrices(name):
+    g = ORACLE_GRAPHS[name]()
+    rng = random.Random(5 + sum(map(ord, name)))
+    ctx, ref = StarContext(g), ReferenceCalculus(g)
+    seen = set()
+    for _ in range(200):
+        n, m = rng.randint(1, 3), rng.randint(1, 3)
+        a = _random_matrix(g, rng, n, m)
+        entries = {}
+        for pos, expr in a.entries.items():
+            kind = rng.randrange(5)
+            if kind == 0:
+                entries[pos] = FormalExpr(dict(expr.terms))  # equal terms
+            elif kind == 1:
+                entries[pos] = _unnormalized_twin(g, expr, rng)
+            elif kind == 2:
+                entries[pos] = _random_expr(g, rng)  # most likely a mismatch
+            elif kind == 3:
+                # the same words, one coefficient moved
+                terms = dict(expr.terms)
+                w = rng.choice(list(terms))
+                terms[w] += rng.choice((-1, 1))
+                entries[pos] = FormalExpr(terms)
+        b = FormalMatrix(a.rows, a.cols, entries)
+        if rng.random() < 0.1:
+            b = FormalMatrix(a.rows + ("extra",), a.cols, entries)
+        got = _outcome(matrices_equal, ctx, a, b)
+        assert got == _outcome(_reference_matrices_equal, ref, a, b)
+        seen.add("equal" if got == ("ok", None) else got[0])
+    assert {"equal", "ok", "MalformedExpressionError"} <= seen
+
+
+def test_matrices_equal_matches_reference_on_corrupted_sigma2():
+    g = builtin("lamplighter", [2])
+    x = {("v", 0): 1, ("v", 1): -1}
+    gm = build_generator_matrices(g, x)
+    s2 = dict(gm.sigma2)
+    c1 = next(c for c in s2 if c[2] == "w1")
+    c2 = next(c for c in s2 if c[2] == "w2")
+    s2[c1], s2[c2] = s2[c2], s2[c1]
+    bad = assemble_generator_matrices(g, x, gm.sigma1, s2)
+    ctx, ref = StarContext(g), ReferenceCalculus(g)
+    mismatches = 0
+    for m in (bad.z, bad.t, bad.sigma_t, bad.u):
+        for other in (bad.z, bad.sigma_t):
+            for a, b in (
+                (matmul(ctx, m, m.star()), matmul(ctx, other, other.star())),
+                (matmul(ctx, m.star(), m), matmul(ctx, other.star(), other)),
+            ):
+                got = matrices_equal(ctx, a, b)
+                assert got == _reference_matrices_equal(ref, a, b)
+                mismatches += got is not None
+    assert mismatches

@@ -217,6 +217,22 @@ FORMAT_ERRORS = [
         "duplicate vertex id 'q\\'\\\\\"'",
         "graph.vertices[3]",
     ),
+    # a JSON escape can write a lone surrogate, which no UTF-8 output can carry
+    (
+        _doc(vertices=["v", "w", "x\ud800"]),
+        "vertex id 'x\\ud800' is not UTF-8 text: surrogates not allowed",
+        "graph.vertices[2]",
+    ),
+    (
+        _doc(vertices=["v", "w", "\udfff", "\udfff"]),
+        "vertex id '\\udfff' is not UTF-8 text: surrogates not allowed",
+        "graph.vertices[2]",
+    ),
+    (
+        b'{"vertices": ["\\ud800"], "edges": [], "separation": {"\\ud800": []}}',
+        "vertex id '\\ud800' is not UTF-8 text: surrogates not allowed",
+        "graph.vertices[0]",
+    ),
     (_doc(edges="a"), "edges must be a list", "graph.edges"),
     (_doc(edges=[_E[0], ["a", "w", "v"]]), "edge must be a map", "graph.edges[1]"),
     (_doc(edges=[{"id": "a", "src": "w"}]), "edge must have exactly id, src, dst", "graph.edges[0]"),
@@ -229,6 +245,11 @@ FORMAT_ERRORS = [
         _doc(edges=[_E[0], {"id": "a", "src": "ghost", "dst": "v"}]),
         "duplicate edge id 'a'",
         "graph.edges[1]",
+    ),
+    (
+        _doc(edges=[_E[0], {"id": "\u00e9\udc80", "src": "ghost", "dst": "v"}]),
+        "edge id '\u00e9\\udc80' is not UTF-8 text: surrogates not allowed",
+        "graph.edges[1].id",
     ),
     (
         _doc(edges=[{"id": "a", "src": "ghost\n", "dst": "ghost"}]),
@@ -284,6 +305,13 @@ def test_parse_error_contract(data, message, location):
         parse(data)
     assert exc.value.location == location
     assert str(exc.value) == f"{location}: {message}"
+
+
+def test_escaped_surrogate_pairs_are_names():
+    # "\\ud83d\\ude00" is one code point; only a lone surrogate is refused
+    g = parse(_doc(vertices=["v", "w", "\U0001f600"], separation={"v": [["a"]], "\U0001f600": []}))
+    assert g.vertices[2] == "\U0001f600"
+    assert parse(serialize(g)).vertices == g.vertices
 
 
 def test_from_obj_error_location_prefix():
