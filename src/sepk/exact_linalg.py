@@ -55,9 +55,6 @@ class IntMatrix:
     def shape(self) -> tuple[int, int]:
         return (len(self.rows), len(self.cols))
 
-    def to_lists(self) -> list[list[int]]:
-        return [list(row) for row in self.data]
-
     def format_grid(self) -> str:
         """Human-readable labeled grid."""
         return _format_grid(

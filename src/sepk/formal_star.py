@@ -377,20 +377,20 @@ class StarContext:
         """The word w1 w2 from the shapes s1, s2, or None when it is zero.
 
         Every letter pair is reduced.  An end that names an unknown edge
-        raises KeyError when it is read, as looking the edge up would.
+        raises MalformedExpressionError when it is read, as normalize does.
         """
         dom1, cod2 = s1[0], s2[1]
         if dom1 is None:
-            raise KeyError(w1[-1])
+            raise MalformedExpressionError(f"unknown edge {w1[-1]!r}")
         if cod2 is None:
-            raise KeyError(w2[1])
+            raise MalformedExpressionError(f"unknown edge {w2[1]!r}")
         if dom1 != cod2:
             return None
         reduced = self._reduce_letters(list(s1[2] + s2[2]))
         if reduced is None:
             return None
         if s2[0] is None:
-            raise KeyError(w2[-1])
+            raise MalformedExpressionError(f"unknown edge {w2[-1]!r}")
         return self._word_of_letters(reduced, s2[0])
 
 
@@ -569,17 +569,6 @@ def _pair_blocks(left, right, block_of, what, rng=None):
             rng.shuffle(rs)
         out.update(zip(ls, rs))
     return out
-
-
-def assemble_generator_matrices(
-    g: SeparatedGraph,
-    x: Mapping[GroupKey, int],
-    sigma1: dict[RowLabel, RowLabel],
-    sigma2: dict[ColLabel, ColLabel],
-) -> GeneratorMatrices:
-    """Build the matrices for explicitly chosen bijections (testing hook)."""
-    sides = (_side_labels(g, positive_part(x)), _side_labels(g, negative_part(x)))
-    return _assemble(g, x, sides, sigma1, sigma2)
 
 
 def _assemble(

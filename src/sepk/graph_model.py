@@ -9,7 +9,9 @@ Every list order in this module is meaningful.  The order of the vertex list,
 of the edge list, of the group list C_v and of the members inside each group
 together form the order structure consumed by the transformation and K-theory
 modules (group order, source-fiber order, in-group order).  Serialization
-preserves these orders exactly, and parse(serialize(g)) == g.
+preserves these orders exactly, and parse(serialize(g)) == g.  Beside its
+names, a graph holds them as one integer form (see SeparatedGraph), which
+validation and the K-theory read.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from itertools import repeat
 from json.encoder import encode_basestring
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -81,11 +84,20 @@ class SeparatedGraph:
     layers (ranges, sources); every edge must then run from the second layer
     to the first.
 
+    Each instance also holds one integer form, which validate, incidence and
+    the canonical step read: _vindex and _eindex map vertex and edge names to
+    indexes (the last, where a name repeats), _src[j] and _dst[j] are the
+    vertex indexes of the ends of edge j, and _groups[i] holds the groups of
+    vertices[i] as tuples of edge indexes; a name that is no vertex or edge
+    is -1.  Construction derives the form from the names; parse and the
+    canonical step fill it in as they check or generate the names.
+
     Instances are immutable after construction and safe to share across
     threads.  Construction is lenient: semantic invariants (partitioning,
     bipartite shape) are checked by validate(), not here, so that broken
     candidate data can be represented and reported on.  transform's
-    ensure_valid keeps the report of its first run on the instance.
+    ensure_valid keeps the report of its first run on the instance, and a
+    layer made by the canonical step carries its passing report from birth.
     """
 
     vertices: tuple[str, ...]
@@ -99,19 +111,28 @@ class SeparatedGraph:
                 "separation must have exactly one entry per vertex "
                 f"({len(self.separation)} entries, {len(self.vertices)} vertices)"
             )
-        vindex = {v: i for i, v in enumerate(self.vertices)}
-        edge_map = {e.id: e for e in self.edges}
-        r_inv: dict[str, list[Edge]] = {v: [] for v in self.vertices}
-        s_inv: dict[str, list[Edge]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            if e.dst in r_inv:
-                r_inv[e.dst].append(e)
-            if e.src in s_inv:
-                s_inv[e.src].append(e)
-        object.__setattr__(self, "_vindex", vindex)
-        object.__setattr__(self, "_edge_map", edge_map)
-        object.__setattr__(self, "_r_inv", {v: tuple(es) for v, es in r_inv.items()})
-        object.__setattr__(self, "_s_inv", {v: tuple(es) for v, es in s_inv.items()})
+        vindex = dict(zip(self.vertices, range(len(self.vertices))))
+        ids, srcs, dsts = zip(*self.edges) if self.edges else ((), (), ())
+        eindex = dict(zip(ids, range(len(ids))))
+        vget, eget, missing = vindex.get, eindex.get, repeat(-1)
+        self.__dict__.update(
+            _vindex=vindex, _eindex=eindex,
+            _src=list(map(vget, srcs, missing)), _dst=list(map(vget, dsts, missing)),
+            _groups=tuple([
+                tuple([tuple(map(eget, grp, missing)) for grp in groups]) if groups else ()
+                for groups in self.separation
+            ]),
+        )
+
+    @classmethod
+    def _of_form(cls, vertices, edges, separation, bipartite, vindex, eindex, src, dst, groups):
+        """An instance whose integer form its producer has already built."""
+        g = object.__new__(cls)
+        g.__dict__.update(
+            vertices=vertices, edges=edges, separation=separation, bipartite=bipartite,
+            _vindex=vindex, _eindex=eindex, _src=src, _dst=dst, _groups=groups,
+        )
+        return g
 
     @classmethod
     def build(
@@ -131,13 +152,9 @@ class SeparatedGraph:
         for key in separation:
             if key not in vset:
                 raise GraphFormatError(f"separation key {key!r} is not a vertex")
-        es = tuple(e if isinstance(e, Edge) else Edge(*e) for e in edges)
-        sep = tuple(
-            tuple(tuple(group) for group in separation.get(v, ())) for v in vs
-        )
-        bp = None
-        if bipartite is not None:
-            bp = (tuple(bipartite[0]), tuple(bipartite[1]))
+        es = tuple([e if isinstance(e, Edge) else Edge(*e) for e in edges])
+        sep = tuple([tuple(map(tuple, separation.get(v, ()))) for v in vs])
+        bp = None if bipartite is None else (tuple(bipartite[0]), tuple(bipartite[1]))
         return cls(vs, es, sep, bp)
 
     # order-aware accessors ------------------------------------------------
@@ -146,19 +163,22 @@ class SeparatedGraph:
         return self._vindex[v]
 
     def edge(self, eid: str) -> Edge:
-        return self._edge_map[eid]
+        return self.edges[self._eindex[eid]]
 
     def has_vertex(self, v: str) -> bool:
         return v in self._vindex
 
     def has_edge(self, eid: str) -> bool:
-        return eid in self._edge_map
+        return eid in self._eindex
 
+    # r_inv and s_inv scan the edges: edge-list order, no index kept for them.
     def r_inv(self, v: str) -> tuple[Edge, ...]:
-        return self._r_inv[v]
+        i = self._vindex[v]
+        return tuple(e for e, d in zip(self.edges, self._dst) if d == i)
 
     def s_inv(self, v: str) -> tuple[Edge, ...]:
-        return self._s_inv[v]
+        i = self._vindex[v]
+        return tuple(e for e, s in zip(self.edges, self._src) if s == i)
 
     def groups_at(self, v: str) -> tuple[tuple[str, ...], ...]:
         return self.separation[self._vindex[v]]
@@ -169,11 +189,7 @@ class SeparatedGraph:
 
     def group_keys(self) -> tuple[GroupKey, ...]:
         """All group keys, vertices in list order, groups in C_v order."""
-        return tuple(
-            (v, i)
-            for v in self.vertices
-            for i in range(len(self.groups_at(v)))
-        )
+        return tuple((v, i) for v in self.vertices for i in range(len(self.groups_at(v))))
 
     @property
     def layer0(self) -> tuple[str, ...]:
@@ -193,122 +209,88 @@ def validate(g: SeparatedGraph) -> ValidationReport:
 
     Reported kinds: duplicate-vertex, duplicate-edge, dangling-endpoint,
     empty-group, unknown-edge, wrong-range-vertex, edge-in-multiple-groups,
-    partition-not-covering, and the bipartite-* family.
+    partition-not-covering, and the bipartite-* family.  The checks read the
+    integer form; names are read only to report a violation.
     """
     out: list[Violation] = []
-    vindex = g._vindex
-    edge_map = g._edge_map
-    if len(vindex) != len(g.vertices):
+
+    def report(kind: str, subject: str, detail: str) -> None:
+        out.append(Violation(kind, subject, detail))
+
+    vertices, edges, src, dst, vindex = g.vertices, g.edges, g._src, g._dst, g._vindex
+    n, m = len(vertices), len(edges)
+    # The index each name resolves to differs from the position only where a name repeats.
+    vpos = range(n) if len(vindex) == n else [vindex[v] for v in vertices]
+    epos = range(m) if len(g._eindex) == m else [g._eindex[e.id] for e in edges]
+    if len(vindex) != n:
         seen_v: set[str] = set()
-        for v in g.vertices:
+        for v in vertices:
             if v in seen_v:
-                out.append(Violation("duplicate-vertex", v, "vertex id appears twice"))
+                report("duplicate-vertex", v, "vertex id appears twice")
             seen_v.add(v)
-    seen_e: set[str] = set()
-    for e in g.edges:
-        if e.id in seen_e:
-            out.append(Violation("duplicate-edge", e.id, "edge id appears twice"))
-        seen_e.add(e.id)
-        if e.src not in vindex:
-            out.append(
-                Violation("dangling-endpoint", e.id, f"source vertex {e.src!r} does not exist")
-            )
-        if e.dst not in vindex:
-            out.append(
-                Violation("dangling-endpoint", e.id, f"range vertex {e.dst!r} does not exist")
-            )
+    if -1 in src or -1 in dst or len(g._eindex) != m:
+        seen_e: set[str] = set()
+        for e, s, d in zip(edges, src, dst):
+            if e.id in seen_e:
+                report("duplicate-edge", e.id, "edge id appears twice")
+            seen_e.add(e.id)
+            if s < 0:
+                report("dangling-endpoint", e.id, f"source vertex {e.src!r} does not exist")
+            if d < 0:
+                report("dangling-endpoint", e.id, f"range vertex {e.dst!r} does not exist")
 
     # Group membership: each edge in at most one group, under its own range
-    # vertex, groups nonempty.
-    owner: dict[str, tuple[str, int]] = {}
-    for v, groups in zip(g.vertices, g.separation):
+    # vertex, groups nonempty.  owner[j] is (vertex position, group position).
+    owner: list[tuple[int, int] | None] = [None] * m
+    for i, groups in enumerate(g._groups):
+        v = vpos[i]
         for gi, grp in enumerate(groups):
             if not grp:
-                out.append(
-                    Violation("empty-group", group_label((v, gi)), "group has no edges")
-                )
-            for eid in grp:
-                e = edge_map.get(eid)
-                if e is None:
-                    out.append(
-                        Violation(
-                            "unknown-edge",
-                            eid,
-                            f"listed in group {group_label((v, gi))} but not an edge",
-                        )
-                    )
+                report("empty-group", group_label((vertices[i], gi)), "group has no edges")
+            for k, j in enumerate(grp):
+                if j >= 0 and dst[j] == v and owner[j] is None:
+                    owner[j] = (i, gi)
                     continue
-                if e.dst != v:
-                    out.append(
-                        Violation(
-                            "wrong-range-vertex",
-                            eid,
-                            f"listed under {v!r} but its range is {e.dst!r}",
-                        )
-                    )
-                if eid in owner:
-                    out.append(
-                        Violation(
-                            "edge-in-multiple-groups",
-                            eid,
-                            f"appears in {group_label(owner[eid])} and {group_label((v, gi))}",
-                        )
-                    )
+                eid, here = g.separation[i][gi][k], group_label((vertices[i], gi))
+                if j < 0:
+                    report("unknown-edge", eid, f"listed in group {here} but not an edge")
+                    continue
+                if dst[j] != v:
+                    report("wrong-range-vertex", eid,
+                           f"listed under {vertices[i]!r} but its range is {edges[j].dst!r}")
+                if owner[j] is None:
+                    owner[j] = (i, gi)
                 else:
-                    owner[eid] = (v, gi)
+                    first = group_label((vertices[owner[j][0]], owner[j][1]))
+                    report("edge-in-multiple-groups", eid, f"appears in {first} and {here}")
 
     # Covering: every edge into a known vertex must be owned by a group there.
-    for e in g.edges:
-        if e.dst not in vindex:
-            continue
-        own = owner.get(e.id)
-        if own is None or own[0] != e.dst:
-            out.append(
-                Violation(
-                    "partition-not-covering",
-                    e.id,
-                    f"edge into {e.dst!r} is missing from C_{e.dst}",
-                )
-            )
+    for e, c, d in zip(edges, epos, dst):
+        own = owner[c]
+        if d >= 0 and (own is None or vpos[own[0]] != d):
+            report("partition-not-covering", e.id, f"edge into {e.dst!r} is missing from C_{e.dst}")
 
     if g.bipartite is not None:
         layer0, layer1 = g.bipartite
         l0, l1 = set(layer0), set(layer1)
         if l0 & l1:
-            out.append(
-                Violation(
-                    "bipartite-layers-overlap",
-                    ",".join(sorted(l0 & l1)),
-                    "vertex in both layers",
-                )
-            )
-        if l0 | l1 != vindex.keys() or len(layer0) + len(layer1) != len(g.vertices):
-            out.append(
-                Violation(
-                    "bipartite-layers-not-partition",
-                    "",
-                    "layers do not partition the vertex set",
-                )
-            )
-        for e in g.edges:
-            if e.dst not in l0 or e.src not in l1:
-                out.append(
-                    Violation(
-                        "bipartite-edge-direction",
-                        e.id,
-                        "edge must run from layer1 to layer0",
-                    )
-                )
+            report("bipartite-layers-overlap", ",".join(sorted(l0 & l1)), "vertex in both layers")
+        if l0 | l1 != vindex.keys() or len(layer0) + len(layer1) != n:
+            report("bipartite-layers-not-partition", "", "layers do not partition the vertex set")
+        i0, i1 = ({vindex[v] for v in layer if v in vindex} for layer in (l0, l1))
+        if not (all(map(i0.__contains__, dst)) and all(map(i1.__contains__, src))):
+            for e, s, d in zip(edges, src, dst):
+                # an end that names no vertex is looked up in the layers by its name
+                ok = d in i0 and s in i1 if s >= 0 and d >= 0 else e.dst in l0 and e.src in l1
+                if not ok:
+                    report("bipartite-edge-direction", e.id, "edge must run from layer1 to layer0")
+        received, sent = set(dst), set(src)
         for v in layer0:
-            if v in vindex and not g._r_inv[v]:
-                out.append(
-                    Violation("bipartite-range-empty", v, "layer0 vertex receives no edge")
-                )
+            if v in vindex and vindex[v] not in received:
+                report("bipartite-range-empty", v, "layer0 vertex receives no edge")
         for v in layer1:
-            if v in vindex and not g._s_inv[v]:
-                out.append(
-                    Violation("bipartite-source-empty", v, "layer1 vertex emits no edge")
-                )
+            if v in vindex and vindex[v] not in sent:
+                report("bipartite-source-empty", v, "layer1 vertex emits no edge")
 
     return ValidationReport(tuple(out))
 
@@ -544,7 +526,7 @@ def from_obj(obj: object, location: str = "graph") -> SeparatedGraph:
     raw_vs = obj["vertices"]
     if not isinstance(raw_vs, list):
         raise GraphFormatError("vertices must be a list", f"{location}.vertices")
-    vset: set[str] = set()
+    vindex: dict[str, int] = {}
     for i, v in enumerate(raw_vs):
         if not isinstance(v, str):
             raise GraphFormatError("vertex id must be a string", f"{location}.vertices[{i}]")
@@ -553,15 +535,16 @@ def from_obj(obj: object, location: str = "graph") -> SeparatedGraph:
                 f"vertex id {v!r} is not UTF-8 text: surrogates not allowed",
                 f"{location}.vertices[{i}]",
             )
-        if v in vset:
+        if v in vindex:
             raise GraphFormatError(f"duplicate vertex id {v!r}", f"{location}.vertices[{i}]")
-        vset.add(v)
+        vindex[v] = i
 
     raw_es = obj["edges"]
     if not isinstance(raw_es, list):
         raise GraphFormatError("edges must be a list", f"{location}.edges")
     edges: list[Edge] = []
-    eids: set[str] = set()
+    eindex, srcs, dsts, vget = {}, [], [], vindex.get  # the integer form, filled in as checked
+    new_edge = tuple.__new__  # Edge._make without a Python frame per edge
     for i, e in enumerate(raw_es):
         if not isinstance(e, dict):
             raise GraphFormatError("edge must be a map", f"{location}.edges[{i}]")
@@ -575,49 +558,50 @@ def from_obj(obj: object, location: str = "graph") -> SeparatedGraph:
                 f"edge id {eid!r} is not UTF-8 text: surrogates not allowed",
                 f"{location}.edges[{i}].id",
             )
-        if eid in eids:
+        if eid in eindex:
             raise GraphFormatError(f"duplicate edge id {eid!r}", f"{location}.edges[{i}]")
-        if src not in vset:
-            raise GraphFormatError(
-                f"unknown source vertex {src!r}", f"{location}.edges[{i}].src"
-            )
-        if dst not in vset:
-            raise GraphFormatError(
-                f"unknown range vertex {dst!r}", f"{location}.edges[{i}].dst"
-            )
-        eids.add(eid)
-        edges.append(Edge(eid, src, dst))
+        s, d = vget(src), vget(dst)
+        if s is None:
+            raise GraphFormatError(f"unknown source vertex {src!r}", f"{location}.edges[{i}].src")
+        if d is None:
+            raise GraphFormatError(f"unknown range vertex {dst!r}", f"{location}.edges[{i}].dst")
+        eindex[eid] = i
+        edges.append(new_edge(Edge, (eid, src, dst)))
+        srcs.append(s)
+        dsts.append(d)
 
     raw_sep = obj["separation"]
     if not isinstance(raw_sep, dict):
         raise GraphFormatError("separation must be a map", f"{location}.separation")
-    separation: dict[str, list[tuple[str, ...]]] = {}
-    for v, groups in raw_sep.items():
-        if v not in vset:
+    separation, groups, eget = [()] * len(raw_vs), [()] * len(raw_vs), eindex.get
+    for v, raw_groups in raw_sep.items():
+        i = vget(v)
+        if i is None:
             raise GraphFormatError(
                 f"separation key {v!r} is not a vertex", f"{location}.separation.{v}"
             )
-        if not isinstance(groups, list):
-            raise GraphFormatError(
-                "groups must be a list of lists", f"{location}.separation.{v}"
-            )
-        checked: list[tuple[str, ...]] = []
-        for gi, grp in enumerate(groups):
+        if not isinstance(raw_groups, list):
+            raise GraphFormatError("groups must be a list of lists", f"{location}.separation.{v}")
+        names, ints = [], []
+        for gi, grp in enumerate(raw_groups):
             if not isinstance(grp, list):
                 raise GraphFormatError(
                     "group must be a list of edge ids", f"{location}.separation.{v}[{gi}]"
                 )
-            for mi, eid in enumerate(grp):
-                if not isinstance(eid, str):
-                    raise GraphFormatError(
-                        "edge id must be a string", f"{location}.separation.{v}[{gi}][{mi}]"
-                    )
-                if eid not in eids:
-                    raise GraphFormatError(
-                        f"unknown edge id {eid!r}", f"{location}.separation.{v}[{gi}][{mi}]"
-                    )
-            checked.append(tuple(grp))
-        separation[v] = checked
+            try:
+                members = tuple(map(eget, grp))
+            except TypeError:  # an unhashable member, reported below
+                members = (None,)
+            if None in members:  # report the first bad member
+                for mi, eid in enumerate(grp):
+                    at = f"{location}.separation.{v}[{gi}][{mi}]"
+                    if not isinstance(eid, str):
+                        raise GraphFormatError("edge id must be a string", at)
+                    if eid not in eindex:
+                        raise GraphFormatError(f"unknown edge id {eid!r}", at)
+            ints.append(members)
+            names.append(tuple(grp))
+        separation[i], groups[i] = tuple(names), tuple(ints)
 
     bipartite = None
     if "bipartite" in obj:
@@ -635,12 +619,15 @@ def from_obj(obj: object, location: str = "graph") -> SeparatedGraph:
             for i, v in enumerate(layer):
                 if not isinstance(v, str):
                     raise GraphFormatError("vertex id must be a string", f"{loc}.{key}[{i}]")
-                if v not in vset:
+                if v not in vindex:
                     raise GraphFormatError(f"unknown vertex {v!r}", f"{loc}.{key}[{i}]")
-            layers.append(layer)
+            layers.append(tuple(layer))
         bipartite = (layers[0], layers[1])
 
-    return SeparatedGraph.build(raw_vs, edges, separation, bipartite)
+    return SeparatedGraph._of_form(
+        tuple(raw_vs), tuple(edges), tuple(separation), bipartite,
+        vindex, eindex, srcs, dsts, tuple(groups),
+    )
 
 
 def parse(data: bytes | str) -> SeparatedGraph:

@@ -92,16 +92,17 @@ class IncidencePair:
 
 def incidence(g: SeparatedGraph) -> IncidencePair:
     ensure_valid(g)
-    vidx = g.vertex_index
-    keys = g.group_keys()
+    src = g._src
     columns = []
-    for v, gi in keys:
-        col = {vidx(v): 1}
-        for eid in g.groups_at(v)[gi]:
-            i = vidx(g.edge(eid).src)
-            col[i] = col.get(i, 0) - 1
-        columns.append({i: x for i, x in col.items() if x})
-    return IncidencePair(g.vertices, keys, tuple(columns))
+    for i, groups in enumerate(g._groups):
+        for grp in groups:
+            col = {i: 1}
+            for s in map(src.__getitem__, grp):
+                col[s] = col.get(s, 0) - 1
+            if not col[i]:  # as many edges of the group leave v as it has: no entry
+                del col[i]
+            columns.append(col)
+    return IncidencePair(g.vertices, g.group_keys(), tuple(columns))
 
 
 # kernel elements ------------------------------------------------------------
@@ -111,17 +112,19 @@ KernelElement = dict[GroupKey, int]
 
 def element_residual(g: SeparatedGraph, x: Mapping[GroupKey, int]) -> dict[str, int]:
     """(1_C - A)x over g.vertices: +c at v and -c at s(e) for each edge e of the group."""
-    residual = dict.fromkeys(g.vertices, 0)
+    residual = [0] * len(g.vertices)
+    src, vget = g._src, g._vindex.get
     for key, coef in x.items():
         v, i = key
-        groups = g.groups_at(v) if g.has_vertex(v) else ()
+        at = vget(v)
+        groups = () if at is None else g._groups[at]
         if i not in range(len(groups)):
             raise PreconditionError(f"unknown group {group_label(key)}")
         if coef:
-            residual[v] += coef
-            for eid in groups[i]:
-                residual[g.edge(eid).src] -= coef
-    return residual
+            residual[at] += coef
+            for s in map(src.__getitem__, groups[i]):
+                residual[s] -= coef
+    return dict(zip(g.vertices, residual))
 
 
 def require_kernel_element(g: SeparatedGraph, x: Mapping[GroupKey, int]) -> None:

@@ -13,9 +13,11 @@ up the W sets whose counts are the free ranks added to the K-theory of the
 tame algebra.
 
 Steps run on integer ids; names are rendered only to build a graph, once
-per layer, so w_set_sizes names nothing.  Generated names are deterministic
-("u|x1,...,xk" for vertices and "a^x|companions" for arrows, with separator
-characters escaped) so repeated runs serialize byte-identically.
+per layer, so w_set_sizes names nothing.  A canonical step hands its integer
+arrays to the new layer as its integer form, with a passing report: the layer
+is valid by construction.  Generated names are deterministic ("u|x1,...,xk"
+for vertices and "a^x|companions" for arrows, separator characters escaped)
+so repeated runs serialize byte-identically.
 """
 
 from __future__ import annotations
@@ -108,14 +110,22 @@ class _Layer(NamedTuple):
     out: list[Sequence[int]]  # per source vertex, its edge ints in edge-list order
 
 
-def _int_layer(g: SeparatedGraph, bases, sources) -> tuple[_Layer, list[str]]:
-    """The edges of g into bases, numbered in edge-list order, and their names."""
-    into = set(bases)
-    names = [e.id for e in g.edges if e.dst in into]
-    index = {x: i for i, x in enumerate(names)}
-    groups = [[[index[x] for x in grp] for grp in g.groups_at(b)] for b in bases]
-    out = [[index[e.id] for e in g.s_inv(w) if e.dst in into] for w in sources]
-    return _Layer(groups, out), names
+def _int_layer(g: SeparatedGraph, bases, sources) -> tuple[_Layer, list[int], list]:
+    """The edges of g into bases as a layer, their indexes in g, and their sources' slots."""
+    vindex, src = g._vindex, g._src
+    into = {vindex[b] for b in bases}
+    picked = [j for j, d in enumerate(g._dst) if d in into]
+    if len(picked) == len(src):  # every edge: the numbering is g's own
+        groups = [g._groups[vindex[b]] for b in bases]
+    else:
+        number = dict(zip(picked, range(len(picked))))
+        groups = [[[number[j] for j in grp] for grp in g._groups[vindex[b]]] for b in bases]
+    slot = {vindex[w]: k for k, w in enumerate(sources)}  # every edge leaves a source
+    at = [slot[src[j]] for j in picked]
+    out: list[list[int]] = [[] for _ in sources]
+    for x, k in enumerate(at):
+        out[k].append(x)
+    return _Layer(groups, out), picked, at
 
 
 def _step(layer: _Layer) -> tuple[list[int], _Layer]:
@@ -155,37 +165,50 @@ def _raise_on_clash(kind: str, names) -> None:
         raise PreconditionError(f"generated {kind} names collide: {sorted(names)[:3]}")
 
 
-def _resolve(g: SeparatedGraph, bases, sources, separation: dict[str, list]):
-    """Generate over bases and render the names; X(x) joins separation at s(x).
+def _fresh_layer(g: SeparatedGraph, bases, sources) -> StepData:
+    """The vertices and arrows generated over bases, named, as a graph onto sources.
 
-    Returns new vertex names, new edges, roots, W names and old edge -> X(x) key.
-    """
-    layer, edge_names = _int_layer(g, bases, sources)
+    Its vertices are sources, then the tuple vertices; X(x), the arrows with
+    distinguished edge x, is a group at s(x).  Its integer form is _step's."""
+    layer, picked, at = _int_layer(g, bases, sources)
     w, new = _step(layer)
-    esc = [_esc(x) for x in edge_names]
-    ranges = [g.edge(x).src for x in edge_names]
+    old = [g.edges[j] for j in picked]
+    esc = [_esc(e.id) for e in old]
+    names: list[str] = []
     root: dict[str, str] = {}
     edges: list[Edge] = []
+    src, dst = [], []  # per arrow, the indexes of its tuple vertex and of its range vertex
+    new_edge = tuple.__new__  # Edge._make without a Python frame per arrow
     for base, groups in zip(bases, layer.groups):
         head = _esc(base) + "|"
         for tup in itertools.product(*groups):
             coords = [esc[x] for x in tup]
             v = head + ",".join(coords)
+            src += [len(sources) + len(names)] * len(tup)
+            names.append(v)
             root[v] = base
             for i, x in enumerate(tup):
                 companions = ",".join(coords[:i] + coords[i + 1 :])
-                edges.append(Edge(f"a^{coords[i]}|{companions}", v, ranges[x]))
+                edges.append(new_edge(Edge, (f"a^{coords[i]}|{companions}", v, old[x].src)))
+                dst.append(at[x])
     ids = [e.id for e in edges]
-    _raise_on_clash("vertex", root.keys() & set(g.vertices))
-    _raise_on_clash("edge", set(ids) & {e.id for e in g.edges})
+    _raise_on_clash("vertex", root.keys() & g._vindex.keys())
+    _raise_on_clash("edge", [x for x in ids if x in g._eindex])
 
-    group_of_edge: dict[str, GroupKey] = {}
-    for source, xs, groups in zip(sources, layer.out, new.groups):
-        for x, members in zip(xs, groups):
-            group_of_edge[edge_names[x]] = (source, len(separation[source]))
-            separation[source].append([ids[j] for j in members])
-    names = list(root)
-    return names, edges, root, tuple(names[t] for t in w), group_of_edge
+    separation, groups, group_of_edge = [], [], {}
+    for source, xs, grps in zip(sources, layer.out, new.groups):
+        separation.append(tuple([tuple(map(ids.__getitem__, members)) for members in grps]))
+        groups.append(tuple(map(tuple, grps)))
+        group_of_edge.update((old[x].id, (source, gi)) for gi, x in enumerate(xs))
+    vertices, empty = tuple(sources) + tuple(names), ((),) * len(names)
+    # Arrow j is numbers[j]: the edge index shares the int objects the groups hold.
+    numbers = sorted(itertools.chain.from_iterable(itertools.chain.from_iterable(new.groups)))
+    graph = SeparatedGraph._of_form(
+        vertices, tuple(edges), tuple(separation) + empty, (tuple(sources), tuple(names)),
+        dict(zip(vertices, range(len(vertices)))), dict(zip(ids, numbers)),
+        src, dst, tuple(groups) + empty,
+    )
+    return StepData(graph, tuple(names[t] for t in w), root, group_of_edge)
 
 
 def _check_input_names(g: SeparatedGraph, step: int) -> None:
@@ -217,7 +240,8 @@ def _check_input_names(g: SeparatedGraph, step: int) -> None:
         _raise_on_clash("vertex", {v for v in g.vertices if head(v, slots) is not None})
         _raise_on_clash("edge", {e.id for e in g.edges if arrow(e.id) is not None})
     else:
-        sent = {w: [e.id for e in g.s_inv(w)] for w in g.layer1}
+        layer, picked, _ = _int_layer(g, g.layer0, g.layer1)
+        sent = {w: [g.edges[picked[x]].id for x in xs] for w, xs in zip(g.layer1, layer.out)}
         _raise_on_clash("vertex", {w for w in g.layer1 if head(w, sent, arrow) is not None})
 
 
@@ -262,10 +286,11 @@ def multiresolution_data(g: SeparatedGraph, vertex_set) -> MultiresolutionData:
     """
     ensure_valid(g)
     resolved = _check_resolved_set(g, vertex_set)
-    separation = {v: [list(grp) for grp in g.groups_at(v)] for v in g.vertices}
-    names, edges, _, w_names, _ = _resolve(g, resolved, g.vertices, separation)
-    graph = SeparatedGraph.build(list(g.vertices) + names, list(g.edges) + edges, separation)
-    return MultiresolutionData(graph, resolved, w_names)
+    fresh = _fresh_layer(g, resolved, g.vertices)
+    h = fresh.graph  # its vertices are g's, then the new ones
+    separation = {v: old + new for v, old, new in zip(g.vertices, g.separation, h.separation)}
+    graph = SeparatedGraph.build(h.vertices, g.edges + h.edges, separation)
+    return MultiresolutionData(graph, resolved, fresh.w_vertices)
 
 
 def multiresolution_at(g: SeparatedGraph, vertex_set) -> SeparatedGraph:
@@ -302,11 +327,10 @@ def canonical_step_data(g: SeparatedGraph) -> StepData:
     attached at s(x) in source-fiber order.
     """
     ensure_bipartite(g, "canonical step requires a bipartite graph")
-    layer0 = list(g.layer1)
-    separation: dict[str, list] = {w: [] for w in layer0}
-    names, edges, root, w_names, group_of_edge = _resolve(g, g.layer0, layer0, separation)
-    graph = SeparatedGraph.build(layer0 + names, edges, separation, (layer0, names))
-    return StepData(graph, w_names, root, group_of_edge)
+    step = _fresh_layer(g, g.layer0, g.layer1)
+    # A valid bipartite graph resolves to a valid layer, so it carries its report.
+    object.__setattr__(step.graph, "_validation", ValidationReport(()))
+    return step
 
 
 def canonical_step(g: SeparatedGraph) -> SeparatedGraph:

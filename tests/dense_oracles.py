@@ -1,14 +1,21 @@
 """Dense reference computations that the tests check sepk against.
 
-Nothing in sepk calls these.  transpose flips a labeled matrix and
-diagonal reads its main diagonal; smith_diagonal reads the dense Smith form,
-which never goes through the sparse unit-pivot elimination behind
-cokernel_invariants and kernel_basis; the fraction-free determinant
+Nothing in sepk calls these.  to_lists copies a labeled matrix into mutable
+rows, transpose flips it and diagonal reads its main diagonal; smith_diagonal
+reads the dense Smith form, which never goes through the sparse unit-pivot
+elimination behind cokernel_invariants and kernel_basis; the fraction-free determinant
 decides whether a Smith transform is unimodular, and mat_mul checks that
-the transforms multiply the input to its Smith form.
+the transforms multiply the input to its Smith form.  reference_incidence
+spells out the columns of 1_C - A by looking every edge up by name.
 """
 
 from sepk.exact_linalg import IntMatrix, smith_normal_form
+from sepk.graph_model import SeparatedGraph
+
+
+def to_lists(matrix: IntMatrix) -> list[list[int]]:
+    """The rows of a labeled integer matrix as mutable lists."""
+    return [list(row) for row in matrix.data]
 
 
 def diagonal(matrix: IntMatrix) -> tuple[int, ...]:
@@ -43,7 +50,7 @@ def det_bareiss(matrix: IntMatrix) -> int:
         raise ValueError("determinant needs a square matrix")
     if n == 0:
         return 1
-    a = matrix.to_lists()
+    a = to_lists(matrix)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -63,3 +70,23 @@ def det_bareiss(matrix: IntMatrix) -> int:
 
 def is_unimodular(matrix: IntMatrix) -> bool:
     return abs(det_bareiss(matrix)) == 1
+
+
+def reference_incidence(g: SeparatedGraph) -> tuple[dict[int, int], ...]:
+    """The nonzero entries of each column of 1_C - A, rows by vertex position.
+
+    One column per group, vertices in list order and groups in C_v order:
+    +1 at the range vertex, -1 at the source of each member, with
+    multiplicity.
+    """
+    row = {v: i for i, v in enumerate(g.vertices)}
+    source = {e.id: e.src for e in g.edges}
+    columns = []
+    for v, groups in zip(g.vertices, g.separation):
+        for grp in groups:
+            col = {row[v]: 1}
+            for eid in grp:
+                i = row[source[eid]]
+                col[i] = col.get(i, 0) - 1
+            columns.append({i: x for i, x in col.items() if x})
+    return tuple(columns)

@@ -3,16 +3,27 @@
 ReferenceCalculus re-derives every normal form and product from the graph on
 each call, checking each word as it goes, exactly as the calculus did before
 StarContext memoized its reductions.  Tests compare the two on seeded random
-words, malformed ones included.
+words, malformed ones included.  assemble_generator_matrices builds the
+generator matrices for bijections a test chooses, so tests can corrupt them.
 """
 
 from sepk.formal_star import (
     FormalExpr,
+    GeneratorMatrices,
     MalformedExpressionError,
     UnsupportedWordError,
+    _assemble,
+    _side_labels,
     word_str,
 )
 from sepk.graph_model import SeparatedGraph
+from sepk.ktheory import negative_part, positive_part
+
+
+def assemble_generator_matrices(g: SeparatedGraph, x, sigma1, sigma2) -> GeneratorMatrices:
+    """The generator matrices of x for explicitly chosen bijections."""
+    sides = (_side_labels(g, positive_part(x)), _side_labels(g, negative_part(x)))
+    return _assemble(g, x, sides, sigma1, sigma2)
 
 
 class ReferenceCalculus:
@@ -28,6 +39,7 @@ class ReferenceCalculus:
         tag, g = word[0], self.graph
         if tag == "v":
             return word[1]
+        self._known_edge(word[-1])
         if tag == "e":
             return g.edge(word[1]).src
         if tag == "a":
@@ -40,6 +52,7 @@ class ReferenceCalculus:
         tag, g = word[0], self.graph
         if tag == "v":
             return word[1]
+        self._known_edge(word[1])
         if tag == "e":
             return g.edge(word[1]).dst
         if tag == "a":

@@ -1,8 +1,9 @@
 """Reference copy of the separated-graph validator.
 
-`reference_validate` is the straightforward validator that goes through the
-graph's public accessors, kept as the oracle that `graph_model.validate`
-(which reads the graph's indexes directly) is compared with.
+`reference_validate` is the straightforward validator that reads the
+graph's names only, through its fields and its name-keyed accessors, kept
+as the oracle that `graph_model.validate` (which reads the graph's integer
+form) is compared with.
 """
 
 from sepk.graph_model import SeparatedGraph, ValidationReport, Violation, group_label
@@ -116,13 +117,15 @@ def reference_validate(g: SeparatedGraph) -> ValidationReport:
                         "edge must run from layer1 to layer0",
                     )
                 )
+        receivers = {e.dst for e in g.edges}
+        senders = {e.src for e in g.edges}
         for v in layer0:
-            if v in seen_v and not g.r_inv(v):
+            if v in seen_v and v not in receivers:
                 out.append(
                     Violation("bipartite-range-empty", v, "layer0 vertex receives no edge")
                 )
         for v in layer1:
-            if v in seen_v and not g.s_inv(v):
+            if v in seen_v and v not in senders:
                 out.append(
                     Violation("bipartite-source-empty", v, "layer1 vertex emits no edge")
                 )

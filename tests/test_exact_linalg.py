@@ -14,7 +14,14 @@ from sepk.exact_linalg import (
     smith_normal_form,
 )
 
-from dense_oracles import det_bareiss, diagonal, is_unimodular, mat_mul, smith_diagonal
+from dense_oracles import (
+    det_bareiss,
+    diagonal,
+    is_unimodular,
+    mat_mul,
+    smith_diagonal,
+    to_lists,
+)
 
 
 def mat(rows):
@@ -26,27 +33,27 @@ def mat(rows):
 def test_snf_unimodular_2x2():
     # det = 1, so the form is the identity
     u, d, v = smith_normal_form(mat([[1, 1], [-3, -2]]))
-    assert d.to_lists() == [[1, 0], [0, 1]]
-    assert mat_mul(mat_mul(u, mat([[1, 1], [-3, -2]])), v).to_lists() == d.to_lists()
+    assert to_lists(d) == [[1, 0], [0, 1]]
+    assert to_lists(mat_mul(mat_mul(u, mat([[1, 1], [-3, -2]])), v)) == to_lists(d)
 
 
 def test_snf_rank_one():
     u, d, v = smith_normal_form(mat([[1, 1], [-3, -3]]))
-    assert d.to_lists() == [[1, 0], [0, 0]]
+    assert to_lists(d) == [[1, 0], [0, 0]]
 
 
 def test_snf_zero_matrix():
     m = mat([[0, 0], [0, 0]])
     u, d, v = smith_normal_form(m)
-    assert d.to_lists() == [[0, 0], [0, 0]]
-    assert u.to_lists() == [[1, 0], [0, 1]]
-    assert v.to_lists() == [[1, 0], [0, 1]]
+    assert to_lists(d) == [[0, 0], [0, 0]]
+    assert to_lists(u) == [[1, 0], [0, 1]]
+    assert to_lists(v) == [[1, 0], [0, 1]]
     # empty shapes: the transforms are identities of the right sizes
     for r, c in ((0, 3), (3, 0), (0, 0)):
         u, d, v = smith_normal_form(IntMatrix.from_rows(range(r), range(c), [[0] * c] * r))
         assert (u.shape, d.shape, v.shape) == ((r, r), (r, c), (c, c))
-        assert u.to_lists() == [[int(i == j) for j in range(r)] for i in range(r)]
-        assert v.to_lists() == [[int(i == j) for j in range(c)] for i in range(c)]
+        assert to_lists(u) == [[int(i == j) for j in range(r)] for i in range(r)]
+        assert to_lists(v) == [[int(i == j) for j in range(c)] for i in range(c)]
 
 
 def test_snf_properties_random():
@@ -56,7 +63,7 @@ def test_snf_properties_random():
         c = rng.randint(1, 6)
         m = mat([[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)])
         u, d, v = smith_normal_form(m)
-        assert mat_mul(mat_mul(u, m), v).to_lists() == d.to_lists()
+        assert to_lists(mat_mul(mat_mul(u, m), v)) == to_lists(d)
         assert abs(det_bareiss(u)) == 1
         assert abs(det_bareiss(v)) == 1
         diag = diagonal(d)
@@ -246,6 +253,6 @@ def test_big_integer_entries_survive():
     n = 10**40
     m = mat([[n, 1], [1, n]])
     u, d, v = smith_normal_form(m)
-    assert mat_mul(mat_mul(u, m), v).to_lists() == d.to_lists()
+    assert to_lists(mat_mul(mat_mul(u, m), v)) == to_lists(d)
     assert d.data[0][0] == 1
     assert d.data[1][1] == n * n - 1

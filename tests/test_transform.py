@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sepk.graph_model import SeparatedGraph, builtin, serialize, validate
+from sepk.graph_model import SeparatedGraph, builtin, builtin_from_spec, serialize, validate
 from sepk.ktheory import incidence, k0_tame, k_groups_full
 from sepk.transform import (
     BudgetExceededError,
@@ -15,6 +15,7 @@ from sepk.transform import (
     ensure_valid,
     multiresolution_at,
     multiresolution_data,
+    projected_step_size,
     root_of,
     w_count_formula,
     w_set_sizes,
@@ -26,6 +27,7 @@ from conftest import (
     random_bipartite_graph,
     random_separated_graph,
 )
+from graph_oracles import reference_validate
 
 
 def test_multires_e22_counts():
@@ -246,6 +248,57 @@ def test_transformations_preserve_validity_random():
         vs = admissible_vertex_set(g, rng)
         if vs:
             assert validate(multiresolution_at(g, vs)).ok
+
+
+def _int_form(g: SeparatedGraph) -> tuple:
+    return g._vindex, g._eindex, g._src, g._dst, g._groups
+
+
+def _generated_layers(count: int, budget: int = 2000) -> list[SeparatedGraph]:
+    """count layers made by canonical_step_data, each start taken to depth 3 or its budget.
+
+    The starts are five built-ins, then seeded random bipartite graphs.
+    """
+    rng = random.Random(2818)
+    starts = ["E(2,2)", "E(2,3)", "E(3,3)", "lamplighter(2)", "lamplighter(3)"]
+    layers: list[SeparatedGraph] = []
+    while len(layers) < count:
+        g = builtin_from_spec(starts.pop(0)) if starts else random_bipartite_graph(rng)
+        for _ in range(3):
+            if projected_step_size(g) > budget:
+                break
+            g = canonical_step_data(g).graph
+            layers.append(g)
+    return layers[:count]
+
+
+def test_generated_layers_carry_the_report_and_form_of_their_names():
+    for layer in _generated_layers(300):
+        rebuilt = SeparatedGraph.build(
+            layer.vertices, layer.edges, dict(zip(layer.vertices, layer.separation)),
+            layer.bipartite,
+        )
+        carried = layer.__dict__["_validation"]
+        assert carried == validate(rebuilt) == reference_validate(rebuilt)
+        assert carried.ok
+        assert _int_form(layer) == _int_form(rebuilt)
+        assert layer == rebuilt
+
+
+def test_a_sequence_validates_its_input_only(monkeypatch):
+    import sepk.transform
+
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return validate(g)
+
+    monkeypatch.setattr(sepk.transform, "validate", counted)
+    g = builtin("E", [2, 2])
+    seq = canonical_sequence(g, 3)
+    k_groups_full(seq.graphs[3])
+    assert calls == [g]
 
 
 def test_generated_vertex_name_collision_detected():
