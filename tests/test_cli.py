@@ -113,10 +113,14 @@ def test_usage_errors_exit_1(tmp_path, capsys, monkeypatch):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
-    monkeypatch.setenv("SEPK_BUDGET", "-5")
-    code, out, err = run(capsys, "sequence", "--builtin", "E(2,2)", "--depth", "1")
-    assert code == 1 and out == ""
-    assert err == "error: SEPK_BUDGET must not be negative, got -5\n"
+    for env, detail in (
+        ("-5", "must not be negative, got -5"),
+        ("abc", "must be an integer, got 'abc'"),
+    ):
+        monkeypatch.setenv("SEPK_BUDGET", env)
+        code, out, err = run(capsys, "sequence", "--builtin", "E(2,2)", "--depth", "1")
+        assert code == 1 and out == ""
+        assert err == f"error: SEPK_BUDGET {detail}\n"
 
 
 def test_builtin_range_error_exits_4(capsys):
@@ -190,8 +194,13 @@ def test_element_syntax_and_errors(capsys):
     code, out, _ = run(capsys, "delta", "--builtin", "E(3,3)", "--element", "v.1:+1,v.2:-1")
     assert code == 0
     assert out.strip() == "-1 v +3 w"
-    code, _, err = run(capsys, "delta", "--builtin", "E(3,3)", "--element", "Q:1")
-    assert code == 4
+    for element, detail in (
+        ("Q:1", "group name 'Q' is not of the form v.k"),
+        ("Y:x", "bad coefficient 'x' in 'Y:x'"),
+        ("v.7:1", "unknown group 'v.7'"),
+    ):
+        code, out, err = run(capsys, "delta", "--builtin", "E(3,3)", "--element", element)
+        assert (code, out, err) == (4, "", f"error: {detail}\n")
     code, _, err = run(capsys, "delta", "--builtin", "E(3,3)", "--element", "X:1")
     assert code == 4  # not in the kernel
 
@@ -289,8 +298,15 @@ def test_character_file_errors_exit_2(tmp_path, capsys):
     pair_bool.write_text(json.dumps({"v": 0.5, "w": [True, 0]}))
     nested = tmp_path / "nested.json"
     nested.write_text("[" * 200000 + "]" * 200000)
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text("{nope")
+    top_list = tmp_path / "top_list.json"
+    top_list.write_text("[0.5, 0.25]")
     angle = "value at '{}' must be an angle in turns or [re, im]"
     cases = [
+        (malformed, "malformed character file: "
+         "Expecting property name enclosed in double quotes"),
+        (top_list, "character file must be a map"),
         (strings, angle.format("v")),
         (angle_bool, angle.format("v")),
         (pair_bool, angle.format("w")),
