@@ -7,13 +7,17 @@ from a file (positional argument) or from a built-in family via
 given.  Output is deterministic: identical invocations print identical
 bytes.
 
-Exit codes: 0 success, 1 usage error, 2 validation or file-format failure,
-3 generated-vertex budget exceeded, 4 precondition rejection.
+Each subcommand is one row of _COMMANDS, which builds the parser.  main
+is the one place that loads the graph, prints the rendering asked for and
+maps an error to its exit code: 0 success, 1 usage error, 2 validation or
+file-format failure, 3 generated-vertex budget exceeded, 4 precondition
+rejection.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -48,9 +52,6 @@ class _Loaded:
         self.graph = graph
         self.aliases = aliases
         self.names = {key: name for name, key in aliases.items()}
-
-    def label(self, key: GroupKey) -> str:
-        return self.names.get(key, group_label(key))
 
 
 def _load_graph(args) -> _Loaded:
@@ -138,7 +139,7 @@ def _parse_element(text: str, loaded: _Loaded) -> dict[GroupKey, int]:
 
 
 def _element_obj(x: dict[GroupKey, int], loaded: _Loaded) -> dict:
-    return {loaded.label(k): c for k, c in sorted(x.items())}
+    return {loaded.names.get(k, group_label(k)): c for k, c in sorted(x.items())}
 
 
 def _is_number(val) -> bool:
@@ -191,60 +192,58 @@ def _load_character_file(path: str) -> dict[str, complex]:
 
 
 # subcommand implementations ---------------------------------------------------
+# Each returns its exit code, a renderer of its JSON object (None where the
+# text is printed in either format) and a renderer of its text.
 
 
-def _cmd_validate(args) -> int:
-    report = graph_model.validate(_load_graph(args).graph)
-    if args.format == "json":
-        print(dump_json({
-            "ok": report.ok,
-            "violations": [
-                {"kind": v.kind, "subject": v.subject, "detail": v.detail}
-                for v in report.violations
-            ],
-        }))
-    else:
-        print(str(report))
-    return EXIT_OK if report.ok else EXIT_INVALID
+def _report_output(report, key: str, entries, failure: int):
+    # a validation or verification report: its entries as JSON, str(report) as text
+    return (
+        EXIT_OK if report.ok else failure,
+        lambda: {"ok": report.ok, key: [dataclasses.asdict(e) for e in entries]},
+        lambda: str(report),
+    )
 
 
-def _cmd_ktheory(args) -> int:
+def _cmd_validate(loaded: _Loaded, args):
+    report = graph_model.validate(loaded.graph)
+    return _report_output(report, "violations", report.violations, EXIT_INVALID)
+
+
+def _cmd_ktheory(loaded: _Loaded, args):
     """K_0 and K_1; with args.tame only K_1, which the tame quotient shares."""
-    loaded = _load_graph(args)
     kg = ktheory.k_groups_full(loaded.graph)
-    if args.format == "json":
-        obj = {} if args.tame else {"k0": _invariants_obj(kg.k0)}
-        obj["k1"] = {
-            "rank": kg.k1_rank,
-            "basis": [_element_obj(vec, loaded) for vec in kg.k1_basis],
-        }
-        print(dump_json(obj))
-    else:
+
+    def as_json():
+        k1 = {"rank": kg.k1_rank, "basis": [_element_obj(vec, loaded) for vec in kg.k1_basis]}
+        return {"k1": k1} if args.tame else {"k0": _invariants_obj(kg.k0), "k1": k1}
+
+    def as_text():
         k1 = ktheory.AbelianGroupInvariants(kg.k1_rank)
         line = f"K1(tame) = {k1}" if args.tame else f"K0 = {kg.k0}, K1 = {k1}"
         if kg.k1_basis:
             line += ", basis: " if args.tame else ", K1 basis: "
             line += "; ".join(ktheory.format_element(vec, loaded.names) for vec in kg.k1_basis)
-        print(line)
-    return EXIT_OK
+        return line
+
+    return EXIT_OK, as_json, as_text
 
 
-def _cmd_k0_tame(args) -> int:
-    loaded = _load_graph(args)
+def _cmd_k0_tame(loaded: _Loaded, args):
     result = ktheory.k0_tame(loaded.graph, args.depth, budget=_budget(args))
-    if args.format == "json":
-        print(dump_json({
+    note = " [via bipartite companion]" if result.via_companion else ""
+    return (
+        EXIT_OK,
+        lambda: {
             "base": _invariants_obj(result.base),
             "layer_ranks": {str(k + 2): r for k, r in enumerate(result.layer_ranks)},
             "depth": result.depth,
             "truncated": result.truncated,
             "via_companion": result.via_companion,
             "total": _invariants_obj(result.total()),
-        }))
-    else:
-        note = " [via bipartite companion]" if result.via_companion else ""
-        print(f"K0(tame) = {result.describe()}{note}")
-    return EXIT_OK
+        },
+        lambda: f"K0(tame) = {result.describe()}{note}",
+    )
 
 
 def _vertex_list(text: str, g: SeparatedGraph) -> list[str]:
@@ -267,109 +266,84 @@ def _vertex_list(text: str, g: SeparatedGraph) -> list[str]:
     return out
 
 
-def _cmd_multires(args) -> int:
-    loaded = _load_graph(args)
-    out = transform.multiresolution_at(loaded.graph, _vertex_list(args.at, loaded.graph))
-    print(dump_json(graph_model.to_obj(out)))
-    return EXIT_OK
+def _graph_output(g: SeparatedGraph):
+    # A graph prints in the graph file format whatever --format says.
+    return EXIT_OK, None, lambda: dump_json(graph_model.to_obj(g))
 
 
-def _cmd_sequence(args) -> int:
-    loaded = _load_graph(args)
+def _cmd_multires(loaded: _Loaded, args):
+    g = loaded.graph
+    return _graph_output(transform.multiresolution_at(g, _vertex_list(args.at, g)))
+
+
+def _cmd_companion(loaded: _Loaded, args):
+    return _graph_output(transform.bipartite_companion(loaded.graph))
+
+
+def _cmd_sequence(loaded: _Loaded, args):
     seq = transform.canonical_sequence(loaded.graph, args.depth, budget=_budget(args))
-    if args.format == "json":
-        print(dump_json(seq.to_json_obj()))
-    else:
-        for n, g in enumerate(seq.graphs):
-            print(
-                f"layer {n}: {len(g.vertices)} vertices, {len(g.edges)} edges, "
-                f"{len(g.group_keys())} groups"
-            )
-        for k in sorted(seq.w_sets):
-            print(f"|W_{k}| = {len(seq.w_sets[k])}")
-    return EXIT_OK
+    return EXIT_OK, seq.to_json_obj, lambda: "\n".join([
+        *(f"layer {n}: {len(g.vertices)} vertices, {len(g.edges)} edges, "
+          f"{len(g.group_keys())} groups" for n, g in enumerate(seq.graphs)),
+        *(f"|W_{k}| = {len(seq.w_sets[k])}" for k in sorted(seq.w_sets)),
+    ])
 
 
-def _cmd_companion(args) -> int:
-    loaded = _load_graph(args)
-    out = transform.bipartite_companion(loaded.graph)
-    print(dump_json(graph_model.to_obj(out)))
-    return EXIT_OK
-
-
-def _cmd_k1_generator(args) -> int:
-    loaded = _load_graph(args)
+def _generator_matrices(loaded: _Loaded, args):
     x = _parse_element(args.element, loaded)
-    gm = build_generator_matrices(loaded.graph, x, seed=args.sigma_seed)
-    if args.format == "json":
-        print(dump_json({
+    return x, build_generator_matrices(loaded.graph, x, seed=args.sigma_seed)
+
+
+def _cmd_k1_generator(loaded: _Loaded, args):
+    x, gm = _generator_matrices(loaded, args)
+    # (JSON key, text title, matrix)
+    named = (
+        ("Z", "Z", gm.z), ("T", "T", gm.t), ("sigmaT", "sigma(T)", gm.sigma_t),
+        ("U", "U_x = Z sigma(T)*", gm.u),
+    )
+    return (
+        EXIT_OK,
+        lambda: {
             "element": _element_obj(x, loaded),
             "rows": [str(r) for r in gm.z.rows],
             "cols": [str(c) for c in gm.z.cols],
-            "Z": gm.z.cells(),
-            "T": gm.t.cells(),
-            "sigmaT": gm.sigma_t.cells(),
-            "U": gm.u.cells(),
-        }))
-    else:
-        for title, m in (
-            ("Z", gm.z), ("T", gm.t), ("sigma(T)", gm.sigma_t), ("U_x = Z sigma(T)*", gm.u)
-        ):
-            print(f"{title} =")
-            print(m.format_grid())
-    return EXIT_OK
+            **{key: m.cells() for key, _, m in named},
+        },
+        lambda: "\n".join(f"{title} =\n{m.format_grid()}" for _, title, m in named),
+    )
 
 
-def _cmd_verify_generator(args) -> int:
-    loaded = _load_graph(args)
-    x = _parse_element(args.element, loaded)
-    gm = build_generator_matrices(loaded.graph, x, seed=args.sigma_seed)
-    report = verify_partial_unitary(gm)
-    if args.format == "json":
-        print(dump_json({
-            "ok": report.ok,
-            "checks": [
-                {"name": c.name, "ok": c.ok, "detail": c.detail} for c in report.checks
-            ],
-        }))
-    else:
-        print(str(report))
-    return EXIT_OK if report.ok else EXIT_PRECONDITION
+def _cmd_verify_generator(loaded: _Loaded, args):
+    report = verify_partial_unitary(_generator_matrices(loaded, args)[1])
+    return _report_output(report, "checks", report.checks, EXIT_PRECONDITION)
 
 
-def _cmd_phi(args) -> int:
-    loaded = _load_graph(args)
+def _cmd_phi(loaded: _Loaded, args):
     x = _parse_element(args.element, loaded)
     image, step = ktheory._phi_with_step(loaded.graph, x)
     provenance = {key: f"X({eid})" for eid, key in step.group_of_edge.items()}
-    if args.format == "json":
-        print(dump_json({
+    return (
+        EXIT_OK,
+        lambda: {
             "element": _element_obj(x, loaded),
             "image": {group_label(k): c for k, c in sorted(image.items())},
             "groups": {group_label(k): provenance[k] for k in sorted(provenance)},
-        }))
-    else:
-        print(ktheory.format_element(image, provenance))
-    return EXIT_OK
+        },
+        lambda: ktheory.format_element(image, provenance),
+    )
 
 
-def _cmd_delta(args) -> int:
-    loaded = _load_graph(args)
+def _cmd_delta(loaded: _Loaded, args):
     x = _parse_element(args.element, loaded)
     image = ktheory.connecting_map_image(loaded.graph, x)
-    if args.format == "json":
-        print(dump_json({
-            "element": _element_obj(x, loaded),
-            "image": dict(sorted(image.items())),
-        }))
-    else:
-        terms = [f"{c:+d} {v}" for v, c in sorted(image.items())]
-        print(" ".join(terms) if terms else "0")
-    return EXIT_OK
+    return (
+        EXIT_OK,
+        lambda: {"element": _element_obj(x, loaded), "image": dict(sorted(image.items()))},
+        lambda: " ".join(f"{c:+d} {v}" for v, c in sorted(image.items())) or "0",
+    )
 
 
-def _cmd_character(args) -> int:
-    loaded = _load_graph(args)
+def _cmd_character(loaded: _Loaded, args):
     g = loaded.graph
     if args.at:
         vertex_set = _vertex_list(args.at, g)
@@ -380,38 +354,68 @@ def _cmd_character(args) -> int:
     base = ktheory.CharacterAssignment(_load_character_file(args.base))
     free = _load_character_file(args.free)
     result, data = ktheory._extend_character_with_data(g, vertex_set, base, free)
-    out_graph = data.graph
-    errors = ktheory.character_relation_errors(out_graph, result.values)
+    errors = ktheory.character_relation_errors(data.graph, result.values)
     max_err = max((e for _, e in errors), default=0.0)
-    if args.format == "json":
-        print(dump_json({
-            "values": {
-                v: [result.values[v].real, result.values[v].imag]
-                for v in out_graph.vertices
-            },
+    values = {v: result.values[v] for v in data.graph.vertices}
+    return (
+        EXIT_OK,
+        lambda: {
+            "values": {v: [z.real, z.imag] for v, z in values.items()},
             "max_relation_error": max_err,
-        }))
-    else:
-        for v in out_graph.vertices:
-            z = result.values[v]
-            print(f"{v}: {z.real:+.12f}{z.imag:+.12f}i")
-        print(f"max relation error: {max_err:.3e}")
-    return EXIT_OK
+        },
+        lambda: "\n".join([
+            *(f"{v}: {z.real:+.12f}{z.imag:+.12f}i" for v, z in values.items()),
+            f"max relation error: {max_err:.3e}",
+        ]),
+    )
 
 
 # parser ------------------------------------------------------------------------
 
+# Every subcommand reads a graph and takes these arguments first.
+_COMMON = (
+    ("input", {"nargs": "?", "help": "graph file (JSON)"}),
+    ("--builtin", {"help": 'built-in graph, e.g. "E(2,3)" or "lamplighter(2)"'}),
+    ("--format", {"choices": ("text", "json"), "default": "text"}),
+)
+_BUDGET = ("--budget", {
+    "type": int,
+    "help": f"generated-vertex budget per step (default {transform.DEFAULT_BUDGET}, "
+    "or the SEPK_BUDGET environment variable)",
+})
+_ELEMENT = ("--element", {"required": True})
 
-def _add_common(sub, budget=False):
-    sub.add_argument("input", nargs="?", help="graph file (JSON)")
-    sub.add_argument("--builtin", help='built-in graph, e.g. "E(2,3)" or "lamplighter(2)"')
-    sub.add_argument("--format", choices=("text", "json"), default="text")
-    if budget:
-        sub.add_argument(
-            "--budget", type=int,
-            help=f"generated-vertex budget per step (default {transform.DEFAULT_BUDGET}, "
-            "or the SEPK_BUDGET environment variable)",
-        )
+# name, function, help, arguments after the common ones, defaults
+_COMMANDS = (
+    ("validate", _cmd_validate, "check the separated-graph invariants", (), {}),
+    ("ktheory", _cmd_ktheory, "K0 and K1 of the graph algebra", (), {"tame": False}),
+    ("k1-tame", _cmd_ktheory, "K1 of the tame algebra (same as K1)", (), {"tame": True}),
+    ("k0-tame", _cmd_k0_tame, "truncated K0 of the tame algebra", (
+        _BUDGET,
+        ("--depth", {"type": int, "required": True, "help": "canonical-sequence depth"}),
+    ), {}),
+    ("multires", _cmd_multires, "multiresolution at a vertex set", (
+        ("--at", {"required": True, "help": "comma-separated vertices"}),
+    ), {}),
+    ("sequence", _cmd_sequence, "canonical bipartite sequence", (
+        _BUDGET, ("--depth", {"type": int, "required": True}),
+    ), {}),
+    ("companion", _cmd_companion, "bipartite companion graph", (), {}),
+    ("k1-generator", _cmd_k1_generator, "generator matrices of a kernel element", (
+        ("--element", {"required": True, "help": 'e.g. "X:+1,Y:-1" or "v.1:+1,v.2:-1"'}),
+        ("--sigma-seed", {"type": int, "help": "random (seeded) bijection choice"}),
+    ), {}),
+    ("verify-generator", _cmd_verify_generator, "verify the generator identities", (
+        _ELEMENT, ("--sigma-seed", {"type": int}),
+    ), {}),
+    ("phi", _cmd_phi, "transport a kernel element one canonical step", (_ELEMENT,), {}),
+    ("delta", _cmd_delta, "connecting-map image of a kernel element", (_ELEMENT,), {}),
+    ("character", _cmd_character, "extend a character across a multiresolution", (
+        ("--base", {"required": True, "help": "JSON file of base values"}),
+        ("--free", {"required": True, "help": "JSON file of free values on W vertices"}),
+        ("--at", {"help": "comma-separated vertices (default: the range layer)"}),
+    ), {}),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -420,67 +424,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact K-theory workbench for separated graph algebras.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("validate", help="check the separated-graph invariants")
-    _add_common(p)
-    p.set_defaults(func=_cmd_validate)
-
-    p = subs.add_parser("ktheory", help="K0 and K1 of the graph algebra")
-    _add_common(p)
-    p.set_defaults(func=_cmd_ktheory, tame=False)
-
-    p = subs.add_parser("k1-tame", help="K1 of the tame algebra (same as K1)")
-    _add_common(p)
-    p.set_defaults(func=_cmd_ktheory, tame=True)
-
-    p = subs.add_parser("k0-tame", help="truncated K0 of the tame algebra")
-    _add_common(p, budget=True)
-    p.add_argument("--depth", type=int, required=True, help="canonical-sequence depth")
-    p.set_defaults(func=_cmd_k0_tame)
-
-    p = subs.add_parser("multires", help="multiresolution at a vertex set")
-    _add_common(p)
-    p.add_argument("--at", required=True, help="comma-separated vertices")
-    p.set_defaults(func=_cmd_multires)
-
-    p = subs.add_parser("sequence", help="canonical bipartite sequence")
-    _add_common(p, budget=True)
-    p.add_argument("--depth", type=int, required=True)
-    p.set_defaults(func=_cmd_sequence)
-
-    p = subs.add_parser("companion", help="bipartite companion graph")
-    _add_common(p)
-    p.set_defaults(func=_cmd_companion)
-
-    p = subs.add_parser("k1-generator", help="generator matrices of a kernel element")
-    _add_common(p)
-    p.add_argument("--element", required=True, help='e.g. "X:+1,Y:-1" or "v.1:+1,v.2:-1"')
-    p.add_argument("--sigma-seed", type=int, help="random (seeded) bijection choice")
-    p.set_defaults(func=_cmd_k1_generator)
-
-    p = subs.add_parser("verify-generator", help="verify the generator identities")
-    _add_common(p)
-    p.add_argument("--element", required=True)
-    p.add_argument("--sigma-seed", type=int)
-    p.set_defaults(func=_cmd_verify_generator)
-
-    p = subs.add_parser("phi", help="transport a kernel element one canonical step")
-    _add_common(p)
-    p.add_argument("--element", required=True)
-    p.set_defaults(func=_cmd_phi)
-
-    p = subs.add_parser("delta", help="connecting-map image of a kernel element")
-    _add_common(p)
-    p.add_argument("--element", required=True)
-    p.set_defaults(func=_cmd_delta)
-
-    p = subs.add_parser("character", help="extend a character across a multiresolution")
-    _add_common(p)
-    p.add_argument("--base", required=True, help="JSON file of base values")
-    p.add_argument("--free", required=True, help="JSON file of free values on W vertices")
-    p.add_argument("--at", help="comma-separated vertices (default: the range layer)")
-    p.set_defaults(func=_cmd_character)
-
+    for name, func, help_text, arguments, defaults in _COMMANDS:
+        sub = subs.add_parser(name, help=help_text)
+        for flag, options in (*_COMMON, *arguments):
+            sub.add_argument(flag, **options)
+        sub.set_defaults(func=func, **defaults)
     return parser
 
 
@@ -509,10 +457,12 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage problems; remap to the documented code 1.
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        return args.func(args)
+        code, as_json, as_text = args.func(_load_graph(args), args)
+        print(dump_json(as_json()) if as_json and args.format == "json" else as_text())
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
+    return code
 
 
 if __name__ == "__main__":
