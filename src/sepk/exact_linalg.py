@@ -55,14 +55,6 @@ class IntMatrix:
     def shape(self) -> tuple[int, int]:
         return (len(self.rows), len(self.cols))
 
-    def format_grid(self) -> str:
-        """Human-readable labeled grid."""
-        return _format_grid(
-            [str(r) for r in self.rows],
-            [str(c) for c in self.cols],
-            [[str(x) for x in row] for row in self.data],
-        )
-
 
 def _format_grid(row_heads: list[str], col_heads: list[str], cells: list[list[str]]) -> str:
     # Right-justified columns, each as wide as its widest head or cell.

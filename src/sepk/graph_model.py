@@ -171,15 +171,6 @@ class SeparatedGraph:
     def has_edge(self, eid: str) -> bool:
         return eid in self._eindex
 
-    # r_inv and s_inv scan the edges: edge-list order, no index kept for them.
-    def r_inv(self, v: str) -> tuple[Edge, ...]:
-        i = self._vindex[v]
-        return tuple(e for e, d in zip(self.edges, self._dst) if d == i)
-
-    def s_inv(self, v: str) -> tuple[Edge, ...]:
-        i = self._vindex[v]
-        return tuple(e for e, s in zip(self.edges, self._src) if s == i)
-
     def groups_at(self, v: str) -> tuple[tuple[str, ...], ...]:
         return self.separation[self._vindex[v]]
 

@@ -392,6 +392,8 @@ class CanonicalSequence:
         n = self.layer_of(v)
         if target_layer > n:
             raise PreconditionError(f"target layer {target_layer} above layer {n} of {v!r}")
+        if target_layer < 0:
+            self.layer_vertices(target_layer)  # raises: there is no such layer
         if (n - target_layer) % 2:
             raise PreconditionError(
                 f"parity mismatch: {v!r} lives in layer {n}, target {target_layer}"

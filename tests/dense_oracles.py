@@ -1,7 +1,8 @@
 """Dense reference computations that the tests check sepk against.
 
 Nothing in sepk calls these.  to_lists copies a labeled matrix into mutable
-rows, transpose flips it and diagonal reads its main diagonal; smith_diagonal
+rows, transpose flips it, diagonal reads its main diagonal and format_grid
+renders it as a labeled grid; smith_diagonal
 reads the dense Smith form, which never goes through the sparse unit-pivot
 elimination behind cokernel_invariants and kernel_basis; the fraction-free determinant
 decides whether a Smith transform is unimodular, and mat_mul checks that
@@ -9,7 +10,7 @@ the transforms multiply the input to its Smith form.  reference_incidence
 spells out the columns of 1_C - A by looking every edge up by name.
 """
 
-from sepk.exact_linalg import IntMatrix, smith_normal_form
+from sepk.exact_linalg import IntMatrix, _format_grid, smith_normal_form
 from sepk.graph_model import SeparatedGraph
 
 
@@ -21,6 +22,15 @@ def to_lists(matrix: IntMatrix) -> list[list[int]]:
 def diagonal(matrix: IntMatrix) -> tuple[int, ...]:
     """The entries (i, i) of a labeled integer matrix, up to its shorter side."""
     return tuple(matrix.data[i][i] for i in range(min(matrix.shape)))
+
+
+def format_grid(matrix: IntMatrix) -> str:
+    """The matrix as a grid of right-justified columns under its labels."""
+    return _format_grid(
+        [str(r) for r in matrix.rows],
+        [str(c) for c in matrix.cols],
+        [[str(x) for x in row] for row in matrix.data],
+    )
 
 
 def smith_diagonal(matrix: IntMatrix) -> tuple[int, ...]:

@@ -1,12 +1,23 @@
-"""Reference copy of the separated-graph validator.
+"""Reference copy of the separated-graph validator, and edge lookups by name.
 
 `reference_validate` is the straightforward validator that reads the
 graph's names only, through its fields and its name-keyed accessors, kept
 as the oracle that `graph_model.validate` (which reads the graph's integer
-form) is compared with.
+form) is compared with.  `r_inv` and `s_inv` list the edges into and out
+of a vertex, in edge-list order, by scanning every edge.
 """
 
-from sepk.graph_model import SeparatedGraph, ValidationReport, Violation, group_label
+from sepk.graph_model import Edge, SeparatedGraph, ValidationReport, Violation, group_label
+
+
+def r_inv(g: SeparatedGraph, v: str) -> tuple[Edge, ...]:
+    """The edges with range v."""
+    return tuple(e for e in g.edges if e.dst == v)
+
+
+def s_inv(g: SeparatedGraph, v: str) -> tuple[Edge, ...]:
+    """The edges with source v."""
+    return tuple(e for e in g.edges if e.src == v)
 
 
 def reference_validate(g: SeparatedGraph) -> ValidationReport:

@@ -22,6 +22,8 @@ from sepk.exact_linalg import (
     smith_normal_form,
 )
 
+from dense_oracles import format_grid
+
 
 def unit_rich(rng):
     r, c = rng.randint(1, 7), rng.randint(1, 7)
@@ -134,11 +136,11 @@ def test_int_matrix_grid_matches_golden():
         ("a", "column b", "c", 7),
         [[1, -20, 0, 3], [12345678901234567890, 0, -1, 0], [0, 0, 0, -999]],
     )
-    assert m.format_grid() == (
+    assert format_grid(m) == (
         "                                   a  column b   c     7\n"
         "             v                     1       -20   0     3\n"
         "long row label  12345678901234567890         0  -1     0\n"
         "            w2                     0         0   0  -999"
     )
-    assert IntMatrix.from_rows((), ("a", "bb"), []).format_grid() == "  a  bb"
-    assert IntMatrix.from_rows(("x",), (), [[]]).format_grid() == "   \nx  "
+    assert format_grid(IntMatrix.from_rows((), ("a", "bb"), [])) == "  a  bb"
+    assert format_grid(IntMatrix.from_rows(("x",), (), [[]])) == "   \nx  "

@@ -20,6 +20,7 @@ from sepk.transform import PreconditionError, canonical_sequence
 
 from conftest import bipartite_graph_with_kernel, random_kernel_element
 from formal_oracles import ReferenceCalculus, assemble_generator_matrices
+from graph_oracles import r_inv, s_inv
 
 
 def ctx_e(m, n):
@@ -236,8 +237,8 @@ def _random_word(g, rng):
     if kind in (6, 7):
         return ("a", e.id)
     if kind in (8, 9):
-        return ("ea", e.id, rng.choice(g.s_inv(e.src)).id)
-    return ("ae", e.id, rng.choice(g.r_inv(e.dst)).id)
+        return ("ea", e.id, rng.choice(s_inv(g, e.src)).id)
+    return ("ae", e.id, rng.choice(r_inv(g, e.dst)).id)
 
 
 def _random_expr(g, rng):

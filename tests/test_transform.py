@@ -27,7 +27,7 @@ from conftest import (
     random_bipartite_graph,
     random_separated_graph,
 )
-from graph_oracles import reference_validate
+from graph_oracles import reference_validate, s_inv
 
 
 def test_multires_e22_counts():
@@ -43,7 +43,7 @@ def test_multires_e22_counts():
     assert out.groups_at("v") == g.groups_at("v")
     for name in out.vertices[len(g.vertices) :]:
         assert out.groups_at(name) == ()
-        assert out.s_inv(name)
+        assert s_inv(out, name)
     assert validate(out).ok
 
 
@@ -186,6 +186,9 @@ def test_roots_e22():
         root_of(seq, seq.layer_vertices(2)[0], 1)
     with pytest.raises(PreconditionError):
         root_of(seq, "ghost", 0)
+    for v, target in (("v", -2), ("w", -1)):
+        with pytest.raises(PreconditionError, match=rf"^layer {target} not computed \(depth 2\)$"):
+            seq.root_of(v, target)
 
 
 def test_root_tables_point_to_bases():
