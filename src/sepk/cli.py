@@ -196,18 +196,18 @@ def _load_character_file(path: str) -> dict[str, complex]:
 # text is printed in either format) and a renderer of its text.
 
 
-def _report_output(report, key: str, entries, failure: int):
-    # a validation or verification report: its entries as JSON, str(report) as text
+def _report_output(report, key: str, failure: int):
+    # a validation or verification report: report.<key> as JSON, str(report) as text
     return (
         EXIT_OK if report.ok else failure,
-        lambda: {"ok": report.ok, key: [dataclasses.asdict(e) for e in entries]},
+        lambda: {"ok": report.ok, key: [dataclasses.asdict(e) for e in getattr(report, key)]},
         lambda: str(report),
     )
 
 
 def _cmd_validate(loaded: _Loaded, args):
     report = graph_model.validate(loaded.graph)
-    return _report_output(report, "violations", report.violations, EXIT_INVALID)
+    return _report_output(report, "violations", EXIT_INVALID)
 
 
 def _cmd_ktheory(loaded: _Loaded, args):
@@ -315,7 +315,7 @@ def _cmd_k1_generator(loaded: _Loaded, args):
 
 def _cmd_verify_generator(loaded: _Loaded, args):
     report = verify_partial_unitary(_generator_matrices(loaded, args)[1])
-    return _report_output(report, "checks", report.checks, EXIT_PRECONDITION)
+    return _report_output(report, "checks", EXIT_PRECONDITION)
 
 
 def _cmd_phi(loaded: _Loaded, args):
