@@ -13,11 +13,17 @@ up the W sets whose counts are the free ranks added to the K-theory of the
 tame algebra.
 
 Steps run on integer ids; names are rendered only to build a graph, once
-per layer, so w_set_sizes names nothing.  A canonical step hands its integer
-arrays to the new layer as its integer form, with a passing report: the layer
-is valid by construction.  Generated names are deterministic ("u|x1,...,xk"
-for vertices and "a^x|companions" for arrows, separator characters escaped)
-so repeated runs serialize byte-identically.
+per layer.  A canonical step hands its integer arrays to the new layer as its
+integer form, with a passing report: the layer is valid by construction.
+Generated names are deterministic ("u|x1,...,xk" for vertices and
+"a^x|companions" for arrows, separator characters escaped) so repeated runs
+serialize byte-identically.
+
+The W counts depend only on group sizes, so w_set_sizes builds no layer: it
+steps the coarsest equitable quotient of each layer (classes of range
+vertices, groups, edges and sources with their multiplicities, merged by
+colour refinement).  canonical_sequence runs it first, so a depth past the
+budget is refused before any layer is built.
 """
 
 from __future__ import annotations
@@ -25,7 +31,9 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .graph_model import Edge, GroupKey, SeparatedGraph, ValidationReport, to_obj, validate
@@ -154,10 +162,6 @@ def _step(layer: _Layer) -> tuple[list[int], _Layer]:
         out.extend(range(e, e + k) for e in range(e0, e0 + k * count, k))
         e0 += k * count
     return w, _Layer([[new_groups[x] for x in xs] for xs in layer.out], out)
-
-
-def _tuple_count(groups_per_base) -> int:
-    return sum(math.prod(map(len, groups)) for groups in groups_per_base)
 
 
 def _raise_on_clash(kind: str, names) -> None:
@@ -337,11 +341,6 @@ def canonical_step(g: SeparatedGraph) -> SeparatedGraph:
     return canonical_step_data(g).graph
 
 
-def projected_step_size(g: SeparatedGraph) -> int:
-    """Number of vertices the next canonical step generates."""
-    return _tuple_count(g.groups_at(u) for u in g.layer0)
-
-
 def _check_sequence_input(g: SeparatedGraph, depth: int) -> None:
     ensure_bipartite(g, "canonical sequence requires a bipartite graph")
     if depth < 0:
@@ -382,11 +381,16 @@ class CanonicalSequence:
             return self.graphs[n - 1].layer1
         raise PreconditionError(f"layer {n} not computed (depth {self.depth})")
 
+    @cached_property
+    def _layer_index(self) -> dict[str, int]:
+        # from the last layer to the first, so the first layer holding a name wins
+        return {v: n for n in reversed(range(self.depth + 2)) for v in self.layer_vertices(n)}
+
     def layer_of(self, v: str) -> int:
-        for n in range(self.depth + 2):
-            if v in set(self.layer_vertices(n)):
-                return n
-        raise PreconditionError(f"vertex {v!r} not found in any layer")
+        n = self._layer_index.get(v)
+        if n is None:
+            raise PreconditionError(f"vertex {v!r} not found in any layer")
+        return n
 
     def root_of(self, v: str, target_layer: int) -> str:
         n = self.layer_of(v)
@@ -419,16 +423,15 @@ def canonical_sequence(
 ) -> CanonicalSequence:
     """Layers 0..depth of the canonical sequence of a bipartite graph.
 
-    The sequence grows doubly exponentially; when the next layer would
-    generate more than budget vertices, a BudgetExceededError reports the
-    last completed layer.
+    The sequence grows doubly exponentially; when a layer would generate more
+    than budget vertices, a BudgetExceededError reports the last layer that
+    fits.  The layer sizes are counted first, so a refused depth builds no layer.
     """
-    _check_sequence_input(g, depth)
+    w_set_sizes(g, depth, budget)
     graphs = [g]
     w_sets: dict[int, tuple[str, ...]] = {}
     root_tables: dict[int, dict[str, str]] = {}
     for n in range(depth):
-        _check_budget(projected_step_size(graphs[n]), n, budget)
         step = canonical_step_data(graphs[n])
         graphs.append(step.graph)
         w_sets[n + 2] = step.w_vertices
@@ -436,17 +439,165 @@ def canonical_sequence(
     return CanonicalSequence(tuple(graphs), w_sets, root_tables)
 
 
+# counting on an equitable quotient ------------------------------------------
+
+_RANGE, _GROUP, _EDGE, _SOURCE = range(4)
+
+
+class _Classes(NamedTuple):
+    """A layer cut into classes of range vertices, groups, edges and sources.
+
+    Class c holds mult[c] objects of sort kind[c], and each of them lies in one
+    object of every class in up[c]: a group in its range vertex, an edge in its
+    group and at its source.  In an equitable partition every object of a
+    class p holds mult[c] // mult[p] objects of each class c inside p.
+    """
+
+    kind: list[int]
+    mult: list[int]
+    up: list[tuple[int, ...]]
+
+    def add(self, kind: int, mult: int, up: tuple[int, ...] = ()) -> int:
+        self.kind.append(kind)
+        self.mult.append(mult)
+        self.up.append(up)
+        return len(self.kind) - 1
+
+    def of(self, kind: int) -> list[int]:
+        return [c for c, k in enumerate(self.kind) if k == kind]
+
+    def inside(self) -> list[list[int]]:
+        """Per class p, the classes c with p in up[c]."""
+        inside: list[list[int]] = [[] for _ in self.kind]
+        for c, over in enumerate(self.up):
+            for p in over:
+                inside[p].append(c)
+        return inside
+
+
+def _coarsest(q: _Classes) -> _Classes:
+    """q's classes merged into the coarsest equitable partition, by colour refinement.
+
+    A class is recoloured by its colour, the colours of the classes it lies in,
+    and how many objects of each colour one of its objects holds, until no
+    colour splits; then each colour is one class.  A group's colour holds its
+    range vertex's, so the groups merged into one class lie in one range class.
+    """
+    colour = q.kind
+    while True:
+        held: list[dict[int, int]] = [{} for _ in q.kind]
+        for c, over in enumerate(q.up):
+            for p in over:
+                held[p][colour[c]] = held[p].get(colour[c], 0) + q.mult[c]
+        ids: dict[tuple, int] = {}
+        new = [
+            ids.setdefault((
+                colour[c],
+                tuple(colour[p] for p in over),
+                tuple(sorted((x, n // q.mult[c]) for x, n in held[c].items())),
+            ), len(ids))
+            for c, over in enumerate(q.up)
+        ]
+        if len(ids) == len(set(colour)):
+            break
+        colour = new
+    merged = _Classes([0] * len(ids), [0] * len(ids), [()] * len(ids))
+    for c, x in enumerate(new):
+        merged.kind[x] = q.kind[c]
+        merged.mult[x] += q.mult[c]
+        merged.up[x] = tuple(new[p] for p in q.up[c])
+    return merged
+
+
+def _tuple_classes(q: _Classes) -> _Classes:
+    """The classes of the layer after q's, before they are merged.
+
+    q's sources become its range vertices and q's edges its groups.  Its
+    sources are the tuples over q's range vertices, one class per range class
+    and multiset of edge classes taken, and the arrows of a tuple class t with
+    distinguished edge of class e make one edge class, in the group class e.
+    Among c groups of one class that each hold k_e edges of class e, the
+    multiset n is taken by multinomial(c; n) * prod(k_e ** n_e) tuples.
+    """
+    inside = q.inside()
+    nxt = _Classes([], [], [])
+    new = {s: nxt.add(_RANGE, q.mult[s]) for s in q.of(_SOURCE)}
+    for e in q.of(_EDGE):
+        new[e] = nxt.add(_GROUP, q.mult[e], (new[q.up[e][1]],))
+    for r in q.of(_RANGE):
+        takes = []
+        for grp in inside[r]:
+            k = {e: q.mult[e] // q.mult[grp] for e in inside[grp]}
+            c = q.mult[grp] // q.mult[r]
+            takes.append([
+                (n, math.factorial(c) // math.prod(map(math.factorial, n.values()))
+                 * math.prod(k[e] ** j for e, j in n.items()))
+                for n in map(Counter, itertools.combinations_with_replacement(k, c))
+            ])
+        for pick in itertools.product(*takes):
+            t = nxt.add(_SOURCE, q.mult[r] * math.prod(ways for _, ways in pick))
+            for n, _ in pick:
+                for e, j in n.items():
+                    nxt.add(_EDGE, nxt.mult[t] * j, (new[e], t))
+    return nxt
+
+
+def _quotients(g: SeparatedGraph):
+    """The coarsest equitable quotients of layers 0, 1, ... of g's sequence."""
+    layer, _, at = _int_layer(g, g.layer0, g.layer1)
+    q = _Classes([], [], [])
+    sources = [q.add(_SOURCE, 1) for _ in layer.out]
+    for groups in layer.groups:
+        r = q.add(_RANGE, 1)
+        for grp in groups:
+            gc = q.add(_GROUP, 1, (r,))
+            for x in grp:
+                q.add(_EDGE, 1, (gc, sources[at[x]]))
+    while True:
+        q = _coarsest(q)
+        yield q
+        q = _tuple_classes(q)
+
+
+def _layer_sizes(g: SeparatedGraph):
+    """Per layer 0, 1, ... of g's sequence, (multiplicity, group sizes) per range class.
+
+    Layer n + 1's range vertices are layer n's sources, and its groups are the
+    X(x) of layer n's edges x, one arrow per tuple through x.  So its sizes are
+    read off layer n's quotient, and layer n's tuples are enumerated only when
+    layer n + 2 is asked for.
+    """
+    yield [(1, [len(grp) for grp in g.groups_at(u)]) for u in g.layer0]
+    for q in _quotients(g):
+        inside = q.inside()
+        size = {grp: sum(q.mult[e] // q.mult[grp] for e in inside[grp]) for grp in q.of(_GROUP)}
+        tuples = {
+            r: math.prod(size[grp] ** (q.mult[grp] // q.mult[r]) for grp in inside[r])
+            for r in q.of(_RANGE)
+        }
+        sizes: dict[int, list[int]] = {s: [] for s in q.of(_SOURCE)}
+        for e in q.of(_EDGE):
+            grp, s = q.up[e]
+            sizes[s] += [tuples[q.up[grp][0]] // size[grp]] * (q.mult[e] // q.mult[s])
+        yield [(q.mult[s], ns) for s, ns in sizes.items()]
+
+
 def w_set_sizes(g: SeparatedGraph, depth: int, budget: int = DEFAULT_BUDGET) -> tuple[int, ...]:
-    """|W_2|, ..., |W_{depth+1}|, with the checks of canonical_sequence, unnamed."""
+    """|W_2|, ..., |W_{depth+1}|, with the checks of canonical_sequence, counted on classes.
+
+    |W_{n+2}| and |D_{n+2}|, which the budget bounds, depend only on the group
+    sizes of layer n: a range vertex with group sizes ns spans prod(ns) tuples,
+    prod(ns) - sum(ns) + len(ns) - 1 of them in W.  The sizes come from the
+    coarsest equitable quotient of layer n - 1, so depth d enumerates only the
+    classes of D_2..D_{d-1}, and never a vertex.
+    """
     _check_sequence_input(g, depth)
-    layer = _int_layer(g, g.layer0, g.layer1)[0]
     sizes = []
-    for n in range(depth):
-        _check_budget(_tuple_count(layer.groups), n, budget)
+    for n, layer in zip(range(depth), _layer_sizes(g)):
+        _check_budget(sum(m * math.prod(ns) for m, ns in layer), n, budget)
         if n < 2:
             _check_input_names(g, n)
-        w, layer = _step(layer)
-        sizes.append(len(w))
+        sizes.append(sum(m * (math.prod(ns) - sum(ns) + len(ns) - 1) for m, ns in layer))
     return tuple(sizes)
 
 

@@ -1,11 +1,15 @@
-"""Reference copy of the separated-graph validator, and edge lookups by name.
+"""Reference copy of the separated-graph validator, edge lookups by name, step sizes.
 
 `reference_validate` is the straightforward validator that reads the
 graph's names only, through its fields and its name-keyed accessors, kept
 as the oracle that `graph_model.validate` (which reads the graph's integer
 form) is compared with.  `r_inv` and `s_inv` list the edges into and out
 of a vertex, in edge-list order, by scanning every edge.
+`projected_step_size` counts the vertices a canonical step would generate
+from a built layer.
 """
+
+import math
 
 from sepk.graph_model import Edge, SeparatedGraph, ValidationReport, Violation, group_label
 
@@ -18,6 +22,11 @@ def r_inv(g: SeparatedGraph, v: str) -> tuple[Edge, ...]:
 def s_inv(g: SeparatedGraph, v: str) -> tuple[Edge, ...]:
     """The edges with source v."""
     return tuple(e for e in g.edges if e.src == v)
+
+
+def projected_step_size(g: SeparatedGraph) -> int:
+    """Number of vertices the next canonical step generates: one per tuple over layer0."""
+    return sum(math.prod(len(grp) for grp in g.groups_at(u)) for u in g.layer0)
 
 
 def reference_validate(g: SeparatedGraph) -> ValidationReport:

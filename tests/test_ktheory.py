@@ -40,6 +40,7 @@ from conftest import (
     random_separated_graph,
 )
 from dense_oracles import smith_diagonal, to_lists
+from graph_oracles import projected_step_size
 
 
 def arrow_counts(pair):
@@ -218,12 +219,24 @@ def test_k0_tame_routes_through_companion():
 
 
 def _ranks_by_oracles(g, depth, materialized, budget=10**6):
-    """|W_k| counted on the named layers of canonical_sequence(g, materialized)
-    and by w_count_formula on each source layer, up to the given depth."""
-    seq = canonical_sequence(g, materialized, budget)
-    named = tuple(len(seq.w_sets[k]) for k in range(2, materialized + 2))
-    formula = tuple(w_count_formula(h, h.layer0) for h in seq.graphs[:depth])
-    return named, formula
+    """|W_k| named on layers built one canonical step at a time, up to the
+    materialized depth, and w_count_formula on each source layer up to the
+    given depth.  A layer past the budget raises canonical_sequence's error,
+    found by counting the tuples over each built layer."""
+    graphs, named = [g], []
+    for n in range(depth):
+        size = projected_step_size(graphs[n])
+        if size > budget:
+            raise BudgetExceededError(
+                f"layer {n + 1} would generate {size} vertices "
+                f"(budget {budget}); last completed layer is {n}", n,
+            )
+        if n < materialized:
+            step = canonical_step_data(graphs[n])
+            graphs.append(step.graph)
+            named.append(len(step.w_vertices))
+    formula = tuple(w_count_formula(h, h.layer0) for h in graphs[:depth])
+    return tuple(named), formula
 
 
 @pytest.mark.parametrize(
@@ -231,15 +244,19 @@ def _ranks_by_oracles(g, depth, materialized, budget=10**6):
     [
         ("E(2,2)", 3, 3),
         ("E(2,3)", 3, 3),
-        ("E(3,3)", 3, 2),  # its layer 4 has 532 170 vertices: counted, not named
+        ("E(3,3)", 3, 2),  # its layer 4 has 531 441 vertices: counted, not named
         ("lamplighter(2)", 3, 3),
         ("lamplighter(3)", 3, 3),
+        ("E(2,2)", 4, 4),
+        ("E(2,3)", 4, 3),  # its layer 5 has 1 289 945 088 vertices
+        ("lamplighter(2)", 4, 4),
+        ("lamplighter(3)", 4, 4),
     ],
 )
 def test_k0_tame_ranks_match_materialized_layers(spec, depth, materialized):
     g = builtin_from_spec(spec)
-    named, formula = _ranks_by_oracles(g, depth, materialized)
-    ranks = k0_tame(g, depth).layer_ranks
+    named, formula = _ranks_by_oracles(g, depth, materialized, budget=10**30)
+    ranks = k0_tame(g, depth, budget=10**30).layer_ranks
     assert ranks == formula
     assert ranks[:materialized] == named
     assert k0_tame(g, 1).layer_ranks == ranks[:1]
@@ -247,17 +264,20 @@ def test_k0_tame_ranks_match_materialized_layers(spec, depth, materialized):
 
 def test_k0_tame_ranks_match_materialized_layers_random():
     rng = random.Random(41)
-    budget = 5000
-    for _ in range(50):
+    budget, depth = 20000, 3
+    refused = 0
+    for _ in range(200):
         g = random_bipartite_graph(rng)
         try:
-            named, formula = _ranks_by_oracles(g, 2, 2, budget)
+            named, formula = _ranks_by_oracles(g, depth, depth, budget)
         except BudgetExceededError as exc:
             with pytest.raises(BudgetExceededError) as tame:
-                k0_tame(g, 2, budget)
+                k0_tame(g, depth, budget)
             assert (str(tame.value), tame.value.last_layer) == (str(exc), exc.last_layer)
+            refused += 1
             continue
-        assert k0_tame(g, 2, budget).layer_ranks == named == formula
+        assert k0_tame(g, depth, budget).layer_ranks == named == formula
+    assert 20 < refused < 180
 
 
 def test_k0_tame_budget_error_matches_sequence():

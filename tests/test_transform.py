@@ -1,4 +1,7 @@
+import itertools
 import random
+import time
+from collections import Counter
 
 import pytest
 
@@ -15,11 +18,11 @@ from sepk.transform import (
     ensure_valid,
     multiresolution_at,
     multiresolution_data,
-    projected_step_size,
     root_of,
     w_count_formula,
     w_set_sizes,
 )
+from sepk.transform import _EDGE, _GROUP, _RANGE, _SOURCE, _quotients
 
 from conftest import (
     admissible_vertex_set,
@@ -27,7 +30,7 @@ from conftest import (
     random_bipartite_graph,
     random_separated_graph,
 )
-from graph_oracles import reference_validate, s_inv
+from graph_oracles import projected_step_size, reference_validate, s_inv
 
 
 def test_multires_e22_counts():
@@ -175,6 +178,20 @@ def test_sequence_budget_exceeded():
     assert "layer" in str(exc.value)
 
 
+def test_sequence_refuses_a_depth_past_the_budget_before_building(monkeypatch):
+    import sepk.transform
+
+    steps = []
+    monkeypatch.setattr(sepk.transform, "canonical_step_data", steps.append)
+    with pytest.raises(BudgetExceededError) as exc:
+        canonical_sequence(builtin("E", [2, 2]), 5)
+    assert str(exc.value) == (
+        "layer 5 would generate 67108864 vertices (budget 1000000); last completed layer is 4"
+    )
+    assert exc.value.last_layer == 4
+    assert steps == []
+
+
 def test_roots_e22():
     seq = canonical_sequence(builtin("E", [2, 2]), 2)
     for v in seq.layer_vertices(2):
@@ -189,6 +206,18 @@ def test_roots_e22():
     for v, target in (("v", -2), ("w", -1)):
         with pytest.raises(PreconditionError, match=rf"^layer {target} not computed \(depth 2\)$"):
             seq.root_of(v, target)
+
+
+def test_roots_of_every_vertex_of_a_wide_layer():
+    seq = canonical_sequence(builtin("E", [2, 2]), 4)
+    top = seq.layer_vertices(5)
+    assert len(top) == 65536
+    for v in top:
+        base = seq.root_tables[5][v]
+        assert seq.layer_of(v) == 5 and seq.layer_of(base) == 3
+        assert seq.root_of(v, 5) == v
+        assert seq.root_of(v, 3) == base
+        assert seq.root_of(v, 1) == seq.root_tables[3][base] == "w"
 
 
 def test_root_tables_point_to_bases():
@@ -417,3 +446,63 @@ def test_validation_report_is_computed_once_per_graph(monkeypatch):
     assert calls == [broken, g]
     # the kept report is not part of the graph's value
     assert g == builtin("E", [2, 2]) and hash(g) == hash(builtin("E", [2, 2]))
+
+
+BUILTINS = ["E(2,2)", "E(2,3)", "E(3,3)", "E(3,5)", "lamplighter(2)", "lamplighter(3)"]
+
+
+def _kind_totals(q) -> dict[int, int]:
+    totals = dict.fromkeys((_RANGE, _GROUP, _EDGE, _SOURCE), 0)
+    for kind, mult in zip(q.kind, q.mult):
+        totals[kind] += mult
+    return totals
+
+
+def test_quotients_count_the_objects_of_built_layers():
+    rng = random.Random(77)
+    starts = [builtin_from_spec(s) for s in BUILTINS]
+    starts += [random_bipartite_graph(rng) for _ in range(40)]
+    for g in starts:
+        try:
+            seq = canonical_sequence(g, 3, budget=6000)
+        except BudgetExceededError as exc:
+            seq = canonical_sequence(g, exc.last_layer)
+        for h, q in zip(seq.graphs, _quotients(g)):
+            assert _kind_totals(q) == {
+                _RANGE: len(h.layer0),
+                _GROUP: sum(len(h.groups_at(u)) for u in h.layer0),
+                _EDGE: len(h.edges),
+                _SOURCE: len(h.layer1),
+            }
+
+
+@pytest.mark.parametrize("spec", BUILTINS)
+def test_quotient_of_a_builtin_keeps_two_classes_of_each_sort(spec):
+    # the merge keeps every layer of a built-in down to one or two classes per sort
+    for q in itertools.islice(_quotients(builtin_from_spec(spec)), 10):
+        assert max(Counter(q.kind).values()) <= 2
+
+
+def test_w_set_sizes_enumerates_the_tuples_of_d_minus_2_layers(monkeypatch):
+    # depth d reads the sizes of layer d - 1 off the quotient of layer d - 2
+    import sepk.transform
+
+    calls = []
+    step = sepk.transform._tuple_classes
+    monkeypatch.setattr(sepk.transform, "_tuple_classes", lambda q: calls.append(q) or step(q))
+    for depth in range(6):
+        calls.clear()
+        assert w_set_sizes(builtin("E", [2, 3]), depth, budget=10**30)[:3] == (2, 64, 4830)[:depth]
+        assert len(calls) == max(depth - 2, 0)
+
+
+def test_w_set_sizes_reaches_depths_whose_layers_cannot_be_built():
+    g = builtin("E", [2, 2])
+    start = time.perf_counter()
+    ranks = w_set_sizes(g, 16, budget=10**5000)
+    assert time.perf_counter() - start < 2.0  # it takes about 1 ms
+    assert ranks[:4] == w_set_sizes(g, 4) == (1, 11, 196, 65072)
+    assert len(str(ranks[-1])) == 3950
+    with pytest.raises(BudgetExceededError) as exc:
+        w_set_sizes(g, 16, budget=10**3000)
+    assert exc.value.last_layer == 15
