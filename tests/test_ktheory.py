@@ -289,12 +289,15 @@ def test_k0_tame_budget_error_matches_sequence():
     ))
     for g in cases:
         h = g if g.bipartite else bipartite_companion(g)
-        with pytest.raises(BudgetExceededError) as seq:
-            canonical_sequence(h, 3, budget=10)
-        with pytest.raises(BudgetExceededError) as tame:
-            k0_tame(g, 3, budget=10)
-        assert str(tame.value) == str(seq.value)
-        assert tame.value.last_layer == seq.value.last_layer
+        with pytest.raises(BudgetExceededError) as want:
+            _ranks_by_oracles(h, 3, 3, budget=10)
+        for run in (lambda: canonical_sequence(h, 3, budget=10), lambda: k0_tame(g, 3, budget=10)):
+            with pytest.raises(BudgetExceededError) as got:
+                run()
+            assert (str(got.value), got.value.last_layer) == (str(want.value), want.value.last_layer)
+    with pytest.raises(BudgetExceededError) as pinned:
+        k0_tame(cases[0], 3, budget=10)
+    assert str(pinned.value) == "layer 2 would generate 16 vertices (budget 10); last completed layer is 1"
 
 
 def test_monoid_agrees_with_k0():

@@ -391,6 +391,16 @@ def _rename(g, rng, pool):
     )
 
 
+def _named_w_counts(g, depth):
+    """|W_2|, ..., |W_{depth+1}| read off layers rendered one canonical step at a time."""
+    counts = []
+    for _ in range(depth):
+        step = canonical_step_data(g)
+        counts.append(len(step.w_vertices))
+        g = step.graph
+    return tuple(counts)
+
+
 def test_name_free_collision_check_agrees_with_rendered_names():
     # names drawn from the first generated layers make collisions and many
     # near misses; the parsing check and the rendered names must decide alike
@@ -410,8 +420,9 @@ def test_name_free_collision_check_agrees_with_rendered_names():
         h = _rename(g, rng, pool)
         if h is None:
             continue
-        want = outcome(lambda: tuple(len(ws) for ws in canonical_sequence(h, 2).w_sets.values()))
+        want = outcome(lambda: _named_w_counts(h, 2))
         assert outcome(lambda: w_set_sizes(h, 2)) == want
+        assert outcome(lambda: tuple(map(len, canonical_sequence(h, 2).w_sets.values()))) == want
         collisions += isinstance(want, str)
     assert collisions >= 10
 
