@@ -19,16 +19,18 @@ and adds no reduction rule.  Each word is still checked, once per context,
 and a word that fails its check gets no normal form, so it fails again on
 every later use.
 
-Beside the normal forms the context keeps each word's shape: its source and
-range vertices, its letters (edges and adjoints), whether it is sound (well
-formed, with no e* f of one group inside), and why it is malformed, if it
-is.  One kernel, StarContext._multiply_into, multiplies words for both mul
-and matmul.  Two sound words need reducing only at their junction, where
-the last letter of one meets the first of the other; their product is well
-formed, so its memoized normal form is added at once.  Any other pair goes
-the long way, reducing every letter pair as the defining relations say.
-Products themselves are not memoized: within one context a pair of words
-seldom recurs, and a pair memo held memory without saving time.
+One table spells each word tag as its letters, edges and adjoints.
+Printing, the adjoint, shapes and products all read it or its inverse, so an
+unknown tag or a wrong number of ids raises MalformedExpressionError from
+every operation.  Beside the normal forms the context keeps each word's
+shape: its end vertices, its letters, whether it is sound (well formed, with
+no e* f of one group inside), and why it is malformed, if it is.  One
+kernel, StarContext._multiply_into, multiplies words for both mul and
+matmul.  Two sound words are reduced only at their junction, and their
+product, well formed, adds its memoized normal form at once; any other pair
+goes the long way, reducing every letter pair.  Products are not memoized:
+within one context a pair of words seldom recurs, and a pair memo held
+memory without saving time.
 
 The module also builds the labeled generator matrices realizing the K_1
 class of a kernel element (a row per unit of positive coefficient, a column
@@ -41,7 +43,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping
 
 from .exact_linalg import _format_grid
 from .graph_model import GroupKey, SeparatedGraph, group_label
@@ -68,22 +70,41 @@ class UnsupportedWordError(ValueError):
 #   ("a", e)       edge adjoint e*
 #   ("ea", e, f)   e f*   (s(e) == s(f))
 #   ("ae", e, f)   e* f   (r(e) == r(f), groups differ after normalization)
+# _KINDS spells each tag's letters, an edge "E" or an adjoint "A" per id in
+# order; a vertex word has none and names its vertex instead.  _TAG is its
+# inverse; the other tables are read off the two, so that the hot paths look
+# words up instead of building strings:
+#   _SIZE      a word's length: the tag, then its ids
+#   _STAR_TAG  the adjoint's tag: the letters reversed, edges and adjoints swapped
+#   _JOIN      the tag of two letter sequences joined, or None past two letters
+#   _PATTERN   the %-format that prints a word's ids, an adjoint with a "*"
 Word = tuple
+_KINDS = {"v": "", "e": "E", "a": "A", "ea": "EA", "ae": "AE"}
+_TAG = {k: t for t, k in _KINDS.items()}
+_SIZE = {t: 1 + (len(k) or 1) for t, k in _KINDS.items()}
+_STAR_TAG = {t: _TAG[k[::-1].translate(str.maketrans("EA", "AE"))] for t, k in _KINDS.items()}
+_JOIN = {k: {m: _TAG.get(k + m) for m in _TAG} for k in _TAG}
+_PATTERN = {t: "".join("%s*" if x == "A" else "%s" for x in k) or "%s" for t, k in _KINDS.items()}
+
+
+def _malformed(word: Word) -> MalformedExpressionError:
+    return MalformedExpressionError(f"malformed word {word!r}: unknown tag or wrong arity")
+
+
+def _word_of_letters(kinds: str, ids: tuple, anchor: str) -> Word:
+    """The word of the letters kinds[i] ids[i]; ("v", anchor) when there are none."""
+    tag = _TAG.get(kinds)
+    if tag is None:
+        letters = (_PATTERN[_TAG[k]] % e for k, e in zip(kinds, ids))  # each as its own word
+        raise UnsupportedWordError("irreducible word of length > 2: " + " ".join(letters))
+    return (tag,) + ids if ids else ("v", anchor)
 
 
 def word_str(word: Word) -> str:
-    tag = word[0]
-    if tag == "v":
-        return word[1]
-    if tag == "e":
-        return word[1]
-    if tag == "a":
-        return f"{word[1]}*"
-    if tag == "ea":
-        return f"{word[1]}{word[2]}*"
-    if tag == "ae":
-        return f"{word[1]}*{word[2]}"
-    raise ValueError(f"unknown word tag {tag!r}")
+    try:
+        return _PATTERN[word[0]] % word[1:]
+    except (KeyError, TypeError):  # an unknown tag, or ids that do not fit it
+        raise _malformed(word) from None
 
 
 @dataclass(frozen=True)
@@ -118,21 +139,15 @@ class FormalExpr:
     def star(self) -> "FormalExpr":
         flipped = {}
         for w, c in self.terms.items():
-            tag = w[0]
-            if tag == "v":
-                flipped[w] = c
-            elif tag == "e":
-                flipped[("a", w[1])] = c
-            elif tag == "a":
-                flipped[("e", w[1])] = c
-            elif tag == "ea":
-                flipped[("ea", w[2], w[1])] = c
-            elif tag == "ae":
-                flipped[("ae", w[2], w[1])] = c
+            n = len(w)
+            if n != _SIZE.get(w[0]):
+                raise _malformed(w)
+            tag = _STAR_TAG[w[0]]  # the ids reversed: one, or two
+            flipped[(tag, w[1]) if n == 2 else (tag, w[2], w[1])] = c
         return FormalExpr(flipped)
 
     def __str__(self) -> str:
-        items = sorted(self.terms.items(), key=lambda it: (it[0][0], it[0][1:]))
+        items = sorted(self.terms.items())  # by word: distinct keys, so never by coefficient
         return format_signed_sum((word_str(w), c) for w, c in items)
 
 
@@ -178,94 +193,68 @@ class StarContext:
 
     # word plumbing ----------------------------------------------------------
 
-    def _reduce_letters(self, letters: list[tuple[str, str]]):
+    def _reduce_letters(self, kinds: str, ids: tuple) -> tuple[str, tuple] | None:
         # Apply e* f = delta s(e) inside a group; cross-group pairs stand.
-        i = 0
-        while i + 1 < len(letters):
-            (t1, e1), (t2, e2) = letters[i], letters[i + 1]
-            if t1 == "A" and t2 == "E" and self.group_of[e1] == self.group_of[e2]:
-                if e1 != e2:
+        group_of, i = self.group_of, 0
+        while i + 1 < len(kinds):
+            if kinds[i : i + 2] == "AE" and group_of[ids[i]] == group_of[ids[i + 1]]:
+                if ids[i] != ids[i + 1]:
                     return None  # distinct edges of one group annihilate
-                del letters[i : i + 2]
+                kinds, ids = kinds[:i] + kinds[i + 2 :], ids[:i] + ids[i + 2 :]
                 i = max(i - 1, 0)
             else:
                 i += 1
-        return letters
-
-    def _word_of_letters(self, letters: Sequence[tuple[str, str]], anchor: str) -> Word:
-        if not letters:
-            return ("v", anchor)
-        if len(letters) == 1:
-            tag, e = letters[0]
-            return ("e", e) if tag == "E" else ("a", e)
-        if len(letters) == 2:
-            (t1, e1), (t2, e2) = letters
-            if (t1, t2) == ("E", "A"):
-                return ("ea", e1, e2)
-            if (t1, t2) == ("A", "E"):
-                return ("ae", e1, e2)
-        raise UnsupportedWordError(
-            "irreducible word of length > 2: "
-            + " ".join(e + ("" if t == "E" else "*") for t, e in letters)
-        )
+        return kinds, ids
 
     def _shape(self, word: Word) -> tuple:
-        """(dom, cod, letters, sound, error) of a word, memoized on first use.
+        """(dom, cod, kinds, ids, sound, error) of a word, memoized on first use.
 
-        dom and cod are the word's source and range vertices; dom reads its
-        last edge, cod its first, and each is None where that edge is
-        unknown.  letters spell the word as edges "E" and adjoints "A".
-        error says why the word is malformed, or is None.  A sound word is
-        well formed and holds no e* f of one group, so the product of two
-        sound words is reduced only at their junction and is well formed.
+        The word spells the letters kinds[i] ids[i].  An edge runs from s(e)
+        to r(e) and an adjoint back: dom, the word's source, is its last
+        letter's and cod, its range, its first letter's, or None where that
+        edge is unknown; the word composes where its first letter's source
+        is its last one's range.  error says why the word is malformed, or
+        is None.  A sound word is well formed and holds no e* f of one
+        group, so the product of two sound words is reduced only at their
+        junction and is well formed.
         """
-        tag, g = word[0], self.graph
-        if tag == "v":
+        if len(word) != _SIZE.get(word[0]):
+            raise _malformed(word)
+        kinds, g = _KINDS[word[0]], self.graph
+        if not kinds:
             v = word[1]
             error = None if g.has_vertex(v) else f"unknown vertex {v!r}"
-            shape: tuple = (v, v, (), error is None, error)
+            shape: tuple = (v, v, kinds, (), error is None, error)
         else:
-            e, f = word[1], word[-1]
-            first = g.edge(e) if g.has_edge(e) else None
-            last = first if f == e else g.edge(f) if g.has_edge(f) else None
-            cod = None if first is None else first.dst if tag in ("e", "ea") else first.src
-            dom = None if last is None else last.src if tag in ("e", "ae") else last.dst
-            if tag == "e":
-                letters: tuple = (("E", e),)
-            elif tag == "a":
-                letters = (("A", e),)
-            elif tag == "ea":
-                letters = (("E", e), ("A", f))
-            else:
-                letters = (("A", e), ("E", f))
+            ids = word[1:]
+            e, f = ids[0], ids[-1]
+            index, edges = g._eindex, g.edges
+            first = edges[index[e]] if e in index else None
+            last = first if f == e else edges[index[f]] if f in index else None
+            cod = None if first is None else first.dst if kinds[0] == "E" else first.src
+            dom = None if last is None else last.src if kinds[-1] == "E" else last.dst
             if first is None or last is None:
                 error = f"unknown edge {e if first is None else f!r}"
-            elif tag == "ea" and first.src != last.src:
-                error = f"{word_str(word)}: sources differ, word is not composable"
-            elif tag == "ae" and first.dst != last.dst:
-                error = f"{word_str(word)}: ranges differ, word is not composable"
+            elif len(ids) == 2 and (first.src if kinds[0] == "E" else first.dst) != (
+                last.dst if kinds[1] == "E" else last.src
+            ):
+                side = "sources" if kinds[0] == "E" else "ranges"
+                error = f"{word_str(word)}: {side} differ, word is not composable"
             else:
                 error = None
-            sound = error is None and (
-                tag != "ae" or self.group_of[e] != self.group_of[f]
-            )
-            shape = (dom, cod, letters, sound, error)
+            sound = error is None and not (kinds == "AE" and self.group_of[e] == self.group_of[f])
+            shape = (dom, cod, kinds, ids, sound, error)
         self._shape_of[word] = shape
         return shape
 
     def _word_normal(self, word: Word) -> tuple[tuple[Word, int], ...]:
         """Normal form of one word, checked; memoized once the check passes."""
-        error = (self._shape_of.get(word) or self._shape(word))[4]
+        dom, _, kinds, ids, sound, error = self._shape_of.get(word) or self._shape(word)
         if error is not None:
             raise MalformedExpressionError(error)
-        if word[0] == "ae":
-            e, f = word[1], word[2]
-            if self.group_of[e] != self.group_of[f]:
-                out: tuple = ((word, 1),)
-            elif e == f:
-                out = ((("v", self.graph.edge(e).src), 1),)
-            else:
-                out = ()  # distinct edges of one group: zero
+        if not sound:  # e* f of one group: s(e) when e == f, else zero
+            reduced = self._reduce_letters(kinds, ids)
+            out: tuple = () if reduced is None else ((_word_of_letters(*reduced, dom), 1),)
         elif word[0] == "ea" and word[1] == word[2]:
             # Complete-sum elimination: the diagonal word of the last member
             # of each group rewrites to the range vertex minus the others.
@@ -335,10 +324,10 @@ class StarContext:
             rest: dict[Word, int] | None = None
             for w1, c1 in left.items():
                 s1 = shape_of.get(w1) or self._shape(w1)
-                dom1, _, letters1, sound1, _ = s1
+                dom1, _, kinds1, ids1, sound1, _ = s1
                 for w2, c2 in right.items():
                     s2 = shape_of.get(w2) or self._shape(w2)
-                    dom2, cod2, letters2, sound2, _ = s2
+                    dom2, cod2, kinds2, ids2, sound2, _ = s2
                     if not (sound1 and sound2):
                         word = self._long_product(w1, s1, w2, s2)
                         if word is not None:
@@ -348,18 +337,23 @@ class StarContext:
                         continue
                     if dom1 != cod2:
                         continue
-                    if not letters1:
+                    if not kinds1:
                         word = w2
-                    elif not letters2:
+                    elif not kinds2:
                         word = w1
+                    elif (
+                        kinds1[-1] == "A"
+                        and kinds2[0] == "E"
+                        and group_of[ids1[-1]] == group_of[ids2[0]]
+                    ):
+                        if ids1[-1] != ids2[0]:
+                            continue  # distinct edges of one group annihilate
+                        ids = ids1[:-1] + ids2[1:]
+                        word = (_JOIN[kinds1[:-1]][kinds2[1:]],) + ids if ids else ("v", dom2)
                     else:
-                        (t1, e1), (t2, e2) = letters1[-1], letters2[0]
-                        if t1 == "A" and t2 == "E" and group_of[e1] == group_of[e2]:
-                            if e1 != e2:
-                                continue  # distinct edges of one group annihilate
-                            word = self._word_of_letters(letters1[:-1] + letters2[1:], dom2)
-                        else:
-                            word = self._word_of_letters(letters1 + letters2, dom2)
+                        tag, ids = _JOIN[kinds1][kinds2], ids1 + ids2
+                        # no tag: over two letters, which _word_of_letters refuses
+                        word = (tag,) + ids if tag else _word_of_letters(kinds1 + kinds2, ids, dom2)
                     coef = c1 * c2
                     if coef:
                         nf = normal.get(word)
@@ -386,12 +380,12 @@ class StarContext:
             raise MalformedExpressionError(f"unknown edge {w2[1]!r}")
         if dom1 != cod2:
             return None
-        reduced = self._reduce_letters(list(s1[2] + s2[2]))
+        reduced = self._reduce_letters(s1[2] + s2[2], s1[3] + s2[3])
         if reduced is None:
             return None
         if s2[0] is None:
             raise MalformedExpressionError(f"unknown edge {w2[-1]!r}")
-        return self._word_of_letters(reduced, s2[0])
+        return _word_of_letters(*reduced, s2[0])
 
 
 # formal matrices -------------------------------------------------------------
@@ -426,12 +420,8 @@ class FormalMatrix:
 
 
 def _label_str(label) -> str:
-    if isinstance(label, tuple) and len(label) == 2 and isinstance(label[0], tuple):
-        key, t = label
-        return f"({group_label(key)},{t})"
-    if isinstance(label, tuple) and len(label) == 4:
-        key, t, w, s = label
-        return f"({group_label(key)},{t},{w},{s})"
+    if isinstance(label, tuple) and label and isinstance(label[0], tuple):  # (group key, ...)
+        return "(" + ",".join([group_label(label[0]), *map(str, label[1:])]) + ")"
     return str(label)
 
 
@@ -485,6 +475,15 @@ def matrices_equal(ctx: StarContext, a: FormalMatrix, b: FormalMatrix):
 
 RowLabel = tuple  # (group key, t)
 ColLabel = tuple  # (group key, t, source vertex, s)
+
+
+def _range_of(row: RowLabel) -> str:
+    """The range vertex of a row: its group's vertex."""
+    return row[0][0]
+
+
+def _source_of(col: ColLabel) -> str:
+    return col[2]
 
 
 @dataclass(frozen=True)
@@ -623,8 +622,8 @@ def build_generator_matrices(
     sides = (_side_labels(g, positive_part(x)), _side_labels(g, negative_part(x)))
     (rows1, cols1, _), (rows2, cols2, _) = sides
     rng = random.Random(seed) if seed is not None else None
-    sigma1 = _pair_blocks(rows1, rows2, lambda r: r[0][0], "row", rng)
-    sigma2 = _pair_blocks(cols1, cols2, lambda c: c[2], "column", rng)
+    sigma1 = _pair_blocks(rows1, rows2, _range_of, "row", rng)
+    sigma2 = _pair_blocks(cols1, cols2, _source_of, "column", rng)
     return _assemble(g, x, sides, sigma1, sigma2)
 
 
@@ -677,12 +676,6 @@ def verify_partial_unitary(gm: GeneratorMatrices) -> VerificationReport:
     ctx = StarContext(gm.graph)
     z, t, st, u = gm.z, gm.t, gm.sigma_t, gm.u
 
-    def range_of_row(r):
-        return r[0][0]
-
-    def source_of_col(c):
-        return c[2]
-
     def grams(m):
         """M M* and M* M, with the adjoint formed once."""
         adj = m.star()
@@ -704,10 +697,10 @@ def verify_partial_unitary(gm: GeneratorMatrices) -> VerificationReport:
             pos = "shape" if i < 0 else f"({_label_str(a.rows[i])}, {_label_str(a.cols[j])})"
             checks.append(Check(name, False, f"at {pos}: residue {diff}"))
 
-    add_equality("ZZ* is the range-vertex diagonal", zz, _vertex_diag(ctx, zz.rows, range_of_row))
-    add_equality("Z*Z is the source-vertex diagonal", zsz, _vertex_diag(ctx, zsz.rows, source_of_col))
-    add_equality("TT* is the range-vertex diagonal", tt, _vertex_diag(ctx, tt.rows, range_of_row))
-    add_equality("T*T is the source-vertex diagonal", tst, _vertex_diag(ctx, tst.rows, source_of_col))
+    add_equality("ZZ* is the range-vertex diagonal", zz, _vertex_diag(ctx, zz.rows, _range_of))
+    add_equality("Z*Z is the source-vertex diagonal", zsz, _vertex_diag(ctx, zsz.rows, _source_of))
+    add_equality("TT* is the range-vertex diagonal", tt, _vertex_diag(ctx, tt.rows, _range_of))
+    add_equality("T*T is the source-vertex diagonal", tst, _vertex_diag(ctx, tst.rows, _source_of))
     add_equality("ZZ* = sig(T)sig(T)*", zz, ss)
     add_equality("Z*Z = sig(T)*sig(T)", zsz, sst)
     # u is square over the rows of z; both uu* and u*u must collapse to the
@@ -717,11 +710,11 @@ def verify_partial_unitary(gm: GeneratorMatrices) -> VerificationReport:
 
     # Classwise agreement of the two sides (same multiset of diagonal
     # vertices per block), which is what the row/column balance asserts.
-    range_class = _class_counts(z.rows, range_of_row)
-    source_class = _class_counts(z.cols, source_of_col)
+    range_class = _class_counts(z.rows, _range_of)
+    source_class = _class_counts(z.cols, _source_of)
     for name, t_class, z_class in (
-        ("TT* class matches ZZ* class", _class_counts(t.rows, range_of_row), range_class),
-        ("T*T class matches Z*Z class", _class_counts(t.cols, source_of_col), source_class),
+        ("TT* class matches ZZ* class", _class_counts(t.rows, _range_of), range_class),
+        ("T*T class matches Z*Z class", _class_counts(t.cols, _source_of), source_class),
     ):
         same = t_class == z_class
         checks.append(Check(name, same, "" if same else f"{t_class} != {z_class}"))

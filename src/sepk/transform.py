@@ -23,7 +23,8 @@ The W counts depend only on group sizes, so w_set_sizes builds no layer: it
 steps the coarsest equitable quotient of each layer (classes of range
 vertices, groups, edges and sources with their multiplicities, merged by
 colour refinement).  canonical_sequence runs it first, so a depth past the
-budget is refused before any layer is built.
+budget is refused before any layer is built.  A fixed class budget bounds
+the count itself, for vertex budgets raised far past any buildable layer.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ class PreconditionError(Exception):
 
 
 class BudgetExceededError(Exception):
-    """The generated-vertex budget would be exceeded by the next layer."""
+    """The next layer would exceed the generated-vertex budget, or its count the class budget."""
 
     def __init__(self, message: str, last_layer: int):
         self.last_layer = last_layer
@@ -136,8 +137,8 @@ def _int_layer(g: SeparatedGraph, bases, sources) -> tuple[_Layer, list[int], li
     return _Layer(groups, out), picked, at
 
 
-def _step(layer: _Layer) -> tuple[list[int], _Layer]:
-    """One canonical step on integers: the W tuples and the next layer.
+def _step(layer: _Layer) -> tuple[list[int], list[list[list[int]]]]:
+    """One canonical step on integers: the W tuples and the next layer's groups.
 
     Tuples are numbered base by base in left-lexicographic order, and the arrow
     in slot i of tuple t is edge first_edge(t) + i.  W holds the tuples with at
@@ -146,12 +147,11 @@ def _step(layer: _Layer) -> tuple[list[int], _Layer]:
     """
     w: list[int] = []
     new_groups: list[list[int]] = [[] for xs in layer.out for _ in xs]
-    out: list[Sequence[int]] = []
-    e0 = 0
+    t0 = e0 = 0
     for groups in layer.groups:
         k, count = len(groups), math.prod(map(len, groups))
         non_first = itertools.product(*((0,) + (1,) * (len(grp) - 1) for grp in groups))
-        w.extend(len(out) + j for j, c in enumerate(map(sum, non_first)) if c >= 2)
+        w.extend(t0 + j for j, c in enumerate(map(sum, non_first)) if c >= 2)
         stride = count
         for i, grp in enumerate(groups):
             # the tuples with digit d in slot i: runs of stride, one per block
@@ -159,9 +159,9 @@ def _step(layer: _Layer) -> tuple[list[int], _Layer]:
             for d, x in enumerate(grp):
                 for start in range(e0 + k * d * stride + i, e0 + k * count, k * block):
                     new_groups[x].extend(range(start, start + k * stride, k))
-        out.extend(range(e, e + k) for e in range(e0, e0 + k * count, k))
+        t0 += count
         e0 += k * count
-    return w, _Layer([[new_groups[x] for x in xs] for xs in layer.out], out)
+    return w, [[new_groups[x] for x in xs] for xs in layer.out]
 
 
 def _raise_on_clash(kind: str, names) -> None:
@@ -175,7 +175,7 @@ def _fresh_layer(g: SeparatedGraph, bases, sources) -> StepData:
     Its vertices are sources, then the tuple vertices; X(x), the arrows with
     distinguished edge x, is a group at s(x).  Its integer form is _step's."""
     layer, picked, at = _int_layer(g, bases, sources)
-    w, new = _step(layer)
+    w, new_groups = _step(layer)
     old = [g.edges[j] for j in picked]
     esc = [_esc(e.id) for e in old]
     names: list[str] = []
@@ -200,13 +200,13 @@ def _fresh_layer(g: SeparatedGraph, bases, sources) -> StepData:
     _raise_on_clash("edge", [x for x in ids if x in g._eindex])
 
     separation, groups, group_of_edge = [], [], {}
-    for source, xs, grps in zip(sources, layer.out, new.groups):
+    for source, xs, grps in zip(sources, layer.out, new_groups):
         separation.append(tuple([tuple(map(ids.__getitem__, members)) for members in grps]))
         groups.append(tuple(map(tuple, grps)))
         group_of_edge.update((old[x].id, (source, gi)) for gi, x in enumerate(xs))
     vertices, empty = tuple(sources) + tuple(names), ((),) * len(names)
     # Arrow j is numbers[j]: the edge index shares the int objects the groups hold.
-    numbers = sorted(itertools.chain.from_iterable(itertools.chain.from_iterable(new.groups)))
+    numbers = sorted(itertools.chain.from_iterable(itertools.chain.from_iterable(new_groups)))
     graph = SeparatedGraph._of_form(
         vertices, tuple(edges), tuple(separation) + empty, (tuple(sources), tuple(names)),
         dict(zip(vertices, range(len(vertices)))), dict(zip(ids, numbers)),
@@ -347,13 +347,9 @@ def _check_sequence_input(g: SeparatedGraph, depth: int) -> None:
         raise PreconditionError("depth must be nonnegative")
 
 
-def _check_budget(size: int, n: int, budget: int) -> None:
-    if size > budget:
-        raise BudgetExceededError(
-            f"layer {n + 1} would generate {size} vertices "
-            f"(budget {budget}); last completed layer is {n}",
-            last_layer=n,
-        )
+def _over_budget(n: int, what: str) -> BudgetExceededError:
+    """The refusal of layer n + 1, which would take what; layers 0..n fit."""
+    return BudgetExceededError(f"layer {n + 1} would {what}; last completed layer is {n}", n)
 
 
 @dataclass(frozen=True)
@@ -509,31 +505,37 @@ def _coarsest(q: _Classes) -> _Classes:
     return merged
 
 
-def _tuple_classes(q: _Classes) -> _Classes:
-    """The classes of the layer after q's, before they are merged.
+def _tuple_classes(q: _Classes, layer: int) -> _Classes:
+    """The unmerged classes of the layer after q, the quotient of layer `layer`.
 
     q's sources become its range vertices and q's edges its groups.  Its
     sources are the tuples over q's range vertices, one class per range class
     and multiset of edge classes taken, and the arrows of a tuple class t with
     distinguished edge of class e make one edge class, in the group class e.
     Among c groups of one class that each hold k_e edges of class e, the
-    multiset n is taken by multinomial(c; n) * prod(k_e ** n_e) tuples.
+    multiset n is taken by multinomial(c; n) * prod(k_e ** n_e) tuples.  More
+    than DEFAULT_BUDGET source classes are refused before any is made; they
+    never outnumber the tuples, so only a raised vertex budget meets this.
     """
     inside = q.inside()
+    picks = [  # per range class, per group class in it: {e: k_e} and c
+        (r, [({e: q.mult[e] // q.mult[grp] for e in inside[grp]}, q.mult[grp] // q.mult[r])
+             for grp in inside[r]])
+        for r in q.of(_RANGE)
+    ]
+    count = sum(math.prod(math.comb(len(k) + c - 1, c) for k, c in groups) for _, groups in picks)
+    if count > DEFAULT_BUDGET:
+        raise _over_budget(layer + 2, f"take more than {DEFAULT_BUDGET} vertex classes to count")
     nxt = _Classes([], [], [])
     new = {s: nxt.add(_RANGE, q.mult[s]) for s in q.of(_SOURCE)}
     for e in q.of(_EDGE):
         new[e] = nxt.add(_GROUP, q.mult[e], (new[q.up[e][1]],))
-    for r in q.of(_RANGE):
-        takes = []
-        for grp in inside[r]:
-            k = {e: q.mult[e] // q.mult[grp] for e in inside[grp]}
-            c = q.mult[grp] // q.mult[r]
-            takes.append([
-                (n, math.factorial(c) // math.prod(map(math.factorial, n.values()))
-                 * math.prod(k[e] ** j for e, j in n.items()))
-                for n in map(Counter, itertools.combinations_with_replacement(k, c))
-            ])
+    for r, groups in picks:
+        takes = [[
+            (n, math.factorial(c) // math.prod(map(math.factorial, n.values()))
+             * math.prod(k[e] ** j for e, j in n.items()))
+            for n in map(Counter, itertools.combinations_with_replacement(k, c))
+        ] for k, c in groups]
         for pick in itertools.product(*takes):
             t = nxt.add(_SOURCE, q.mult[r] * math.prod(ways for _, ways in pick))
             for n, _ in pick:
@@ -553,10 +555,10 @@ def _quotients(g: SeparatedGraph):
             gc = q.add(_GROUP, 1, (r,))
             for x in grp:
                 q.add(_EDGE, 1, (gc, sources[at[x]]))
-    while True:
+    for layer in itertools.count():
         q = _coarsest(q)
         yield q
-        q = _tuple_classes(q)
+        q = _tuple_classes(q, layer)
 
 
 def _layer_sizes(g: SeparatedGraph):
@@ -594,7 +596,9 @@ def w_set_sizes(g: SeparatedGraph, depth: int, budget: int = DEFAULT_BUDGET) -> 
     _check_sequence_input(g, depth)
     sizes = []
     for n, layer in zip(range(depth), _layer_sizes(g)):
-        _check_budget(sum(m * math.prod(ns) for m, ns in layer), n, budget)
+        size = sum(m * math.prod(ns) for m, ns in layer)
+        if size > budget:
+            raise _over_budget(n, f"generate {size} vertices (budget {budget})")
         if n < 2:
             _check_input_names(g, n)
         sizes.append(sum(m * (math.prod(ns) - sum(ns) + len(ns) - 1) for m, ns in layer))

@@ -3,8 +3,10 @@
 ReferenceCalculus re-derives every normal form and product from the graph on
 each call, checking each word as it goes, exactly as the calculus did before
 StarContext memoized its reductions.  Tests compare the two on seeded random
-words, malformed ones included.  assemble_generator_matrices builds the
-generator matrices for bijections a test chooses, so tests can corrupt them.
+words, malformed ones included.  spell and adjoint_word print and star a
+word tag by tag, apart from the one table that formal_star reads.
+assemble_generator_matrices builds the generator matrices for bijections a
+test chooses, so tests can corrupt them.
 """
 
 from sepk.formal_star import (
@@ -14,10 +16,36 @@ from sepk.formal_star import (
     UnsupportedWordError,
     _assemble,
     _side_labels,
-    word_str,
 )
 from sepk.graph_model import SeparatedGraph
 from sepk.ktheory import negative_part, positive_part
+
+
+ARITY = {"v": 1, "e": 1, "a": 1, "ea": 2, "ae": 2}  # ids after each word tag
+
+
+def spell(word) -> str:
+    tag = word[0]
+    if tag == "v":
+        return word[1]
+    if tag == "e":
+        return word[1]
+    if tag == "a":
+        return f"{word[1]}*"
+    if tag == "ea":
+        return f"{word[1]}{word[2]}*"
+    return f"{word[1]}*{word[2]}"
+
+
+def adjoint_word(word):
+    tag = word[0]
+    if tag == "v":
+        return word
+    if tag == "e":
+        return ("a", word[1])
+    if tag == "a":
+        return ("e", word[1])
+    return (tag, word[2], word[1])
 
 
 def assemble_generator_matrices(g: SeparatedGraph, x, sigma1, sigma2) -> GeneratorMatrices:
@@ -63,6 +91,8 @@ class ReferenceCalculus:
 
     def _check_word(self, word):
         tag, g = word[0], self.graph
+        if len(word) != 1 + ARITY.get(tag, -1):
+            raise MalformedExpressionError(f"malformed word {word!r}: unknown tag or wrong arity")
         if tag == "v":
             if word[1] not in set(g.vertices):
                 raise MalformedExpressionError(f"unknown vertex {word[1]!r}")
@@ -71,11 +101,11 @@ class ReferenceCalculus:
             self._known_edge(e)
         if tag == "ea" and g.edge(word[1]).src != g.edge(word[2]).src:
             raise MalformedExpressionError(
-                f"{word_str(word)}: sources differ, word is not composable"
+                f"{spell(word)}: sources differ, word is not composable"
             )
         if tag == "ae" and g.edge(word[1]).dst != g.edge(word[2]).dst:
             raise MalformedExpressionError(
-                f"{word_str(word)}: ranges differ, word is not composable"
+                f"{spell(word)}: ranges differ, word is not composable"
             )
 
     @staticmethod

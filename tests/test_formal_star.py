@@ -13,13 +13,14 @@ from sepk.formal_star import (
     matmul,
     matrices_equal,
     verify_partial_unitary,
+    word_str,
 )
 from sepk.graph_model import builtin
 from sepk.ktheory import NotInKernelError, connecting_map_image
 from sepk.transform import PreconditionError, canonical_sequence
 
 from conftest import bipartite_graph_with_kernel, random_kernel_element
-from formal_oracles import ReferenceCalculus, assemble_generator_matrices
+from formal_oracles import ReferenceCalculus, adjoint_word, assemble_generator_matrices, spell
 from graph_oracles import r_inv, s_inv
 
 
@@ -92,6 +93,36 @@ def test_products_reject_unknown_edges_as_normalize_does():
         with pytest.raises(MalformedExpressionError) as exc:
             product()
         assert str(exc.value) == "unknown edge 'zz'"
+
+
+MALFORMED_WORDS = [("x", "a1"), ("e", "a1", "b1"), ("ea", "a1"), ("v",), ("v", "v", "w")]
+
+
+@pytest.mark.parametrize("word", MALFORMED_WORDS, ids=repr)
+def test_unknown_tag_or_wrong_arity_raises_from_every_operation(word):
+    g = builtin("E", [2, 2])
+    ctx, ref = StarContext(g), ReferenceCalculus(g)
+    bad = FormalExpr({word: 1})
+    m = FormalMatrix((0,), (0,), {(0, 0): bad})
+    edge = FormalMatrix((0,), (0,), {(0, 0): ctx.edge("a1")})
+    with pytest.raises(MalformedExpressionError) as exc:
+        ref.normalize(bad)
+    for op in (
+        lambda: ctx.normalize(bad),
+        lambda: ctx.normalize(FormalExpr({word: 0})),
+        lambda: ctx.mul(ctx.edge("a1"), bad),
+        lambda: ctx.mul(bad, ctx.vertex("w")),
+        lambda: ctx.mul(bad, bad),
+        lambda: matmul(ctx, edge, m),
+        lambda: matmul(ctx, m, edge),
+        lambda: matmul(ctx, m, m),
+        lambda: bad.star(),
+        lambda: m.star(),
+        lambda: str(bad),
+    ):
+        with pytest.raises(MalformedExpressionError) as got:
+            op()
+        assert str(got.value) == str(exc.value)
 
 
 def test_unsupported_long_word():
@@ -239,6 +270,27 @@ def _random_word(g, rng):
     if kind in (8, 9):
         return ("ea", e.id, rng.choice(s_inv(g, e.src)).id)
     return ("ae", e.id, rng.choice(r_inv(g, e.dst)).id)
+
+
+@pytest.mark.parametrize("tag", ["v", "e", "a", "ea", "ae"])
+def test_each_tag_is_read_as_the_reference_spells_it(tag):
+    # printing, the adjoint and a word's shape all read one table of tags
+    seen = 0
+    for name in sorted(ORACLE_GRAPHS):
+        g = ORACLE_GRAPHS[name]()
+        ctx, ref = StarContext(g), ReferenceCalculus(g)
+        rng = random.Random(sum(map(ord, name + tag)))
+        for _ in range(200):
+            word = _random_word(g, rng)
+            if word[0] != tag or "zz" in word:
+                continue
+            seen += 1
+            assert word_str(word) == spell(word)
+            assert FormalExpr({word: -2}).star().terms == {adjoint_word(word): -2}
+            dom, cod, kinds, ids, _, _ = ctx._shape(word)
+            assert list(zip(kinds, ids)) == ref._letters(word)
+            assert (dom, cod) == (ref._dom(word), ref._cod(word))
+    assert seen >= 30
 
 
 def _random_expr(g, rng):

@@ -22,7 +22,7 @@ from sepk.transform import (
     w_count_formula,
     w_set_sizes,
 )
-from sepk.transform import _EDGE, _GROUP, _RANGE, _SOURCE, _quotients
+from sepk.transform import _EDGE, _GROUP, _RANGE, _SOURCE, _quotients, _tuple_classes
 
 from conftest import (
     admissible_vertex_set,
@@ -500,7 +500,9 @@ def test_w_set_sizes_enumerates_the_tuples_of_d_minus_2_layers(monkeypatch):
 
     calls = []
     step = sepk.transform._tuple_classes
-    monkeypatch.setattr(sepk.transform, "_tuple_classes", lambda q: calls.append(q) or step(q))
+    monkeypatch.setattr(
+        sepk.transform, "_tuple_classes", lambda q, layer: calls.append(q) or step(q, layer)
+    )
     for depth in range(6):
         calls.clear()
         assert w_set_sizes(builtin("E", [2, 3]), depth, budget=10**30)[:3] == (2, 64, 4830)[:depth]
@@ -517,3 +519,41 @@ def test_w_set_sizes_reaches_depths_whose_layers_cannot_be_built():
     with pytest.raises(BudgetExceededError) as exc:
         w_set_sizes(g, 16, budget=10**3000)
     assert exc.value.last_layer == 15
+
+
+def test_class_budget_refuses_an_asymmetric_graph_before_enumerating():
+    # Seed 38's layers keep few symmetries: counting layer 5 would enumerate
+    # 461 516 880 source classes, which no vertex budget this large stops.
+    g = random_bipartite_graph(random.Random(38))
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as exc:
+        w_set_sizes(g, 5, budget=10**4000)
+    assert time.perf_counter() - start < 1.0
+    assert str(exc.value) == (
+        "layer 5 would take more than 1000000 vertex classes to count; last completed layer is 4"
+    )
+    assert exc.value.last_layer == 4
+    assert len(w_set_sizes(g, 4, budget=10**4000)) == 4
+    # built-ins keep two classes of each sort, so the same budget counts deep layers
+    assert len(str(w_set_sizes(builtin("E", [2, 2]), 16, budget=10**4000)[-1])) == 3950
+
+
+def test_class_budget_counts_exactly_the_source_classes_a_step_makes(monkeypatch):
+    # the count comes before the classes, so a budget of one fewer refuses them
+    import sepk.transform
+
+    rng = random.Random(5)
+    starts = [builtin_from_spec(s) for s in BUILTINS] + [random_bipartite_graph(rng) for _ in range(30)]
+    for q in [list(itertools.islice(_quotients(g), 2))[-1] for g in starts]:  # layer 1
+        made = Counter(_tuple_classes(q, 1).kind)[_SOURCE]
+        monkeypatch.setattr(sepk.transform, "DEFAULT_BUDGET", made)
+        assert Counter(_tuple_classes(q, 1).kind)[_SOURCE] == made
+        monkeypatch.setattr(sepk.transform, "DEFAULT_BUDGET", made - 1)
+        with pytest.raises(BudgetExceededError) as exc:
+            _tuple_classes(q, 1)
+        assert str(exc.value) == (
+            f"layer 4 would take more than {made - 1} vertex classes to count; "
+            "last completed layer is 3"
+        )
+        assert exc.value.last_layer == 3
+        monkeypatch.undo()
