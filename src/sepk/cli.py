@@ -61,8 +61,7 @@ def _load_graph(args) -> _Loaded:
         g = graph_model.builtin_from_spec(args.builtin)
         return _Loaded(g, graph_model.builtin_group_aliases(args.builtin))
     if args.input:
-        with open(args.input, "rb") as fh:
-            return _Loaded(graph_model.parse(fh.read()), {})
+        return _Loaded(graph_model._parse_file(args.input), {})
     raise UsageError("an input file or --builtin is required")
 
 
@@ -169,15 +168,14 @@ def _character_value(val) -> complex | None:
 
 def _load_character_file(path: str) -> dict[str, complex]:
     """JSON map from vertex name to a value on the unit circle."""
-    with open(path, "rb") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise GraphFormatError(f"malformed character file: {exc.msg}", path)
-        except UnicodeDecodeError as exc:
-            raise GraphFormatError(f"character file is not UTF-8 text: {exc.reason}", path)
-        except RecursionError:
-            raise GraphFormatError("malformed character file: nesting too deep", path)
+    try:
+        obj = json.loads(graph_model._read_utf8(path))
+    except json.JSONDecodeError as exc:
+        raise GraphFormatError(f"malformed character file: {exc.msg}", path)
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"character file is not UTF-8 text: {exc.reason}", path)
+    except RecursionError:
+        raise GraphFormatError("malformed character file: nesting too deep", path)
     if not isinstance(obj, dict):
         raise GraphFormatError("character file must be a map", path)
     out = {}

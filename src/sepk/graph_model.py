@@ -16,6 +16,7 @@ validation and the K-theory read.
 
 from __future__ import annotations
 
+import codecs
 import json
 import re
 from dataclasses import dataclass
@@ -533,9 +534,7 @@ def from_obj(obj: object, location: str = "graph") -> SeparatedGraph:
     raw_es = obj["edges"]
     if not isinstance(raw_es, list):
         raise GraphFormatError("edges must be a list", f"{location}.edges")
-    edges: list[Edge] = []
     eindex, srcs, dsts, vget = {}, [], [], vindex.get  # the integer form, filled in as checked
-    new_edge = tuple.__new__  # Edge._make without a Python frame per edge
     for i, e in enumerate(raw_es):
         if not isinstance(e, dict):
             raise GraphFormatError("edge must be a map", f"{location}.edges[{i}]")
@@ -557,9 +556,15 @@ def from_obj(obj: object, location: str = "graph") -> SeparatedGraph:
         if d is None:
             raise GraphFormatError(f"unknown range vertex {dst!r}", f"{location}.edges[{i}].dst")
         eindex[eid] = i
-        edges.append(new_edge(Edge, (eid, src, dst)))
         srcs.append(s)
         dsts.append(d)
+    # A graph holds one string per name: each edge end, group member and layer
+    # entry is the vertex or edge id string, not the document's copy of it.
+    # The lookups are list methods, which map calls without a wrapper.
+    eids = list(eindex)
+    vname, ename = raw_vs.__getitem__, eids.__getitem__
+    # tuple.__new__ is Edge._make without a Python frame per edge
+    edges = tuple(map(tuple.__new__, repeat(Edge), zip(eids, map(vname, srcs), map(vname, dsts))))
 
     raw_sep = obj["separation"]
     if not isinstance(raw_sep, dict):
@@ -591,7 +596,7 @@ def from_obj(obj: object, location: str = "graph") -> SeparatedGraph:
                     if eid not in eindex:
                         raise GraphFormatError(f"unknown edge id {eid!r}", at)
             ints.append(members)
-            names.append(tuple(grp))
+            names.append(tuple(map(ename, members)))
         separation[i], groups[i] = tuple(names), tuple(ints)
 
     bipartite = None
@@ -607,18 +612,27 @@ def from_obj(obj: object, location: str = "graph") -> SeparatedGraph:
             layer = raw_bp[key]
             if not isinstance(layer, list):
                 raise GraphFormatError(f"{key} must be a list", f"{loc}.{key}")
-            for i, v in enumerate(layer):
-                if not isinstance(v, str):
-                    raise GraphFormatError("vertex id must be a string", f"{loc}.{key}[{i}]")
-                if v not in vindex:
-                    raise GraphFormatError(f"unknown vertex {v!r}", f"{loc}.{key}[{i}]")
-            layers.append(tuple(layer))
+            try:
+                at = tuple(map(vget, layer))
+            except TypeError:  # an unhashable vertex, reported below
+                at = (None,)
+            if None in at:  # report the first bad vertex
+                for i, v in enumerate(layer):
+                    if not isinstance(v, str):
+                        raise GraphFormatError("vertex id must be a string", f"{loc}.{key}[{i}]")
+                    if v not in vindex:
+                        raise GraphFormatError(f"unknown vertex {v!r}", f"{loc}.{key}[{i}]")
+            layers.append(tuple(map(vname, at)))
         bipartite = (layers[0], layers[1])
 
     return SeparatedGraph._of_form(
-        tuple(raw_vs), tuple(edges), tuple(separation), bipartite,
+        tuple(raw_vs), edges, tuple(separation), bipartite,
         vindex, eindex, srcs, dsts, tuple(groups),
     )
+
+
+def _not_utf8(exc: UnicodeDecodeError) -> GraphFormatError:
+    return GraphFormatError(f"not UTF-8 text: {exc.reason}", f"byte {exc.start}")
 
 
 def parse(data: bytes | str) -> SeparatedGraph:
@@ -626,7 +640,7 @@ def parse(data: bytes | str) -> SeparatedGraph:
     try:
         text = data.decode("utf-8") if isinstance(data, bytes) else data
     except UnicodeDecodeError as exc:
-        raise GraphFormatError(f"not UTF-8 text: {exc.reason}", f"byte {exc.start}") from exc
+        raise _not_utf8(exc) from exc
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -636,3 +650,42 @@ def parse(data: bytes | str) -> SeparatedGraph:
     except RecursionError as exc:  # the decoder recurses once per nesting level
         raise GraphFormatError("malformed syntax: nesting too deep") from exc
     return from_obj(obj)
+
+
+_PIECE = 1 << 16  # bytes per read in _read_utf8
+
+
+def _read_utf8(path) -> str:
+    """The text of the UTF-8 file at path, read and decoded in pieces.
+
+    The file is read once, so a pipe works, and its bytes never exist whole:
+    each piece is decoded as it arrives, and the decoded pieces are joined.
+    A byte sequence that is not UTF-8 raises UnicodeDecodeError with the
+    reason bytes.decode gives and its start counted from the start of the
+    file.  A missing or unreadable path raises OSError.
+    """
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    pieces, read = [], 0
+    with open(path, "rb") as fh:
+        while True:
+            piece = fh.read(_PIECE)
+            try:
+                pieces.append(decoder.decode(piece, final=not piece))
+            except UnicodeDecodeError as exc:
+                # exc counts from the bytes the decoder held back, then the piece
+                shift = read - len(decoder.getstate()[0])
+                exc.start += shift
+                exc.end += shift
+                raise
+            if not piece:
+                return "".join(pieces)
+            read += len(piece)
+
+
+def _parse_file(path) -> SeparatedGraph:
+    """parse() on the text of the file at path, as _read_utf8 reads it."""
+    try:
+        text = _read_utf8(path)
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(exc) from exc
+    return parse(text)

@@ -3,12 +3,21 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from sepk import graph_model
 from sepk.cli import main
-from sepk.graph_model import builtin, group_label, parse, serialize
+from sepk.graph_model import (
+    GraphFormatError,
+    SeparatedGraph,
+    builtin,
+    group_label,
+    parse,
+    serialize,
+)
 from sepk.ktheory import phi_transport
 from sepk.transform import canonical_sequence, multiresolution_at, multiresolution_data
 
@@ -121,6 +130,115 @@ def test_usage_errors_exit_1(tmp_path, capsys, monkeypatch):
         code, out, err = run(capsys, "sequence", "--builtin", "E(2,2)", "--depth", "1")
         assert code == 1 and out == ""
         assert err == f"error: SEPK_BUDGET {detail}\n"
+
+
+# A graph file is read in pieces of graph_model._PIECE bytes; these files put
+# a character or an error at the border of the first piece.
+PIECE = graph_model._PIECE
+
+
+def _parse_outcome(data: bytes) -> tuple[int, str]:
+    """The exit code and stderr that parse on the whole bytes implies."""
+    try:
+        parse(data)
+    except GraphFormatError as exc:
+        return 2, f"error: {exc}\n"
+    return 0, ""
+
+
+@pytest.mark.parametrize("char", ["\u00e9", "\u20ac", "\U0001f600"])
+def test_character_split_across_pieces_reads_as_whole(char, tmp_path, capsys):
+    name = f"x{char}"
+    doc = serialize(SeparatedGraph.build(["v", name], [("a", name, "v")], {"v": [["a"]]}))
+    at = doc.index(name.encode("utf-8")) + 1  # the first byte of char
+    path = tmp_path / "split.graph"
+    for split in range(1, len(char.encode("utf-8"))):
+        data = b" " * (PIECE - at - split) + doc
+        path.write_bytes(data)
+        assert graph_model._parse_file(path) == parse(data)
+        code, out, err = run(capsys, "ktheory", str(path))
+        assert (code, err) == (0, "") and out == "K0 = Z, K1 = 0\n"
+
+
+@pytest.mark.parametrize("data", [
+    b" " * PIECE + b"\xff" + b"{}",  # an invalid byte just past the first piece
+    b" " * (PIECE - 1) + b"\xff{}",  # the last byte of the first piece
+    b" " * (PIECE - 1) + b"\xe2A{}",  # a sequence broken off across the border
+    b" " * (PIECE - 2) + b"\xed\xa0\x80{}",  # an encoded surrogate across it
+    b" " * (PIECE - 1) + b"\xe2\x82",  # truncated at end of file, across the border
+    b" " * PIECE + b"\xf0\x9f\x98",  # truncated at end of file, in the second piece
+    b"\xc3",  # truncated at end of file, in the only piece
+])
+def test_invalid_utf8_reported_at_its_file_offset(data, tmp_path, capsys):
+    path = tmp_path / "bad.graph"
+    path.write_bytes(data)
+    code, err = _parse_outcome(data)
+    assert code == 2 and "not UTF-8 text" in err
+    for command in ("ktheory", "validate"):
+        assert run(capsys, command, str(path)) == (code, "", err)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_graph_read_from_a_pipe():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    bad = b" " * (PIECE + 5) + b"\xff{}"
+    bad_code, bad_err = _parse_outcome(bad)
+    for data, code, out, err in (
+        (serialize(builtin("E", [3, 3])), 0, "K0 = Z, K1 = Z, K1 basis: v.1 - v.2\n", ""),
+        (bad, bad_code, "", bad_err),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "sepk", "ktheory", "/dev/stdin"],
+            env=env, input=data, capture_output=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == (code, out, err)
+
+
+def test_unreadable_paths_exit_1(tmp_path, capsys):
+    regular = tmp_path / "regular.json"
+    regular.write_text("{}")
+    paths = [tmp_path / "missing.json", tmp_path, regular / "below"]
+    if hasattr(os, "geteuid") and os.geteuid() != 0:  # root reads any mode
+        locked = tmp_path / "locked.json"
+        locked.write_text("{}")
+        locked.chmod(0)
+        paths.append(locked)
+    for path in paths:
+        for argv in (
+            ("ktheory", str(path)),
+            ("character", "--builtin", "E(2,2)", "--base", str(path), "--free", str(regular)),
+            ("character", "--builtin", "E(2,2)", "--base", str(regular), "--free", str(path)),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_reading_a_graph_file_holds_its_text_and_document_only(tmp_path, capsys):
+    # The bytes of the file never exist whole beside its text: the peak is
+    # the decoded pieces and their join, or the text and its parse.
+    data = serialize(canonical_sequence(builtin("lamplighter", [2]), 6).graphs[6])
+    path = tmp_path / "layer6.graph"
+    path.write_bytes(data)
+    size, text = len(data), data.decode("utf-8")
+    del data
+    tracemalloc.start()
+    try:
+        parse(text)
+        parse_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    del text
+    assert run(capsys, "ktheory", "--builtin", "E(2,2)")[0] == 0  # build the CLI parser
+    tracemalloc.start()
+    try:
+        code = main(["ktheory", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and capsys.readouterr().err == ""
+    assert peak <= max(2 * size, size + parse_peak) + (1 << 16)
 
 
 def test_builtin_range_error_exits_4(capsys):
@@ -302,6 +420,22 @@ def test_character_file_errors_exit_2(tmp_path, capsys):
     malformed.write_text("{nope")
     top_list = tmp_path / "top_list.json"
     top_list.write_text("[0.5, 0.25]")
+    # Character files are UTF-8 without a BOM: no other encoding is guessed.
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes('{"v": 0.5, "w": 0}'.encode("utf-16"))
+    utf16le = tmp_path / "utf16le.json"
+    utf16le.write_bytes('{"v": 0.5, "w": 0}'.encode("utf-16-le"))
+    utf32 = tmp_path / "utf32.json"
+    utf32.write_bytes('{"v": 0.5, "w": 0}'.encode("utf-32"))
+    bom = tmp_path / "bom.json"
+    bom.write_bytes('{"v": 0.5, "w": 0}'.encode("utf-8-sig"))
+    encodings = [
+        (utf16, "character file is not UTF-8 text: invalid start byte"),
+        (utf16le, "malformed character file: "
+         "Expecting property name enclosed in double quotes"),
+        (utf32, "character file is not UTF-8 text: invalid start byte"),
+        (bom, "malformed character file: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    ]
     angle = "value at '{}' must be an angle in turns or [re, im]"
     cases = [
         (malformed, "malformed character file: "
@@ -312,6 +446,7 @@ def test_character_file_errors_exit_2(tmp_path, capsys):
         (pair_bool, angle.format("w")),
         (latin1, "character file is not UTF-8 text: invalid continuation byte"),
         (nested, "malformed character file: nesting too deep"),
+        *encodings,
     ]
     # Python's json reads NaN and Infinity; numbers beyond float range
     # overflow, and an angle near the float limit overflows 2 pi i times it.
@@ -342,6 +477,7 @@ def test_character_file_errors_exit_2(tmp_path, capsys):
     for free_file, detail in (
         (nan_free, angle.format("v|a2,b2")),
         (nested, "malformed character file: nesting too deep"),
+        *encodings,
     ):
         code, out, err = run(
             capsys, "character", "--builtin", "E(2,2)", "--base", str(good_base),

@@ -125,6 +125,23 @@ def test_round_trip_random_graphs():
         assert serialize(again) == serialize(g)
 
 
+def test_parsed_graph_holds_one_string_per_name():
+    # Edge ends, group members and bipartite layers are the vertex and edge
+    # id strings themselves, not equal copies from the document.
+    rng = random.Random(20261018)
+    for k in range(40):
+        g = parse(serialize(random_bipartite_graph(rng) if k % 2 else random_separated_graph(rng)))
+        vertex = {v: v for v in g.vertices}
+        edge_id = {e.id: e.id for e in g.edges}
+        for e in g.edges:
+            assert e.src is vertex[e.src] and e.dst is vertex[e.dst]
+        for groups in g.separation:
+            for grp in groups:
+                assert all(eid is edge_id[eid] for eid in grp)
+        for layer in g.bipartite or ():
+            assert all(v is vertex[v] for v in layer)
+
+
 def test_parse_malformed_syntax():
     with pytest.raises(GraphFormatError) as exc:
         parse(b'{"vertices": [,]}')
@@ -286,6 +303,11 @@ FORMAT_ERRORS = [
         _doc(bipartite={"layer0": [None], "layer1": ["w"]}),
         "vertex id must be a string",
         "graph.bipartite.layer0[0]",
+    ),
+    (
+        _doc(bipartite={"layer0": ["v"], "layer1": ["w", ["u"]]}),
+        "vertex id must be a string",
+        "graph.bipartite.layer1[1]",
     ),
     (
         _doc(bipartite={"layer0": ["v"], "layer1": ["w", "u"]}),
