@@ -10,12 +10,13 @@ those ranks layer by layer (an exact truncation of the full answer).
 Also here: the kernel transport Phi along a canonical step, the explicit
 connecting-map image certifying that nonzero kernel classes stay nonzero,
 the graph monoid's universal group (an independent presentation of K_0),
-and the character extension across a multiresolution.
+and the character extension across a multiresolution, which reads the
+generated vertices off the groups and roots of the step that made them.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
@@ -36,7 +37,6 @@ from .transform import (
     canonical_step_data,
     ensure_bipartite,
     ensure_valid,
-    generated_vertex_name,
     multiresolution_data,
     w_set_sizes,
 )
@@ -352,9 +352,10 @@ def extend_character(
     """Extend a character of the graph across the multiresolution at V.
 
     The free values, one per W vertex, may be arbitrary unit complexes.
-    Vertices with exactly one non-first coordinate are then forced by the
-    relation of their distinguished edge's new group, and the all-first
-    vertex by the splitting of the base vertex into the generated vertices.
+    A vertex with exactly one non-first coordinate x is then forced by the
+    relation of X(x), whose first arrow leaves it, and the all-first vertex,
+    the first of its base's tuples, by the splitting of the base vertex.
+    Each product runs over the other vertices in tuple order.
     """
     return _extend_character_with_data(g, vertex_set, base, free)[0]
 
@@ -389,34 +390,23 @@ def _extend_character_with_data(
     values: dict[str, complex] = dict(base.values)
     values.update(free)
 
-    def unit(z: complex) -> complex:
-        return z / abs(z)
+    def force(at: str, first: str, *rest: str) -> None:
+        """Set first's value so that values[at] is the product over first and rest."""
+        z = values[at] / math.prod(map(values.__getitem__, rest), start=1.0 + 0j)
+        values[first] = z / abs(z)
 
-    for u in data.resolved:
-        groups = g.groups_at(u)
-        k = len(groups)
-        firsts = tuple(grp[0] for grp in groups)
-        # One non-first coordinate: forced by the new group of that edge.
-        for i in range(k):
-            others = groups[:i] + groups[i + 1 :]
-            other_firsts = firsts[:i] + firsts[i + 1 :]
-            for x in groups[i][1:]:
-                prod = 1.0 + 0j
-                for comps in itertools.product(*others):
-                    if comps == other_firsts:
-                        continue
-                    tup = comps[:i] + (x,) + comps[i:]
-                    prod *= values[generated_vertex_name(u, tup)]
-                target = firsts[:i] + (x,) + firsts[i + 1 :]
-                values[generated_vertex_name(u, target)] = unit(
-                    values[g.edge(x).src] / prod
-                )
-        # The all-first vertex: the base vertex splits into all tuples.
-        prod = 1.0 + 0j
-        for tup in itertools.product(*groups):
-            if tup == firsts:
-                continue
-            prod *= values[generated_vertex_name(u, tup)]
-        values[generated_vertex_name(u, firsts)] = unit(values[u] / prod)
+    step = data.step
+    tuples: dict[str, list[str]] = {}  # per resolved vertex, its tuples in tuple order
+    for v, u in step.root.items():
+        tuples.setdefault(u, []).append(v)
+    # One non-first coordinate x: the first arrow of X(x) leaves that tuple.
+    for u in tuples:
+        for grp in g.groups_at(u):
+            for x in grp[1:]:
+                key = step.group_of_edge[x]
+                force(key[0], *(step.graph.edge(a).src for a in step.graph.group(key)))
+    # The all-first tuple, u's first: the base vertex splits into all its tuples.
+    for u, vs in tuples.items():
+        force(u, *vs)
 
     return CharacterAssignment(values), data

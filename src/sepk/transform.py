@@ -12,12 +12,13 @@ vertices with at least two coordinates that are not first in their group make
 up the W sets whose counts are the free ranks added to the K-theory of the
 tame algebra.
 
-Steps run on integer ids; names are rendered only to build a graph, once
-per layer.  A canonical step hands its integer arrays to the new layer as its
-integer form, with a passing report: the layer is valid by construction.
-Generated names are deterministic ("u|x1,...,xk" for vertices and
-"a^x|companions" for arrows, separator characters escaped) so repeated runs
-serialize byte-identically.
+One generator, _fresh_layer, makes the new part of both once its size fits
+the vertex budget.  It steps on integer ids and renders names once, to build
+a graph; callers read its provenance (root, group_of_edge), never a name.  A
+canonical step's layer takes the integer arrays as its form, with a passing
+report: it is valid by construction.  Generated names are deterministic
+("u|x1,...,xk" for vertices and "a^x|companions" for arrows, separator
+characters escaped) so repeated runs serialize byte-identically.
 
 The W counts depend only on group sizes, so w_set_sizes builds no layer: it
 steps the coarsest equitable quotient of each layer (classes of range
@@ -107,10 +108,6 @@ def _split_generated(name: str) -> tuple[str, list[str]] | None:
     return (pieces[0], pieces[1:]) if seps == "|" + "," * (len(seps) - 1) else None
 
 
-def generated_vertex_name(base: str, coords: tuple[str, ...]) -> str:
-    return _esc(base) + "|" + ",".join(_esc(x) for x in coords)
-
-
 # the integer generator -------------------------------------------------------
 
 
@@ -169,12 +166,16 @@ def _raise_on_clash(kind: str, names) -> None:
         raise PreconditionError(f"generated {kind} names collide: {sorted(names)[:3]}")
 
 
-def _fresh_layer(g: SeparatedGraph, bases, sources) -> StepData:
+def _fresh_layer(g: SeparatedGraph, bases, sources, budget: int = DEFAULT_BUDGET) -> StepData:
     """The vertices and arrows generated over bases, named, as a graph onto sources.
 
     Its vertices are sources, then the tuple vertices; X(x), the arrows with
-    distinguished edge x, is a group at s(x).  Its integer form is _step's."""
+    distinguished edge x, is a group at s(x), in tuple order.  Its integer
+    form is _step's.  More than budget tuples are refused before any is made."""
     layer, picked, at = _int_layer(g, bases, sources)
+    size = sum(math.prod(map(len, groups)) for groups in layer.groups)
+    if size > budget:
+        raise _over_budget(0, f"generate {size} vertices (budget {budget})")
     w, new_groups = _step(layer)
     old = [g.edges[j] for j in picked]
     esc = [_esc(e.id) for e in old]
@@ -254,12 +255,14 @@ def _check_input_names(g: SeparatedGraph, step: int) -> None:
 
 @dataclass(frozen=True)
 class MultiresolutionData:
-    """A multiresolution with its resolved set and its W vertices, the
-    generated vertices with two or more non-first coordinates."""
+    """A multiresolution with the step that made its new part (see StepData)."""
 
     graph: SeparatedGraph
-    resolved: tuple[str, ...]
-    w_vertices: tuple[str, ...]
+    step: StepData
+
+    @property
+    def w_vertices(self) -> tuple[str, ...]:  # those with two or more non-first coordinates
+        return self.step.w_vertices
 
 
 def _check_resolved_set(g: SeparatedGraph, vertex_set) -> tuple[str, ...]:
@@ -290,11 +293,11 @@ def multiresolution_data(g: SeparatedGraph, vertex_set) -> MultiresolutionData:
     """
     ensure_valid(g)
     resolved = _check_resolved_set(g, vertex_set)
-    fresh = _fresh_layer(g, resolved, g.vertices)
-    h = fresh.graph  # its vertices are g's, then the new ones
+    step = _fresh_layer(g, resolved, g.vertices)
+    h = step.graph  # its vertices are g's, then the new ones
     separation = {v: old + new for v, old, new in zip(g.vertices, g.separation, h.separation)}
     graph = SeparatedGraph.build(h.vertices, g.edges + h.edges, separation)
-    return MultiresolutionData(graph, resolved, fresh.w_vertices)
+    return MultiresolutionData(graph, step)
 
 
 def multiresolution_at(g: SeparatedGraph, vertex_set) -> SeparatedGraph:
@@ -323,15 +326,16 @@ class StepData:
     group_of_edge: dict[str, GroupKey] = field(repr=False)  # old edge -> new group
 
 
-def canonical_step_data(g: SeparatedGraph) -> StepData:
+def canonical_step_data(g: SeparatedGraph, budget: int = DEFAULT_BUDGET) -> StepData:
     """Resolve the range layer of a bipartite graph and keep the new layer.
 
     The output graph has layer0 equal to g.layer1 (same ordered vertex set),
     layer1 the generated tuple vertices, and one group X(x) per old edge x,
-    attached at s(x) in source-fiber order.
+    attached at s(x) in source-fiber order.  A step that would generate more
+    than budget vertices is refused before any is made.
     """
     ensure_bipartite(g, "canonical step requires a bipartite graph")
-    step = _fresh_layer(g, g.layer0, g.layer1)
+    step = _fresh_layer(g, g.layer0, g.layer1, budget)
     # A valid bipartite graph resolves to a valid layer, so it carries its report.
     object.__setattr__(step.graph, "_validation", ValidationReport(()))
     return step
@@ -428,7 +432,7 @@ def canonical_sequence(
     w_sets: dict[int, tuple[str, ...]] = {}
     root_tables: dict[int, dict[str, str]] = {}
     for n in range(depth):
-        step = canonical_step_data(graphs[n])
+        step = canonical_step_data(graphs[n], budget)
         graphs.append(step.graph)
         w_sets[n + 2] = step.w_vertices
         root_tables[n + 2] = step.root

@@ -6,10 +6,13 @@ as the oracle that `graph_model.validate` (which reads the graph's integer
 form) is compared with.  `r_inv` and `s_inv` list the edges into and out
 of a vertex, in edge-list order, by scanning every edge.
 `projected_step_size` counts the vertices a canonical step would generate
-from a built layer.
+from a built layer.  `reference_character_values` extends a character across
+a multiresolution by spelling every generated vertex's name.
 """
 
+import itertools
 import math
+from typing import Mapping
 
 from sepk.graph_model import Edge, SeparatedGraph, ValidationReport, Violation, group_label
 
@@ -27,6 +30,48 @@ def s_inv(g: SeparatedGraph, v: str) -> tuple[Edge, ...]:
 def projected_step_size(g: SeparatedGraph) -> int:
     """Number of vertices the next canonical step generates: one per tuple over layer0."""
     return sum(math.prod(len(grp) for grp in g.groups_at(u)) for u in g.layer0)
+
+
+def _esc(s: str) -> str:
+    return s.replace("\\", "\\\\").replace("|", "\\|").replace(",", "\\,")
+
+
+def reference_character_values(
+    g: SeparatedGraph, vertex_set, base: Mapping[str, complex], free: Mapping[str, complex]
+) -> dict[str, complex]:
+    """The extension of base and free across the multiresolution of g at vertex_set.
+
+    Each tuple vertex is found by its name, "u|x1,...,xk" with every piece
+    escaped, and each forced value divides the relation's left side by the
+    product of the other vertices' values, taken in itertools.product order:
+    X(x) for a tuple whose one non-first coordinate is x, and the splitting
+    of u into all its tuples for u's all-first tuple.  Nothing is checked.
+    """
+
+    def name(u: str, tup: tuple[str, ...]) -> str:
+        return _esc(u) + "|" + ",".join(_esc(x) for x in tup)
+
+    values, chosen = {**base, **free}, set(vertex_set)
+    for u in (v for v in g.vertices if v in chosen):
+        groups = g.groups_at(u)
+        firsts = tuple(grp[0] for grp in groups)
+        for i, grp in enumerate(groups):
+            others = groups[:i] + groups[i + 1 :]
+            other_firsts = firsts[:i] + firsts[i + 1 :]
+            for x in grp[1:]:
+                prod = 1.0 + 0j
+                for comps in itertools.product(*others):
+                    if comps != other_firsts:
+                        prod *= values[name(u, comps[:i] + (x,) + comps[i:])]
+                z = values[g.edge(x).src] / prod
+                values[name(u, firsts[:i] + (x,) + firsts[i + 1 :])] = z / abs(z)
+        prod = 1.0 + 0j
+        for tup in itertools.product(*groups):
+            if tup != firsts:
+                prod *= values[name(u, tup)]
+        z = values[u] / prod
+        values[name(u, firsts)] = z / abs(z)
+    return values
 
 
 def reference_validate(g: SeparatedGraph) -> ValidationReport:

@@ -263,6 +263,28 @@ def test_budget_exceeded_exits_3(capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("command", [
+    ("multires", "--at", "v"),
+    ("phi", "--element", "v.1:1,v.2:-1"),
+    ("character", "--base", "base.json", "--free", "free.json"),
+], ids=("multires", "phi", "character"))
+def test_wide_vertex_refused_before_its_tuples(command, tmp_path, capsys, monkeypatch):
+    # 20 groups of two edges: 1 048 576 tuples, past the default budget
+    groups = [[f"a{i}", f"b{i}"] for i in range(20)]
+    edges = [(x, x[0], "v") for grp in groups for x in grp]
+    g = SeparatedGraph.build(["v", "a", "b"], edges, {"v": groups}, (["v"], ["a", "b"]))
+    (tmp_path / "wide.graph").write_bytes(serialize(g))
+    (tmp_path / "base.json").write_text(json.dumps(dict.fromkeys(g.vertices, 0)))
+    (tmp_path / "free.json").write_text("{}")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, command[0], "wide.graph", *command[1:])
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: layer 1 would generate 1048576 vertices (budget 1000000); "
+        "last completed layer is 0\n"
+    )
+
+
 def test_multires_and_companion_emit_parseable_graphs(capsys):
     code, out, _ = run(capsys, "multires", "--builtin", "E(2,2)", "--at", "v")
     assert code == 0

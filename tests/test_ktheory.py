@@ -40,7 +40,7 @@ from conftest import (
     random_separated_graph,
 )
 from dense_oracles import smith_diagonal, to_lists
-from graph_oracles import projected_step_size
+from graph_oracles import projected_step_size, reference_character_values
 
 
 def arrow_counts(pair):
@@ -460,6 +460,35 @@ def test_character_rejects_non_unit_modulus():
     base = CharacterAssignment({"v": -1 + 0j, "w": 1j})
     with pytest.raises(CharacterError, match="free value at 'v|a2,b2' has modulus nan"):
         extend_character(g, ["v"], base, {"v|a2,b2": complex("nan")})
+
+
+def _character_cases():
+    """(graph, vertex set): built-in layers 0..2 at their range layer, then seeded ones.
+
+    Built-in layers whose multiresolution would take more than 6 000 tuples are
+    left out; the seeded bipartite graphs are resolved at random nonempty
+    subsets of their range layer.
+    """
+    for spec in ("E(2,2)", "E(2,3)", "E(3,3)", "lamplighter(2)", "lamplighter(3)"):
+        for g in canonical_sequence(builtin_from_spec(spec), 2).graphs:
+            if projected_step_size(g) <= 6000:
+                yield g, list(g.layer0)
+    rng = random.Random(1503)
+    for _ in range(120):
+        g = random_bipartite_graph(rng)
+        yield g, rng.sample(g.layer0, rng.randint(1, len(g.layer0)))
+
+
+def test_character_extension_matches_the_name_spelling_oracle():
+    # bit for bit: the same products, factor for factor and in the same order
+    rng = random.Random(6067)
+    for g, vs in _character_cases():
+        data = multiresolution_data(g, vs)
+        base = dict.fromkeys(g.vertices, 1 + 0j)
+        free = {v: cmath.exp(2j * cmath.pi * rng.random()) for v in data.w_vertices}
+        ext = extend_character(g, vs, CharacterAssignment(base), free)
+        assert ext.values == reference_character_values(g, vs, base, free)
+        assert ext.values.keys() == set(data.graph.vertices)
 
 
 def test_k0_grows_by_w_rank_along_sequence():

@@ -99,7 +99,7 @@ def test_multires_counting_random():
         md = multiresolution_data(g, vs)
         expect_v = 0
         expect_e = 0
-        for u in md.resolved:
+        for u in vs:
             sizes = [len(grp) for grp in g.groups_at(u)]
             prod = 1
             for s in sizes:
@@ -109,7 +109,7 @@ def test_multires_counting_random():
         assert len(md.graph.vertices) == len(g.vertices) + expect_v
         assert len(md.graph.edges) == len(g.edges) + expect_e
         assert validate(md.graph).ok
-        assert len(md.w_vertices) == w_count_formula(g, md.resolved)
+        assert len(md.w_vertices) == w_count_formula(g, vs)
 
 
 def test_canonical_step_e22():
@@ -190,6 +190,23 @@ def test_sequence_refuses_a_depth_past_the_budget_before_building(monkeypatch):
     )
     assert exc.value.last_layer == 4
     assert steps == []
+
+
+def test_multiresolution_and_canonical_step_share_one_generator():
+    # at the range layer both resolve the same tuples, so the same provenance
+    rng = random.Random(1070)
+    graphs = [
+        h
+        for spec in ("E(2,2)", "E(2,3)", "E(3,3)", "lamplighter(2)", "lamplighter(3)")
+        for h in canonical_sequence(builtin_from_spec(spec), 2).graphs
+        if projected_step_size(h) <= 6000
+    ]
+    graphs += [random_bipartite_graph(rng) for _ in range(60)]
+    for g in graphs:
+        fresh, step = multiresolution_data(g, g.layer0).step, canonical_step_data(g)
+        assert fresh.w_vertices == step.w_vertices
+        assert list(fresh.root.items()) == list(step.root.items())
+        assert list(fresh.group_of_edge.items()) == list(step.group_of_edge.items())
 
 
 def test_roots_e22():
