@@ -399,7 +399,7 @@ def _extend_character_with_data(
     tuples: dict[str, list[str]] = {}  # per resolved vertex, its tuples in tuple order
     for v, u in step.root.items():
         tuples.setdefault(u, []).append(v)
-    # One non-first coordinate x: the first arrow of X(x) leaves that tuple.
+    # One non-first coordinate x: the first arrow of X(x), a group at s(x), leaves it.
     for u in tuples:
         for grp in g.groups_at(u):
             for x in grp[1:]:
