@@ -10,8 +10,8 @@ bytes.
 Each subcommand is one row of _COMMANDS, which builds the parser.  main
 is the one place that loads the graph, prints the rendering asked for and
 maps an error to its exit code: 0 success, 1 usage error, 2 validation or
-file-format failure, 3 generated-vertex budget exceeded, 4 precondition
-rejection.
+file-format failure, 3 generated-vertex budget exceeded or memory
+exhausted, 4 precondition rejection.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from .graph_model import (
     GroupKey,
     ParameterRangeError,
     SeparatedGraph,
-    dump_json,
     group_label,
+    json_chunks,
 )
 from .transform import BudgetExceededError, PreconditionError, ValidationError
 
@@ -190,8 +190,8 @@ def _load_character_file(path: str) -> dict[str, complex]:
 
 
 # subcommand implementations ---------------------------------------------------
-# Each returns its exit code, a renderer of its JSON object (None where the
-# text is printed in either format) and a renderer of its text.
+# Each returns its exit code, a renderer of its JSON object and a renderer
+# of its text (None where the JSON is printed in either format).
 
 
 def _report_output(report, key: str, failure: int):
@@ -266,7 +266,7 @@ def _vertex_list(text: str, g: SeparatedGraph) -> list[str]:
 
 def _graph_output(g: SeparatedGraph):
     # A graph prints in the graph file format whatever --format says.
-    return EXIT_OK, None, lambda: dump_json(graph_model.to_obj(g))
+    return EXIT_OK, lambda: graph_model.to_obj(g), None
 
 
 def _cmd_multires(loaded: _Loaded, args):
@@ -445,6 +445,7 @@ _EXIT_CODES = {
     PreconditionError: EXIT_PRECONDITION,
     ParameterRangeError: EXIT_PRECONDITION,
     OSError: EXIT_USAGE,  # missing, unreadable or directory input paths
+    MemoryError: EXIT_BUDGET,  # a step under the vertex budget may still not fit in memory
 }
 
 
@@ -456,9 +457,16 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         code, as_json, as_text = args.func(_load_graph(args), args)
-        print(dump_json(as_json()) if as_json and args.format == "json" else as_text())
+        if args.format == "json" or as_text is None:
+            # in pieces, all made before the first: one write past 2 GiB can be cut short
+            out = json_chunks(as_json())
+            out.append("\n")
+        else:
+            out = [as_text(), "\n"]
+        sys.stdout.writelines(out)
     except tuple(_EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = "out of memory" if isinstance(exc, MemoryError) else exc
+        print(f"error: {message}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
     return code
 

@@ -395,20 +395,21 @@ class _Quoted(dict):
         return q
 
 
-def dump_json(obj) -> str:
-    """The text the stdlib's json `dumps(obj, indent=2, ensure_ascii=False)`
-    returns, byte for byte.
+def json_chunks(obj) -> list[str]:
+    """The pieces of the text the stdlib's json `dumps(obj, indent=2,
+    ensure_ascii=False)` returns, byte for byte once joined.
 
     With indent set, the stdlib (before Python 3.13) leaves its C encoder
     for a pure-Python one built from nested generators, and escapes every
     occurrence of a string again.  The layers of a canonical sequence name
     their vertices and edges by nesting the escaped names of the layer
     before, so the same long names recur many times.  This writer walks the
-    value once, escapes each distinct string once per call, appends every
-    piece to one list and joins it once; long literals are appended, never
-    concatenated.  It accepts what the stdlib call accepts by default,
-    prints int and float subclasses as the built-in type, and raises
-    TypeError for anything else.
+    value once, escapes each distinct string once per call and appends
+    every piece to one list: one literal, or a separator or bracket with
+    its line's indentation, never a concatenation of literals.  It accepts
+    what the stdlib call accepts by default, prints int and float
+    subclasses as the built-in type, and raises TypeError for anything
+    else.
     """
     quoted = _Quoted()
     chunks: list[str] = []
@@ -451,7 +452,12 @@ def dump_json(obj) -> str:
             emit(_scalar_text(v))
 
     write(obj, "\n")
-    return "".join(chunks)
+    return chunks
+
+
+def dump_json(obj) -> str:
+    """json_chunks(obj) joined: the text of json.dumps(obj, indent=2, ensure_ascii=False)."""
+    return "".join(json_chunks(obj))
 
 
 # file format ---------------------------------------------------------------
@@ -480,7 +486,9 @@ def to_obj(g: SeparatedGraph) -> dict:
 
 
 def serialize(g: SeparatedGraph) -> bytes:
-    return (dump_json(to_obj(g)) + "\n").encode("utf-8")
+    chunks = json_chunks(to_obj(g))
+    chunks.append("\n")
+    return "".join(chunks).encode("utf-8")
 
 
 _TOP_KEYS = frozenset(("vertices", "edges", "separation", "bipartite"))

@@ -33,7 +33,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -222,14 +221,18 @@ def _check_input_names(g: SeparatedGraph, step: int) -> None:
     Escaping is injective, so a generated name equals an older one only if their
     heads are equal.  From step 2 on both heads were generated and checked by
     earlier steps, so no collision can happen; at step 1 only a new vertex can
-    equal an input (layer1) vertex.
+    equal an input (layer1) vertex.  Every generated name holds a "|", and
+    _split_generated finds a head only past one, so other names are skipped.
     """
+    names = g.layer1 if step else [*g.vertices, *(e.id for e in g.edges)]
+    if not any("|" in name for name in names):
+        return
     slots = {u: [(u, i) for i in range(len(g.groups_at(u)))] for u in g.layer0}
     where = {x: key for u in g.layer0 for key, grp in zip(slots[u], g.groups_at(u)) for x in grp}
     others = {x: [key for key in slots[u] if key != (u, i)] for x, (u, i) in where.items()}
 
     def head(name, expected, coord=where.get):  # head when coords map onto expected[head]
-        p = _split_generated(name)
+        p = _split_generated(name) if "|" in name else None
         if p is None or p[0] not in expected:
             return None
         want = expected[p[0]]
@@ -450,29 +453,22 @@ class _Classes(NamedTuple):
     Class c holds mult[c] objects of sort kind[c], and each of them lies in one
     object of every class in up[c]: a group in its range vertex, an edge in its
     group and at its source.  In an equitable partition every object of a
-    class p holds mult[c] // mult[p] objects of each class c inside p.
+    class p holds mult[c] // mult[p] objects of each class c inside p.  A
+    merged partition also lists, in class order, the classes of each sort and
+    the classes inside each class p (those with p in up[c]).
     """
 
     kind: list[int]
     mult: list[int]
     up: list[tuple[int, ...]]
+    sort: Sequence[list[int]] = ()
+    inside: Sequence[list[int]] = ()
 
     def add(self, kind: int, mult: int, up: tuple[int, ...] = ()) -> int:
         self.kind.append(kind)
         self.mult.append(mult)
         self.up.append(up)
         return len(self.kind) - 1
-
-    def of(self, kind: int) -> list[int]:
-        return [c for c, k in enumerate(self.kind) if k == kind]
-
-    def inside(self) -> list[list[int]]:
-        """Per class p, the classes c with p in up[c]."""
-        inside: list[list[int]] = [[] for _ in self.kind]
-        for c, over in enumerate(self.up):
-            for p in over:
-                inside[p].append(c)
-        return inside
 
 
 def _coarsest(q: _Classes) -> _Classes:
@@ -482,31 +478,46 @@ def _coarsest(q: _Classes) -> _Classes:
     and how many objects of each colour one of its objects holds, until no
     colour splits; then each colour is one class.  A group's colour holds its
     range vertex's, so the groups merged into one class lie in one range class.
+    q itself is equitable, so those counts are sums of q's own ratios.
     """
-    colour = q.kind
-    while True:
-        held: list[dict[int, int]] = [{} for _ in q.kind]
-        for c, over in enumerate(q.up):
+    kind, mult, up = q.kind, q.mult, q.up
+    colours = len(set(kind))
+    if colours < len(kind):  # else every class has its own colour, and none merge
+        # per class p: (c inside p, objects of c in one object of p)
+        held: list[list[tuple[int, int]]] = [[] for _ in kind]
+        for c, over in enumerate(up):
             for p in over:
-                held[p][colour[c]] = held[p].get(colour[c], 0) + q.mult[c]
-        ids: dict[tuple, int] = {}
-        new = [
-            ids.setdefault((
-                colour[c],
-                tuple(colour[p] for p in over),
-                tuple(sorted((x, n // q.mult[c]) for x, n in held[c].items())),
-            ), len(ids))
-            for c, over in enumerate(q.up)
-        ]
-        if len(ids) == len(set(colour)):
-            break
-        colour = new
-    merged = _Classes([0] * len(ids), [0] * len(ids), [()] * len(ids))
-    for c, x in enumerate(new):
-        merged.kind[x] = q.kind[c]
-        merged.mult[x] += q.mult[c]
-        merged.up[x] = tuple(new[p] for p in q.up[c])
-    return merged
+                held[p].append((c, mult[c] // mult[p]))
+        colour = kind
+        while True:
+            ids: dict[tuple, int] = {}
+            new = []
+            for c, over in enumerate(up):
+                count: tuple = ()
+                if held[c]:
+                    tally: dict[int, int] = {}
+                    for x, n in held[c]:
+                        tally[colour[x]] = tally.get(colour[x], 0) + n
+                    count = tuple(sorted(tally.items()))
+                sign = (colour[c], tuple([colour[p] for p in over]), count)
+                new.append(ids.setdefault(sign, len(ids)))
+            if len(ids) in (colours, len(kind)):  # nothing split, or nothing left to split
+                break
+            colour, colours = new, len(ids)
+        colours = len(ids)
+        del held, ids, colour  # freed before the merged classes are made
+        kind, mult, up = [0] * colours, [0] * colours, [()] * colours
+        for c, x in enumerate(new):
+            kind[x] = q.kind[c]
+            mult[x] += q.mult[c]
+            up[x] = tuple([new[p] for p in q.up[c]])
+    sort: list[list[int]] = [[], [], [], []]
+    inside: list[list[int]] = [[] for _ in kind]
+    for x, over in enumerate(up):
+        sort[kind[x]].append(x)
+        for p in over:
+            inside[p].append(x)
+    return _Classes(kind, mult, up, sort, inside)
 
 
 def _tuple_classes(q: _Classes, layer: int) -> _Classes:
@@ -521,27 +532,29 @@ def _tuple_classes(q: _Classes, layer: int) -> _Classes:
     than DEFAULT_BUDGET source classes are refused before any is made; they
     never outnumber the tuples, so only a raised vertex budget meets this.
     """
-    inside = q.inside()
+    mult, inside = q.mult, q.inside
     picks = [  # per range class, per group class in it: {e: k_e} and c
-        (r, [({e: q.mult[e] // q.mult[grp] for e in inside[grp]}, q.mult[grp] // q.mult[r])
+        (r, [({e: mult[e] // mult[grp] for e in inside[grp]}, mult[grp] // mult[r])
              for grp in inside[r]])
-        for r in q.of(_RANGE)
+        for r in q.sort[_RANGE]
     ]
     count = sum(math.prod(math.comb(len(k) + c - 1, c) for k, c in groups) for _, groups in picks)
     if count > DEFAULT_BUDGET:
         raise _over_budget(layer + 2, f"take more than {DEFAULT_BUDGET} vertex classes to count")
     nxt = _Classes([], [], [])
-    new = {s: nxt.add(_RANGE, q.mult[s]) for s in q.of(_SOURCE)}
-    for e in q.of(_EDGE):
-        new[e] = nxt.add(_GROUP, q.mult[e], (new[q.up[e][1]],))
+    new = {s: nxt.add(_RANGE, mult[s]) for s in q.sort[_SOURCE]}
+    for e in q.sort[_EDGE]:
+        new[e] = nxt.add(_GROUP, mult[e], (new[q.up[e][1]],))
+    top = max((c for _, groups in picks for _, c in groups), default=0)
+    fact = [math.factorial(c) for c in range(top + 1)]
     for r, groups in picks:
-        takes = [[
-            (n, math.factorial(c) // math.prod(map(math.factorial, n.values()))
-             * math.prod(k[e] ** j for e, j in n.items()))
-            for n in map(Counter, itertools.combinations_with_replacement(k, c))
+        takes = [[  # a multiset is a sorted tuple of classes, in which e comes n_e times
+            (n := {e: tup.count(e) for e in tup},
+             fact[c] // math.prod([fact[j] for j in n.values()]) * math.prod([k[e] for e in tup]))
+            for tup in itertools.combinations_with_replacement(k, c)
         ] for k, c in groups]
         for pick in itertools.product(*takes):
-            t = nxt.add(_SOURCE, q.mult[r] * math.prod(ways for _, ways in pick))
+            t = nxt.add(_SOURCE, mult[r] * math.prod(ways for _, ways in pick))
             for n, _ in pick:
                 for e, j in n.items():
                     nxt.add(_EDGE, nxt.mult[t] * j, (new[e], t))
@@ -575,17 +588,17 @@ def _layer_sizes(g: SeparatedGraph):
     """
     yield [(1, [len(grp) for grp in g.groups_at(u)]) for u in g.layer0]
     for q in _quotients(g):
-        inside = q.inside()
-        size = {grp: sum(q.mult[e] // q.mult[grp] for e in inside[grp]) for grp in q.of(_GROUP)}
+        mult, inside = q.mult, q.inside
+        size = {grp: sum(mult[e] // mult[grp] for e in inside[grp]) for grp in q.sort[_GROUP]}
         tuples = {
-            r: math.prod(size[grp] ** (q.mult[grp] // q.mult[r]) for grp in inside[r])
-            for r in q.of(_RANGE)
+            r: math.prod(size[grp] ** (mult[grp] // mult[r]) for grp in inside[r])
+            for r in q.sort[_RANGE]
         }
-        sizes: dict[int, list[int]] = {s: [] for s in q.of(_SOURCE)}
-        for e in q.of(_EDGE):
+        sizes: dict[int, list[int]] = {s: [] for s in q.sort[_SOURCE]}
+        for e in q.sort[_EDGE]:
             grp, s = q.up[e]
-            sizes[s] += [tuples[q.up[grp][0]] // size[grp]] * (q.mult[e] // q.mult[s])
-        yield [(q.mult[s], ns) for s, ns in sizes.items()]
+            sizes[s] += [tuples[q.up[grp][0]] // size[grp]] * (mult[e] // mult[s])
+        yield [(mult[s], ns) for s, ns in sizes.items()]
 
 
 def w_set_sizes(g: SeparatedGraph, depth: int, budget: int = DEFAULT_BUDGET) -> tuple[int, ...]:

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -282,6 +283,68 @@ def test_wide_vertex_refused_before_its_tuples(command, tmp_path, capsys, monkey
     assert err == (
         "error: layer 1 would generate 1048576 vertices (budget 1000000); "
         "last completed layer is 0\n"
+    )
+
+
+class _Writes(io.StringIO):
+    """A stdout that keeps each string written to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, s):
+        self.writes.append(s)
+        return len(s)
+
+
+def _strings(v):
+    if isinstance(v, str):
+        yield v
+    elif isinstance(v, dict):
+        for key, item in v.items():
+            yield key
+            yield from _strings(item)
+    elif isinstance(v, list):
+        for item in v:
+            yield from _strings(item)
+
+
+def test_json_output_is_written_in_pieces(monkeypatch):
+    # one write of more than 2 GiB can be cut short, so none holds more than
+    # one literal or one separator with its indentation
+    out = _Writes()
+    monkeypatch.setattr(sys, "stdout", out)
+    argv = ["sequence", "--builtin", "lamplighter(2)", "--depth", "6", "--format", "json"]
+    assert main(argv) == 0
+    obj = canonical_sequence(builtin("lamplighter", [2]), 6).to_json_obj()
+    text = json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+    assert "".join(out.writes) == text
+    longest = max(len(json.dumps(s, ensure_ascii=False)) for s in _strings(obj))
+    indent = max(len(line) - len(line.lstrip(" ")) for line in text.splitlines())
+    assert len(out.writes) > 1000
+    assert max(map(len, out.writes)) <= longest + indent
+
+
+def test_output_that_fails_to_render_writes_nothing(monkeypatch):
+    # every piece is made before the first is written
+    out = _Writes()
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(graph_model, "to_obj", lambda g: {"vertices": ["v", object()]})
+    with pytest.raises(TypeError):
+        main(["companion", "--builtin", "E(2,2)"])
+    assert out.writes == []
+
+
+def test_memory_exhaustion_exits_3_with_one_line(capsys, monkeypatch):
+    import sepk.transform
+
+    def exhausted(g, vertex_set):
+        raise MemoryError
+
+    monkeypatch.setattr(sepk.transform, "multiresolution_at", exhausted)
+    assert run(capsys, "multires", "--builtin", "E(2,2)", "--at", "v") == (
+        3, "", "error: out of memory\n"
     )
 
 

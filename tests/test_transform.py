@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import time
@@ -388,11 +389,12 @@ def test_name_collision_detected_through_canonical_step(g, step, kind):
         assert k0_tame(g, 1).layer_ranks == (len(canonical_sequence(g, 1).w_sets[2]),)
 
 
-def _rename(g, rng, pool):
-    """g with some vertices and edges renamed from pool or to short odd strings."""
+def _rename(g, rng, pool, pooled=0.6):
+    """g with some vertices and edges renamed, each from pool with chance pooled,
+    else to a short odd string."""
 
     def fresh():
-        if rng.random() < 0.6:
+        if rng.random() < pooled:
             return rng.choice(pool)
         return "".join(rng.choice(("a", "w", "|", ",", "\\", "a^")) for _ in range(rng.randint(1, 3)))
 
@@ -418,15 +420,17 @@ def _named_w_counts(g, depth):
     return tuple(counts)
 
 
+def _outcome(run):
+    try:
+        return run()
+    except PreconditionError as exc:
+        return str(exc)
+
+
 def test_name_free_collision_check_agrees_with_rendered_names():
     # names drawn from the first generated layers make collisions and many
     # near misses; the parsing check and the rendered names must decide alike
-    def outcome(run):
-        try:
-            return run()
-        except PreconditionError as exc:
-            return str(exc)
-
+    outcome = _outcome
     rng = random.Random(13)
     collisions = 0
     for _ in range(300):
@@ -442,6 +446,46 @@ def test_name_free_collision_check_agrees_with_rendered_names():
         assert outcome(lambda: tuple(map(len, canonical_sequence(h, 2).w_sets.values()))) == want
         collisions += isinstance(want, str)
     assert collisions >= 10
+
+
+def test_generated_input_names_stop_every_count_as_the_rendered_steps_do():
+    # Every name here comes from step 0 or 1 of the graph's own sequence, so
+    # it holds a "|" and the name check parses it.  The outcomes are pinned:
+    # the digest is that of the messages and ranks the parsing check gave
+    # before it learned to skip names without a "|".
+    rng = random.Random(31)
+    outcomes = []
+    while len(outcomes) < 150:
+        g = random_bipartite_graph(rng, max_l0=2, max_l1=2, max_groups=2, max_size=2)
+        seq = canonical_sequence(g, 2)
+        pool = [*seq.graphs[1].layer1, *(e.id for e in seq.graphs[1].edges), *seq.graphs[2].layer1]
+        h = _rename(g, rng, pool, pooled=1.0)
+        if h is None or h == g:
+            continue
+        want = _outcome(lambda: _named_w_counts(h, 2))
+        assert _outcome(lambda: w_set_sizes(h, 2)) == want
+        assert _outcome(lambda: k0_tame(h, 2).layer_ranks) == want
+        assert _outcome(lambda: tuple(map(len, canonical_sequence(h, 2).w_sets.values()))) == want
+        outcomes.append(want)
+    assert sum(isinstance(o, str) for o in outcomes) >= 30
+    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+    assert digest == "05be4fc065f2415bbf52c00f361f4178c4482ca0ecdec7655103fa1b22b42029"
+
+
+def test_names_without_a_bar_are_never_parsed(monkeypatch):
+    import sepk.transform
+
+    def split(name):
+        raise AssertionError(f"parsed {name!r}")
+
+    monkeypatch.setattr(sepk.transform, "_split_generated", split)
+    rng = random.Random(41)
+    starts = [builtin_from_spec(s) for s in BUILTINS]
+    starts += [random_bipartite_graph(rng, max_groups=2, max_size=2) for _ in range(60)]
+    for g in starts:
+        assert not any("|" in x for x in [*g.vertices, *(e.id for e in g.edges)])
+        assert k0_tame(g, 2).layer_ranks == w_set_sizes(g, 2)
+        assert len(canonical_sequence(g, 2).graphs) == 3
 
 
 def test_validation_report_is_computed_once_per_graph(monkeypatch):
