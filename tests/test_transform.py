@@ -430,7 +430,6 @@ def _outcome(run):
 def test_name_free_collision_check_agrees_with_rendered_names():
     # names drawn from the first generated layers make collisions and many
     # near misses; the parsing check and the rendered names must decide alike
-    outcome = _outcome
     rng = random.Random(13)
     collisions = 0
     for _ in range(300):
@@ -441,18 +440,17 @@ def test_name_free_collision_check_agrees_with_rendered_names():
         h = _rename(g, rng, pool)
         if h is None:
             continue
-        want = outcome(lambda: _named_w_counts(h, 2))
-        assert outcome(lambda: w_set_sizes(h, 2)) == want
-        assert outcome(lambda: tuple(map(len, canonical_sequence(h, 2).w_sets.values()))) == want
+        want = _outcome(lambda: _named_w_counts(h, 2))
+        assert _outcome(lambda: w_set_sizes(h, 2)) == want
+        assert _outcome(lambda: tuple(map(len, canonical_sequence(h, 2).w_sets.values()))) == want
         collisions += isinstance(want, str)
     assert collisions >= 10
 
 
 def test_generated_input_names_stop_every_count_as_the_rendered_steps_do():
     # Every name here comes from step 0 or 1 of the graph's own sequence, so
-    # it holds a "|" and the name check parses it.  The outcomes are pinned:
-    # the digest is that of the messages and ranks the parsing check gave
-    # before it learned to skip names without a "|".
+    # it holds a "|" and the name check parses it.  The digest pins every
+    # outcome, so each message stays byte for byte as it is.
     rng = random.Random(31)
     outcomes = []
     while len(outcomes) < 150:
