@@ -4,9 +4,10 @@ Everything runs over plain Python ints (arbitrary precision); intermediate
 entries of normal-form computations blow up quickly even for modest inputs,
 so machine integers are never used.
 
-Cokernels, kernels and ranks share one sparse elimination, ColumnReduction:
-it pivots on +-1 entries first, in Markowitz order, and leaves only a core
-without unit entries, usually tiny, to one dense Smith elimination.  The
+IntMatrix stores sparse columns, the form read by ColumnReduction, the one
+elimination behind cokernels, kernels and ranks: it pivots on +-1 entries
+first, in Markowitz order, and leaves only a core without unit entries,
+usually tiny, to one dense Smith elimination.  The
 cokernel and the rank read its diagonal; the kernel reads the column
 transform V, collected, like both transforms of smith_normal_form, by
 identity rows or columns appended to the matrix the elimination works on.
@@ -19,41 +20,75 @@ lattice membership compares two such forms.
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Hashable, Iterable, Mapping, Sequence
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class IntMatrix:
-    """A dense integer matrix with duplicate-free row and column labels."""
+    """An integer matrix with duplicate-free row and column labels.
+
+    Column j of _columns maps row indices to its nonzero entries.  data, the
+    dense rows, is a view built on first read, or kept from the rows a matrix
+    is made of.  Equality and hashing go by value.
+    """
 
     rows: tuple[Hashable, ...]
     cols: tuple[Hashable, ...]
-    data: tuple[tuple[int, ...], ...]
+    _columns: tuple[dict[int, int], ...]
 
-    def __post_init__(self):
-        if len(set(self.rows)) != len(self.rows):
+    def __init__(
+        self, rows: Iterable[Hashable], cols: Iterable[Hashable], data: Iterable[Iterable[int]]
+    ):
+        # operator.index takes ints and bools and refuses floats and strings.
+        data = tuple(tuple(map(operator.index, row)) for row in data)
+        rows, cols = tuple(rows), tuple(cols)
+        if len(set(rows)) != len(rows):
             raise ValueError("duplicate row labels")
-        if len(set(self.cols)) != len(self.cols):
+        if len(set(cols)) != len(cols):
             raise ValueError("duplicate column labels")
-        if len(self.data) != len(self.rows):
+        if len(data) != len(rows):
             raise ValueError("row count does not match labels")
-        for row in self.data:
-            if len(row) != len(self.cols):
-                raise ValueError("column count does not match labels")
+        if any(len(row) != len(cols) for row in data):
+            raise ValueError("column count does not match labels")
+        columns = [{i: row[j] for i, row in enumerate(data) if row[j]} for j in range(len(cols))]
+        self.__dict__.update(rows=rows, cols=cols, _columns=tuple(columns), data=data)
+
+    @classmethod
+    def _of_columns(cls, rows, cols, columns) -> "IntMatrix":
+        """A matrix whose labels and sparse columns its producer already holds."""
+        m = object.__new__(cls)
+        m.__dict__.update(rows=rows, cols=cols, _columns=tuple(columns))
+        return m
 
     @classmethod
     def from_rows(
-        cls,
-        rows: Iterable[Hashable],
-        cols: Iterable[Hashable],
-        data: Sequence[Sequence[int]],
+        cls, rows: Iterable[Hashable], cols: Iterable[Hashable], data: Sequence[Sequence[int]]
     ) -> "IntMatrix":
-        return cls(tuple(rows), tuple(cols), tuple(tuple(int(x) for x in r) for r in data))
+        return cls(rows, cols, data)
+
+    @cached_property
+    def data(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, _dense(range(len(self.rows)), self._columns)))
 
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.rows), len(self.cols))
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, tuple(frozenset(c.items()) for c in self._columns)))
+
+
+def _dense(rows: Sequence[int], columns: Sequence[Mapping[int, int]]) -> list[list[int]]:
+    # The given rows of the matrix with these sparse columns, as dense lists.
+    index = {i: k for k, i in enumerate(rows)}
+    a = [[0] * len(columns) for _ in rows]
+    for j, col in enumerate(columns):
+        for i, x in col.items():
+            a[index[i]][j] = x
+    return a
 
 
 def _format_grid(row_heads: list[str], col_heads: list[str], cells: list[list[str]]) -> str:
@@ -200,16 +235,12 @@ def smith_normal_form(matrix: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatri
 
 # sparse column elimination -------------------------------------------------
 #
-# Cokernels, kernels and ranks all run through ColumnReduction, which takes a
-# matrix as columns of {row: entry} dicts.  The incidence matrices of deep
-# canonical-sequence layers are tall (thousands of rows), have a handful of
-# nonzeros per row, and nearly all their entries are +-1.  A +-1 entry is a
-# unit pivot: column operations clear the rest of its row, and then its row
-# and column can leave the matrix without changing the cokernel (Dumas,
-# Saunders, Villard, "On efficient sparse integer matrix Smith normal form
-# computations", J. Symbolic Comput. 32, 2001).  Only the core left without
-# a unit entry, usually tiny, goes to the dense Smith elimination, behind
-# the cokernel, the rank and the kernel alike.
+# The incidence matrices of deep canonical-sequence layers are tall (thousands
+# of rows), have a handful of nonzeros per row, and nearly all their entries
+# are +-1.  A +-1 entry is a unit pivot: column operations clear the rest of
+# its row, and then its row and column can leave the matrix without changing
+# the cokernel (Dumas, Saunders, Villard, "On efficient sparse integer matrix
+# Smith normal form computations", J. Symbolic Comput. 32, 2001).
 
 
 class ColumnReduction:
@@ -219,8 +250,9 @@ class ColumnReduction:
     column j; the input is not modified.  Every pivot is a +-1 entry.
     Pivoting drops one row and one column, so the cokernel loses a trivial
     summand and the rank gains one.  The columns that remain form the core:
-    they have no +-1 entry, and each carries its tail, the combination of
-    input columns that it now is, from which kernel() reads kernel vectors.
+    they have no +-1 entry, meet the rows in core_rows, and each carries its
+    tail, the combination of input columns that it now is, from which
+    kernel() reads kernel vectors.
     """
 
     def __init__(self, nrows: int, columns: Sequence[Mapping[int, int]]):
@@ -284,24 +316,12 @@ class ColumnReduction:
         self.ncols = len(cols)
         self.pivots = pivots
         self.core = [col for col in cols if col is not None]
+        self.core_rows = sorted({i for col in self.core for i in col})
         self.tails = [tail for tail in tails if tail is not None]
-
-    def _dense_core(self) -> list[list[int]]:
-        # The core as dense rows over the rows it meets, one column per core column.
-        rows = sorted({i for col in self.core for i in col})
-        index = {i: k for k, i in enumerate(rows)}
-        a = [[0] * len(self.core) for _ in rows]
-        for j, col in enumerate(self.core):
-            for i, x in col.items():
-                a[index[i]][j] = x
-        return a
-
-    def rank(self) -> int:
-        return self.nrows - self.cokernel().rank
 
     def cokernel(self) -> AbelianGroupInvariants:
         """Invariants of Z^nrows / column span, by Smith form of the core."""
-        a = self._dense_core()
+        a = _dense(self.core_rows, self.core)
         core = _smith_cokernel(a, len(a), len(self.core))
         return core.with_free_summand(self.nrows - self.pivots - len(a))
 
@@ -311,7 +331,7 @@ class ColumnReduction:
         The columns of the core's V past its rank span the core's kernel;
         summing the tails they select carries them to the input columns.
         """
-        a = self._dense_core()
+        a = _dense(self.core_rows, self.core)
         m, n = len(a), len(self.core)
         a += [[int(i == j) for j in range(n)] for i in range(n)]
         _smith(a, m, n)
@@ -328,22 +348,13 @@ class ColumnReduction:
         return hnf_column_basis(vectors, self.ncols)
 
 
-def _reduction(matrix: IntMatrix) -> ColumnReduction:
-    cols: list[dict[int, int]] = [{} for _ in matrix.cols]
-    for i, row in enumerate(matrix.data):
-        for j, x in enumerate(row):
-            if x:
-                cols[j][i] = x
-    return ColumnReduction(len(matrix.rows), cols)
-
-
 def cokernel_invariants(matrix: IntMatrix) -> AbelianGroupInvariants:
     """Invariants of Z^rows / column-span(matrix)."""
-    return _reduction(matrix).cokernel()
+    return ColumnReduction(len(matrix.rows), matrix._columns).cokernel()
 
 
 def matrix_rank(matrix: IntMatrix) -> int:
-    return _reduction(matrix).rank()
+    return len(matrix.rows) - ColumnReduction(len(matrix.rows), matrix._columns).cokernel().rank
 
 
 def hnf_column_basis(vectors: Sequence[Sequence[int]], dim: int) -> list[tuple[int, ...]]:
@@ -394,7 +405,7 @@ def kernel_basis(matrix: IntMatrix) -> list[tuple[int, ...]]:
     Vectors are returned as dense coordinate tuples over matrix.cols; the
     list is empty when the kernel is trivial.
     """
-    return _reduction(matrix).kernel()
+    return ColumnReduction(len(matrix.rows), matrix._columns).kernel()
 
 
 def in_lattice_span(basis: Sequence[Sequence[int]], target: Sequence[int]) -> bool:

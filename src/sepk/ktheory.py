@@ -21,12 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
-from .exact_linalg import (
-    AbelianGroupInvariants,
-    ColumnReduction,
-    IntMatrix,
-    _smith_cokernel,
-)
+from .exact_linalg import AbelianGroupInvariants, ColumnReduction, IntMatrix, _smith_cokernel
 from .graph_model import GroupKey, SeparatedGraph, group_label
 from .transform import (
     DEFAULT_BUDGET,
@@ -61,9 +56,8 @@ class IncidencePair:
 
     Rows are vertices in list order; columns are group keys in vertex-then-
     group order.  columns[j] maps row indices to the nonzero entries of
-    column j of the difference, which is all the K-group computations read.
-    The dense views are built on demand: one marks the range vertex of each
-    group, and difference() spells out the columns.
+    column j of the difference, which is all the K-group computations read;
+    difference() wraps them, and one marks the range vertex of each group.
     """
 
     vertices: tuple[str, ...]
@@ -72,18 +66,11 @@ class IncidencePair:
 
     @cached_property
     def one(self) -> IntMatrix:
-        vidx = {v: i for i, v in enumerate(self.vertices)}
-        data = [[0] * len(self.cols) for _ in self.vertices]
-        for j, (v, _) in enumerate(self.cols):
-            data[vidx[v]][j] = 1
-        return IntMatrix.from_rows(self.vertices, self.cols, data)
+        row = {v: i for i, v in enumerate(self.vertices)}
+        return IntMatrix._of_columns(self.vertices, self.cols, [{row[v]: 1} for v, _ in self.cols])
 
     def difference(self) -> IntMatrix:
-        data = [[0] * len(self.cols) for _ in self.vertices]
-        for j, col in enumerate(self.columns):
-            for i, x in col.items():
-                data[i][j] = x
-        return IntMatrix.from_rows(self.vertices, self.cols, data)
+        return IntMatrix._of_columns(self.vertices, self.cols, self.columns)
 
     def reduction(self) -> ColumnReduction:
         """The unit-pivot elimination of the difference, shared by K_0 and K_1."""

@@ -7,7 +7,9 @@ reads the dense Smith form, which never goes through the sparse unit-pivot
 elimination behind cokernel_invariants and kernel_basis; the fraction-free determinant
 decides whether a Smith transform is unimodular, and mat_mul checks that
 the transforms multiply the input to its Smith form.  reference_incidence
-spells out the columns of 1_C - A by looking every edge up by name.
+spells out the columns of 1_C - A by looking every edge up by name, and
+dense_one and dense_difference spell out an incidence pair's matrices cell
+by cell, the reference for its sparse views.
 """
 
 from sepk.exact_linalg import IntMatrix, _format_grid, smith_normal_form
@@ -100,3 +102,21 @@ def reference_incidence(g: SeparatedGraph) -> tuple[dict[int, int], ...]:
                 col[i] = col.get(i, 0) - 1
             columns.append({i: x for i, x in col.items() if x})
     return tuple(columns)
+
+
+def dense_one(pair) -> IntMatrix:
+    """The matrix marking each group's range vertex, built from dense rows."""
+    vidx = {v: i for i, v in enumerate(pair.vertices)}
+    data = [[0] * len(pair.cols) for _ in pair.vertices]
+    for j, (v, _) in enumerate(pair.cols):
+        data[vidx[v]][j] = 1
+    return IntMatrix.from_rows(pair.vertices, pair.cols, data)
+
+
+def dense_difference(pair) -> IntMatrix:
+    """The matrix of 1_C - A, built from dense rows."""
+    data = [[0] * len(pair.cols) for _ in pair.vertices]
+    for j, col in enumerate(pair.columns):
+        for i, x in col.items():
+            data[i][j] = x
+    return IntMatrix.from_rows(pair.vertices, pair.cols, data)

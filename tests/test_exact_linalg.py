@@ -30,6 +30,17 @@ def mat(rows):
     return IntMatrix.from_rows(range(r), range(c), rows)
 
 
+def test_int_matrix_takes_only_integer_entries():
+    # A float or a string is refused, neither rounded, parsed nor kept as given.
+    with pytest.raises(TypeError):
+        IntMatrix.from_rows([0], [0, 1], [[1.5, "3"]])
+    with pytest.raises(TypeError):
+        cokernel_invariants(IntMatrix([0], [0], ((2.5,),)))
+    m = IntMatrix.from_rows([0], [0, 1], [[True, 3]])
+    assert m.data == ((1, 3),) and type(m.data[0][0]) is int
+    assert m == IntMatrix((0,), (0, 1), [(1, 3)])
+
+
 def test_snf_unimodular_2x2():
     # det = 1, so the form is the identity
     u, d, v = smith_normal_form(mat([[1, 1], [-3, -2]]))

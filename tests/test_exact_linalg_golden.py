@@ -130,6 +130,17 @@ def test_membership_cases_include_members_and_non_members(kind):
     assert answers == {True, False}
 
 
+def test_matrices_made_from_columns_equal_those_made_from_rows():
+    # Every seeded kind, the empty shapes of the sparse kind included.
+    for kind in sorted(KINDS):
+        for m in seeded_matrices(kind):
+            r, c = m.shape
+            columns = [{i: m.data[i][j] for i in range(r) if m.data[i][j]} for j in range(c)]
+            made = IntMatrix._of_columns(m.rows, m.cols, columns)
+            assert (made.data, made.shape) == (m.data, m.shape)
+            assert made == m and hash(made) == hash(m)
+
+
 def test_int_matrix_grid_matches_golden():
     m = IntMatrix.from_rows(
         ("v", "long row label", "w2"),

@@ -4,7 +4,13 @@ import random
 import pytest
 
 from sepk import formal_star, ktheory
-from sepk.exact_linalg import AbelianGroupInvariants, IntMatrix
+from sepk.exact_linalg import (
+    AbelianGroupInvariants,
+    IntMatrix,
+    cokernel_invariants,
+    kernel_basis,
+    matrix_rank,
+)
 from sepk.graph_model import SeparatedGraph, builtin, builtin_from_spec, group_label
 from sepk.ktheory import (
     CharacterAssignment,
@@ -39,7 +45,7 @@ from conftest import (
     random_bipartite_graph,
     random_separated_graph,
 )
-from dense_oracles import smith_diagonal, to_lists
+from dense_oracles import dense_difference, dense_one, smith_diagonal, to_lists
 from graph_oracles import projected_step_size, reference_character_values
 
 
@@ -85,6 +91,35 @@ def test_incidence_invariants_random():
             col_counts = [counts[i][j] for i in range(nv)]
             assert all(c >= 0 for c in col_counts)
             assert sum(col_counts) == len(g.group(key))
+
+
+def test_linear_algebra_on_the_incidence_builds_no_dense_view(monkeypatch):
+    # Built-in layers 0..2, then seeded bipartite graphs.
+    graphs = [
+        g
+        for spec in ("E(2,2)", "E(2,3)", "E(3,3)", "lamplighter(2)", "lamplighter(3)")
+        for g in canonical_sequence(builtin_from_spec(spec), 2).graphs
+    ]
+    rng = random.Random(3041)
+    graphs += [random_bipartite_graph(rng) for _ in range(60)]
+    pairs = [incidence(g) for g in graphs]
+
+    def refuse(matrix):
+        raise AssertionError("the dense view of the incidence was built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(IntMatrix, "data", property(refuse))
+        got = [
+            (cokernel_invariants(p.difference()), kernel_basis(p.difference()),
+             matrix_rank(p.difference()))
+            for p in pairs
+        ]
+    for g, pair, (k0, basis, rank) in zip(graphs, pairs, got):
+        kg = k_groups_full(g)
+        assert k0 == kg.k0 and rank == len(pair.cols) - len(basis)
+        assert [{key: c for key, c in zip(pair.cols, v) if c} for v in basis] == list(kg.k1_basis)
+        for made, dense in ((pair.one, dense_one(pair)), (pair.difference(), dense_difference(pair))):
+            assert made.data == dense.data and made == dense
 
 
 def column_residual(g, x):
