@@ -6,8 +6,9 @@ as the oracle that `graph_model.validate` (which reads the graph's integer
 form) is compared with.  `r_inv` and `s_inv` list the edges into and out
 of a vertex, in edge-list order, by scanning every edge.
 `projected_step_size` counts the vertices a canonical step would generate
-from a built layer.  `reference_character_values` extends a character across
-a multiresolution by spelling every generated vertex's name.
+from a built layer.  `reference_step` spells out the fresh part of a
+multiresolution name by name, and `reference_character_values` extends a
+character across a multiresolution by spelling every generated vertex's name.
 """
 
 import itertools
@@ -34,6 +35,48 @@ def projected_step_size(g: SeparatedGraph) -> int:
 
 def _esc(s: str) -> str:
     return s.replace("\\", "\\\\").replace("|", "\\|").replace(",", "\\,")
+
+
+def reference_step(g: SeparatedGraph, bases, sources):
+    """The fresh part of the multiresolution of g at bases, as a graph onto sources.
+
+    Straight from the definition, on names only: per base u in order, one
+    vertex "u|x1,...,xk" per tuple of itertools.product over C_u, and per
+    slot i an arrow "a^xi|companions" from it to s(xi), every piece escaped.
+    X(x), the arrows with distinguished edge x in tuple order, is a group at
+    s(x); a source's groups follow its edges into bases in edge-list order.
+    W lists the tuples with at least two coordinates not first in their
+    group.  Returns (graph, W, root, group_of_edge): the graph has layers
+    (sources, tuples), root maps a tuple to its base, and group_of_edge maps
+    x to the key of X(x), sources in order and then edges in order.
+    """
+    tuples, arrows, w, root = [], [], [], {}
+    group: dict[str, list[str]] = {}
+    for u in bases:
+        groups = g.groups_at(u)
+        firsts = {grp[0] for grp in groups}
+        for tup in itertools.product(*groups):
+            coords = [_esc(x) for x in tup]
+            v = _esc(u) + "|" + ",".join(coords)
+            tuples.append(v)
+            root[v] = u
+            if sum(x not in firsts for x in tup) >= 2:
+                w.append(v)
+            for i, x in enumerate(tup):
+                a = "a^" + coords[i] + "|" + ",".join(coords[:i] + coords[i + 1 :])
+                arrows.append((a, v, g.edge(x).src))
+                group.setdefault(x, []).append(a)
+    into = set(bases)
+    out: dict[str, list[str]] = {s: [] for s in sources}
+    for e in g.edges:
+        if e.dst in into:
+            out[e.src].append(e.id)
+    separation, group_of_edge = {}, {}
+    for s, xs in out.items():
+        separation[s] = [group[x] for x in xs]
+        group_of_edge.update((x, (s, i)) for i, x in enumerate(xs))
+    graph = SeparatedGraph.build([*sources, *tuples], arrows, separation, (sources, tuples))
+    return graph, tuple(w), root, group_of_edge
 
 
 def reference_character_values(

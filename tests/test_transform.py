@@ -31,7 +31,7 @@ from conftest import (
     random_bipartite_graph,
     random_separated_graph,
 )
-from graph_oracles import projected_step_size, reference_validate, s_inv
+from graph_oracles import projected_step_size, reference_step, reference_validate, s_inv
 
 
 def test_multires_e22_counts():
@@ -208,6 +208,70 @@ def test_multiresolution_and_canonical_step_share_one_generator():
         assert fresh.w_vertices == step.w_vertices
         assert list(fresh.root.items()) == list(step.root.items())
         assert list(fresh.group_of_edge.items()) == list(step.group_of_edge.items())
+
+
+def _odd_names(g: SeparatedGraph, rng: random.Random) -> SeparatedGraph:
+    """g with about half its vertices and edges renamed to strings of a, ^, |, , and \\.
+
+    Each new name ends in "#" and its own number, so no two of them, and no
+    name generated from them, equal another name of g.
+    """
+    count = itertools.count()
+
+    def rename(name):
+        if rng.random() < 0.5:
+            return name
+        return "".join(rng.choices("a^|,\\", k=rng.randint(1, 3))) + f"#{next(count)}"
+
+    vs = {v: rename(v) for v in g.vertices}
+    es = {e.id: rename(e.id) for e in g.edges}
+    return SeparatedGraph.build(
+        vs.values(),
+        [(es[e.id], vs[e.src], vs[e.dst]) for e in g.edges],
+        {vs[v]: [[es[x] for x in grp] for grp in g.groups_at(v)] for v in g.vertices},
+        None if g.bipartite is None else ([vs[v] for v in g.layer0], [vs[v] for v in g.layer1]),
+    )
+
+
+def _assert_step_is_the_reference(step, g, bases, sources):
+    graph, w, root, group_of_edge = reference_step(g, bases, sources)
+    assert serialize(step.graph) == serialize(graph)
+    assert step.w_vertices == w
+    assert list(step.root.items()) == list(root.items())
+    assert list(step.group_of_edge.items()) == list(group_of_edge.items())
+
+
+def test_generated_layers_match_the_name_level_reference_step():
+    # the canonical step on built-in layers, whose names nest escapes, and on
+    # seeded graphs, some with separator characters in their names
+    rng = random.Random(2203)
+    graphs = [
+        h
+        for spec in ("E(2,2)", "E(2,3)", "E(3,3)", "lamplighter(2)", "lamplighter(3)")
+        for h in canonical_sequence(builtin_from_spec(spec), 2).graphs
+        if projected_step_size(h) <= 6000
+    ]
+    for i in range(200):
+        g = random_bipartite_graph(rng)
+        graphs.append(_odd_names(g, rng) if i % 2 else g)
+    odd = 0
+    for g in graphs:
+        _assert_step_is_the_reference(canonical_step_data(g), g, g.layer0, g.layer1)
+        names = [*g.vertices, *(e.id for e in g.edges)]
+        odd += any(c in name for name in names for c in "\\|,")
+    assert odd >= 100
+    # the multiresolution's fresh part, at an admissible vertex set of a graph
+    # that need not be bipartite
+    checked = 0
+    while checked < 200:
+        g = random_separated_graph(rng)
+        g = _odd_names(g, rng) if checked % 2 else g
+        vs = admissible_vertex_set(g, rng)
+        if vs is None:
+            continue
+        bases = [v for v in g.vertices if v in vs]
+        _assert_step_is_the_reference(multiresolution_data(g, vs).step, g, bases, g.vertices)
+        checked += 1
 
 
 def test_roots_e22():
