@@ -13,12 +13,14 @@ up the W sets whose counts are the free ranks added to the K-theory of the
 tame algebra.
 
 One generator, _fresh_layer, makes the new part of both once its size fits
-the vertex budget.  It steps on integer ids and renders names once, to build
-a graph; callers read its provenance (root, group_of_edge), never a name.  A
-canonical step's layer takes the integer arrays as its form, with a passing
-report: it is valid by construction.  Generated names are deterministic
-("u|x1,...,xk" for vertices and "a^x|companions" for arrows, separator
-characters escaped) so repeated runs serialize byte-identically.
+the vertex budget.  One walk over each base's tuples writes the names, the
+integer ends and the W membership of every tuple and its arrows; the groups
+X(x) are then bucketed by distinguished edge.  Callers read its provenance
+(root, group_of_edge), never a name.  A canonical step's layer takes the
+integer arrays as its form, with a passing report: it is valid by
+construction.  Generated names are deterministic ("u|x1,...,xk" for vertices
+and "a^x|companions" for arrows, separator characters escaped) so repeated
+runs serialize byte-identically.
 
 The W counts depend only on group sizes, so w_set_sizes builds no layer: it
 steps the coarsest equitable quotient of each layer (classes of range
@@ -107,16 +109,16 @@ def _split_generated(name: str) -> tuple[str, list[str]] | None:
     return (pieces[0], pieces[1:]) if seps == "|" + "," * (len(seps) - 1) else None
 
 
-# the integer generator -------------------------------------------------------
+# the generator -----------------------------------------------------------------
 
 
-class _Layer(NamedTuple):
-    groups: list[Sequence[Sequence[int]]]  # per range vertex, its groups of edge ints
-    out: list[Sequence[int]]  # per source vertex, its edge ints in edge-list order
+def _int_layer(g: SeparatedGraph, bases, sources) -> tuple[list, list[list[int]], list[int], list]:
+    """The edges of g into bases, renumbered 0, 1, ... in edge-list order.
 
-
-def _int_layer(g: SeparatedGraph, bases, sources) -> tuple[_Layer, list[int], list]:
-    """The edges of g into bases as a layer, their indexes in g, and their sources' slots."""
+    Returns (groups, out, picked, at): per base its groups of new edge numbers,
+    per source the numbers of its edges in order, and per edge number its
+    index in g and its source's slot in sources.
+    """
     vindex, src = g._vindex, g._src
     into = {vindex[b] for b in bases}
     picked = [j for j, d in enumerate(g._dst) if d in into]
@@ -130,34 +132,7 @@ def _int_layer(g: SeparatedGraph, bases, sources) -> tuple[_Layer, list[int], li
     out: list[list[int]] = [[] for _ in sources]
     for x, k in enumerate(at):
         out[k].append(x)
-    return _Layer(groups, out), picked, at
-
-
-def _step(layer: _Layer) -> tuple[list[int], list[list[list[int]]]]:
-    """One canonical step on integers: the W tuples and the next layer's groups.
-
-    Tuples are numbered base by base in left-lexicographic order, and the arrow
-    in slot i of tuple t is edge first_edge(t) + i.  W holds the tuples with at
-    least two coordinates not first in their group.  In the next layer each old
-    source carries X(x) for its edges x: the arrows with distinguished edge x.
-    """
-    w: list[int] = []
-    new_groups: list[list[int]] = [[] for xs in layer.out for _ in xs]
-    t0 = e0 = 0
-    for groups in layer.groups:
-        k, count = len(groups), math.prod(map(len, groups))
-        non_first = itertools.product(*((0,) + (1,) * (len(grp) - 1) for grp in groups))
-        w.extend(t0 + j for j, c in enumerate(map(sum, non_first)) if c >= 2)
-        stride = count
-        for i, grp in enumerate(groups):
-            # the tuples with digit d in slot i: runs of stride, one per block
-            block, stride = stride, stride // len(grp)
-            for d, x in enumerate(grp):
-                for start in range(e0 + k * d * stride + i, e0 + k * count, k * block):
-                    new_groups[x].extend(range(start, start + k * stride, k))
-        t0 += count
-        e0 += k * count
-    return w, [[new_groups[x] for x in xs] for xs in layer.out]
+    return groups, out, picked, at
 
 
 def _raise_on_clash(kind: str, names) -> None:
@@ -168,51 +143,61 @@ def _raise_on_clash(kind: str, names) -> None:
 def _fresh_layer(g: SeparatedGraph, bases, sources, budget: int = DEFAULT_BUDGET) -> StepData:
     """The vertices and arrows generated over bases, named, as a graph onto sources.
 
-    Its vertices are sources, then the tuple vertices; X(x), the arrows with
-    distinguished edge x, is a group at s(x), in tuple order.  Its integer
-    form is _step's.  More than budget tuples are refused before any is made."""
-    layer, picked, at = _int_layer(g, bases, sources)
-    size = sum(math.prod(map(len, groups)) for groups in layer.groups)
+    One walk over each base's tuples, in left-lexicographic order, names each
+    tuple vertex and its arrows (the arrow in slot i runs from the tuple to
+    s(x_i)) and puts the tuple in W when at least two of its coordinates are
+    not first in their group.  Its vertices are sources, then the tuples;
+    X(x), the arrows with distinguished edge x, is a group at s(x), in tuple
+    order.  More than budget tuples are refused before any is made."""
+    base_groups, out, picked, at = _int_layer(g, bases, sources)
+    size = sum(math.prod(map(len, groups)) for groups in base_groups)
     if size > budget:
         raise _over_budget(0, f"generate {size} vertices (budget {budget})")
-    w, new_groups = _step(layer)
     old = [g.edges[j] for j in picked]
     esc = [_esc(e.id) for e in old]
-    names: list[str] = []
+    first = {grp[0] for groups in base_groups for grp in groups}
+    non_first = [x not in first for x in range(len(old))]
+    names: list[str] = []  # the tuple vertices
+    w: list[str] = []  # those with two or more non-first coordinates
     root: dict[str, str] = {}
     edges: list[Edge] = []
-    src, dst = [], []  # per arrow, the indexes of its tuple vertex and of its range vertex
+    src, through = [], []  # per arrow, the index of its tuple vertex and its distinguished edge
     new_edge = tuple.__new__  # Edge._make without a Python frame per arrow
-    for base, groups in zip(bases, layer.groups):
+    for base, groups in zip(bases, base_groups):
         head = _esc(base) + "|"
         for tup in itertools.product(*groups):
             coords = [esc[x] for x in tup]
             v = head + ",".join(coords)
+            if sum(map(non_first.__getitem__, tup)) >= 2:
+                w.append(v)
             src += [len(sources) + len(names)] * len(tup)
+            through += tup
             names.append(v)
             root[v] = base
             for i, x in enumerate(tup):
                 companions = ",".join(coords[:i] + coords[i + 1 :])
                 edges.append(new_edge(Edge, (f"a^{coords[i]}|{companions}", v, old[x].src)))
-                dst.append(at[x])
     ids = [e.id for e in edges]
     _raise_on_clash("vertex", root.keys() & g._vindex.keys())
     _raise_on_clash("edge", [x for x in ids if x in g._eindex])
 
+    # Arrow j is numbers[j]: the edge index shares the int objects the groups hold.
+    numbers = list(range(len(edges)))
+    members: list[list[int]] = [[] for _ in old]
+    for j, x in zip(numbers, through):
+        members[x].append(j)
     separation, groups, group_of_edge = [], [], {}
-    for source, xs, grps in zip(sources, layer.out, new_groups):
-        separation.append(tuple([tuple(map(ids.__getitem__, members)) for members in grps]))
-        groups.append(tuple(map(tuple, grps)))
+    for source, xs in zip(sources, out):
+        separation.append(tuple([tuple(map(ids.__getitem__, members[x])) for x in xs]))
+        groups.append(tuple([tuple(members[x]) for x in xs]))
         group_of_edge.update((old[x].id, (source, gi)) for gi, x in enumerate(xs))
     vertices, empty = tuple(sources) + tuple(names), ((),) * len(names)
-    # Arrow j is numbers[j]: the edge index shares the int objects the groups hold.
-    numbers = sorted(itertools.chain.from_iterable(itertools.chain.from_iterable(new_groups)))
     graph = SeparatedGraph._of_form(
         vertices, tuple(edges), tuple(separation) + empty, (tuple(sources), tuple(names)),
         dict(zip(vertices, range(len(vertices)))), dict(zip(ids, numbers)),
-        src, dst, tuple(groups) + empty,
+        src, list(map(at.__getitem__, through)), tuple(groups) + empty,
     )
-    return StepData(graph, tuple(names[t] for t in w), root, group_of_edge)
+    return StepData(graph, tuple(w), root, group_of_edge)
 
 
 def _check_input_names(g: SeparatedGraph, step: int) -> None:
@@ -248,8 +233,8 @@ def _check_input_names(g: SeparatedGraph, step: int) -> None:
         _raise_on_clash("vertex", {v for v in g.vertices if head(v, slots) is not None})
         _raise_on_clash("edge", {e.id for e in g.edges if arrow(e.id) is not None})
     else:
-        layer, picked, _ = _int_layer(g, g.layer0, g.layer1)
-        sent = {w: [g.edges[picked[x]].id for x in xs] for w, xs in zip(g.layer1, layer.out)}
+        _, out, picked, _ = _int_layer(g, g.layer0, g.layer1)
+        sent = {w: [g.edges[picked[x]].id for x in xs] for w, xs in zip(g.layer1, out)}
         _raise_on_clash("vertex", {w for w in g.layer1 if head(w, sent, arrow) is not None})
 
 
@@ -563,10 +548,10 @@ def _tuple_classes(q: _Classes, layer: int) -> _Classes:
 
 def _quotients(g: SeparatedGraph):
     """The coarsest equitable quotients of layers 0, 1, ... of g's sequence."""
-    layer, _, at = _int_layer(g, g.layer0, g.layer1)
+    base_groups, out, _, at = _int_layer(g, g.layer0, g.layer1)
     q = _Classes([], [], [])
-    sources = [q.add(_SOURCE, 1) for _ in layer.out]
-    for groups in layer.groups:
+    sources = [q.add(_SOURCE, 1) for _ in out]
+    for groups in base_groups:
         r = q.add(_RANGE, 1)
         for grp in groups:
             gc = q.add(_GROUP, 1, (r,))
