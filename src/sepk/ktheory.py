@@ -205,16 +205,13 @@ def k0_tame(
 
     A graph without a bipartite split is routed through its bipartite
     companion, which leaves both K-groups unchanged; the result records the
-    routing.
+    routing.  The ranks are counted first, so a depth past the budget is
+    refused before the base cokernel is eliminated.
     """
-    base = incidence(g).reduction().cokernel()
-    if g.bipartite is None:
-        h = bipartite_companion(g)
-        via_companion = True
-    else:
-        h = g
-        via_companion = False
-    return TameK0Result(base, w_set_sizes(h, depth, budget), depth, via_companion)
+    via_companion = g.bipartite is None
+    h = bipartite_companion(g) if via_companion else g
+    ranks = w_set_sizes(h, depth, budget)
+    return TameK0Result(incidence(g).reduction().cokernel(), ranks, depth, via_companion)
 
 
 # kernel transport across a canonical step -----------------------------------

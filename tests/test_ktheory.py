@@ -335,6 +335,28 @@ def test_k0_tame_budget_error_matches_sequence():
     assert str(pinned.value) == "layer 2 would generate 16 vertices (budget 10); last completed layer is 1"
 
 
+def test_k0_tame_refuses_a_depth_past_the_budget_before_any_elimination(monkeypatch):
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return incidence(g)
+
+    monkeypatch.setattr(ktheory, "incidence", counting)
+    unsplit = SeparatedGraph.build(  # no bipartite split: counted on its companion
+        ["u", "w"],
+        [("x1", "w", "u"), ("x2", "w", "u"), ("y1", "w", "u"), ("y2", "w", "u"), ("z", "u", "w")],
+        {"u": [["x1", "x2"], ["y1", "y2"]], "w": [["z"]]},
+    )
+    for g in (builtin("E", [2, 2]), unsplit):
+        with pytest.raises(BudgetExceededError):
+            k0_tame(g, 3, budget=10)
+    assert calls == []
+    g = builtin("E", [2, 2])
+    assert k0_tame(g, 1, budget=10).layer_ranks == (1,)
+    assert calls == [g]
+
+
 def test_monoid_agrees_with_k0():
     rng = random.Random(23)
     for _ in range(30):
