@@ -455,11 +455,6 @@ def json_chunks(obj) -> list[str]:
     return chunks
 
 
-def dump_json(obj) -> str:
-    """json_chunks(obj) joined: the text of json.dumps(obj, indent=2, ensure_ascii=False)."""
-    return "".join(json_chunks(obj))
-
-
 # file format ---------------------------------------------------------------
 #
 # Canonical form: a JSON map with keys, in order: "vertices" (list of

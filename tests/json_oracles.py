@@ -1,8 +1,8 @@
-"""Seeded values that compare graph_model.dump_json with the stdlib encoder.
+"""Seeded values that compare graph_model.json_chunks with the stdlib encoder.
 
-The reference is json.dumps(value, indent=2, ensure_ascii=False); dump_json
-must return the same string for every value the stdlib call accepts and
-raise TypeError wherever it does.  The values mix strings that need
+dump_json joins json_chunks' pieces.  The reference is json.dumps(value,
+indent=2, ensure_ascii=False); dump_json must return the same string for
+every value the stdlib call accepts and raise TypeError wherever it does.  The values mix strings that need
 escaping (quotes, backslashes, control characters, lone surrogates,
 non-ASCII text), long and negative ints, the float corner cases, non-str
 dict keys, empty containers, tuples and repeated strings.
@@ -17,7 +17,7 @@ import json
 import random
 import sys
 
-from sepk.graph_model import dump_json
+from sepk.graph_model import json_chunks
 
 STRINGS = (
     "", "v", "X", 'say "hi"', "back\\slash", "v|a1,b1", "v\\|a1\\,b1",
@@ -42,6 +42,11 @@ UNSUPPORTED = {
     "tuple-key": {(1, 2): 1},
     "object-in-dict": {"k": [object()]},
 }
+
+
+def dump_json(value) -> str:
+    """json_chunks(value) joined: the text graph files and JSON output hold."""
+    return "".join(json_chunks(value))
 
 
 def reference(value) -> str:

@@ -15,9 +15,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from sepk.graph_model import dump_json
-
-from json_oracles import KEYS, NUMBERS, STRINGS
+from json_oracles import KEYS, NUMBERS, STRINGS, dump_json
 
 strings = st.sampled_from(STRINGS) | st.text(
     alphabet=st.characters(exclude_categories=()) | st.sampled_from('"\\\x00\x1f\n\ud800\udfff'),

@@ -10,7 +10,6 @@ from sepk.graph_model import (
     SeparatedGraph,
     builtin,
     builtin_from_spec,
-    dump_json,
     from_obj,
     parse,
     serialize,
@@ -19,7 +18,7 @@ from sepk.graph_model import (
 
 from conftest import random_bipartite_graph, random_separated_graph
 from graph_oracles import reference_validate
-from json_oracles import UNSUPPORTED, random_value, reference
+from json_oracles import UNSUPPORTED, dump_json, random_value, reference
 
 
 def test_builtin_e23_shape():
