@@ -109,15 +109,14 @@ def _split_generated(name: str) -> tuple[str, list[str]] | None:
     return (pieces[0], pieces[1:]) if seps == "|" + "," * (len(seps) - 1) else None
 
 
-# the generator -----------------------------------------------------------------
+# the generator ---------------------------------------------------------------
 
 
 def _int_layer(g: SeparatedGraph, bases, sources) -> tuple[list, list[list[int]], list[int], list]:
-    """The edges of g into bases, renumbered 0, 1, ... in edge-list order.
+    """The edges of g into bases, numbered 0, 1, ... in edge-list order.
 
-    Returns (groups, out, picked, at): per base its groups of new edge numbers,
-    per source the numbers of its edges in order, and per edge number its
-    index in g and its source's slot in sources.
+    Returns (groups, out, picked, at): per base its groups of edge numbers, per
+    source its numbers in order, and per number its index in g and source slot.
     """
     vindex, src = g._vindex, g._src
     into = {vindex[b] for b in bases}
@@ -156,9 +155,8 @@ def _fresh_layer(g: SeparatedGraph, bases, sources, budget: int = DEFAULT_BUDGET
     old = [g.edges[j] for j in picked]
     esc = [_esc(e.id) for e in old]
     first = {grp[0] for groups in base_groups for grp in groups}
-    non_first = [x not in first for x in range(len(old))]
     names: list[str] = []  # the tuple vertices
-    w: list[str] = []  # those with two or more non-first coordinates
+    w: list[str] = []  # those with two or more coordinates not first in their group
     root: dict[str, str] = {}
     edges: list[Edge] = []
     src, through = [], []  # per arrow, the index of its tuple vertex and its distinguished edge
@@ -168,15 +166,17 @@ def _fresh_layer(g: SeparatedGraph, bases, sources, budget: int = DEFAULT_BUDGET
         for tup in itertools.product(*groups):
             coords = [esc[x] for x in tup]
             v = head + ",".join(coords)
-            if sum(map(non_first.__getitem__, tup)) >= 2:
-                w.append(v)
             src += [len(sources) + len(names)] * len(tup)
             through += tup
             names.append(v)
             root[v] = base
+            non_first = 0
             for i, x in enumerate(tup):
+                non_first += x not in first
                 companions = ",".join(coords[:i] + coords[i + 1 :])
                 edges.append(new_edge(Edge, (f"a^{coords[i]}|{companions}", v, old[x].src)))
+            if non_first >= 2:
+                w.append(v)
     ids = [e.id for e in edges]
     _raise_on_clash("vertex", root.keys() & g._vindex.keys())
     _raise_on_clash("edge", [x for x in ids if x in g._eindex])
