@@ -183,7 +183,7 @@ def _fresh_layer(g: SeparatedGraph, bases, sources, budget: int = DEFAULT_BUDGET
 
     # Arrow j is numbers[j]: the edge index shares the int objects the groups hold.
     numbers = list(range(len(edges)))
-    members: list[list[int]] = [[] for _ in old]
+    members: list[list[int]] = [[] for _ in old]  # per edge x, the arrows of X(x)
     for j, x in zip(numbers, through):
         members[x].append(j)
     separation, groups, group_of_edge = [], [], {}
