@@ -327,10 +327,14 @@ def test_json_output_is_written_in_pieces(monkeypatch):
 
 
 def test_output_that_fails_to_render_writes_nothing(monkeypatch):
-    # every piece is made before the first is written
+    # every piece is made before the first is written: the pieces of "v"
+    # exist when the vertex after it fails to render
+    import sepk.transform
+
     out = _Writes()
     monkeypatch.setattr(sys, "stdout", out)
-    monkeypatch.setattr(graph_model, "to_obj", lambda g: {"vertices": ["v", object()]})
+    unwritable = SeparatedGraph(("v", object()), (), ((), ()), None)
+    monkeypatch.setattr(sepk.transform, "bipartite_companion", lambda g: unwritable)
     with pytest.raises(TypeError):
         main(["companion", "--builtin", "E(2,2)"])
     assert out.writes == []
