@@ -266,7 +266,7 @@ def _vertex_list(text: str, g: SeparatedGraph) -> list[str]:
 
 def _graph_output(g: SeparatedGraph):
     # A graph prints in the graph file format whatever --format says.
-    return EXIT_OK, lambda: graph_model.to_obj(g), None
+    return EXIT_OK, lambda: g, None
 
 
 def _cmd_multires(loaded: _Loaded, args):
@@ -280,7 +280,7 @@ def _cmd_companion(loaded: _Loaded, args):
 
 def _cmd_sequence(loaded: _Loaded, args):
     seq = transform.canonical_sequence(loaded.graph, args.depth, budget=_budget(args))
-    return EXIT_OK, seq.to_json_obj, lambda: "\n".join([
+    return EXIT_OK, lambda: seq._json_obj(seq.graphs), lambda: "\n".join([
         *(f"layer {n}: {len(g.vertices)} vertices, {len(g.edges)} edges, "
           f"{len(g.group_keys())} groups" for n, g in enumerate(seq.graphs)),
         *(f"|W_{k}| = {len(seq.w_sets[k])}" for k in sorted(seq.w_sets)),

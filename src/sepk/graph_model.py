@@ -20,8 +20,9 @@ import codecs
 import json
 import re
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, filterfalse, repeat
 from json.encoder import encode_basestring
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 # A group is addressed by (range vertex, position of the group in C_v).
@@ -395,9 +396,78 @@ class _Quoted(dict):
         return q
 
 
+_EDGE_ID = itemgetter(0)
+
+
+def _graph_chunks(g: SeparatedGraph, indent: str, quoted: _Quoted, chunks: list[str]) -> None:
+    """Append the pieces json_chunks writes for to_obj(g), read off g's tuples.
+
+    indent is the newline and g's own indentation.  Each name is a piece of
+    its own, and the structure between two names (separators, brackets,
+    indentation and fixed keys) is one piece.  A name that is not a str
+    raises TypeError, possibly after some pieces have been appended.
+    """
+    for names in (g.vertices, map(_EDGE_ID, g.edges)):  # escaped in C, once per call
+        fresh = list(filterfalse(quoted.__contains__, names))
+        quoted.update(zip(fresh, map(encode_basestring, fresh)))
+    q, append, extend = quoted.__getitem__, chunks.append, chunks.extend
+    i1 = indent + "  "
+    i2 = i1 + "  "
+    i3 = i2 + "  "
+    i4 = i3 + "  "
+
+    def items(head: str, names, inner: str, outer: str) -> str:
+        """Append head, a list's bracket and its names at inner; return its closing at outer."""
+        if not names:
+            return head + "[]"
+        block = ["," + inner] * (2 * len(names))
+        block[0] = head + "[" + inner
+        block[1::2] = map(q, names)
+        extend(block)
+        return outer + "]"
+
+    head = items("{" + i1 + '"vertices": ', g.vertices, i2, i1) + "," + i1 + '"edges": '
+    if g.edges:
+        block = [
+            i2 + "}," + i2 + "{" + i3 + '"id": ', None,
+            "," + i3 + '"src": ', None,
+            "," + i3 + '"dst": ', None,
+        ] * len(g.edges)
+        block[0] = head + "[" + i2 + "{" + i3 + '"id": '
+        block[1::2] = map(q, chain.from_iterable(g.edges))
+        extend(block)
+        head = i2 + "}" + i1 + "]"
+    else:
+        head += "[]"
+    head += "," + i1 + '"separation": '
+    if g.vertices:
+        # each head after a vertex's groups ends in the comma and newline
+        # before the next key; the last vertex's are cut off
+        head += "{" + i2
+        no_groups = ": []," + i2
+        for v, groups in zip(g.vertices, g.separation):
+            append(head)
+            append(q(v))
+            if groups:
+                head = ": ["
+                for grp in groups:
+                    head = items(head + i3, grp, i4, i3) + ","
+                head = head[:-1] + i2 + "]," + i2
+            else:
+                head = no_groups
+        head = head[: -1 - len(i2)] + i1 + "}"
+    else:
+        head += "{}"
+    if g.bipartite is not None:
+        head = items(head + "," + i1 + '"bipartite": {' + i2 + '"layer0": ', g.bipartite[0], i3, i2)
+        head = items(head + "," + i2 + '"layer1": ', g.bipartite[1], i3, i2) + i1 + "}"
+    append(head + indent + "}")
+
+
 def json_chunks(obj) -> list[str]:
     """The pieces of the text the stdlib's json `dumps(obj, indent=2,
-    ensure_ascii=False)` returns, byte for byte once joined.
+    ensure_ascii=False)` returns, byte for byte once joined, where a
+    SeparatedGraph anywhere in obj stands for its to_obj dict.
 
     With indent set, the stdlib (before Python 3.13) leaves its C encoder
     for a pure-Python one built from nested generators, and escapes every
@@ -405,11 +475,18 @@ def json_chunks(obj) -> list[str]:
     their vertices and edges by nesting the escaped names of the layer
     before, so the same long names recur many times.  This writer walks the
     value once, escapes each distinct string once per call and appends
-    every piece to one list: one literal, or a separator or bracket with
-    its line's indentation, never a concatenation of literals.  It accepts
-    what the stdlib call accepts by default, prints int and float
-    subclasses as the built-in type, and raises TypeError for anything
-    else.
+    every piece to one list.  A graph is written from its tuples, not
+    through per-edge dicts: its vertex names and edge ids are escaped in
+    bulk, and each of its lists is laid out by slicing the escaped names
+    into a list of the constant pieces between them.  A name is always a
+    piece of its own; only a run of constant structure (a separator, the
+    indentation, brackets and a fixed key with its colon, such as
+    `"id": `) is merged into one piece.  A graph whose dict form reads
+    differently is written from to_obj(g) instead: one with a repeated
+    vertex name, which to_obj's separation map collapses, or with a name
+    that is not a str.  The writer accepts what the stdlib call accepts by
+    default, prints int and float subclasses as the built-in type, and
+    raises TypeError for anything else.
     """
     quoted = _Quoted()
     chunks: list[str] = []
@@ -448,6 +525,15 @@ def json_chunks(obj) -> list[str]:
                 else:
                     write(item, inner)
             emit(indent + "}")
+        elif isinstance(v, SeparatedGraph):
+            if len(v._vindex) == len(v.vertices):
+                start = len(chunks)
+                try:
+                    _graph_chunks(v, indent, quoted, chunks)
+                    return
+                except TypeError:  # a name that is not a str
+                    del chunks[start:]
+            write(to_obj(v), indent)
         else:
             emit(_scalar_text(v))
 
@@ -481,7 +567,7 @@ def to_obj(g: SeparatedGraph) -> dict:
 
 
 def serialize(g: SeparatedGraph) -> bytes:
-    chunks = json_chunks(to_obj(g))
+    chunks = json_chunks(g)
     chunks.append("\n")
     return "".join(chunks).encode("utf-8")
 

@@ -396,9 +396,14 @@ class CanonicalSequence:
         return v
 
     def to_json_obj(self) -> dict:
+        return self._json_obj([to_obj(g) for g in self.graphs])
+
+    def _json_obj(self, layers) -> dict:
+        """The JSON object with the given layers: to_obj of each graph, or the
+        graphs themselves, which json_chunks writes as their to_obj."""
         return {
             "depth": self.depth,
-            "layers": [to_obj(g) for g in self.graphs],
+            "layers": layers,
             "w_sets": {str(k): list(ws) for k, ws in sorted(self.w_sets.items())},
             "root_tables": {
                 str(k): dict(sorted(t.items())) for k, t in sorted(self.root_tables.items())

@@ -2,8 +2,9 @@
 
 serialize(g) and the graph outputs of the CLI (companion, multires) must
 read exactly as json.dumps(to_obj(g), indent=2, ensure_ascii=False) plus a
-newline, and sequence JSON as the same call on
-CanonicalSequence.to_json_obj().  The graphs include seeded ones renamed
+newline, sequence JSON as the same call on CanonicalSequence.to_json_obj(),
+and json_chunks of a value that holds graphs as the call on the value with
+each graph replaced by its to_obj dict.  The graphs include seeded ones renamed
 with characters that need escaping, corrupted ones, graphs without edges
 or a bipartite split, and graphs whose names are not all strings.
 """
@@ -12,13 +13,21 @@ import random
 
 import pytest
 
+from sepk import graph_model
 from sepk.cli import main
-from sepk.graph_model import Edge, SeparatedGraph, builtin_from_spec, serialize, to_obj
+from sepk.graph_model import (
+    Edge,
+    SeparatedGraph,
+    builtin_from_spec,
+    json_chunks,
+    serialize,
+    to_obj,
+)
 from sepk.transform import bipartite_companion, canonical_sequence, multiresolution_at
 
 from conftest import admissible_vertex_set, random_bipartite_graph, random_separated_graph
 from graph_oracles import corrupt
-from json_oracles import reference
+from json_oracles import random_value, reference
 
 BUILTINS = (("E(2,2)", 3), ("E(2,3)", 2), ("E(3,3)", 2), ("lamplighter(2)", 5), ("lamplighter(3)", 3))
 # each needs escaping in JSON or is not ASCII; none is stripped as whitespace
@@ -70,6 +79,33 @@ def seeded_graphs(count: int, seed: int):
         yield renamed(g, rng)
 
 
+def plain(value):
+    """value with each graph in it replaced by its to_obj dict."""
+    if isinstance(value, SeparatedGraph):
+        return to_obj(value)
+    if isinstance(value, dict):
+        return {key: plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [plain(item) for item in value]
+    return value
+
+
+def nested(rng: random.Random, graphs, depth: int):
+    """A seeded list, tuple or map holding graphs and other values, depth levels deep."""
+    if depth == 0:
+        return rng.choice(graphs)
+    items = [
+        nested(rng, graphs, depth - 1) if rng.random() < 0.7 else random_value(rng, 1)
+        for _ in range(rng.randint(1, 3))
+    ]
+    kind = rng.randrange(3)
+    if kind == 0:
+        return items
+    if kind == 1:
+        return tuple(items)
+    return {rng.choice(("k", "layers", 'a "key"', "ü")) + str(i): item for i, item in enumerate(items)}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -95,6 +131,28 @@ def test_serialize_writes_seeded_and_corrupted_graphs_as_their_dict_form():
                          ids=[*ODD_GRAPHS, *EDGELESS])
 def test_serialize_writes_odd_and_edgeless_graphs_as_their_dict_form(g):
     assert serialize(g) == dict_form(g).encode("utf-8")
+
+
+def test_graphs_nested_in_lists_and_maps_read_as_their_dict_form():
+    graphs = [
+        builtin_from_spec("lamplighter(2)"), *ODD_GRAPHS.values(), *EDGELESS.values(),
+        *seeded_graphs(6, 26),
+    ]
+    rng = random.Random(9)
+    for i in range(120):
+        value = nested(rng, graphs, i % 5)
+        assert "".join(json_chunks(value)) == reference(plain(value))
+
+
+def test_only_graphs_whose_dict_form_reads_differently_go_through_to_obj(monkeypatch):
+    through = []
+    monkeypatch.setattr(graph_model, "to_obj", lambda g: through.append(g) or to_obj(g))
+    for g in (*EDGELESS.values(), *seeded_graphs(20, 27), builtin_from_spec("E(2,3)")):
+        serialize(g)
+    assert through == []
+    for g in ODD_GRAPHS.values():
+        serialize(g)
+    assert through == list(ODD_GRAPHS.values())
 
 
 def test_a_name_the_encoder_rejects_raises_type_error():
