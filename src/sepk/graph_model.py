@@ -526,7 +526,7 @@ def json_chunks(obj) -> list[str]:
                     write(item, inner)
             emit(indent + "}")
         elif isinstance(v, SeparatedGraph):
-            if len(v._vindex) == len(v.vertices):
+            if len(v._vindex) == len(v.vertices):  # no vertex name repeats
                 start = len(chunks)
                 try:
                     _graph_chunks(v, indent, quoted, chunks)
