@@ -30,7 +30,8 @@ from graph_oracles import corrupt
 from json_oracles import random_value, reference
 
 BUILTINS = (("E(2,2)", 3), ("E(2,3)", 2), ("E(3,3)", 2), ("lamplighter(2)", 5), ("lamplighter(3)", 3))
-# each needs escaping in JSON or is not ASCII; none is stripped as whitespace
+# JSON escapes, the separators of generated names and non-ASCII text;
+# none is whitespace, which --at would strip
 FRAGMENTS = ("\\", "|", ",", '"', "\x01", "\b", "ü", "✓", "𝔸", "")
 # graphs whose dict form reads differently from their fields
 ODD_GRAPHS = {
