@@ -20,7 +20,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import os
 import re
 import sys
 
@@ -70,19 +69,9 @@ class UsageError(Exception):
 
 
 def _budget(args) -> int:
-    if getattr(args, "budget", None) is not None:
-        budget, source = args.budget, "--budget"
-    else:
-        env = os.environ.get("SEPK_BUDGET")
-        if env is None:
-            return transform.DEFAULT_BUDGET
-        try:
-            budget, source = int(env), "SEPK_BUDGET"
-        except ValueError:
-            raise UsageError(f"SEPK_BUDGET must be an integer, got {env!r}")
-    if budget < 0:
-        raise UsageError(f"{source} must not be negative, got {budget}")
-    return budget
+    if args.budget < 0:
+        raise UsageError(f"--budget must not be negative, got {args.budget}")
+    return args.budget
 
 
 # A term runs to the first comma after a ":<integer>" coefficient, so group
@@ -378,8 +367,8 @@ _COMMON = (
 )
 _BUDGET = ("--budget", {
     "type": int,
-    "help": f"generated-vertex budget per step (default {transform.DEFAULT_BUDGET}, "
-    "or the SEPK_BUDGET environment variable)",
+    "default": transform.DEFAULT_BUDGET,
+    "help": f"generated-vertex budget per step (default {transform.DEFAULT_BUDGET})",
 })
 _ELEMENT = ("--element", {"required": True})
 

@@ -105,7 +105,7 @@ def test_malformed_file_exits_2(tmp_path, capsys):
         assert err == "error: malformed syntax: nesting too deep\n"
 
 
-def test_usage_errors_exit_1(tmp_path, capsys, monkeypatch):
+def test_usage_errors_exit_1(tmp_path, capsys):
     assert main(["no-such-command"]) == 1
     capsys.readouterr()
     good = tmp_path / "g.graph"
@@ -114,7 +114,7 @@ def test_usage_errors_exit_1(tmp_path, capsys, monkeypatch):
     assert code == 1
     code, _, err = run(capsys, "ktheory")
     assert code == 1
-    # a directory as input, and negative budgets from the flag or the environment
+    # a directory as input, and a negative budget
     for argv in (
         ("ktheory", str(tmp_path)),
         ("validate", str(tmp_path)),
@@ -123,14 +123,6 @@ def test_usage_errors_exit_1(tmp_path, capsys, monkeypatch):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
-    for env, detail in (
-        ("-5", "must not be negative, got -5"),
-        ("abc", "must be an integer, got 'abc'"),
-    ):
-        monkeypatch.setenv("SEPK_BUDGET", env)
-        code, out, err = run(capsys, "sequence", "--builtin", "E(2,2)", "--depth", "1")
-        assert code == 1 and out == ""
-        assert err == f"error: SEPK_BUDGET {detail}\n"
 
 
 # A graph file is read in pieces of graph_model._PIECE bytes; these files put
@@ -248,20 +240,17 @@ def test_builtin_range_error_exits_4(capsys):
     assert "1 < m <= n" in err
 
 
-def test_budget_exceeded_exits_3(capsys, monkeypatch):
+def test_budget_exceeded_exits_3(capsys):
     code, _, err = run(
         capsys, "k0-tame", "--builtin", "E(2,2)", "--depth", "3", "--budget", "10"
     )
     assert code == 3
     assert "last completed layer" in err
-    monkeypatch.setenv("SEPK_BUDGET", "10")
-    code, _, _ = run(capsys, "sequence", "--builtin", "E(2,2)", "--depth", "3")
-    assert code == 3
-    # an explicit flag overrides the environment
-    code, _, _ = run(
-        capsys, "sequence", "--builtin", "E(2,2)", "--depth", "3", "--budget", "100000"
-    )
-    assert code == 0
+    for budget, want in (("10", 3), ("100000", 0)):
+        code, _, _ = run(
+            capsys, "sequence", "--builtin", "E(2,2)", "--depth", "3", "--budget", budget
+        )
+        assert code == want
 
 
 @pytest.mark.parametrize("command", [
@@ -589,7 +578,6 @@ def test_python_m_sepk_runs_the_cli():
 
 def test_shared_parser_matches_fresh_processes(capsys, monkeypatch):
     # One process reuses its parser; each call must behave like a fresh run.
-    monkeypatch.delenv("SEPK_BUDGET", raising=False)
     monkeypatch.setenv("COLUMNS", "80")
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))

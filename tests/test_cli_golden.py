@@ -198,8 +198,7 @@ def run_digest(capsys, tmp: str, argv: list[str]) -> str:
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_cli_golden_digest(case, inputs, capsys, monkeypatch):
-    monkeypatch.delenv("SEPK_BUDGET", raising=False)
+def test_cli_golden_digest(case, inputs, capsys):
     assert run_digest(capsys, inputs, CASES[case]) == DIGESTS[case]
 
 

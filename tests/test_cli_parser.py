@@ -19,8 +19,7 @@ FORMAT = (("--format",), "format", None, None, False, None, ("text", "json"), "t
 COMMON = [HELP, INPUT, BUILTIN, FORMAT]
 BUDGET = (
     ("--budget",), "budget", None,
-    "generated-vertex budget per step (default 1000000, or the SEPK_BUDGET environment variable)",
-    False, "int", None, None,
+    "generated-vertex budget per step (default 1000000)", False, "int", None, 1000000,
 )
 ELEMENT = (("--element",), "element", None, None, True, None, None, None)
 

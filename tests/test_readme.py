@@ -34,8 +34,7 @@ def test_readme_has_examples():
 
 
 @pytest.mark.parametrize("command, expected", readme_examples())
-def test_readme_example(command, expected, capsys, monkeypatch):
-    monkeypatch.delenv("SEPK_BUDGET", raising=False)
+def test_readme_example(command, expected, capsys):
     assert main(shlex.split(command)) == 0
     out = capsys.readouterr()
     assert (out.out, out.err) == (expected, "")
