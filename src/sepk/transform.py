@@ -625,14 +625,17 @@ def bipartite_companion(g: SeparatedGraph) -> SeparatedGraph:
     Two copies v|0, v|1 of every vertex; a connecting edge h|v from v|1 to
     v|0; a copy e|0 of every edge e running from s(e)|1 to r(e)|0.  The
     groups at v|0 are the copies of the groups of C_v followed by the
-    singleton {h|v}.  The result is always a valid bipartite graph, and its
-    K-theory agrees with that of g.
+    singleton {h|v}.  The result is a valid bipartite graph, and its K-theory
+    agrees with that of g.  Escaping writes no bare "|", so a connecting edge
+    h|v and an edge copy e|0 share a name only when e is h and v is 0; such
+    a g is refused.
     """
     ensure_valid(g)
     v0 = {v: f"{_esc(v)}|0" for v in g.vertices}
     v1 = {v: f"{_esc(v)}|1" for v in g.vertices}
     h = {v: f"h|{_esc(v)}" for v in g.vertices}
     e0 = {e.id: f"{_esc(e.id)}|0" for e in g.edges}
+    _raise_on_clash("edge", set(h.values()).intersection(e0.values()))
 
     vertices = [v0[v] for v in g.vertices] + [v1[v] for v in g.vertices]
     edges = [Edge(e0[e.id], v1[e.src], v0[e.dst]) for e in g.edges] + [

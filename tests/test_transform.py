@@ -341,6 +341,26 @@ def test_companion_of_bipartite_is_bipartite():
         assert validate(c).ok
 
 
+def test_companion_refuses_an_edge_h_beside_a_vertex_0():
+    # the copy h|0 of edge h and the connecting edge h|0 of vertex 0
+    g = SeparatedGraph.build(["0", "w"], [("h", "w", "0")], {"0": [["h"]]})
+    with pytest.raises(PreconditionError) as exc:
+        bipartite_companion(g)
+    assert str(exc.value) == "generated edge names collide: ['h|0']"
+    with pytest.raises(PreconditionError) as other:
+        k0_tame(g, 2)
+    assert str(other.value) == str(exc.value)
+    # no other pair of names meets, escaped separators included
+    pool = ["".join(p) for n in (1, 2) for p in itertools.product("h0|\\,", repeat=n)]
+    for v, e in itertools.product(pool, pool):
+        g = SeparatedGraph.build([v, "w"], [(e, "w", v)], {v: [[e]]})
+        if (v, e) == ("0", "h"):
+            continue
+        c = bipartite_companion(g)
+        assert len(set(x.id for x in c.edges)) == len(c.edges)
+        assert validate(c).ok
+
+
 def test_idempotent_naming():
     g = builtin("E", [2, 3])
     assert serialize(multiresolution_at(g, ["v"])) == serialize(multiresolution_at(g, ["v"]))
