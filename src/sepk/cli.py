@@ -452,7 +452,14 @@ def main(argv=None) -> int:
             out.append("\n")
         else:
             out = [as_text(), "\n"]
-        sys.stdout.writelines(out)
+        # UTF-8 whatever stdout's encoding, as graph files are; a stream
+        # without bytes underneath, such as io.StringIO, takes the text
+        raw = getattr(sys.stdout, "buffer", None)
+        if raw is None:
+            sys.stdout.writelines(out)
+        else:
+            sys.stdout.flush()
+            raw.writelines(map(str.encode, out))
     except tuple(_EXIT_CODES) as exc:
         message = "out of memory" if isinstance(exc, MemoryError) else exc
         print(f"error: {message}", file=sys.stderr)

@@ -576,6 +576,24 @@ def test_python_m_sepk_runs_the_cli():
     assert proc.stdout == "K0 = Z, K1 = Z, K1 basis: X - Y\n"
 
 
+def test_stdout_is_utf8_whatever_its_encoding(tmp_path, capsys):
+    # "⊕" in text and a vertex "ü" in a graph, where stdout is ASCII
+    graph = tmp_path / "u.json"
+    graph.write_bytes(serialize(SeparatedGraph.build(["ü"], [], {})))
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("PYTHONIO", "PYTHONUTF8"))}
+    env["PYTHONPATH"] = str(src)
+    encodings = ({}, {"PYTHONIOENCODING": "ascii"}, {"PYTHONUTF8": "0", "LC_ALL": "C"})
+    for argv in (["k0-tame", "--builtin", "E(2,2)", "--depth", "2"], ["companion", str(graph)]):
+        want = (0, run(capsys, *argv)[1].encode("utf-8"), b"")
+        for extra in encodings:
+            proc = subprocess.run(
+                [sys.executable, "-m", "sepk", *argv],
+                env={**env, **extra}, capture_output=True, timeout=60,
+            )
+            assert (proc.returncode, proc.stdout, proc.stderr) == want, extra
+
+
 def test_shared_parser_matches_fresh_processes(capsys, monkeypatch):
     # One process reuses its parser; each call must behave like a fresh run.
     monkeypatch.setenv("COLUMNS", "80")
