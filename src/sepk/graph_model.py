@@ -441,11 +441,12 @@ def _graph_chunks(g: SeparatedGraph, indent: str, quoted: _Quoted, chunks: list[
         head += "[]"
     head += "," + i1 + '"separation": '
     if g.vertices:
-        # each head after a vertex's groups ends in the comma and newline
-        # before the next key; the last vertex's are cut off
+        # to_obj's separation map: a repeated name at its first place, with
+        # the groups of its last.  Each head after a vertex's groups ends in
+        # the comma and newline before the next key; the last vertex's are cut off
         head += "{" + i2
         no_groups = ": []," + i2
-        for v, groups in zip(g.vertices, g.separation):
+        for v, groups in zip(g._vindex, map(g.separation.__getitem__, g._vindex.values())):
             append(head)
             append(q(v))
             if groups:
@@ -481,12 +482,11 @@ def json_chunks(obj) -> list[str]:
     into a list of the constant pieces between them.  A name is always a
     piece of its own; only a run of constant structure (a separator, the
     indentation, brackets and a fixed key with its colon, such as
-    `"id": `) is merged into one piece.  A graph whose dict form reads
-    differently is written from to_obj(g) instead: one with a repeated
-    vertex name, which to_obj's separation map collapses, or with a name
-    that is not a str.  The writer accepts what the stdlib call accepts by
-    default, prints int and float subclasses as the built-in type, and
-    raises TypeError for anything else.
+    `"id": `) is merged into one piece.  A repeated vertex name is written
+    as to_obj's separation map collapses it; only a graph with a name that
+    is not a str is written from to_obj(g).  The writer accepts what the
+    stdlib call accepts by default, prints int and float subclasses as the
+    built-in type, and raises TypeError for anything else.
     """
     quoted = _Quoted()
     chunks: list[str] = []
@@ -526,14 +526,12 @@ def json_chunks(obj) -> list[str]:
                     write(item, inner)
             emit(indent + "}")
         elif isinstance(v, SeparatedGraph):
-            if len(v._vindex) == len(v.vertices):  # no vertex name repeats
-                start = len(chunks)
-                try:
-                    _graph_chunks(v, indent, quoted, chunks)
-                    return
-                except TypeError:  # a name that is not a str
-                    del chunks[start:]
-            write(to_obj(v), indent)
+            start = len(chunks)
+            try:
+                _graph_chunks(v, indent, quoted, chunks)
+            except TypeError:  # a name that is not a str
+                del chunks[start:]
+                write(to_obj(v), indent)
         else:
             emit(_scalar_text(v))
 
