@@ -121,22 +121,18 @@ def test_serialize_writes_each_builtin_layer_as_its_dict_form():
 
 
 def test_serialize_writes_seeded_and_corrupted_graphs_as_their_dict_form():
-    rng = random.Random(7)
+    rng, repeat_rng = random.Random(7), random.Random(8)
     for g in seeded_graphs(200, 24):
         assert serialize(g) == dict_form(g).encode("utf-8")
         bad = corrupt(g, rng)
         assert serialize(bad) == dict_form(bad).encode("utf-8")
-
-
-def test_repeated_vertex_names_read_as_their_collapsed_dict_form():
-    # each copy of a name keeps its own separation entry; to_obj keeps the last
-    rng = random.Random(8)
-    for g in seeded_graphs(100, 28):
+        # vertex names repeated in place, each copy with its own groups;
+        # to_obj's separation map keeps the first place and the last groups
         vs = list(g.vertices)
-        for _ in range(rng.randint(1, 3) if vs else 0):
-            vs[rng.randrange(len(vs))] = rng.choice(vs)
-        g = SeparatedGraph(tuple(vs), g.edges, g.separation, g.bipartite)
-        assert serialize(g) == dict_form(g).encode("utf-8")
+        for _ in range(repeat_rng.randint(1, 3) if vs else 0):
+            vs[repeat_rng.randrange(len(vs))] = repeat_rng.choice(vs)
+        bad = SeparatedGraph(tuple(vs), g.edges, g.separation, g.bipartite)
+        assert serialize(bad) == dict_form(bad).encode("utf-8")
 
 
 @pytest.mark.parametrize("g", [*ODD_GRAPHS.values(), *EDGELESS.values()],
