@@ -11,7 +11,7 @@ Each subcommand is one row of _COMMANDS, which builds the parser.  main
 is the one place that loads the graph, prints the rendering asked for and
 maps an error to its exit code: 0 success, 1 usage error, 2 validation or
 file-format failure, 3 generated-vertex budget exceeded or memory
-exhausted, 4 precondition rejection.
+exhausted, 4 precondition rejection; a reader that closes stdout early ends it with 0.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import re
 import sys
 
@@ -268,12 +269,21 @@ def _cmd_companion(loaded: _Loaded, args):
 
 
 def _cmd_sequence(loaded: _Loaded, args):
-    seq = transform.canonical_sequence(loaded.graph, args.depth, budget=_budget(args))
-    return EXIT_OK, lambda: seq._json_obj(seq.graphs), lambda: "\n".join([
-        *(f"layer {n}: {len(g.vertices)} vertices, {len(g.edges)} edges, "
-          f"{len(g.group_keys())} groups" for n, g in enumerate(seq.graphs)),
-        *(f"|W_{k}| = {len(seq.w_sets[k])}" for k in sorted(seq.w_sets)),
-    ])
+    g, depth, budget = loaded.graph, args.depth, _budget(args)
+
+    def as_json():
+        seq = transform.canonical_sequence(g, depth, budget)
+        return seq._json_obj(seq.graphs)
+
+    def as_text():  # counted on the quotient: no layer is built
+        counts, sizes = transform._sequence_counts(g, depth, budget)
+        return "\n".join([
+            *(f"layer {n}: {v} vertices, {e} edges, {k} groups"
+              for n, (v, e, k) in enumerate(counts)),
+            *(f"|W_{k}| = {w}" for k, w in enumerate(sizes, 2)),
+        ])
+
+    return EXIT_OK, as_json, as_text
 
 
 def _generator_matrices(loaded: _Loaded, args):
@@ -307,8 +317,8 @@ def _cmd_verify_generator(loaded: _Loaded, args):
 
 def _cmd_phi(loaded: _Loaded, args):
     x = _parse_element(args.element, loaded)
-    image, step = ktheory._phi_with_step(loaded.graph, x)
-    provenance = {key: f"X({eid})" for eid, key in step.group_of_edge.items()}
+    image = ktheory.phi_transport(loaded.graph, x)
+    provenance = {key: f"X({eid})" for eid, key in transform._step_groups(loaded.graph).items()}
     return (
         EXIT_OK,
         lambda: {
@@ -460,6 +470,10 @@ def main(argv=None) -> int:
         else:
             sys.stdout.flush()
             raw.writelines(map(str.encode, out))
+            raw.flush()
+    except BrokenPipeError:  # the reader stopped on purpose: exit quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the final flush
+        return EXIT_OK
     except tuple(_EXIT_CODES) as exc:
         message = "out of memory" if isinstance(exc, MemoryError) else exc
         print(f"error: {message}", file=sys.stderr)

@@ -63,12 +63,6 @@ class IntMatrix:
         m.__dict__.update(rows=rows, cols=cols, _columns=tuple(columns))
         return m
 
-    @classmethod
-    def from_rows(
-        cls, rows: Iterable[Hashable], cols: Iterable[Hashable], data: Sequence[Sequence[int]]
-    ) -> "IntMatrix":
-        return cls(rows, cols, data)
-
     @cached_property
     def data(self) -> tuple[tuple[int, ...], ...]:
         return tuple(map(tuple, _dense(range(len(self.rows)), self._columns)))
@@ -225,11 +219,10 @@ def smith_normal_form(matrix: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatri
     a = [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(matrix.data)]
     a += [[int(i == j) for j in range(n)] for i in range(n)]
     _smith(a, m, n)
-    rows = IntMatrix.from_rows
     return (
-        rows(matrix.rows, matrix.rows, [row[n:] for row in a[:m]]),
-        rows(matrix.rows, matrix.cols, [row[:n] for row in a[:m]]),
-        rows(matrix.cols, matrix.cols, a[m:]),
+        IntMatrix(matrix.rows, matrix.rows, [row[n:] for row in a[:m]]),
+        IntMatrix(matrix.rows, matrix.cols, [row[:n] for row in a[:m]]),
+        IntMatrix(matrix.cols, matrix.cols, a[m:]),
     )
 
 

@@ -7,10 +7,10 @@ edges of X.  The tame quotient keeps the same K_1, and its K_0 gains one
 free summand per W vertex of the canonical sequence; this module reports
 those ranks layer by layer (an exact truncation of the full answer).
 
-Also here: the kernel transport Phi along a canonical step, the explicit
-connecting-map image certifying that nonzero kernel classes stay nonzero,
-the graph monoid's universal group (an independent presentation of K_0),
-and the character extension across a multiresolution, which reads the
+Also here: the kernel transport Phi along a canonical step, which makes no
+layer, the connecting-map image certifying that nonzero kernel classes stay
+nonzero, the graph monoid's universal group (an independent presentation of
+K_0), and the character extension across a multiresolution, which reads the
 generated vertices off the groups and roots of the step that made them.
 """
 
@@ -27,9 +27,8 @@ from .transform import (
     DEFAULT_BUDGET,
     MultiresolutionData,
     PreconditionError,
-    StepData,
+    _step_groups,
     bipartite_companion,
-    canonical_step_data,
     ensure_bipartite,
     ensure_valid,
     multiresolution_data,
@@ -221,37 +220,21 @@ def phi_transport(g: SeparatedGraph, x: Mapping[GroupKey, int]) -> KernelElement
     """Transport a kernel element to the next canonical layer.
 
     With the coefficient n_i at the i-th group of C_u read off x, the image
-    puts the sum of the n_i (i >= 2) on the group of every edge of the first
-    group of C_u and minus n_i on the groups of the edges of the i-th group.
-    The image is a kernel element of the next layer, and the transport of a
-    basis is again a basis.
+    puts -n_i on the group X(e) of each edge e of that group (for the first,
+    the sum of the other n_i).  It is a kernel element of the next layer: its
+    residual is zero at each tuple, and at each source, where it is checked,
+    so no layer is made.  The transport of a basis is again a basis.
     """
-    return _phi_with_step(g, x)[0]
-
-
-def _phi_with_step(
-    g: SeparatedGraph, x: Mapping[GroupKey, int]
-) -> tuple[KernelElement, StepData]:
-    """phi_transport's image together with the canonical step it ran."""
     ensure_bipartite(g, "kernel transport requires a bipartite graph")
     require_kernel_element(g, x)
-    step = canonical_step_data(g)
-    out: dict[GroupKey, int] = {}
-    for u in g.layer0:
-        groups = g.groups_at(u)
-        for i in range(1, len(groups)):
-            n_i = x.get((u, i), 0)
-            if not n_i:
-                continue
-            for e in groups[0]:
-                key = step.group_of_edge[e]
-                out[key] = out.get(key, 0) + n_i
-            for e in groups[i]:
-                key = step.group_of_edge[e]
-                out[key] = out.get(key, 0) - n_i
-    out = {k: c for k, c in out.items() if c}
-    require_kernel_element(step.graph, out)
-    return out, step
+    key = _step_groups(g)
+    out = {key[e]: -c for (u, i), c in x.items() if c for e in g.groups_at(u)[i]}
+    residual = dict.fromkeys(g.layer1, 0)
+    for (s, _), c in out.items():
+        residual[s] += c
+    if any(residual.values()):
+        raise NotInKernelError(residual)
+    return out
 
 
 def connecting_map_image(g: SeparatedGraph, x: Mapping[GroupKey, int]) -> dict[str, int]:

@@ -22,10 +22,10 @@ construction.  Generated names are deterministic ("u|x1,...,xk" for vertices
 and "a^x|companions" for arrows, separator characters escaped) so repeated
 runs serialize byte-identically.
 
-The W counts depend only on group sizes, so w_set_sizes builds no layer: it
-steps the coarsest equitable quotient of each layer (classes of range
-vertices, groups, edges and sources with their multiplicities, merged by
-colour refinement).  canonical_sequence runs it first, so a depth past the
+Every layer's counts depend only on group sizes, so w_set_sizes builds no
+layer: it steps the coarsest equitable quotient of each layer (classes of
+range vertices, groups, edges and sources with their multiplicities, merged
+by colour refinement).  canonical_sequence runs it first, so a depth past the
 budget is refused before any layer is built.  A fixed class budget bounds
 the count itself, for vertex budgets raised far past any buildable layer.
 """
@@ -206,11 +206,19 @@ def _check_input_names(g: SeparatedGraph, step: int) -> None:
     Escaping is injective, so a generated name equals an older one only if their
     heads are equal.  From step 2 on both heads were generated and checked by
     earlier steps, so no collision can happen; at step 1 only a new vertex can
-    equal an input (layer1) vertex.  Every generated name holds a "|", and
-    _split_generated finds a head only past one, so other names are skipped.
+    equal an input (layer1) vertex.  A name with head h starts with
+    _esc(h) + "|", so both are cut at the same first "|": only a name cut as
+    the prefix of a possible head is parsed, and one without a "|" never is.
     """
     names = g.layer1 if step else [*g.vertices, *(e.id for e in g.edges)]
     if not any("|" in name for name in names):
+        return
+    heads = [_esc(u) for u in (g.layer1 if step else g.layer0)]
+    if not step:
+        heads += [f"a^{_esc(e.id)}" for e in g.edges]
+    cuts = {h[: h.find("|") + 1] or h + "|" for h in heads}  # each h + "|", cut
+    names = {name for name in names if name[: name.find("|") + 1] in cuts}
+    if not names:
         return
     slots = {u: [(u, i) for i in range(len(g.groups_at(u)))] for u in g.layer0}
     where = {x: key for u in g.layer0 for key, grp in zip(slots[u], g.groups_at(u)) for x in grp}
@@ -230,12 +238,20 @@ def _check_input_names(g: SeparatedGraph, step: int) -> None:
         return head(name[2:], others) if name.startswith("a^") else None
 
     if step == 0:
-        _raise_on_clash("vertex", {v for v in g.vertices if head(v, slots) is not None})
-        _raise_on_clash("edge", {e.id for e in g.edges if arrow(e.id) is not None})
+        vertices, edges = names & g._vindex.keys(), names & g._eindex.keys()
+        _raise_on_clash("vertex", {v for v in vertices if head(v, slots) is not None})
+        _raise_on_clash("edge", {x for x in edges if arrow(x) is not None})
     else:
         _, out, picked, _ = _int_layer(g, g.layer0, g.layer1)
         sent = {w: [g.edges[picked[x]].id for x in xs] for w, xs in zip(g.layer1, out)}
-        _raise_on_clash("vertex", {w for w in g.layer1 if head(w, sent, arrow) is not None})
+        _raise_on_clash("vertex", {w for w in names if head(w, sent, arrow) is not None})
+
+
+def _step_groups(g: SeparatedGraph) -> dict[str, GroupKey]:
+    """Per edge x, the key of X(x) after the canonical step's checks: (s(x), x's place there)."""
+    w_set_sizes(g, 1)
+    _, out, picked, _ = _int_layer(g, g.layer0, g.layer1)
+    return {g.edges[picked[x]].id: (w, i) for w, xs in zip(g.layer1, out) for i, x in enumerate(xs)}
 
 
 # multiresolution --------------------------------------------------------------
@@ -331,12 +347,6 @@ def canonical_step_data(g: SeparatedGraph, budget: int = DEFAULT_BUDGET) -> Step
 
 def canonical_step(g: SeparatedGraph) -> SeparatedGraph:
     return canonical_step_data(g).graph
-
-
-def _check_sequence_input(g: SeparatedGraph, depth: int) -> None:
-    ensure_bipartite(g, "canonical sequence requires a bipartite graph")
-    if depth < 0:
-        raise PreconditionError("depth must be nonnegative")
 
 
 def _over_budget(n: int, what: str) -> BudgetExceededError:
@@ -592,24 +602,34 @@ def _layer_sizes(g: SeparatedGraph):
 
 
 def w_set_sizes(g: SeparatedGraph, depth: int, budget: int = DEFAULT_BUDGET) -> tuple[int, ...]:
-    """|W_2|, ..., |W_{depth+1}|, with the checks of canonical_sequence, counted on classes.
+    """|W_2|, ..., |W_{depth+1}|, with the checks of canonical_sequence, counted on classes."""
+    return _sequence_counts(g, depth, budget)[1]
 
-    |W_{n+2}| and |D_{n+2}|, which the budget bounds, depend only on the group
-    sizes of layer n: a range vertex with group sizes ns spans prod(ns) tuples,
-    prod(ns) - sum(ns) + len(ns) - 1 of them in W.  The sizes come from the
-    coarsest equitable quotient of layer n - 1, so depth d enumerates only the
-    classes of D_2..D_{d-1}, and never a vertex.
+
+def _sequence_counts(g: SeparatedGraph, depth: int, budget: int = DEFAULT_BUDGET):
+    """Per layer 0..depth its (vertices, edges, groups), and w_set_sizes(g, depth, budget).
+
+    Layer n + 1's counts and |W_{n+2}| depend only on the group sizes of layer n:
+    a range vertex with group sizes ns spans prod(ns) tuples of len(ns) arrows,
+    prod(ns) - sum(ns) + len(ns) - 1 of them in W, and each edge makes a group.
+    The sizes come off the quotients of _layer_sizes, so no vertex is made.
     """
-    _check_sequence_input(g, depth)
-    sizes = []
+    ensure_bipartite(g, "canonical sequence requires a bipartite graph")
+    if depth < 0:
+        raise PreconditionError("depth must be nonnegative")
+    counts = [(len(g.vertices), len(g.edges), len(g.group_keys()))]
+    sources, sizes = len(g.layer1), []
     for n, layer in zip(range(depth), _layer_sizes(g)):
         size = sum(m * math.prod(ns) for m, ns in layer)
         if size > budget:
             raise _over_budget(n, f"generate {size} vertices (budget {budget})")
         if n < 2:
             _check_input_names(g, n)
+        arrows = sum(m * math.prod(ns) * len(ns) for m, ns in layer)
+        counts.append((sources + size, arrows, counts[-1][1]))
+        sources = size
         sizes.append(sum(m * (math.prod(ns) - sum(ns) + len(ns) - 1) for m, ns in layer))
-    return tuple(sizes)
+    return counts, tuple(sizes)
 
 
 # Iterated root of v down to the given layer: root_of(seq, v, target_layer).

@@ -147,8 +147,18 @@ def name_collision_graphs():
         {"v": [["a"], ["b"]]},
         (["v"], ["w", s]),
     )
+    # step 0 names the tuple (a1,) over "v|x" "v\|x|a1": its head holds a "|",
+    # so both are cut at that first "|", not after the escaped head
+    s = "v\\|x|a1"
+    bar0 = SeparatedGraph.build(
+        ["v|x", "w", s],
+        [("a1", "w", "v|x"), ("a2", s, "v|x")],
+        {"v|x": [["a1", "a2"]]},
+        (["v|x"], ["w", s]),
+    )
     return [
         ("step0-vertex", vertex0, 0, "vertex"),
         ("step0-edge", edge0, 0, "edge"),
         ("step1-vertex", vertex1, 1, "vertex"),
+        ("step0-bar-in-head", bar0, 0, "vertex"),
     ]

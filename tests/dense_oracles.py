@@ -110,7 +110,7 @@ def dense_one(pair) -> IntMatrix:
     data = [[0] * len(pair.cols) for _ in pair.vertices]
     for j, (v, _) in enumerate(pair.cols):
         data[vidx[v]][j] = 1
-    return IntMatrix.from_rows(pair.vertices, pair.cols, data)
+    return IntMatrix(pair.vertices, pair.cols, data)
 
 
 def dense_difference(pair) -> IntMatrix:
@@ -119,4 +119,4 @@ def dense_difference(pair) -> IntMatrix:
     for j, col in enumerate(pair.columns):
         for i, x in col.items():
             data[i][j] = x
-    return IntMatrix.from_rows(pair.vertices, pair.cols, data)
+    return IntMatrix(pair.vertices, pair.cols, data)

@@ -120,7 +120,7 @@ def test_criterion_04_kernel_transport_along_sequence():
             images = [phi_transport(seq.graphs[n], x) for x in vecs]
             if images:
                 cols = seq.graphs[n + 1].group_keys()
-                stacked = IntMatrix.from_rows(
+                stacked = IntMatrix(
                     cols,
                     range(len(images)),
                     [[img.get(key, 0) for img in images] for key in cols],
@@ -236,7 +236,7 @@ def test_criterion_09_brute_force_kernel_oracle():
     for _ in range(500):
         r = rng.randint(1, 4)
         c = rng.randint(1, 4)
-        m = IntMatrix.from_rows(
+        m = IntMatrix(
             range(r), range(c),
             [[rng.randint(-3, 3) for _ in range(c)] for _ in range(r)],
         )

@@ -594,6 +594,25 @@ def test_stdout_is_utf8_whatever_its_encoding(tmp_path, capsys):
             assert (proc.returncode, proc.stdout, proc.stderr) == want, extra
 
 
+def test_a_reader_that_closes_stdout_early_ends_the_run_quietly():
+    # 5.4 MB of JSON, read for 10 bytes; a line or two, never read at all
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for argv, read in (
+        (["sequence", "--builtin", "lamplighter(2)", "--depth", "6", "--format", "json"], 10),
+        (["k0-tame", "--builtin", "E(2,2)", "--depth", "2"], 0),
+    ):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sepk", *argv],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert len(proc.stdout.read(read)) == read
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0, argv
+        assert proc.stderr.read() == b"", argv
+        proc.stderr.close()
+
+
 def test_shared_parser_matches_fresh_processes(capsys, monkeypatch):
     # One process reuses its parser; each call must behave like a fresh run.
     monkeypatch.setenv("COLUMNS", "80")
@@ -690,21 +709,3 @@ def test_character_runs_one_multiresolution(tmp_path, capsys, monkeypatch):
     assert code == 0 and len(calls) == 1
     assert out.splitlines()[-1].startswith("max relation error: ")
     assert len(out.splitlines()) == 7
-
-
-def test_phi_runs_one_canonical_step(capsys, monkeypatch):
-    import sepk.ktheory
-    import sepk.transform
-
-    calls = []
-    original = sepk.transform.canonical_step_data
-
-    def counted(g):
-        calls.append(g)
-        return original(g)
-
-    monkeypatch.setattr(sepk.transform, "canonical_step_data", counted)
-    monkeypatch.setattr(sepk.ktheory, "canonical_step_data", counted)
-    code, out, _ = run(capsys, "phi", "--builtin", "E(2,2)", "--element", "X:1,Y:-1")
-    assert code == 0 and len(calls) == 1
-    assert out.strip() == "-X(a1) - X(a2) + X(b1) + X(b2)"

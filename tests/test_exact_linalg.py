@@ -27,16 +27,16 @@ from dense_oracles import (
 def mat(rows):
     r = len(rows)
     c = len(rows[0]) if rows else 0
-    return IntMatrix.from_rows(range(r), range(c), rows)
+    return IntMatrix(range(r), range(c), rows)
 
 
 def test_int_matrix_takes_only_integer_entries():
     # A float or a string is refused, neither rounded, parsed nor kept as given.
     with pytest.raises(TypeError):
-        IntMatrix.from_rows([0], [0, 1], [[1.5, "3"]])
+        IntMatrix([0], [0, 1], [[1.5, "3"]])
     with pytest.raises(TypeError):
         cokernel_invariants(IntMatrix([0], [0], ((2.5,),)))
-    m = IntMatrix.from_rows([0], [0, 1], [[True, 3]])
+    m = IntMatrix([0], [0, 1], [[True, 3]])
     assert m.data == ((1, 3),) and type(m.data[0][0]) is int
     assert m == IntMatrix((0,), (0, 1), [(1, 3)])
 
@@ -61,7 +61,7 @@ def test_snf_zero_matrix():
     assert to_lists(v) == [[1, 0], [0, 1]]
     # empty shapes: the transforms are identities of the right sizes
     for r, c in ((0, 3), (3, 0), (0, 0)):
-        u, d, v = smith_normal_form(IntMatrix.from_rows(range(r), range(c), [[0] * c] * r))
+        u, d, v = smith_normal_form(IntMatrix(range(r), range(c), [[0] * c] * r))
         assert (u.shape, d.shape, v.shape) == ((r, r), (r, c), (c, c))
         assert to_lists(u) == [[int(i == j) for j in range(r)] for i in range(r)]
         assert to_lists(v) == [[int(i == j) for j in range(c)] for i in range(c)]
@@ -154,7 +154,7 @@ def test_kernel_annihilates_and_is_independent():
                 sum(m.data[i][j] * vec[j] for j in range(c)) == 0 for i in range(r)
             )
         if basis:
-            stacked = IntMatrix.from_rows(range(c), range(len(basis)), list(zip(*basis)))
+            stacked = IntMatrix(range(c), range(len(basis)), list(zip(*basis)))
             diag = smith_diagonal(stacked)
             assert all(d == 1 for d in diag)
 
@@ -197,7 +197,7 @@ def oracle_matrix(rng, kind):
         zero = rng.randrange(c)
         for row in rows:
             row[zero] = 0
-    return IntMatrix.from_rows(range(r), range(c), rows)
+    return IntMatrix(range(r), range(c), rows)
 
 
 def test_unit_pivot_elimination_against_sympy_and_dense_smith():
@@ -222,7 +222,7 @@ def test_unit_pivot_elimination_against_sympy_and_dense_smith():
         for vec in basis:
             assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in m.data)
         if basis:  # a saturated sublattice of the right rank is the whole kernel
-            stacked = IntMatrix.from_rows(range(c), range(len(basis)), list(zip(*basis)))
+            stacked = IntMatrix(range(c), range(len(basis)), list(zip(*basis)))
             assert set(smith_diagonal(stacked)) == {1}
         if c <= 3:
             assert_small_kernel_vectors_in_span(m, basis)

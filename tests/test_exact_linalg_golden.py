@@ -70,9 +70,9 @@ def seeded_matrices(kind):
             zero = rng.randrange(c)
             for row in rows:
                 row[zero] = 0
-        out.append(IntMatrix.from_rows(range(r), range(c), rows))
+        out.append(IntMatrix(range(r), range(c), rows))
     if kind == "sparse":
-        out.extend(IntMatrix.from_rows(range(r), range(c), [[0] * c] * r) for r, c in EMPTY_SHAPES)
+        out.extend(IntMatrix(range(r), range(c), [[0] * c] * r) for r, c in EMPTY_SHAPES)
     return out
 
 
@@ -142,7 +142,7 @@ def test_matrices_made_from_columns_equal_those_made_from_rows():
 
 
 def test_int_matrix_grid_matches_golden():
-    m = IntMatrix.from_rows(
+    m = IntMatrix(
         ("v", "long row label", "w2"),
         ("a", "column b", "c", 7),
         [[1, -20, 0, 3], [12345678901234567890, 0, -1, 0], [0, 0, 0, -999]],
@@ -153,5 +153,5 @@ def test_int_matrix_grid_matches_golden():
         "long row label  12345678901234567890         0  -1     0\n"
         "            w2                     0         0   0  -999"
     )
-    assert format_grid(IntMatrix.from_rows((), ("a", "bb"), [])) == "  a  bb"
-    assert format_grid(IntMatrix.from_rows(("x",), (), [[]])) == "   \nx  "
+    assert format_grid(IntMatrix((), ("a", "bb"), [])) == "  a  bb"
+    assert format_grid(IntMatrix(("x",), (), [[]])) == "   \nx  "

@@ -31,6 +31,7 @@ from sepk.ktheory import (
 from sepk.transform import (
     BudgetExceededError,
     PreconditionError,
+    _step_groups,
     bipartite_companion,
     canonical_sequence,
     canonical_step_data,
@@ -43,10 +44,11 @@ from conftest import (
     admissible_vertex_set,
     bipartite_graph_with_kernel,
     random_bipartite_graph,
+    random_kernel_element,
     random_separated_graph,
 )
 from dense_oracles import dense_difference, dense_one, smith_diagonal, to_lists
-from graph_oracles import projected_step_size, reference_character_values
+from graph_oracles import projected_step_size, reference_character_values, reference_step
 
 
 def arrow_counts(pair):
@@ -414,11 +416,17 @@ def test_phi_zero():
     assert phi_transport(builtin("E", [2, 2]), {}) == {}
 
 
-def test_phi_rejects_non_kernel():
+def test_phi_rejects_non_kernel(monkeypatch):
     g = builtin("E", [2, 2])
     with pytest.raises(NotInKernelError) as exc:
         phi_transport(g, {("v", 0): 1})
     assert exc.value.residual["v"] == 1
+    # the image's own check: with X(a1) given X(b1)'s key, a1's -1 is lost at w
+    key = {**_step_groups(g), "a1": ("w", 2)}
+    monkeypatch.setattr(ktheory, "_step_groups", lambda g: key)
+    message = r"^element is not in the kernel; residual \(w: 1\)$"
+    with pytest.raises(NotInKernelError, match=message):
+        phi_transport(g, {("v", 0): 1, ("v", 1): -1})
 
 
 def test_phi_keeps_bases_independent():
@@ -435,7 +443,7 @@ def test_phi_keeps_bases_independent():
         images = [phi_transport(g, x) for x in vecs]
         step = canonical_step_data(g)
         cols = step.graph.group_keys()
-        stacked = IntMatrix.from_rows(
+        stacked = IntMatrix(
             cols,
             range(len(images)),
             [[img.get(key, 0) for img in images] for key in cols],
@@ -443,6 +451,57 @@ def test_phi_keeps_bases_independent():
         diag = smith_diagonal(stacked)
         assert all(d == 1 for d in diag)
         assert len([d for d in diag if d]) == len(images)
+
+
+def _phi_on_group_of_edge(g, x, group_of_edge):
+    """The transport spelled out on a step's group of each edge: the sum of the
+    n_i (i >= 2) on the groups of the first group's edges, -n_i on the i-th's."""
+    out = {}
+    for u in g.layer0:
+        groups = g.groups_at(u)
+        for i in range(1, len(groups)):
+            n_i = x.get((u, i), 0)
+            for e, c in [*((e, n_i) for e in groups[0]), *((e, -n_i) for e in groups[i])]:
+                out[group_of_edge[e]] = out.get(group_of_edge[e], 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def test_phi_matches_the_materialized_step():
+    cases = []
+    rng = random.Random(23)
+    for _ in range(60):
+        g, x = bipartite_graph_with_kernel(rng)
+        y = random_kernel_element(g, rng) or x
+        cases.append((g, [x, {key: 3 * c for key, c in x.items()}, y]))
+    for spec, depth in (("E(2,2)", 2), ("lamplighter(2)", 3), ("E(2,3)", 2)):
+        for h in canonical_sequence(builtin_from_spec(spec), depth).graphs:
+            cases.append((h, [{}, *k_groups_full(h).k1_basis]))
+    for g, xs in cases:
+        graph, _, _, group_of_edge = reference_step(g, g.layer0, g.layer1)
+        assert _step_groups(g) == group_of_edge == canonical_step_data(g).group_of_edge
+        for x in xs:
+            image = phi_transport(g, x)
+            assert image == _phi_on_group_of_edge(g, x, group_of_edge)
+            require_kernel_element(graph, image)
+
+
+def test_phi_runs_no_step(capsys, monkeypatch):
+    from sepk import cli, transform
+
+    layers = canonical_sequence(builtin("E", [2, 2]), 2).graphs
+    want = [_phi_on_group_of_edge(h, x, canonical_step_data(h).group_of_edge)
+            for h in layers for x in k_groups_full(h).k1_basis]
+
+    def refuse(*args):
+        raise AssertionError("a step was generated")
+
+    monkeypatch.setattr(transform, "_fresh_layer", refuse)
+    monkeypatch.setattr(transform, "canonical_step_data", refuse)
+    assert [phi_transport(h, x) for h in layers for x in k_groups_full(h).k1_basis] == want
+    assert cli.main(["phi", "--builtin", "E(2,2)", "--element", "X:1,Y:-1"]) == 0
+    assert capsys.readouterr().out == "-X(a1) - X(a2) + X(b1) + X(b2)\n"
+    assert cli.main(["sequence", "--builtin", "E(2,2)", "--depth", "4"]) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == ["|W_4| = 196", "|W_5| = 65072"]
 
 
 def test_connecting_map_examples():

@@ -570,6 +570,68 @@ def test_names_without_a_bar_are_never_parsed(monkeypatch):
         assert len(canonical_sequence(g, 2).graphs) == 3
 
 
+def test_built_in_layer_names_are_never_parsed(monkeypatch):
+    # every name of a built-in's layers 1-3 is cut where no possible head is
+    import sepk.transform
+    from sepk.ktheory import phi_transport
+
+    specs = ("E(2,2)", "E(2,3)", "lamplighter(2)", "lamplighter(3)")
+    layers = [h for s in specs for h in canonical_sequence(builtin_from_spec(s), 3).graphs[1:]]
+    cases = [(h, k_groups_full(h).k1_basis) for h in layers]
+
+    def answers():
+        return [(w_set_sizes(h, 2, budget=10**30), [phi_transport(h, x) for x in xs])
+                for h, xs in cases]
+
+    want = answers()
+
+    def split(name):
+        raise AssertionError(f"parsed {name!r}")
+
+    monkeypatch.setattr(sepk.transform, "_split_generated", split)
+    assert answers() == want
+
+
+def _text_outcome(render):
+    try:
+        return render()
+    except (BudgetExceededError, PreconditionError) as exc:
+        return type(exc), str(exc)
+
+
+def _materialized_text(g, depth, budget):
+    """The sequence text read off the built layers."""
+    seq = canonical_sequence(g, depth, budget)
+    return "\n".join([
+        *(f"layer {n}: {len(h.vertices)} vertices, {len(h.edges)} edges, "
+          f"{len(h.group_keys())} groups" for n, h in enumerate(seq.graphs)),
+        *(f"|W_{k}| = {len(seq.w_sets[k])}" for k in sorted(seq.w_sets)),
+    ])
+
+
+def test_sequence_text_counts_match_the_materialized_layers():
+    from argparse import Namespace
+
+    from sepk import cli
+
+    rng = random.Random(17)
+    runs = [(random_bipartite_graph(rng, max_size=2), range(3), (10**6, 50)) for _ in range(120)]
+    # at 10**6, three-edge groups would build layers for minutes
+    runs += [(random_bipartite_graph(rng), range(3), (2000, 50)) for _ in range(120)]
+    runs += [(g, range(4), (10**6,)) for _, g, _, _ in COLLISIONS]
+    runs += [(builtin_from_spec(s), range(top + 1), (10**6,)) for s, top in (
+        ("E(2,2)", 3), ("lamplighter(2)", 5), ("E(2,3)", 2), ("lamplighter(3)", 3),
+    )]
+    refused = Counter()
+    for g, depths, budgets in runs:
+        for depth, budget in itertools.product(depths, budgets):
+            args = Namespace(depth=depth, budget=budget)
+            want = _text_outcome(lambda: _materialized_text(g, depth, budget))
+            assert _text_outcome(lambda: cli._cmd_sequence(cli._Loaded(g, {}), args)[2]()) == want
+            refused[want[0] if isinstance(want, tuple) else None] += 1
+    assert refused[BudgetExceededError] >= 100 and refused[PreconditionError] == 11
+
+
 def test_validation_report_is_computed_once_per_graph(monkeypatch):
     import sepk.transform
 
