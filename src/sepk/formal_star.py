@@ -508,43 +508,34 @@ class GeneratorMatrices:
     u: FormalMatrix
 
 
-def _side_labels(g: SeparatedGraph, part: Mapping[GroupKey, int]):
-    """Row and column labels of one side, plus the edge of each column.
+def _side(g: SeparatedGraph, part: Mapping[GroupKey, int]) -> FormalMatrix:
+    """The matrix of one side: a row per unit, a column holding each arrow occurrence.
 
     Rows run over the used groups in group order; columns over the source
     vertices in layer1 order, then the used groups with an arrow from that
     source, in group order, then t, then the arrows in their group order.
+    The column (key, t, w, s) holds its arrow on the row (key, t).
     """
     rows: list[RowLabel] = []
+    first_row: dict[GroupKey, int] = {}
     by_source: dict[str, dict[GroupKey, list[str]]] = {}
-    used: dict[GroupKey, int] = {}
     for u in g.layer0:
         for i, group in enumerate(g.groups_at(u)):
             n = part.get((u, i), 0)
-            for t in range(1, n + 1):
-                rows.append(((u, i), t))
             if n:
-                used[(u, i)] = n
+                first_row[(u, i)] = len(rows)
+                rows.extend(((u, i), t) for t in range(1, n + 1))
                 for eid in group:
                     by_source.setdefault(g.edge(eid).src, {}).setdefault((u, i), []).append(eid)
     cols: list[ColLabel] = []
-    col_edge: dict[ColLabel, str] = {}
+    entries = {}
     for w in g.layer1:
         for key, arrows in by_source.get(w, {}).items():
-            for t in range(1, used[key] + 1):
+            for t in range(1, part[key] + 1):
+                row = first_row[key] + t - 1
                 for s, eid in enumerate(arrows, start=1):
-                    label = (key, t, w, s)
-                    cols.append(label)
-                    col_edge[label] = eid
-    return rows, cols, col_edge
-
-
-def _side_matrix(ctx: StarContext, rows, cols, col_edge) -> FormalMatrix:
-    rindex = {r: i for i, r in enumerate(rows)}
-    entries = {}
-    for j, col in enumerate(cols):
-        key, t = col[0], col[1]
-        entries[(rindex[(key, t)], j)] = ctx.edge(col_edge[col])
+                    entries[(row, len(cols))] = FormalExpr({("e", eid): 1})
+                    cols.append((key, t, w, s))
     return FormalMatrix(tuple(rows), tuple(cols), entries)
 
 
@@ -573,33 +564,23 @@ def _pair_blocks(left, right, block_of, what, rng=None):
 def _assemble(
     g: SeparatedGraph,
     x: Mapping[GroupKey, int],
-    sides: tuple,
+    z: FormalMatrix,
+    t: FormalMatrix,
     sigma1: dict[RowLabel, RowLabel],
     sigma2: dict[ColLabel, ColLabel],
 ) -> GeneratorMatrices:
-    """The matrices for the given bijections, on sides made by _side_labels."""
-    ctx = StarContext(g)
-    (rows1, cols1, col_edge1), (rows2, cols2, col_edge2) = sides
-    z = _side_matrix(ctx, rows1, cols1, col_edge1)
-    t = _side_matrix(ctx, rows2, cols2, col_edge2)
+    """The matrices for the given bijections between the sides z and t.
 
-    # sigma_t[i1, j1] = t[sigma1(row i1), sigma2(col j1)]: pull each nonzero
-    # entry of t back along the maps, read as relations in case they are not
-    # injective, and keep the entries in row-major order.
-    r2index = {r: i for i, r in enumerate(rows2)}
-    c2index = {c: i for i, c in enumerate(cols2)}
-    rows_over: dict[int, list[int]] = {}
-    for i1, r1 in enumerate(rows1):
-        rows_over.setdefault(r2index[sigma1[r1]], []).append(i1)
-    cols_over: dict[int, list[int]] = {}
-    for j1, c1 in enumerate(cols1):
-        cols_over.setdefault(c2index[sigma2[c1]], []).append(j1)
-    entries = {}
-    for (i2, j2), expr in t.entries.items():
-        for i1 in rows_over.get(i2, ()):
-            for j1 in cols_over.get(j2, ()):
-                entries[(i1, j1)] = expr
-    sigma_t = FormalMatrix(tuple(rows1), tuple(cols1), dict(sorted(entries.items())))
+    sigma_t[i1, j1] = t[sigma1(row i1), sigma2(col j1)]: each entry of t goes
+    to the row and column that the inverse bijections send its own to.
+    """
+    ctx = StarContext(g)
+    row_of = {sigma1[r]: i1 for i1, r in enumerate(z.rows)}
+    col_of = {sigma2[c]: j1 for j1, c in enumerate(z.cols)}
+    entries = {
+        (row_of[t.rows[i]], col_of[t.cols[j]]): expr for (i, j), expr in t.entries.items()
+    }
+    sigma_t = FormalMatrix(z.rows, z.cols, dict(sorted(entries.items())))
     u = matmul(ctx, z, sigma_t.star())
     return GeneratorMatrices(g, dict(x), z, t, dict(sigma1), dict(sigma2), sigma_t, u)
 
@@ -619,12 +600,11 @@ def build_generator_matrices(
     require_kernel_element(g, x)
     if not any(x.values()):
         raise PreconditionError("the zero element has no generator")
-    sides = (_side_labels(g, positive_part(x)), _side_labels(g, negative_part(x)))
-    (rows1, cols1, _), (rows2, cols2, _) = sides
+    z, t = _side(g, positive_part(x)), _side(g, negative_part(x))
     rng = random.Random(seed) if seed is not None else None
-    sigma1 = _pair_blocks(rows1, rows2, _range_of, "row", rng)
-    sigma2 = _pair_blocks(cols1, cols2, _source_of, "column", rng)
-    return _assemble(g, x, sides, sigma1, sigma2)
+    sigma1 = _pair_blocks(z.rows, t.rows, _range_of, "row", rng)
+    sigma2 = _pair_blocks(z.cols, t.cols, _source_of, "column", rng)
+    return _assemble(g, x, z, t, sigma1, sigma2)
 
 
 # verification -----------------------------------------------------------------

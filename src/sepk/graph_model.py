@@ -16,7 +16,6 @@ validation and the K-theory read.
 
 from __future__ import annotations
 
-import codecs
 import json
 import re
 from dataclasses import dataclass
@@ -739,34 +738,17 @@ def parse(data: bytes | str) -> SeparatedGraph:
     return from_obj(obj)
 
 
-_PIECE = 1 << 16  # bytes per read in _read_utf8
-
-
 def _read_utf8(path) -> str:
-    """The text of the UTF-8 file at path, read and decoded in pieces.
+    """The text of the UTF-8 file at path, its line ends as they are.
 
-    The file is read once, so a pipe works, and its bytes never exist whole:
-    each piece is decoded as it arrives, and the decoded pieces are joined.
-    A byte sequence that is not UTF-8 raises UnicodeDecodeError with the
-    reason bytes.decode gives and its start counted from the start of the
-    file.  A missing or unreadable path raises OSError.
+    The file is read once, so a pipe works, and its bytes are freed once
+    decoded, before any parsing.  A byte sequence that is not UTF-8 raises
+    UnicodeDecodeError with the reason bytes.decode gives and its start
+    counted from the start of the file.  A missing or unreadable path raises
+    OSError.
     """
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    pieces, read = [], 0
-    with open(path, "rb") as fh:
-        while True:
-            piece = fh.read(_PIECE)
-            try:
-                pieces.append(decoder.decode(piece, final=not piece))
-            except UnicodeDecodeError as exc:
-                # exc counts from the bytes the decoder held back, then the piece
-                shift = read - len(decoder.getstate()[0])
-                exc.start += shift
-                exc.end += shift
-                raise
-            if not piece:
-                return "".join(pieces)
-            read += len(piece)
+    with open(path, encoding="utf-8", newline="") as fh:
+        return fh.read()
 
 
 def _parse_file(path) -> SeparatedGraph:

@@ -6,16 +6,19 @@ StarContext memoized its reductions.  Tests compare the two on seeded random
 words, malformed ones included.  spell and adjoint_word print and star a
 word tag by tag, apart from the one table that formal_star reads.
 assemble_generator_matrices builds the generator matrices for bijections a
-test chooses, so tests can corrupt them.
+test chooses, so tests can corrupt them.  reference_generator_matrices
+builds the same matrices from sorted labels and cell-by-cell lookups.
 """
 
 from sepk.formal_star import (
+    ZERO,
     FormalExpr,
+    FormalMatrix,
     GeneratorMatrices,
     MalformedExpressionError,
     UnsupportedWordError,
     _assemble,
-    _side_labels,
+    _side,
 )
 from sepk.graph_model import SeparatedGraph
 from sepk.ktheory import negative_part, positive_part
@@ -50,8 +53,64 @@ def adjoint_word(word):
 
 def assemble_generator_matrices(g: SeparatedGraph, x, sigma1, sigma2) -> GeneratorMatrices:
     """The generator matrices of x for explicitly chosen bijections."""
-    sides = (_side_labels(g, positive_part(x)), _side_labels(g, negative_part(x)))
-    return _assemble(g, x, sides, sigma1, sigma2)
+    z, t = _side(g, positive_part(x)), _side(g, negative_part(x))
+    return _assemble(g, x, z, t, sigma1, sigma2)
+
+
+def reference_generator_matrices(g: SeparatedGraph, x, sigma1, sigma2):
+    """(z, t, sigma_t, u) of x for the given bijections, from sorted labels.
+
+    Each side lists its rows (group, t) sorted by group order, the layer0
+    position of the group's vertex and then its index there, and its arrow
+    occurrences sorted by the layer1 position of the source, group order, t
+    and the arrow's position in its group; s counts an occurrence among
+    those of its source, group and t.  Each cell of sigma(T) is read as
+    T[sigma1(r), sigma2(c)], pair by pair, and each cell of U is summed from
+    ReferenceCalculus products.
+    """
+    keys = [(v, i) for v in g.layer0 for i in range(len(g.groups_at(v)))]
+    order = {key: n for n, key in enumerate(keys)}
+    at = {w: n for n, w in enumerate(g.layer1)}
+
+    def side(part):
+        rows = sorted(
+            ((key, t) for key, n in part.items() for t in range(1, n + 1)),
+            key=lambda r: (order[r[0]], r[1]),
+        )
+        arrows = sorted(
+            (at[g.edge(eid).src], order[key], t, p, key, eid)
+            for key, n in part.items()
+            for t in range(1, n + 1)
+            for p, eid in enumerate(g.group(key))
+        )
+        cols, entries, seen = [], {}, {}
+        for _, _, t, _, key, eid in arrows:
+            w = g.edge(eid).src
+            s = seen[(w, key, t)] = seen.get((w, key, t), 0) + 1
+            entries[(rows.index((key, t)), len(cols))] = FormalExpr({("e", eid): 1})
+            cols.append((key, t, w, s))
+        return FormalMatrix(tuple(rows), tuple(cols), entries)
+
+    z = side({k: c for k, c in x.items() if c > 0})
+    t = side({k: -c for k, c in x.items() if c < 0})
+    entries = {}
+    for i, r in enumerate(z.rows):
+        for j, c in enumerate(z.cols):
+            expr = t.entry(t.rows.index(sigma1[r]), t.cols.index(sigma2[c]))
+            if not expr.is_zero:
+                entries[(i, j)] = expr
+    sigma_t = FormalMatrix(z.rows, z.cols, entries)
+    ref, cells = ReferenceCalculus(g), {}
+    for i in range(len(z.rows)):
+        row = [(k, z.entry(i, k)) for k in range(len(z.cols)) if not z.entry(i, k).is_zero]
+        for j in range(len(z.rows)):
+            total = ZERO
+            for k, expr in row:
+                total = total + ref.mul(expr, sigma_t.entry(j, k).star())
+            total = ref.normalize(total)
+            if not total.is_zero:
+                cells[(i, j)] = total
+    return z, t, sigma_t, FormalMatrix(z.rows, z.rows, cells)
 
 
 class ReferenceCalculus:

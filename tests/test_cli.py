@@ -125,9 +125,9 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
-# A graph file is read in pieces of graph_model._PIECE bytes; these files put
-# a character or an error at the border of the first piece.
-PIECE = graph_model._PIECE
+# These files put a character or an error 64 KiB into the file, where a
+# reader that decoded fixed-size pieces would cut it.
+PIECE = 1 << 16
 
 
 def _parse_outcome(data: bytes) -> tuple[int, str]:
@@ -171,6 +171,22 @@ def test_invalid_utf8_reported_at_its_file_offset(data, tmp_path, capsys):
         assert run(capsys, command, str(path)) == (code, "", err)
 
 
+@pytest.mark.parametrize("end", [b"\r\n", b"\r"])
+def test_line_ends_are_read_as_they_are(end, tmp_path, capsys):
+    lf = tmp_path / "lf.graph"
+    lf.write_bytes(serialize(builtin("E", [3, 3])))
+    doc = lf.read_bytes().replace(b"\n", end)
+    path = tmp_path / "crlf.graph"
+    for data in (doc, doc.rstrip() + end + b",}"):  # valid, then malformed past a line end
+        path.write_bytes(data)
+        code, err = _parse_outcome(data)
+        if code == 0:
+            assert graph_model._parse_file(path) == parse(data)
+        for command in ("ktheory", "validate"):
+            want = run(capsys, command, str(lf)) if code == 0 else (code, "", err)
+            assert run(capsys, command, str(path)) == want
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
 def test_graph_read_from_a_pipe():
     src = Path(__file__).resolve().parent.parent / "src"
@@ -209,8 +225,8 @@ def test_unreadable_paths_exit_1(tmp_path, capsys):
 
 
 def test_reading_a_graph_file_holds_its_text_and_document_only(tmp_path, capsys):
-    # The bytes of the file never exist whole beside its text: the peak is
-    # the decoded pieces and their join, or the text and its parse.
+    # The bytes of the file are freed once decoded, before parsing: the peak
+    # is the bytes and their text, or the text and its parse.
     data = serialize(canonical_sequence(builtin("lamplighter", [2]), 6).graphs[6])
     path = tmp_path / "layer6.graph"
     path.write_bytes(data)

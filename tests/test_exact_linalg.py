@@ -41,6 +41,18 @@ def test_int_matrix_takes_only_integer_entries():
     assert m == IntMatrix((0,), (0, 1), [(1, 3)])
 
 
+@pytest.mark.parametrize("rows,cols,data,message", [
+    ([0, 0], [0], [[1], [2]], "duplicate row labels"),
+    ([0], ["c", "c"], [[1, 2]], "duplicate column labels"),
+    ([0, 1], [0], [[1]], "row count does not match labels"),
+    ([0, 1], [0, 1], [[1, 2], [3]], "column count does not match labels"),
+])
+def test_int_matrix_rejects_duplicate_labels_and_wrong_shapes(rows, cols, data, message):
+    with pytest.raises(ValueError) as exc:
+        IntMatrix(rows, cols, data)
+    assert str(exc.value) == message
+
+
 def test_snf_unimodular_2x2():
     # det = 1, so the form is the identity
     u, d, v = smith_normal_form(mat([[1, 1], [-3, -2]]))
@@ -100,6 +112,8 @@ def test_cokernel_str():
 
 
 def test_invariants_reject_bad_chain():
+    with pytest.raises(ValueError, match="^negative free rank$"):
+        AbelianGroupInvariants(-1)
     with pytest.raises(ValueError):
         AbelianGroupInvariants(0, (1,))
     with pytest.raises(ValueError):

@@ -15,17 +15,35 @@ from sepk.formal_star import (
     verify_partial_unitary,
     word_str,
 )
-from sepk.graph_model import builtin
-from sepk.ktheory import NotInKernelError, connecting_map_image
+from sepk.graph_model import builtin, builtin_from_spec
+from sepk.ktheory import NotInKernelError, connecting_map_image, phi_transport
 from sepk.transform import PreconditionError, canonical_sequence
 
 from conftest import bipartite_graph_with_kernel, random_kernel_element
-from formal_oracles import ReferenceCalculus, adjoint_word, assemble_generator_matrices, spell
+from formal_oracles import (
+    ReferenceCalculus,
+    adjoint_word,
+    assemble_generator_matrices,
+    reference_generator_matrices,
+    spell,
+)
 from graph_oracles import r_inv, s_inv
 
 
 def ctx_e(m, n):
     return StarContext(builtin("E", [m, n]))
+
+
+def test_unknown_ids_and_mismatched_shapes_raise():
+    ctx = ctx_e(2, 2)
+    with pytest.raises(MalformedExpressionError, match=r"^unknown vertex 'zz'$"):
+        ctx.vertex("zz")
+    for make in (ctx.edge, ctx.adjoint):
+        with pytest.raises(MalformedExpressionError, match=r"^unknown edge 'zz'$"):
+            make("zz")
+    a = FormalMatrix(("r",), ("c1", "c2"), {})
+    with pytest.raises(ValueError, match="^inner dimensions do not match$"):
+        matmul(ctx, a, a)
 
 
 def test_sck1_same_group():
@@ -467,3 +485,43 @@ def test_matrices_equal_matches_reference_on_corrupted_sigma2():
                 assert got == _reference_matrices_equal(ref, a, b)
                 mismatches += got is not None
     assert mismatches
+
+
+def _assert_matches_reference(g, x, seed):
+    gm = build_generator_matrices(g, x, seed=seed)
+    for sigma, src, dst, block_of in (
+        (gm.sigma1, gm.z.rows, gm.t.rows, lambda r: r[0][0]),
+        (gm.sigma2, gm.z.cols, gm.t.cols, lambda c: c[2]),
+    ):
+        assert list(sigma) == list(src) and sorted(sigma.values()) == sorted(dst)
+        assert all(block_of(a) == block_of(b) for a, b in sigma.items())
+        if seed is None:  # order-preserving within each block
+            for block in {block_of(a) for a in src}:
+                assert [sigma[a] for a in src if block_of(a) == block] == [
+                    b for b in dst if block_of(b) == block
+                ]
+    z, t, sigma_t, u = reference_generator_matrices(g, x, gm.sigma1, gm.sigma2)
+    assert (gm.z, gm.t, gm.sigma_t) == (z, t, sigma_t)
+    assert list(gm.sigma_t.entries) == sorted(gm.sigma_t.entries)
+    assert (gm.u.rows, gm.u.cols, gm.u.format_grid()) == (u.rows, u.cols, u.format_grid())
+
+
+@pytest.mark.parametrize("spec,layer", [
+    ("E(2,2)", 0), ("E(3,3)", 0), ("lamplighter(2)", 0), ("lamplighter(3)", 0), ("E(2,2)", 1),
+])
+@pytest.mark.parametrize("seed", [None, 0, 1])
+def test_generator_matrices_match_sorted_label_reference_on_builtins(spec, layer, seed):
+    graphs = canonical_sequence(builtin_from_spec(spec), layer).graphs
+    x = {("v", 0): 1, ("v", 1): -1}
+    for g in graphs[:-1]:
+        x = phi_transport(g, x)
+    _assert_matches_reference(graphs[-1], x, seed)
+
+
+def test_generator_matrices_match_sorted_label_reference_on_random_graphs():
+    rng = random.Random(27)
+    for _ in range(150):
+        g, x0 = bipartite_graph_with_kernel(rng)
+        x = random_kernel_element(g, rng) or x0
+        for seed in (None, 0, 1):
+            _assert_matches_reference(g, x, seed)

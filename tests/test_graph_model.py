@@ -52,6 +52,28 @@ def test_builtin_range_errors(name, params):
         builtin(name, params)
 
 
+def test_lamplighter_takes_one_parameter():
+    with pytest.raises(ParameterRangeError) as exc:
+        builtin("lamplighter", [2, 3])
+    assert str(exc.value) == "lamplighter takes one parameter (p)"
+
+
+def test_malformed_construction_and_missing_split_raise():
+    with pytest.raises(ValueError) as exc:
+        SeparatedGraph(("v", "w"), (), ((),))
+    assert str(exc.value) == (
+        "separation must have exactly one entry per vertex (1 entries, 2 vertices)"
+    )
+    with pytest.raises(GraphFormatError) as exc:
+        SeparatedGraph.build(["v"], [], {"x": []})
+    assert str(exc.value) == "separation key 'x' is not a vertex"
+    g = SeparatedGraph.build(["v"], [], {})
+    for layer in ("layer0", "layer1"):
+        with pytest.raises(ValueError) as exc:
+            getattr(g, layer)
+        assert str(exc.value) == "graph carries no bipartite split"
+
+
 def test_validate_partition_not_covering():
     g = SeparatedGraph.build(
         ["v", "w"],
@@ -289,6 +311,11 @@ FORMAT_ERRORS = [
         "graph.separation.v[1]",
     ),
     (_doc(separation={"v": [["a", 7]]}), "edge id must be a string", "graph.separation.v[0][1]"),
+    (  # an unhashable member
+        _doc(separation={"v": [["a", ["a"]]]}),
+        "edge id must be a string",
+        "graph.separation.v[0][1]",
+    ),
     (_doc(separation={"v": [["a"], ["zz"]]}), "unknown edge id 'zz'", "graph.separation.v[1][0]"),
     (_doc(bipartite=[["v"], ["w"]]), "bipartite must be a map", "graph.bipartite"),
     (_doc(bipartite={"layer0": ["v"]}), "bipartite needs layer0 and layer1", "graph.bipartite"),

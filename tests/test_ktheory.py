@@ -552,6 +552,8 @@ def test_character_rejects_bad_base():
     base = CharacterAssignment({"v": 1j, "w": 1 + 0j})  # v != w^2
     with pytest.raises(CharacterError, match="violates"):
         extend_character(g, ["v"], base, {})
+    with pytest.raises(CharacterError, match=r"^base character misses vertices \['w'\]$"):
+        extend_character(g, ["v"], CharacterAssignment({"v": 1 + 0j}), {})
 
 
 def test_character_rejects_wrong_free_set():

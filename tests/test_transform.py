@@ -285,6 +285,8 @@ def test_roots_e22():
         root_of(seq, seq.layer_vertices(2)[0], 1)
     with pytest.raises(PreconditionError):
         root_of(seq, "ghost", 0)
+    with pytest.raises(PreconditionError, match=r"^target layer 2 above layer 0 of 'v'$"):
+        root_of(seq, "v", 2)
     for v, target in (("v", -2), ("w", -1)):
         with pytest.raises(PreconditionError, match=rf"^layer {target} not computed \(depth 2\)$"):
             seq.root_of(v, target)
