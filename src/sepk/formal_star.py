@@ -22,15 +22,15 @@ every later use.
 One table spells each word tag as its letters, edges and adjoints.
 Printing, the adjoint, shapes and products all read it or its inverse, so an
 unknown tag or a wrong number of ids raises MalformedExpressionError from
-every operation.  Beside the normal forms the context keeps each word's
-shape: its end vertices, its letters, whether it is sound (well formed, with
-no e* f of one group inside), and why it is malformed, if it is.  One
-kernel, StarContext._multiply_into, multiplies words for both mul and
-matmul.  Two sound words are reduced only at their junction, and their
-product, well formed, adds its memoized normal form at once; any other pair
-goes the long way, reducing every letter pair.  Products are not memoized:
-within one context a pair of words seldom recurs, and a pair memo held
-memory without saving time.
+every operation.  Beside the normal forms the context keeps the shape of each
+well-formed word's value: its end vertices and its letters, none for an e* e
+of one group, which is a vertex, and no ends for an e* f of one group, which
+is zero.  One kernel, StarContext._multiply_into, multiplies words for both
+mul and matmul: it reads both words of each pair it forms by their shapes,
+so a malformed factor raises wherever it meets a word, reduces the two only
+at their junction, and adds the product's memoized normal form at once.
+Products are not memoized: within one context a pair of words seldom
+recurs, and a pair memo held memory without saving time.
 
 The module also builds the labeled generator matrices realizing the K_1
 class of a kernel element (a row per unit of positive coefficient, a column
@@ -91,13 +91,10 @@ def _malformed(word: Word) -> MalformedExpressionError:
     return MalformedExpressionError(f"malformed word {word!r}: unknown tag or wrong arity")
 
 
-def _word_of_letters(kinds: str, ids: tuple, anchor: str) -> Word:
-    """The word of the letters kinds[i] ids[i]; ("v", anchor) when there are none."""
-    tag = _TAG.get(kinds)
-    if tag is None:
-        letters = (_PATTERN[_TAG[k]] % e for k, e in zip(kinds, ids))  # each as its own word
-        raise UnsupportedWordError("irreducible word of length > 2: " + " ".join(letters))
-    return (tag,) + ids if ids else ("v", anchor)
+def _too_long(kinds: str, ids: tuple) -> UnsupportedWordError:
+    """The refusal of the word of the letters kinds[i] ids[i], over two letters."""
+    letters = (_PATTERN[_TAG[k]] % e for k, e in zip(kinds, ids))  # each as its own word
+    return UnsupportedWordError("irreducible word of length > 2: " + " ".join(letters))
 
 
 def word_str(word: Word) -> str:
@@ -193,68 +190,52 @@ class StarContext:
 
     # word plumbing ----------------------------------------------------------
 
-    def _reduce_letters(self, kinds: str, ids: tuple) -> tuple[str, tuple] | None:
-        # Apply e* f = delta s(e) inside a group; cross-group pairs stand.
-        group_of, i = self.group_of, 0
-        while i + 1 < len(kinds):
-            if kinds[i : i + 2] == "AE" and group_of[ids[i]] == group_of[ids[i + 1]]:
-                if ids[i] != ids[i + 1]:
-                    return None  # distinct edges of one group annihilate
-                kinds, ids = kinds[:i] + kinds[i + 2 :], ids[:i] + ids[i + 2 :]
-                i = max(i - 1, 0)
-            else:
-                i += 1
-        return kinds, ids
-
     def _shape(self, word: Word) -> tuple:
-        """(dom, cod, kinds, ids, sound, error) of a word, memoized on first use.
+        """(dom, cod, kinds, ids) of a word's value, memoized on first use.
 
-        The word spells the letters kinds[i] ids[i].  An edge runs from s(e)
-        to r(e) and an adjoint back: dom, the word's source, is its last
-        letter's and cod, its range, its first letter's, or None where that
-        edge is unknown; the word composes where its first letter's source
-        is its last one's range.  error says why the word is malformed, or
-        is None.  A sound word is well formed and holds no e* f of one
-        group, so the product of two sound words is reduced only at their
-        junction and is well formed.
+        The value spells the letters kinds[i] ids[i].  An edge runs from s(e)
+        to r(e) and an adjoint back: dom, the source, is the last letter's
+        and cod, the range, the first letter's.  An e* e of one group is the
+        vertex s(e) and spells no letters; an e* f of one group, e != f, is
+        zero, and its ends are None, so it meets no word of nonzero value.
+        A malformed word raises MalformedExpressionError and is not
+        memoized, so it raises on every use.
         """
         if len(word) != _SIZE.get(word[0]):
             raise _malformed(word)
         kinds, g = _KINDS[word[0]], self.graph
         if not kinds:
             v = word[1]
-            error = None if g.has_vertex(v) else f"unknown vertex {v!r}"
-            shape: tuple = (v, v, kinds, (), error is None, error)
+            if not g.has_vertex(v):
+                raise MalformedExpressionError(f"unknown vertex {v!r}")
+            shape: tuple = (v, v, kinds, ())
         else:
             ids = word[1:]
-            e, f = ids[0], ids[-1]
             index, edges = g._eindex, g.edges
-            first = edges[index[e]] if e in index else None
-            last = first if f == e else edges[index[f]] if f in index else None
-            cod = None if first is None else first.dst if kinds[0] == "E" else first.src
-            dom = None if last is None else last.src if kinds[-1] == "E" else last.dst
-            if first is None or last is None:
-                error = f"unknown edge {e if first is None else f!r}"
-            elif len(ids) == 2 and (first.src if kinds[0] == "E" else first.dst) != (
+            for e in ids:
+                if e not in index:
+                    raise MalformedExpressionError(f"unknown edge {e!r}")
+            first, last = edges[index[ids[0]]], edges[index[ids[-1]]]
+            cod = first.dst if kinds[0] == "E" else first.src
+            dom = last.src if kinds[-1] == "E" else last.dst
+            if len(ids) == 2 and (first.src if kinds[0] == "E" else first.dst) != (
                 last.dst if kinds[1] == "E" else last.src
             ):
                 side = "sources" if kinds[0] == "E" else "ranges"
-                error = f"{word_str(word)}: {side} differ, word is not composable"
+                what = f"{side} differ, word is not composable"
+                raise MalformedExpressionError(f"{word_str(word)}: {what}")
+            if kinds == "AE" and self.group_of[ids[0]] == self.group_of[ids[1]]:
+                shape = (dom, cod, "", ()) if ids[0] == ids[1] else (None, None, "", ())
             else:
-                error = None
-            sound = error is None and not (kinds == "AE" and self.group_of[e] == self.group_of[f])
-            shape = (dom, cod, kinds, ids, sound, error)
+                shape = (dom, cod, kinds, ids)
         self._shape_of[word] = shape
         return shape
 
     def _word_normal(self, word: Word) -> tuple[tuple[Word, int], ...]:
         """Normal form of one word, checked; memoized once the check passes."""
-        dom, _, kinds, ids, sound, error = self._shape_of.get(word) or self._shape(word)
-        if error is not None:
-            raise MalformedExpressionError(error)
-        if not sound:  # e* f of one group: s(e) when e == f, else zero
-            reduced = self._reduce_letters(kinds, ids)
-            out: tuple = () if reduced is None else ((_word_of_letters(*reduced, dom), 1),)
+        dom, _, kinds, _ = self._shape_of.get(word) or self._shape(word)
+        if word[0] == "ae" and not kinds:  # e* f of one group: s(e) when e == f, else zero
+            out: tuple = () if dom is None else ((("v", dom), 1),)
         elif word[0] == "ea" and word[1] == word[2]:
             # Complete-sum elimination: the diagonal word of the last member
             # of each group rewrites to the range vertex minus the others.
@@ -311,30 +292,25 @@ class StarContext:
     ) -> None:
         """Add the normal form of left * right into cells[j], for each (j, right) of row.
 
-        This is the one place where words are multiplied.  The product of
-        two sound words is well formed, so its normal form goes straight
-        into the cell.  Any other product is collected first; then its
-        nonzero words are normalized, each checked, in the order they arose.
-        A cell is created once a product leaves a word in it.
+        This is the one place where words are multiplied.  Each pair of
+        words is read by its values' shapes, w1's first, so a malformed word
+        raises in any pair it is in.  Two values meet where the first one's
+        source is the second one's range, and are reduced only at their
+        junction; their product, well formed, adds its memoized normal form
+        at once.  A zero word, whose ends are None, meets only another zero
+        word, and their product is that zero word.  A cell is created once a
+        product leaves a word in it.
         """
         shape_of, group_of, normal = self._shape_of, self.group_of, self._normal
         spare: dict[Word, int] = {}
         for j, right in row:
+            if not right:
+                continue
             acc = cells.get(j, spare)
-            rest: dict[Word, int] | None = None
             for w1, c1 in left.items():
-                s1 = shape_of.get(w1) or self._shape(w1)
-                dom1, _, kinds1, ids1, sound1, _ = s1
+                dom1, _, kinds1, ids1 = shape_of.get(w1) or self._shape(w1)
                 for w2, c2 in right.items():
-                    s2 = shape_of.get(w2) or self._shape(w2)
-                    dom2, cod2, kinds2, ids2, sound2, _ = s2
-                    if not (sound1 and sound2):
-                        word = self._long_product(w1, s1, w2, s2)
-                        if word is not None:
-                            if rest is None:
-                                rest = {}
-                            rest[word] = rest.get(word, 0) + c1 * c2
-                        continue
+                    dom2, cod2, kinds2, ids2 = shape_of.get(w2) or self._shape(w2)
                     if dom1 != cod2:
                         continue
                     if not kinds1:
@@ -352,8 +328,9 @@ class StarContext:
                         word = (_JOIN[kinds1[:-1]][kinds2[1:]],) + ids if ids else ("v", dom2)
                     else:
                         tag, ids = _JOIN[kinds1][kinds2], ids1 + ids2
-                        # no tag: over two letters, which _word_of_letters refuses
-                        word = (tag,) + ids if tag else _word_of_letters(kinds1 + kinds2, ids, dom2)
+                        if tag is None:
+                            raise _too_long(kinds1 + kinds2, ids)
+                        word = (tag,) + ids
                     coef = c1 * c2
                     if coef:
                         nf = normal.get(word)
@@ -361,31 +338,9 @@ class StarContext:
                             nf = self._word_normal(word)
                         for w, c in nf:
                             acc[w] = acc.get(w, 0) + coef * c
-            if rest:
-                self._normal_terms({w: c for w, c in rest.items() if c}, acc)
             if acc is spare and spare:
                 cells[j] = spare
                 spare = {}
-
-    def _long_product(self, w1: Word, s1: tuple, w2: Word, s2: tuple) -> Word | None:
-        """The word w1 w2 from the shapes s1, s2, or None when it is zero.
-
-        Every letter pair is reduced.  An end that names an unknown edge
-        raises MalformedExpressionError when it is read, as normalize does.
-        """
-        dom1, cod2 = s1[0], s2[1]
-        if dom1 is None:
-            raise MalformedExpressionError(f"unknown edge {w1[-1]!r}")
-        if cod2 is None:
-            raise MalformedExpressionError(f"unknown edge {w2[1]!r}")
-        if dom1 != cod2:
-            return None
-        reduced = self._reduce_letters(s1[2] + s2[2], s1[3] + s2[3])
-        if reduced is None:
-            return None
-        if s2[0] is None:
-            raise MalformedExpressionError(f"unknown edge {w2[-1]!r}")
-        return _word_of_letters(*reduced, s2[0])
 
 
 # formal matrices -------------------------------------------------------------

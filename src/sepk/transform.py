@@ -151,7 +151,7 @@ def _fresh_layer(g: SeparatedGraph, bases, sources, budget: int = DEFAULT_BUDGET
     base_groups, out, picked, at = _int_layer(g, bases, sources)
     size = sum(math.prod(map(len, groups)) for groups in base_groups)
     if size > budget:
-        raise _over_budget(0, f"generate {size} vertices (budget {budget})")
+        raise _over_budget(0, f"generate {_decimal(size)} vertices (budget {_decimal(budget)})")
     old = [g.edges[j] for j in picked]
     esc = [_esc(e.id) for e in old]
     first = {grp[0] for groups in base_groups for grp in groups}
@@ -352,6 +352,16 @@ def canonical_step(g: SeparatedGraph) -> SeparatedGraph:
 def _over_budget(n: int, what: str) -> BudgetExceededError:
     """The refusal of layer n + 1, which would take what; layers 0..n fit."""
     return BudgetExceededError(f"layer {n + 1} would {what}; last completed layer is {n}", n)
+
+
+def _decimal(n: int) -> str:
+    """n in digits, or "10^k or more" past the digits str() writes of an int."""
+    try:
+        return str(n)
+    except ValueError:
+        k = int(math.log10(n))  # floor(log10 n), or one off next to a power of ten
+        k += (10 ** (k + 1) <= n) - (10**k > n)
+        return f"10^{k} or more"
 
 
 @dataclass(frozen=True)
@@ -622,7 +632,7 @@ def _sequence_counts(g: SeparatedGraph, depth: int, budget: int = DEFAULT_BUDGET
     for n, layer in zip(range(depth), _layer_sizes(g)):
         size = sum(m * math.prod(ns) for m, ns in layer)
         if size > budget:
-            raise _over_budget(n, f"generate {size} vertices (budget {budget})")
+            raise _over_budget(n, f"generate {_decimal(size)} vertices (budget {_decimal(budget)})")
         if n < 2:
             _check_input_names(g, n)
         arrows = sum(m * math.prod(ns) * len(ns) for m, ns in layer)

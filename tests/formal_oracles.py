@@ -247,6 +247,8 @@ class ReferenceCalculus:
         acc = {}
         for w1, c1 in a.terms.items():
             for w2, c2 in b.terms.items():
+                self._check_word(w1)
+                self._check_word(w2)
                 if self._dom(w1) != self._cod(w2):
                     continue
                 reduced = self._reduce_letters(self._letters(w1) + self._letters(w2))

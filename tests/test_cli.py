@@ -267,6 +267,15 @@ def test_budget_exceeded_exits_3(capsys):
             capsys, "sequence", "--builtin", "E(2,2)", "--depth", "3", "--budget", budget
         )
         assert code == want
+    # layer 17 would hold more vertices than str() writes digits of an int
+    budget = "9" * 4300
+    for command in ("k0-tame", "sequence"):
+        code, out, err = run(capsys, command, "--builtin", "E(2,2)", "--depth", "17", "--budget", budget)
+        assert (code, out) == (3, "")
+        assert err == (
+            f"error: layer 17 would generate 10^5924 or more vertices (budget {budget}); "
+            "last completed layer is 16\n"
+        )
 
 
 @pytest.mark.parametrize("command", [

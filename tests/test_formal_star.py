@@ -92,10 +92,24 @@ def test_normalize_idempotent_and_linear():
 def test_malformed_word_rejected():
     ctx = StarContext(builtin("lamplighter", [2]))
     # a1 and b2 have different sources, so a1 b2* does not compose
+    bad = FormalExpr({("ea", "a1", "b2"): 1})
     with pytest.raises(MalformedExpressionError, match="compos"):
-        ctx.normalize(FormalExpr({("ea", "a1", "b2"): 1}))
+        ctx.normalize(bad)
     with pytest.raises(MalformedExpressionError, match="unknown"):
         ctx.normalize(FormalExpr({("e", "zz"): 1}))
+    # nor has it a value in a product, even where the other factor would
+    # meet its letters or annihilate them
+    m, b2 = (FormalMatrix((0,), (0,), {(0, 0): x}) for x in (bad, ctx.edge("b2")))
+    for product in (
+        lambda: ctx.mul(bad, ctx.edge("b2")),
+        lambda: ctx.mul(bad, ctx.vertex("w1")),
+        lambda: matmul(ctx, m, b2),
+    ):
+        with pytest.raises(MalformedExpressionError) as exc:
+            product()
+        assert str(exc.value) == "a1b2*: sources differ, word is not composable"
+    # a1* a1 of one group is the vertex s(a1), well formed
+    assert ctx.mul(FormalExpr({("ae", "a1", "a1"): 1}), ctx.vertex("w1")) == ctx.vertex("w1")
 
 
 def test_products_reject_unknown_edges_as_normalize_does():
@@ -292,7 +306,8 @@ def _random_word(g, rng):
 
 @pytest.mark.parametrize("tag", ["v", "e", "a", "ea", "ae"])
 def test_each_tag_is_read_as_the_reference_spells_it(tag):
-    # printing, the adjoint and a word's shape all read one table of tags
+    # printing, the adjoint and a word's shape all read one table of tags;
+    # a malformed word has no shape and raises the reference's message
     seen = 0
     for name in sorted(ORACLE_GRAPHS):
         g = ORACLE_GRAPHS[name]()
@@ -305,7 +320,19 @@ def test_each_tag_is_read_as_the_reference_spells_it(tag):
             seen += 1
             assert word_str(word) == spell(word)
             assert FormalExpr({word: -2}).star().terms == {adjoint_word(word): -2}
-            dom, cod, kinds, ids, _, _ = ctx._shape(word)
+            try:
+                ref._check_word(word)
+            except MalformedExpressionError as exc:
+                with pytest.raises(MalformedExpressionError) as got:
+                    ctx._shape(word)
+                assert str(got.value) == str(exc)
+                continue
+            dom, cod, kinds, ids = ctx._shape(word)
+            if tag == "ae" and ref.group_of[word[1]] == ref.group_of[word[2]]:
+                # the value's shape: e* e is the vertex s(e), and e* f is zero, meeting nothing
+                ends = (ref._dom(word), ref._cod(word)) if word[1] == word[2] else (None, None)
+                assert (dom, cod, kinds, ids) == (*ends, "", ())
+                continue
             assert list(zip(kinds, ids)) == ref._letters(word)
             assert (dom, cod) == (ref._dom(word), ref._cod(word))
     assert seen >= 30

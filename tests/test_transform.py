@@ -728,6 +728,25 @@ def test_w_set_sizes_reaches_depths_whose_layers_cannot_be_built():
     assert exc.value.last_layer == 15
 
 
+def test_a_refusal_writes_counts_past_the_digits_str_writes():
+    # layer 17 of E(2,2) holds about 10^5924 vertices; str() writes an int
+    # of at most 4 300 digits, so the refusal gives the count's power of ten
+    budget = int("9" * 4300)
+    with pytest.raises(BudgetExceededError) as exc:
+        w_set_sizes(builtin("E", [2, 2]), 17, budget)
+    assert exc.value.last_layer == 16
+    assert str(exc.value) == (
+        f"layer 17 would generate 10^5924 or more vertices (budget {budget}); "
+        "last completed layer is 16"
+    )
+    with pytest.raises(BudgetExceededError) as exc:
+        w_set_sizes(builtin("E", [2, 2]), 17, 10**5000)
+    assert str(exc.value) == (
+        "layer 17 would generate 10^5924 or more vertices (budget 10^5000 or more); "
+        "last completed layer is 16"
+    )
+
+
 def test_class_budget_refuses_an_asymmetric_graph_before_enumerating():
     # Seed 38's layers keep few symmetries: counting layer 5 would enumerate
     # 461 516 880 source classes, which no vertex budget this large stops.
