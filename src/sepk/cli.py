@@ -127,6 +127,22 @@ def _parse_element(text: str, loaded: _Loaded) -> dict[GroupKey, int]:
     return {k: c for k, c in out.items() if c}
 
 
+def _printable(*elements: dict) -> None:
+    """Refuse elements with a coefficient past the digits str() writes of an int.
+
+    Run before any output is made, so such an answer ends in one error line.
+    """
+    for x in elements:
+        for c in x.values():
+            try:
+                str(c)
+            except ValueError:
+                raise PreconditionError(
+                    f"a coefficient of {transform._decimal(abs(c))} in absolute value "
+                    "has too many digits to print"
+                ) from None
+
+
 def _element_obj(x: dict[GroupKey, int], loaded: _Loaded) -> dict:
     return {loaded.names.get(k, group_label(k)): c for k, c in sorted(x.items())}
 
@@ -254,6 +270,10 @@ def _vertex_list(text: str, g: SeparatedGraph) -> list[str]:
     return out
 
 
+class _Pieces(list):
+    """JSON text already cut into pieces, which main writes as they are."""
+
+
 def _graph_output(g: SeparatedGraph):
     # A graph prints in the graph file format whatever --format says.
     return EXIT_OK, lambda: g, None
@@ -271,9 +291,8 @@ def _cmd_companion(loaded: _Loaded, args):
 def _cmd_sequence(loaded: _Loaded, args):
     g, depth, budget = loaded.graph, args.depth, _budget(args)
 
-    def as_json():
-        seq = transform.canonical_sequence(g, depth, budget)
-        return seq._json_obj(seq.graphs)
+    def as_json():  # written from the walk of each step: no layer is built
+        return _Pieces(transform._sequence_json(g, depth, budget))
 
     def as_text():  # counted on the quotient: no layer is built
         counts, sizes = transform._sequence_counts(g, depth, budget)
@@ -318,6 +337,7 @@ def _cmd_verify_generator(loaded: _Loaded, args):
 def _cmd_phi(loaded: _Loaded, args):
     x = _parse_element(args.element, loaded)
     image = ktheory.phi_transport(loaded.graph, x)
+    _printable(x, image)
     provenance = {key: f"X({eid})" for eid, key in transform._step_groups(loaded.graph).items()}
     return (
         EXIT_OK,
@@ -333,6 +353,7 @@ def _cmd_phi(loaded: _Loaded, args):
 def _cmd_delta(loaded: _Loaded, args):
     x = _parse_element(args.element, loaded)
     image = ktheory.connecting_map_image(loaded.graph, x)
+    _printable(x, image)
     return (
         EXIT_OK,
         lambda: {"element": _element_obj(x, loaded), "image": dict(sorted(image.items()))},
@@ -458,7 +479,9 @@ def main(argv=None) -> int:
         code, as_json, as_text = args.func(_load_graph(args), args)
         if args.format == "json" or as_text is None:
             # in pieces, all made before the first: one write past 2 GiB can be cut short
-            out = json_chunks(as_json())
+            out = as_json()
+            if not isinstance(out, _Pieces):
+                out = json_chunks(out)
             out.append("\n")
         else:
             out = [as_text(), "\n"]

@@ -53,7 +53,14 @@ from .ktheory import (
     positive_part,
     require_kernel_element,
 )
-from .transform import PreconditionError, ensure_bipartite, ensure_valid
+from .transform import (
+    DEFAULT_BUDGET,
+    BudgetExceededError,
+    PreconditionError,
+    _decimal,
+    ensure_bipartite,
+    ensure_valid,
+)
 
 
 class MalformedExpressionError(ValueError):
@@ -555,7 +562,15 @@ def build_generator_matrices(
     require_kernel_element(g, x)
     if not any(x.values()):
         raise PreconditionError("the zero element has no generator")
-    z, t = _side(g, positive_part(x)), _side(g, negative_part(x))
+    parts = positive_part(x), negative_part(x)
+    for name, part in zip("ZT", parts):  # a row per unit, a column per arrow occurrence
+        cols = sum(n * len(g.group(key)) for key, n in part.items())
+        if cols > DEFAULT_BUDGET:  # every group holds an edge, so rows <= cols
+            raise BudgetExceededError(
+                f"generator matrix {name} would have {_decimal(sum(part.values()))} rows and "
+                f"{_decimal(cols)} columns (budget {DEFAULT_BUDGET})", 0,
+            )
+    z, t = (_side(g, part) for part in parts)
     rng = random.Random(seed) if seed is not None else None
     sigma1 = _pair_blocks(z.rows, t.rows, _range_of, "row", rng)
     sigma2 = _pair_blocks(z.cols, t.cols, _source_of, "column", rng)

@@ -398,70 +398,124 @@ class _Quoted(dict):
 _EDGE_ID = itemgetter(0)
 
 
-def _graph_chunks(g: SeparatedGraph, indent: str, quoted: _Quoted, chunks: list[str]) -> None:
-    """Append the pieces json_chunks writes for to_obj(g), read off g's tuples.
+def _items(chunks: list[str], head: str, literals, inner: str, outer: str) -> str:
+    """Append head, a list's bracket and its literals at inner; return its closing at outer."""
+    if not literals:
+        return head + "[]"
+    block = ["," + inner] * (2 * len(literals))
+    block[0] = head + "[" + inner
+    block[1::2] = literals
+    chunks.extend(block)
+    return outer + "]"
 
-    indent is the newline and g's own indentation.  Each name is a piece of
-    its own, and the structure between two names (separators, brackets,
-    indentation and fixed keys) is one piece.  A name that is not a str
-    raises TypeError, possibly after some pieces have been appended.
+
+def _layout(vertices, edges, separation, bipartite, indent: str, chunks: list[str]) -> None:
+    """Append the pieces of a graph's JSON text, laid out from the literals of its names.
+
+    vertices holds the vertex literals, edges each edge's id, src and dst
+    literals one after another, separation the (vertex literal, groups) pairs
+    of to_obj's separation map, groups an iterable of edge literal sequences, and
+    bipartite the two layers' literals or None.  indent is the newline and
+    the graph's own indentation.  Each literal is a piece of its own, and the
+    structure between two literals (separators, brackets, indentation and
+    fixed keys) is one piece.
     """
-    for names in (g.vertices, map(_EDGE_ID, g.edges)):  # escaped in C, once per call
-        fresh = list(filterfalse(quoted.__contains__, names))
-        quoted.update(zip(fresh, map(encode_basestring, fresh)))
-    q, append, extend = quoted.__getitem__, chunks.append, chunks.extend
+    append, extend = chunks.append, chunks.extend
     i1 = indent + "  "
     i2 = i1 + "  "
     i3 = i2 + "  "
     i4 = i3 + "  "
-
-    def items(head: str, names, inner: str, outer: str) -> str:
-        """Append head, a list's bracket and its names at inner; return its closing at outer."""
-        if not names:
-            return head + "[]"
-        block = ["," + inner] * (2 * len(names))
-        block[0] = head + "[" + inner
-        block[1::2] = map(q, names)
-        extend(block)
-        return outer + "]"
-
-    head = items("{" + i1 + '"vertices": ', g.vertices, i2, i1) + "," + i1 + '"edges": '
-    if g.edges:
+    head = _items(chunks, "{" + i1 + '"vertices": ', vertices, i2, i1) + "," + i1 + '"edges": '
+    if edges:
         block = [
             i2 + "}," + i2 + "{" + i3 + '"id": ', None,
             "," + i3 + '"src": ', None,
             "," + i3 + '"dst": ', None,
-        ] * len(g.edges)
+        ] * (len(edges) // 3)
         block[0] = head + "[" + i2 + "{" + i3 + '"id": '
-        block[1::2] = map(q, chain.from_iterable(g.edges))
+        block[1::2] = edges
         extend(block)
         head = i2 + "}" + i1 + "]"
     else:
         head += "[]"
-    head += "," + i1 + '"separation": '
-    if g.vertices:
-        # to_obj's separation map: a repeated name at its first place, with
-        # the groups of its last.  Each head after a vertex's groups ends in
-        # the comma and newline before the next key; the last vertex's are cut off
-        head += "{" + i2
-        no_groups = ": []," + i2
-        for v, groups in zip(g._vindex, map(g.separation.__getitem__, g._vindex.values())):
-            append(head)
-            append(q(v))
-            if groups:
-                head = ": ["
-                for grp in groups:
-                    head = items(head + i3, grp, i4, i3) + ","
-                head = head[:-1] + i2 + "]," + i2
-            else:
-                head = no_groups
-        head = head[: -1 - len(i2)] + i1 + "}"
-    else:
-        head += "{}"
-    if g.bipartite is not None:
-        head = items(head + "," + i1 + '"bipartite": {' + i2 + '"layer0": ', g.bipartite[0], i3, i2)
-        head = items(head + "," + i2 + '"layer1": ', g.bipartite[1], i3, i2) + i1 + "}"
+    # Each head after a vertex's groups ends in the comma and newline before
+    # the next key; the last vertex's are cut off
+    head += "," + i1 + '"separation": {' + i2
+    no_groups, start = ": []," + i2, len(chunks)
+    for v, groups in separation:
+        append(head)
+        append(v)
+        head = ": ["
+        for grp in groups:
+            head = _items(chunks, head + i3, grp, i4, i3) + ","
+        head = no_groups if head == ": [" else head[:-1] + i2 + "]," + i2
+    head = head[: -1 - len(i2)] + i1 + "}" if len(chunks) > start else head[: -len(i2)] + "}"
+    if bipartite is not None:
+        head += "," + i1 + '"bipartite": {' + i2 + '"layer0": '
+        head = _items(chunks, head, bipartite[0], i3, i2)
+        head = _items(chunks, head + "," + i2 + '"layer1": ', bipartite[1], i3, i2) + i1 + "}"
     append(head + indent + "}")
+
+
+def _graph_chunks(g: SeparatedGraph, indent: str, quoted: _Quoted, chunks: list[str]) -> None:
+    """Append the pieces json_chunks writes for to_obj(g), read off g's tuples.
+
+    Each name is laid out as its literal in quoted.  to_obj's separation map
+    holds a repeated name at its first place, with the groups of its last.  A
+    name that is not a str raises TypeError, possibly after some pieces have
+    been appended.
+    """
+    for names in (g.vertices, map(_EDGE_ID, g.edges)):  # escaped in C, once per call
+        fresh = list(filterfalse(quoted.__contains__, names))
+        quoted.update(zip(fresh, map(encode_basestring, fresh)))
+    q = quoted.__getitem__
+
+    def literals(names) -> list[str]:
+        return list(map(q, names))
+
+    groups = map(g.separation.__getitem__, g._vindex.values())
+    _layout(
+        literals(g.vertices),
+        literals(chain.from_iterable(g.edges)),
+        zip(map(q, g._vindex), map(map, repeat(literals), groups)),
+        None if g.bipartite is None else tuple(map(literals, g.bipartite)),
+        indent, chunks,
+    )
+
+
+def _sequence_chunks(g: SeparatedGraph, depth: int, steps) -> list[str]:
+    """The pieces json_chunks writes for the to_json_obj() of a canonical
+    sequence, from its first graph g and the literals of each step.
+
+    steps yields, for layers 1..depth in order, the layer's _layout
+    arguments, the literals of its W set and its root table as the (keys,
+    values) literals in key order.
+    """
+    chunks = ['{\n  "depth": ' + str(depth) + ',\n  "layers": [\n    ']
+    _graph_chunks(g, "\n    ", _Quoted(), chunks)
+    w_sets, roots = [], []
+    for layout, w_set, root in steps:
+        chunks.append(",\n    ")
+        _layout(*layout, "\n    ", chunks)
+        w_sets.append(w_set)
+        roots.append(root)
+    head = '\n  ],\n  "w_sets": {'
+    for k, w_set in enumerate(w_sets, 2):
+        head = _items(chunks, f'{head}\n    "{k}": ', w_set, "\n      ", "\n    ") + ","
+    head = (head[:-1] + "\n  }" if w_sets else head + "}") + ',\n  "root_tables": {'
+    for k, (keys, values) in enumerate(roots, 2):
+        head += f'\n    "{k}": '
+        if keys:
+            block = [",\n      ", None, ": ", None] * len(keys)
+            block[0] = head + "{\n      "
+            block[1::4], block[3::4] = keys, values
+            chunks.extend(block)
+            head = "\n    }"
+        else:
+            head += "{}"
+        head += ","
+    chunks.append((head[:-1] + "\n  }" if roots else head + "}") + "\n}")
+    return chunks
 
 
 def json_chunks(obj) -> list[str]:

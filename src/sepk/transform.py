@@ -20,7 +20,9 @@ X(x) are then bucketed by distinguished edge.  Callers read its provenance
 integer arrays as its form, with a passing report: it is valid by
 construction.  Generated names are deterministic ("u|x1,...,xk" for vertices
 and "a^x|companions" for arrows, separator characters escaped) so repeated
-runs serialize byte-identically.
+runs serialize byte-identically.  The CLI writes the sequence JSON from the
+same walk, with no layer: _sequence_json joins each generated name's JSON
+literal from the literals of its parts, and escapes only input names.
 
 Every layer's counts depend only on group sizes, so w_set_sizes builds no
 layer: it steps the coarsest equitable quotient of each layer (classes of
@@ -33,13 +35,24 @@ the count itself, for vertex budgets raised far past any buildable layer.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from json.encoder import encode_basestring
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
-from .graph_model import Edge, GroupKey, SeparatedGraph, ValidationReport, to_obj, validate
+from .graph_model import (
+    Edge,
+    GroupKey,
+    SeparatedGraph,
+    ValidationReport,
+    _sequence_chunks,
+    to_obj,
+    validate,
+)
 
 DEFAULT_BUDGET = 10**6
 
@@ -139,65 +152,132 @@ def _raise_on_clash(kind: str, names) -> None:
         raise PreconditionError(f"generated {kind} names collide: {sorted(names)[:3]}")
 
 
+_FIRST, _SECOND, _TWO_OR_MORE = itemgetter(0), itemgetter(1), (2).__le__
+
+
+class _Walk(NamedTuple):
+    """The tuples of one step and their arrows, as integers, in walk order.
+
+    Tuples run base by base, each base's in left-lexicographic order: base b
+    spans count[b] tuples of arity[b] coordinates, its number of groups.
+    Arrows run tuple by tuple and slot by slot, so the arrows of a tuple also
+    list its coordinates: arrow j, the int arrows[j], leaves tuple
+    tuple_of[j] with distinguished edge through[j].  w lists the tuples with
+    at least two coordinates that are not first in their group, and
+    members[x] the arrows of X(x), in tuple order, as the same int objects.
+    """
+
+    arity: list[int]
+    count: list[int]
+    arrows: tuple[int, ...]
+    tuple_of: tuple[int, ...]
+    through: tuple[int, ...]
+    w: list[int]
+    members: list[list[int]]
+
+
+def _walk(base_groups, edges: int) -> _Walk:
+    """The walk over the tuples of each base's groups of edge numbers 0..edges-1.
+
+    No tuple is kept as an object of its own, and the per-arrow sequences are
+    tuples of ints, which the cyclic garbage collector stops scanning after
+    one pass; a list of a layer's arrows is scanned again at every older
+    collection while the step runs.
+    """
+    chain, repeat = itertools.chain.from_iterable, itertools.repeat
+    arity = list(map(len, base_groups))
+    count = [math.prod(map(len, groups)) for groups in base_groups]
+    through = tuple(chain(chain(itertools.starmap(itertools.product, base_groups))))
+    later = [1] * edges  # 0 for an edge first in its group
+    for grp in chain(base_groups):
+        later[grp[0]] = 0
+    flags = map(later.__getitem__, through)
+    tuple_of: list[int] = []
+    w: list[int] = []
+    t = 0
+    for m, run in itertools.groupby(zip(arity, count), _FIRST):  # bases of one arity
+        tuples = range(t, t + sum(map(_SECOND, run)))
+        # m references to one range or iterator deal out each tuple's m items
+        tuple_of += chain(zip(*[tuples] * m))
+        non_first = itertools.islice(map(sum, zip(*[flags] * m)), len(tuples))
+        w += itertools.compress(tuples, map(_TWO_OR_MORE, non_first))
+        t = tuples.stop
+    arrows = tuple(range(len(through)))
+    members: list[list[int]] = [[] for _ in range(edges)]
+    for j, x in zip(arrows, through):
+        members[x].append(j)
+    return _Walk(arity, count, arrows, tuple(tuple_of), through, w, members)
+
+
+def _join(walk: _Walk, bases, edges, bar: str, comma: str, quote: str = "") -> tuple[list, list]:
+    """The names of walk's tuples and arrows, joined from their parts' pieces.
+
+    With bases and edges the pieces of the base names and edge ids, a tuple
+    is quote + base + bar + comma.join(coordinates) + quote, and the arrow in
+    slot i is quote + "a^" + coordinate i + bar + comma.join(the others) +
+    quote.  The plain names take _esc of each old name with "|" and ","; the
+    JSON literals of one escaping level take those of the level above (see
+    _levels).
+    """
+    through, piece, join = walk.through, edges.__getitem__, comma.join
+    arrow_heads = [quote + "a^" + x + bar for x in edges]
+    names, arrows, start = [], [], 0
+    name, arrow = names.append, arrows.append
+    for base, m, n in zip(bases, walk.arity, walk.count):
+        head = quote + base + bar
+        for j in range(start, start + m * n, m):
+            xs = through[j : j + m]
+            tup = list(map(piece, xs))
+            name(head + join(tup) + quote)
+            for i, x in enumerate(xs):
+                companions = tup.copy()
+                del companions[i]
+                arrow(arrow_heads[x] + join(companions) + quote)
+        start += m * n
+    return names, arrows
+
+
 def _fresh_layer(g: SeparatedGraph, bases, sources, budget: int = DEFAULT_BUDGET) -> StepData:
     """The vertices and arrows generated over bases, named, as a graph onto sources.
 
-    One walk over each base's tuples, in left-lexicographic order, names each
+    One walk over each base's tuples, in left-lexicographic order, gives each
     tuple vertex and its arrows (the arrow in slot i runs from the tuple to
     s(x_i)) and puts the tuple in W when at least two of its coordinates are
-    not first in their group.  Its vertices are sources, then the tuples;
-    X(x), the arrows with distinguished edge x, is a group at s(x), in tuple
-    order.  More than budget tuples are refused before any is made."""
+    not first in their group; _join names them.  Its vertices are sources,
+    then the tuples; X(x), the arrows with distinguished edge x, is a group
+    at s(x), in tuple order.  More than budget tuples are refused before any
+    is made."""
     base_groups, out, picked, at = _int_layer(g, bases, sources)
     size = sum(math.prod(map(len, groups)) for groups in base_groups)
     if size > budget:
         raise _over_budget(0, f"generate {_decimal(size)} vertices (budget {_decimal(budget)})")
-    old = [g.edges[j] for j in picked]
-    esc = [_esc(e.id) for e in old]
-    first = {grp[0] for groups in base_groups for grp in groups}
-    names: list[str] = []  # the tuple vertices
-    w: list[str] = []  # those with two or more coordinates not first in their group
-    root: dict[str, str] = {}
-    edges: list[Edge] = []
-    src, through = [], []  # per arrow, the index of its tuple vertex and its distinguished edge
-    new_edge = tuple.__new__  # Edge._make without a Python frame per arrow
-    for base, groups in zip(bases, base_groups):
-        head = _esc(base) + "|"
-        for tup in itertools.product(*groups):
-            coords = [esc[x] for x in tup]
-            v = head + ",".join(coords)
-            src += [len(sources) + len(names)] * len(tup)
-            through += tup
-            names.append(v)
-            root[v] = base
-            non_first = 0
-            for i, x in enumerate(tup):
-                non_first += x not in first
-                companions = ",".join(coords[:i] + coords[i + 1 :])
-                edges.append(new_edge(Edge, (f"a^{coords[i]}|{companions}", v, old[x].src)))
-            if non_first >= 2:
-                w.append(v)
-    ids = [e.id for e in edges]
-    _raise_on_clash("vertex", root.keys() & g._vindex.keys())
-    _raise_on_clash("edge", [x for x in ids if x in g._eindex])
+    old, repeat = [g.edges[j] for j in picked], itertools.repeat
+    walk = _walk(base_groups, len(old))
+    names, ids = _join(walk, list(map(_esc, bases)), [_esc(e.id) for e in old], "|", ",")
+    _raise_on_clash("vertex", g._vindex.keys() & names)
+    if not g._eindex.keys().isdisjoint(ids):
+        _raise_on_clash("edge", [x for x in ids if x in g._eindex])
 
-    # Arrow j is numbers[j]: the edge index shares the int objects the groups hold.
-    numbers = list(range(len(edges)))
-    members: list[list[int]] = [[] for _ in old]  # per edge x, the arrows of X(x)
-    for j, x in zip(numbers, through):
-        members[x].append(j)
+    members, through = walk.members, walk.through
     separation, groups, group_of_edge = [], [], {}
     for source, xs in zip(sources, out):
         separation.append(tuple([tuple(map(ids.__getitem__, members[x])) for x in xs]))
         groups.append(tuple([tuple(members[x]) for x in xs]))
         group_of_edge.update((old[x].id, (source, gi)) for gi, x in enumerate(xs))
-    vertices, empty = tuple(sources) + tuple(names), ((),) * len(names)
+    srcs = map([e.src for e in old].__getitem__, through)
+    ends = zip(ids, map(names.__getitem__, walk.tuple_of), srcs)
+    edges = tuple(map(tuple.__new__, repeat(Edge), ends))  # Edge._make, no frame per arrow
+    layer1 = tuple(names)
+    vertices, empty = tuple(sources) + layer1, ((),) * len(names)
+    numbers = list(range(len(vertices)))  # each arrow's source shares its tuple's index
     graph = SeparatedGraph._of_form(
-        vertices, tuple(edges), tuple(separation) + empty, (tuple(sources), tuple(names)),
-        dict(zip(vertices, range(len(vertices)))), dict(zip(ids, numbers)),
-        src, list(map(at.__getitem__, through)), tuple(groups) + empty,
+        vertices, edges, tuple(separation) + empty, (tuple(sources), layer1),
+        dict(zip(vertices, numbers)), dict(zip(ids, walk.arrows)),
+        list(map(numbers[len(sources) :].__getitem__, walk.tuple_of)),
+        list(map(at.__getitem__, through)), tuple(groups) + empty,
     )
-    return StepData(graph, tuple(w), root, group_of_edge)
+    root = dict(zip(names, itertools.chain.from_iterable(map(repeat, bases, walk.count))))
+    return StepData(graph, tuple(map(names.__getitem__, walk.w)), root, group_of_edge)
 
 
 def _check_input_names(g: SeparatedGraph, step: int) -> None:
@@ -416,14 +496,9 @@ class CanonicalSequence:
         return v
 
     def to_json_obj(self) -> dict:
-        return self._json_obj([to_obj(g) for g in self.graphs])
-
-    def _json_obj(self, layers) -> dict:
-        """The JSON object with the given layers: to_obj of each graph, or the
-        graphs themselves, which json_chunks writes as their to_obj."""
         return {
             "depth": self.depth,
-            "layers": layers,
+            "layers": [to_obj(g) for g in self.graphs],
             "w_sets": {str(k): list(ws) for k, ws in sorted(self.w_sets.items())},
             "root_tables": {
                 str(k): dict(sorted(t.items())) for k, t in sorted(self.root_tables.items())
@@ -450,6 +525,91 @@ def canonical_sequence(
         w_sets[n + 2] = step.w_vertices
         root_tables[n + 2] = step.root
     return CanonicalSequence(tuple(graphs), w_sets, root_tables)
+
+
+# the sequence's JSON text, from the walk ---------------------------------------
+
+_BELOW_QUOTE = re.compile('[\x00-"]')
+
+
+def _levels(names, top: int) -> list[list[str]]:
+    """Per level k = 0..top, the literal L_k of each name.
+
+    L_k(x) is the JSON string literal of x escaped k times with _esc, with
+    its quotes at level 0 and without them above.  A generated name's
+    literals are joined from its parts': L_k(t) = L_{k+1}(b) + B_k +
+    C_k.join(L_{k+1}(x_i)) for a tuple t with base b and coordinates x_i, and
+    an arrow likewise (see _join), where B_k and C_k are 2(2^k - 1)
+    backslashes and "|" or ",".  Escaping and JSON escaping each work
+    character by character, and the separator escaped k times and then for
+    JSON is B_k or C_k.  So only input names are escaped.
+    """
+    out = [list(map(encode_basestring, names))]
+    for _ in range(top):
+        names = list(map(_esc, names))
+        out.append([encode_basestring(x)[1:-1] for x in names])
+    return out
+
+
+def _sequence_json(g: SeparatedGraph, depth: int, budget: int = DEFAULT_BUDGET) -> list[str]:
+    """The pieces json_chunks writes for canonical_sequence(g, depth,
+    budget).to_json_obj(), made from the walk of each step with no layer,
+    plain generated name or escaper call.  The checks of canonical_sequence
+    run first, with its refusals; they leave no name clash to check."""
+    w_set_sizes(g, depth, budget)
+    return _sequence_chunks(g, depth, _literal_steps(g, depth))
+
+
+def _literal_steps(g: SeparatedGraph, depth: int):
+    """Per step of g's sequence to depth, the literals of what it makes.
+
+    Yields, for layers 1..depth, the layer's _layout arguments, its W set and
+    its root table as (keys, values), sorted by key.  Layer n + 1's names are
+    needed at levels 0..depth - n - 1: level 0 is written, and each higher
+    level is a piece of the next steps' literals.  A root table is sorted by
+    plain name, which is the order of the quoted literals when every
+    character of g's names lies above '"' (JSON then only doubles
+    backslashes, and a shorter name's closing quote sorts below the
+    character a longer one goes on with); otherwise by the decoded names.
+    """
+    chain, repeat = itertools.chain.from_iterable, itertools.repeat
+    base_groups, out, picked, at = _int_layer(g, g.layer0, g.layer1)
+    bases, sources = _levels(g.layer0, depth), _levels(g.layer1, depth)
+    edges = _levels([g.edges[j].id for j in picked], depth)
+    by_literal = not any(map(_BELOW_QUOTE.search, [*g.vertices, *(e.id for e in g.edges)]))
+    for n in range(depth):
+        walk = _walk(base_groups, len(edges[0]))
+        literals = []
+        for k in range(depth - n):
+            slashes = "\\" * (2 ** (k + 1) - 2)  # of B_k and C_k
+            bar, comma, quote = slashes + "|", slashes + ",", "" if k else '"'
+            literals.append(_join(walk, bases[k + 1], edges[k + 1], bar, comma, quote))
+        names, arrows = zip(*literals)
+        tuples, ids, ends = names[0], arrows[0], sources[0]
+        groups = [[walk.members[x] for x in xs] for xs in out]  # per source, its X(x)
+        layout = (
+            ends + tuples,
+            list(chain(zip(ids, map(tuples.__getitem__, walk.tuple_of),
+                           map(ends.__getitem__, map(at.__getitem__, walk.through))))),
+            itertools.chain(
+                zip(ends, ([list(map(ids.__getitem__, grp)) for grp in gs] for gs in groups)),
+                zip(tuples, repeat(())),
+            ),
+            (ends, tuples),
+        )
+        values = list(chain(map(repeat, bases[0], walk.count)))
+        key = tuples.__getitem__ if by_literal else lambda t: json.loads(tuples[t])
+        order = sorted(range(len(tuples)), key=key)
+        yield (
+            layout, list(map(tuples.__getitem__, walk.w)),
+            (list(map(tuples.__getitem__, order)), list(map(values.__getitem__, order))),
+        )
+        # the next step resolves these sources by these tuples' arrows
+        sizes = list(chain(map(repeat, walk.arity, walk.count)))
+        starts, stops = itertools.accumulate(sizes, initial=0), itertools.accumulate(sizes)
+        out = list(map(range, starts, stops))
+        base_groups, at = groups, walk.tuple_of
+        bases, sources, edges = sources, names, arrows
 
 
 # counting on an equitable quotient ------------------------------------------

@@ -9,7 +9,8 @@ of a vertex, in edge-list order, by scanning every edge.
 from a built layer.  `reference_step` spells out the fresh part of a
 multiresolution name by name, and `reference_character_values` extends a
 character across a multiresolution by spelling every generated vertex's name.
-`corrupt` gives a graph seeded defects of the kinds validate reports.
+`corrupt` gives a graph seeded defects of the kinds validate reports, and
+`renamed` wraps each of its names in seeded `FRAGMENTS`.
 """
 
 import itertools
@@ -301,3 +302,24 @@ def corrupt(g: SeparatedGraph, rng: random.Random) -> SeparatedGraph:
     separation = tuple(tuple(tuple(grp) for grp in groups[v]) for v in vertices)
     bipartite = (tuple(layers[0]), tuple(layers[1])) if layers is not None else None
     return SeparatedGraph(tuple(vertices), tuple(edges), separation, bipartite)
+
+
+# JSON escapes, the separators of generated names and non-ASCII text;
+# none is whitespace, which --at would strip
+FRAGMENTS = ("\\", "|", ",", '"', "\x01", "\b", "ü", "✓", "𝔸", "")
+
+
+def renamed(g: SeparatedGraph, rng: random.Random) -> SeparatedGraph:
+    """g with each vertex and edge name wrapped in two seeded fragments."""
+
+    def wrap(name):
+        return rng.choice(FRAGMENTS) + name + rng.choice(FRAGMENTS)
+
+    vs = {v: wrap(v) for v in g.vertices}
+    es = {e.id: wrap(e.id) for e in g.edges}
+    return SeparatedGraph(
+        tuple(vs[v] for v in g.vertices),
+        tuple(Edge(es[e.id], vs[e.src], vs[e.dst]) for e in g.edges),
+        tuple(tuple(tuple(es[x] for x in grp) for grp in groups) for groups in g.separation),
+        None if g.bipartite is None else tuple(tuple(vs[v] for v in layer) for layer in g.bipartite),
+    )

@@ -491,6 +491,45 @@ def test_k1_generator_json(capsys):
     assert obj["U"] == [["a1b1* + a2b2* + a3b3*"]]
 
 
+def test_coefficients_past_the_digits_an_int_is_written_with_exit_4(capsys):
+    # delta's image doubles 4 300 nines, and phi's element sums two such terms,
+    # past the digits str() writes of an int: refused before any output
+    n = "9" * 4300
+    want = (
+        "error: a coefficient of 10^4300 or more in absolute value has too many digits to print\n"
+    )
+    for command, element in (("delta", f"X:{n},Y:-{n}"), ("phi", f"X:{n},X:{n},Y:-{n},Y:-{n}")):
+        for fmt in ("text", "json"):
+            argv = (command, "--builtin", "E(2,2)", "--element", element, "--format", fmt)
+            assert run(capsys, *argv) == (4, "", want)
+    element = f"X:{n[1:]},Y:-{n[1:]}"  # at the limit: the image has 4 300 digits
+    code, out, _ = run(capsys, "delta", "--builtin", "E(2,2)", "--element", element)
+    assert code == 0 and len(out) > 2 * 4300
+
+
+def test_generator_matrices_past_the_budget_are_refused_before_any_row(capsys, monkeypatch):
+    import sepk.formal_star
+    from sepk.formal_star import build_generator_matrices
+    from sepk.transform import DEFAULT_BUDGET, BudgetExceededError
+
+    def no_side(g, part):
+        raise AssertionError("a side was built")
+
+    monkeypatch.setattr(sepk.formal_star, "_side", no_side)
+    for command in ("k1-generator", "verify-generator"):
+        argv = (command, "--builtin", "E(2,2)", "--element", "X:100000000,Y:-100000000")
+        assert run(capsys, *argv) == (3, "", (
+            "error: generator matrix Z would have 100000000 rows and 200000000 columns "
+            f"(budget {DEFAULT_BUDGET})\n"
+        ))
+    # each unit of X or Y takes two columns on E(2,2): the budget is reached, not passed
+    n = DEFAULT_BUDGET // 2
+    with pytest.raises(AssertionError, match="a side was built"):
+        build_generator_matrices(builtin("E", [2, 2]), {("v", 0): n, ("v", 1): -n})
+    with pytest.raises(BudgetExceededError):
+        build_generator_matrices(builtin("E", [2, 2]), {("v", 0): n + 1, ("v", 1): -n - 1})
+
+
 def test_character_command(tmp_path, capsys):
     base = tmp_path / "base.json"
     base.write_text(json.dumps({"v": 0.5, "w": 0.25}))  # v = -1, w = i

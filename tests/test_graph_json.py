@@ -26,13 +26,10 @@ from sepk.graph_model import (
 from sepk.transform import bipartite_companion, canonical_sequence, multiresolution_at
 
 from conftest import admissible_vertex_set, random_bipartite_graph, random_separated_graph
-from graph_oracles import corrupt
+from graph_oracles import corrupt, renamed
 from json_oracles import random_value, reference
 
 BUILTINS = (("E(2,2)", 3), ("E(2,3)", 2), ("E(3,3)", 2), ("lamplighter(2)", 5), ("lamplighter(3)", 3))
-# JSON escapes, the separators of generated names and non-ASCII text;
-# none is whitespace, which --at would strip
-FRAGMENTS = ("\\", "|", ",", '"', "\x01", "\b", "ü", "✓", "𝔸", "")
 # graphs whose dict form reads differently from their fields
 ODD_GRAPHS = {
     # to_obj's separation map keeps the first "v" with the last one's groups
@@ -54,22 +51,6 @@ EDGELESS = {
 
 def dict_form(g) -> str:
     return reference(to_obj(g)) + "\n"
-
-
-def renamed(g: SeparatedGraph, rng: random.Random) -> SeparatedGraph:
-    """g with each vertex and edge name wrapped in two seeded fragments."""
-
-    def wrap(name):
-        return rng.choice(FRAGMENTS) + name + rng.choice(FRAGMENTS)
-
-    vs = {v: wrap(v) for v in g.vertices}
-    es = {e.id: wrap(e.id) for e in g.edges}
-    return SeparatedGraph(
-        tuple(vs[v] for v in g.vertices),
-        tuple(Edge(es[e.id], vs[e.src], vs[e.dst]) for e in g.edges),
-        tuple(tuple(tuple(es[x] for x in grp) for grp in groups) for groups in g.separation),
-        None if g.bipartite is None else tuple(tuple(vs[v] for v in layer) for layer in g.bipartite),
-    )
 
 
 def seeded_graphs(count: int, seed: int):

@@ -6,7 +6,14 @@ from collections import Counter
 
 import pytest
 
-from sepk.graph_model import SeparatedGraph, builtin, builtin_from_spec, serialize, validate
+from sepk.graph_model import (
+    SeparatedGraph,
+    builtin,
+    builtin_from_spec,
+    json_chunks,
+    serialize,
+    validate,
+)
 from sepk.ktheory import incidence, k0_tame, k_groups_full
 from sepk.transform import (
     BudgetExceededError,
@@ -31,7 +38,13 @@ from conftest import (
     random_bipartite_graph,
     random_separated_graph,
 )
-from graph_oracles import projected_step_size, reference_step, reference_validate, s_inv
+from graph_oracles import (
+    projected_step_size,
+    reference_step,
+    reference_validate,
+    renamed,
+    s_inv,
+)
 
 
 def test_multires_e22_counts():
@@ -594,24 +607,27 @@ def test_built_in_layer_names_are_never_parsed(monkeypatch):
     assert answers() == want
 
 
-def _text_outcome(render):
+def _sequence_outcome(render):
     try:
         return render()
     except (BudgetExceededError, PreconditionError) as exc:
         return type(exc), str(exc)
 
 
-def _materialized_text(g, depth, budget):
-    """The sequence text read off the built layers."""
+def _materialized(g, depth, budget):
+    """The sequence text and JSON read off the built layers."""
     seq = canonical_sequence(g, depth, budget)
-    return "\n".join([
+    text = "\n".join([
         *(f"layer {n}: {len(h.vertices)} vertices, {len(h.edges)} edges, "
           f"{len(h.group_keys())} groups" for n, h in enumerate(seq.graphs)),
         *(f"|W_{k}| = {len(seq.w_sets[k])}" for k in sorted(seq.w_sets)),
     ])
+    return text, "".join(json_chunks(seq.to_json_obj()))
 
 
 def test_sequence_text_counts_match_the_materialized_layers():
+    # the text is counted on the quotient and the JSON written from the walk;
+    # both must read as the library's layers do, refusals included
     from argparse import Namespace
 
     from sepk import cli
@@ -624,14 +640,30 @@ def test_sequence_text_counts_match_the_materialized_layers():
     runs += [(builtin_from_spec(s), range(top + 1), (10**6,)) for s, top in (
         ("E(2,2)", 3), ("lamplighter(2)", 5), ("E(2,3)", 2), ("lamplighter(3)", 3),
     )]
+    # names that need escaping at every level; two bases whose plain order
+    # ('"' before '#') is not the order of their literals ('\\' after '#'); and
+    # a name that is a prefix of another before a space, which sorts below the
+    # literal's closing quote
+    odd = renamed(builtin("E", [2, 2]), random.Random(4))
+    assert set("".join(odd.vertices)) & set('\\|,"\x01\b')
+    quoted, spaced = (SeparatedGraph.build(
+        [u, "#v", "w"], [(x, "w", u if x in "ab" else "#v") for x in ("a", "b", "c", c)],
+        {u: [["a"], ["b"]], "#v": [["c", c]]}, ([u, "#v"], ["w"]),
+    ) for u, c in (('"v', "d"), ("v", "c !")))
+    runs += [(g, range(4), (10**6,)) for g in (odd, quoted, spaced)]
     refused = Counter()
     for g, depths, budgets in runs:
         for depth, budget in itertools.product(depths, budgets):
             args = Namespace(depth=depth, budget=budget)
-            want = _text_outcome(lambda: _materialized_text(g, depth, budget))
-            assert _text_outcome(lambda: cli._cmd_sequence(cli._Loaded(g, {}), args)[2]()) == want
-            refused[want[0] if isinstance(want, tuple) else None] += 1
+            want = _sequence_outcome(lambda: _materialized(g, depth, budget))
+            if isinstance(want[0], type):
+                want = (want, want)
+            _, as_json, as_text = cli._cmd_sequence(cli._Loaded(g, {}), args)
+            assert _sequence_outcome(as_text) == want[0]
+            assert _sequence_outcome(lambda: "".join(as_json())) == want[1]
+            refused[want[0][0] if isinstance(want[0], tuple) else None] += 1
     assert refused[BudgetExceededError] >= 100 and refused[PreconditionError] == 11
+    assert refused[None] >= 500
 
 
 def test_validation_report_is_computed_once_per_graph(monkeypatch):
