@@ -25,12 +25,25 @@ unknown tag or a wrong number of ids raises MalformedExpressionError from
 every operation.  Beside the normal forms the context keeps the shape of each
 well-formed word's value: its end vertices and its letters, none for an e* e
 of one group, which is a vertex, and no ends for an e* f of one group, which
-is zero.  One kernel, StarContext._multiply_into, multiplies words for both
-mul and matmul: it reads both words of each pair it forms by their shapes,
-so a malformed factor raises wherever it meets a word, reduces the two only
-at their junction, and adds the product's memoized normal form at once.
-Products are not memoized: within one context a pair of words seldom
-recurs, and a pair memo held memory without saving time.
+is zero.
+
+One kernel, StarContext._multiply_into, multiplies words: for mul, for
+matmul, for the Gram products M M* and M* M of verification, and for
+U = Z sigma(T)*.  Each operand is read once (StarContext._read) into a list
+per row of (position, word, coefficient, shape), so no pair looks a shape
+up; the Gram products and U make each adjoint word, and its shape, from the
+word they read, and build no adjoint matrix.  Pairs are formed by row, then
+inner index, then right position, then left word, then right word, and the
+first in that order that holds a malformed word (whose shape was read, and
+failed, as its list was made) or leaves a word of over two letters raises.
+Each list is also indexed by the group and edge of its words' first letters
+(_Line).  Where those letters are edges of one group, as in every row of a
+generator matrix and of its adjoint, a word ending in e* is not paired with
+the words that begin with another edge f of e's group: e* f = 0 kills just
+those pairs.  Every other pair is formed, reduced only at its junction, and
+adds its product's memoized normal form at once.  Products are not memoized: within one
+context a pair of words seldom recurs, and a pair memo held memory without
+saving time.
 
 The module also builds the labeled generator matrices realizing the K_1
 class of a kernel element (a row per unit of positive coefficient, a column
@@ -43,7 +56,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .exact_linalg import _format_grid
 from .graph_model import GroupKey, SeparatedGraph, group_label
@@ -83,15 +96,21 @@ class UnsupportedWordError(ValueError):
 # words up instead of building strings:
 #   _SIZE      a word's length: the tag, then its ids
 #   _STAR_TAG  the adjoint's tag: the letters reversed, edges and adjoints swapped
+#   _STAR_KINDS  the same on letter sequences
 #   _JOIN      the tag of two letter sequences joined, or None past two letters
 #   _PATTERN   the %-format that prints a word's ids, an adjoint with a "*"
 Word = tuple
 _KINDS = {"v": "", "e": "E", "a": "A", "ea": "EA", "ae": "AE"}
 _TAG = {k: t for t, k in _KINDS.items()}
 _SIZE = {t: 1 + (len(k) or 1) for t, k in _KINDS.items()}
-_STAR_TAG = {t: _TAG[k[::-1].translate(str.maketrans("EA", "AE"))] for t, k in _KINDS.items()}
+_STAR_KINDS = {k: k[::-1].translate(str.maketrans("EA", "AE")) for k in _TAG}
+_STAR_TAG = {t: _TAG[_STAR_KINDS[k]] for t, k in _KINDS.items()}
 _JOIN = {k: {m: _TAG.get(k + m) for m in _TAG} for k in _TAG}
 _PATTERN = {t: "".join("%s*" if x == "A" else "%s" for x in k) or "%s" for t, k in _KINDS.items()}
+# The shape a product reads for a malformed word: its ends are no vertex, so
+# it meets no word, and the word raises its error where a pair first holds it.
+_NOWHERE = object()
+_MALFORMED = (_NOWHERE, _NOWHERE, "", ())
 
 
 def _malformed(word: Word) -> MalformedExpressionError:
@@ -158,6 +177,61 @@ class FormalExpr:
 ZERO = FormalExpr({})
 
 
+_MIXED = object()  # _Line.group of a line whose words begin with edges of two groups
+
+
+class _Line:
+    """One row of a product's factor, read once, with an index by first letter.
+
+    words lists (position, word, coefficient, shape) in the order in which
+    matmul pairs them: by the position on the other axis, then in the
+    entry's term order.  A malformed word keeps its place with the shape
+    _MALFORMED, and bad is the (position, index in words) of the first one.
+    The same entries are indexed as they are added: first[f] lists, in
+    order, those whose value begins with the edge f, and rest the others;
+    group is the group of every such f, None when there is none, and _MIXED
+    when they lie in two groups.  Each row of a generator matrix or of its
+    adjoint holds the edges of one group at most.
+    """
+
+    __slots__ = ("words", "bad", "first", "rest", "group")
+
+    def __init__(self):
+        self.words: list[tuple] = []
+        self.bad: tuple[int, int] | None = None
+        self.first: dict[str, list[tuple]] = {}
+        self.rest: list[tuple] = []
+        self.group = None
+
+    def add(self, entry: tuple, group_of: Mapping[str, GroupKey]) -> None:
+        """Append (position, word, coefficient, shape) to words and to its part of the index."""
+        self.words.append(entry)
+        shape = entry[3]
+        if shape[2][:1] == "E":
+            f = shape[3][0]
+            key = group_of[f]
+            if self.group != key:
+                self.group = key if self.group is None else _MIXED
+            (self.first.get(f) or self.first.setdefault(f, [])).append(entry)
+        else:
+            self.rest.append(entry)
+            if shape is _MALFORMED and self.bad is None:
+                self.bad = (entry[0], len(self.words) - 1)
+
+    def meeting(self, e: str, group_of: Mapping[str, GroupKey]) -> tuple[list[tuple], ...]:
+        """The parts of words that a word ending in e* is paired with.
+
+        In a line whose words begin with edges of e's group alone, left out
+        are those that begin with an edge f != e, where e* f = 0 kills the
+        pair.  A word of any other shape is kept, so every pair that can
+        leave a word is still formed; a line of two groups is kept whole.
+        """
+        if self.group != group_of[e]:
+            return (self.words,)
+        own = self.first.get(e)
+        return (own, self.rest) if own else (self.rest,)
+
+
 class StarContext:
     """Reduction rules of a fixed separated graph.
 
@@ -169,10 +243,12 @@ class StarContext:
     def __init__(self, g: SeparatedGraph):
         ensure_valid(g)
         self.graph = g
-        self.group_of: dict[str, GroupKey] = {}
-        for key in g.group_keys():
-            for eid in g.group(key):
-                self.group_of[eid] = key
+        self.group_of: dict[str, GroupKey] = {
+            eid: (v, i)
+            for v, groups in zip(g.vertices, g.separation)
+            for i, group in enumerate(groups)
+            for eid in group
+        }
         self._normal: dict[Word, tuple[tuple[Word, int], ...]] = {}
         self._shape_of: dict[Word, tuple] = {}
 
@@ -238,9 +314,22 @@ class StarContext:
         self._shape_of[word] = shape
         return shape
 
-    def _word_normal(self, word: Word) -> tuple[tuple[Word, int], ...]:
-        """Normal form of one word, checked; memoized once the check passes."""
-        dom, _, kinds, _ = self._shape_of.get(word) or self._shape(word)
+    def _error(self, word: Word) -> MalformedExpressionError:
+        """The error that reading a malformed word's shape raises."""
+        try:
+            self._shape(word)
+        except MalformedExpressionError as exc:
+            return exc
+        raise AssertionError(f"{word!r} is well formed")
+
+    def _word_normal(self, word: Word, shape: tuple | None = None) -> tuple[tuple[Word, int], ...]:
+        """Normal form of one word, memoized.
+
+        The word is checked by reading its shape, unless the caller passes
+        the shape it has read or made; a word that fails the check is not
+        memoized.
+        """
+        dom, _, kinds, _ = shape or self._shape_of.get(word) or self._shape(word)
         if word[0] == "ae" and not kinds:  # e* f of one group: s(e) when e == f, else zero
             out: tuple = () if dom is None else ((("v", dom), 1),)
         elif word[0] == "ea" and word[1] == word[2]:
@@ -287,67 +376,144 @@ class StarContext:
 
     def mul(self, a: FormalExpr, b: FormalExpr) -> FormalExpr:
         """Product in the algebra, normalized."""
-        cells: dict[int, dict[Word, int]] = {}
-        self._multiply_into(a.terms, ((0, b.terms),), cells)
-        return FormalExpr.of(cells.get(0, {}))
+        out: dict[int, dict[int, dict[Word, int]]] = {}
+        self._multiply_into(self._read((((0, 0), a),))[0], self._read((((0, 0), b),))[0], out)
+        return FormalExpr.of(out.get(0, {}).get(0, {}))
+
+    def _read(
+        self,
+        entries: Iterable[tuple[tuple[int, int], FormalExpr]],
+        own: bool = True,
+        adjoint: bool = False,
+    ) -> tuple[dict[int, _Line], dict[int, _Line]]:
+        """The rows of a matrix and of its adjoint, as _Lines, from one read of its words.
+
+        entries are the matrix's ((i, k), expression) pairs in sorted order.
+        Each word's shape is read once; the adjoint's row k holds, at i, the
+        adjoint of each word of entry (i, k), its shape made from the word's
+        shape.  A word with no adjoint (an unknown tag or a wrong number of
+        ids) raises MalformedExpressionError when the adjoint is asked for;
+        any other malformed word raises only where a product pairs it.
+        """
+        shape_of, group_of = self._shape_of, self.group_of
+        rows: dict[int, _Line] = {}
+        adj: dict[int, _Line] = {}
+        for (i, k), expr in entries:
+            for w, c in expr.terms.items():
+                s = shape_of.get(w)
+                if s is None:
+                    try:
+                        s = self._shape(w)
+                    except MalformedExpressionError:
+                        s = _MALFORMED
+                if own:
+                    (rows.get(i) or rows.setdefault(i, _Line())).add((k, w, c, s), group_of)
+                if adjoint:
+                    if s is not _MALFORMED:
+                        s = (s[1], s[0], _STAR_KINDS[s[2]], s[3][::-1])
+                    elif len(w) != _SIZE.get(w[0]):
+                        raise _malformed(w)
+                    tag = _STAR_TAG[w[0]]
+                    w = (tag, w[1]) if len(w) == 2 else (tag, w[2], w[1])
+                    (adj.get(k) or adj.setdefault(k, _Line())).add((i, w, c, s), group_of)
+        return rows, adj
 
     def _multiply_into(
-        self,
-        left: Mapping[Word, int],
-        row: Iterable[tuple[Hashable, Mapping[Word, int]]],
-        cells: dict,
+        self, left: Mapping[int, _Line], right: Mapping[int, _Line], out: dict
     ) -> None:
-        """Add the normal form of left * right into cells[j], for each (j, right) of row.
+        """Add the normal form of row i of left times right into out[i][j], for each i and j.
 
-        This is the one place where words are multiplied.  Each pair of
-        words is read by its values' shapes, w1's first, so a malformed word
-        raises in any pair it is in.  Two values meet where the first one's
-        source is the second one's range, and are reduced only at their
-        junction; their product, well formed, adds its memoized normal form
-        at once.  A zero word, whose ends are None, meets only another zero
-        word, and their product is that zero word.  A cell is created once a
-        product leaves a word in it.
+        This is the one place where words are multiplied.  left and right
+        hold the rows of the two factors, read by _read.  A word meets the
+        right words whose value's range is its value's source, and the two
+        are reduced only at their junction; their product, well formed,
+        adds its memoized normal form at once.  A zero word, whose ends are
+        None, meets only another zero word, and their product is that zero
+        word.  A word ending in e* is not paired with the words that begin
+        with another edge f of e's group, whose product e* f = 0 kills, in a
+        row whose words begin with edges of that group alone
+        (_Line.meeting).  A cell is created once a product leaves a word in
+        it.
+
+        A malformed word, or a product of more than two letters, raises.  Of
+        several, the one in the first pair in matmul's order raises, once
+        its row is done: by row, then inner index, then right position, then
+        left word, then right word, each word's shape read before its
+        partner's.
         """
-        shape_of, group_of, normal = self._shape_of, self.group_of, self._normal
-        spare: dict[Word, int] = {}
-        for j, right in row:
-            if not right:
-                continue
-            acc = cells.get(j, spare)
-            for w1, c1 in left.items():
-                dom1, _, kinds1, ids1 = shape_of.get(w1) or self._shape(w1)
-                for w2, c2 in right.items():
-                    dom2, cod2, kinds2, ids2 = shape_of.get(w2) or self._shape(w2)
-                    if dom1 != cod2:
-                        continue
-                    if not kinds1:
-                        word = w2
-                    elif not kinds2:
-                        word = w1
-                    elif (
-                        kinds1[-1] == "A"
-                        and kinds2[0] == "E"
-                        and group_of[ids1[-1]] == group_of[ids2[0]]
-                    ):
-                        if ids1[-1] != ids2[0]:
-                            continue  # distinct edges of one group annihilate
-                        ids = ids1[:-1] + ids2[1:]
-                        word = (_JOIN[kinds1[:-1]][kinds2[1:]],) + ids if ids else ("v", dom2)
-                    else:
-                        tag, ids = _JOIN[kinds1][kinds2], ids1 + ids2
-                        if tag is None:
-                            raise _too_long(kinds1 + kinds2, ids)
-                        word = (tag,) + ids
-                    coef = c1 * c2
-                    if coef:
-                        nf = normal.get(word)
-                        if nf is None:
-                            nf = self._word_normal(word)
-                        for w, c in nf:
-                            acc[w] = acc.get(w, 0) + coef * c
-            if acc is spare and spare:
-                cells[j] = spare
-                spare = {}
+        group_of, normal = self.group_of, self._normal
+        for i in sorted(left):
+            cells: dict[int, dict[Word, int]] = {}
+            first = None  # ((k, j, p, q), error) of the row's first pair to raise
+            cell = None
+            for p, (k, w1, c1, shape1) in enumerate(left[i].words):
+                line = right.get(k)
+                if line is None:
+                    continue
+                if first is not None and k > first[0][0]:
+                    break
+                words = line.words
+                if k != cell:  # the cell's first word is read before each right word
+                    cell = k
+                    if line.bad is not None:
+                        j, q = line.bad
+                        if first is None or (k, j, p, q) < first[0]:
+                            first = ((k, j, p, q), self._error(words[q][1]))
+                dom1, cod1, kinds1, ids1 = shape1
+                if dom1 is _NOWHERE:
+                    place = (k, words[0][0], p, -1)
+                    if first is None or place < first[0]:
+                        first = (place, self._error(w1))
+                    continue
+                if line.group is not None and kinds1[-1:] == "A":
+                    parts = line.meeting(ids1[-1], group_of)
+                else:
+                    parts = (words,)
+                for part in parts:
+                    for j, w2, c2, shape2 in part:
+                        dom2, cod2, kinds2, ids2 = shape2
+                        if dom1 != cod2:
+                            continue
+                        if not kinds1:
+                            word = w2
+                        elif not kinds2:
+                            word = w1
+                        elif (
+                            kinds1[-1] == "A"
+                            and kinds2[0] == "E"
+                            and group_of[ids1[-1]] == group_of[ids2[0]]
+                        ):
+                            if ids1[-1] != ids2[0]:
+                                continue  # distinct edges of one group annihilate
+                            ids = ids1[:-1] + ids2[1:]
+                            word = (_JOIN[kinds1[:-1]][kinds2[1:]],) + ids if ids else ("v", dom2)
+                        else:
+                            tag, ids = _JOIN[kinds1][kinds2], ids1 + ids2
+                            if tag is None:
+                                q = next(q for q, x in enumerate(words) if x[0] == j and x[1] == w2)
+                                if first is None or (k, j, p, q) < first[0]:
+                                    first = ((k, j, p, q), _too_long(kinds1 + kinds2, ids))
+                                continue
+                            word = (tag,) + ids
+                        coef = c1 * c2
+                        if coef:
+                            nf = normal.get(word)
+                            if nf is None:  # a factor's own word, or one made of checked letters
+                                nf = self._word_normal(
+                                    word,
+                                    shape1 if word is w1 else shape2 if word is w2
+                                    else (dom2, cod1, _KINDS[word[0]], word[1:]),
+                                )
+                            if nf:
+                                acc = cells.get(j)
+                                if acc is None:
+                                    acc = cells[j] = {}
+                                for w, c in nf:
+                                    acc[w] = acc.get(w, 0) + coef * c
+            if first is not None:
+                raise first[1]
+            if cells:
+                out[i] = cells
 
 
 # formal matrices -------------------------------------------------------------
@@ -390,32 +556,49 @@ def _label_str(label) -> str:
 def matmul(ctx: StarContext, a: FormalMatrix, b: FormalMatrix) -> FormalMatrix:
     """a b, its entries normalized.
 
-    Pairs of entries are multiplied by row of a, then inner index, then
-    column of b, so the first bad pair raises whatever order the entries
-    were given in.
+    Each factor is read once: its words, each with its shape, go into a list
+    per row (StarContext._read).  Pairs of entries are then multiplied by
+    row of a, then inner index, then column of b, and the first pair in that
+    order that holds a malformed word or leaves a word of over two letters
+    raises, whatever order the entries were given in.  A word of a ending in
+    e* is not paired with the words of a row of b that begin with another
+    edge of e's group, when the row's words begin with edges of that group
+    alone: e* f = 0 kills those pairs.  Every other pair is formed.
     """
     if len(a.cols) != len(b.rows):
         raise ValueError("inner dimensions do not match")
-    by_row: dict[int, list[tuple[int, dict[Word, int]]]] = {}
-    for (k, j), expr in sorted(b.entries.items()):
-        by_row.setdefault(k, []).append((j, expr.terms))
-    cells_by_row: dict[int, dict[int, dict[Word, int]]] = {}
-    for (i, k), expr in sorted(a.entries.items()):
-        row = by_row.get(k)
-        if row:
-            cells = cells_by_row.get(i)
-            if cells is None:
-                cells = cells_by_row[i] = {}
-            ctx._multiply_into(expr.terms, row, cells)
+    left, _ = ctx._read(sorted(a.entries.items()))
+    right, _ = ctx._read(sorted(b.entries.items()))
+    return _product(ctx, a.rows, b.cols, left, right)
+
+
+def _product(ctx: StarContext, rows: tuple, cols: tuple, left, right) -> FormalMatrix:
+    """The product of the factors whose rows, read by StarContext._read, are left and right."""
+    out: dict[int, dict[int, dict[Word, int]]] = {}
+    ctx._multiply_into(left, right, out)
     # A sum of normal forms is a normal form: normalization is a linear
     # projection, and each word here came out of one, checked.
     entries = {}
-    for i, cells in cells_by_row.items():
+    for i, cells in out.items():
         for j, terms in cells.items():
-            norm = FormalExpr.of(terms)
-            if norm.terms:
-                entries[(i, j)] = norm
-    return FormalMatrix(a.rows, b.cols, entries)
+            if 0 in terms.values():
+                terms = {w: c for w, c in terms.items() if c}
+            if terms:
+                entries[(i, j)] = FormalExpr(terms)
+    return FormalMatrix(rows, cols, entries)
+
+
+def _grams(ctx: StarContext, m: FormalMatrix) -> tuple[FormalMatrix, FormalMatrix]:
+    """m m* and m* m, from one read of m that makes each adjoint word from m's own.
+
+    A word with no adjoint raises first, as forming m* would.
+    """
+    try:
+        rows, cols = ctx._read(sorted(m.entries.items()), adjoint=True)
+    except MalformedExpressionError:
+        m.star()  # raises for the first such word in m's own order
+        raise
+    return _product(ctx, m.rows, m.rows, rows, cols), _product(ctx, m.cols, m.cols, cols, rows)
 
 
 def matrices_equal(ctx: StarContext, a: FormalMatrix, b: FormalMatrix):
@@ -480,7 +663,8 @@ def _side(g: SeparatedGraph, part: Mapping[GroupKey, int]) -> FormalMatrix:
     """
     rows: list[RowLabel] = []
     first_row: dict[GroupKey, int] = {}
-    by_source: dict[str, dict[GroupKey, list[str]]] = {}
+    by_source: dict[int, dict[GroupKey, list[str]]] = {}  # by source vertex index
+    src, eindex, vindex = g._src, g._eindex, g._vindex
     for u in g.layer0:
         for i, group in enumerate(g.groups_at(u)):
             n = part.get((u, i), 0)
@@ -488,11 +672,11 @@ def _side(g: SeparatedGraph, part: Mapping[GroupKey, int]) -> FormalMatrix:
                 first_row[(u, i)] = len(rows)
                 rows.extend(((u, i), t) for t in range(1, n + 1))
                 for eid in group:
-                    by_source.setdefault(g.edge(eid).src, {}).setdefault((u, i), []).append(eid)
+                    by_source.setdefault(src[eindex[eid]], {}).setdefault((u, i), []).append(eid)
     cols: list[ColLabel] = []
     entries = {}
     for w in g.layer1:
-        for key, arrows in by_source.get(w, {}).items():
+        for key, arrows in by_source.get(vindex[w], {}).items():
             for t in range(1, part[key] + 1):
                 row = first_row[key] + t - 1
                 for s, eid in enumerate(arrows, start=1):
@@ -543,7 +727,9 @@ def _assemble(
         (row_of[t.rows[i]], col_of[t.cols[j]]): expr for (i, j), expr in t.entries.items()
     }
     sigma_t = FormalMatrix(z.rows, z.cols, dict(sorted(entries.items())))
-    u = matmul(ctx, z, sigma_t.star())
+    left, _ = ctx._read(sorted(z.entries.items()))
+    _, right = ctx._read(sigma_t.entries.items(), own=False, adjoint=True)
+    u = _product(ctx, z.rows, z.rows, left, right)  # z sigma_t*
     return GeneratorMatrices(g, dict(x), z, t, dict(sigma1), dict(sigma2), sigma_t, u)
 
 
@@ -625,16 +811,10 @@ def verify_partial_unitary(gm: GeneratorMatrices) -> VerificationReport:
     """
     ctx = StarContext(gm.graph)
     z, t, st, u = gm.z, gm.t, gm.sigma_t, gm.u
-
-    def grams(m):
-        """M M* and M* M, with the adjoint formed once."""
-        adj = m.star()
-        return matmul(ctx, m, adj), matmul(ctx, adj, m)
-
-    zz, zsz = grams(z)
-    tt, tst = grams(t)
-    ss, sst = grams(st)
-    uu, usu = grams(u)
+    zz, zsz = _grams(ctx, z)
+    tt, tst = _grams(ctx, t)
+    ss, sst = _grams(ctx, st)
+    uu, usu = _grams(ctx, u)
 
     checks = []
 

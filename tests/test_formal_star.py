@@ -6,12 +6,14 @@ from sepk.formal_star import (
     ZERO,
     FormalExpr,
     FormalMatrix,
+    GeneratorMatrices,
     MalformedExpressionError,
     StarContext,
     UnsupportedWordError,
     build_generator_matrices,
     matmul,
     matrices_equal,
+    _grams,
     verify_partial_unitary,
     word_str,
 )
@@ -433,6 +435,87 @@ def test_matmul_matches_unmemoized_reference_on_random_matrices(name):
         assert got == _outcome(_reference_matmul, ref, a, b)
         seen.add(got[0])
     assert {"ok", "MalformedExpressionError", "UnsupportedWordError"} <= seen
+
+
+def _reference_grams(ref, m):
+    """m m* and m* m by the unmemoized calculus, after m* is formed as its own matrix."""
+    adj = m.star()
+    return _reference_matmul(ref, m, adj), _reference_matmul(ref, adj, m)
+
+
+def _gram_entries(ctx, m):
+    return tuple(product.entries for product in _grams(ctx, m))
+
+
+def test_gram_products_match_unmemoized_reference():
+    # verification forms m m* and m* m from m alone, each adjoint word made
+    # as m is read; where m* has no value (a word with no adjoint), forming
+    # it raises first
+    rng = random.Random(31)
+    cases = [(builtin("E", [3, 3]), {("v", 0): 2, ("v", 1): -2}, None)]
+    for seed in range(6):
+        g, x0 = bipartite_graph_with_kernel(rng)
+        cases.append((g, random_kernel_element(g, rng) or x0, seed))
+    for g, x, seed in cases:
+        gm = build_generator_matrices(g, x, seed=seed)
+        ctx, ref = StarContext(g), ReferenceCalculus(g)
+        for m in (gm.z, gm.t, gm.sigma_t, gm.u):
+            assert _gram_entries(ctx, m) == _reference_grams(ref, m)
+    seen = set()
+    for name in sorted(ORACLE_GRAPHS):
+        g = ORACLE_GRAPHS[name]()
+        ctx, ref = StarContext(g), ReferenceCalculus(g)
+        for _ in range(150):
+            n, m = rng.randint(1, 3), rng.randint(1, 3)
+            a = _random_matrix(g, rng, n, m)
+            entries = dict(a.entries)  # in random order, which m.star() reads
+            for pos in rng.sample(sorted(entries), min(len(entries), 2)):
+                if rng.random() < 0.1:  # a word with no adjoint
+                    terms = dict(entries[pos].terms)
+                    terms[rng.choice(MALFORMED_WORDS)] = rng.choice((-1, 0, 2))
+                    entries[pos] = FormalExpr(terms)
+            a = FormalMatrix(a.rows, a.cols, entries)
+            got = _outcome(_gram_entries, ctx, a)
+            assert got == _outcome(_reference_grams, ref, a)
+            seen.add(got[0] + (":arity" if "arity" in got[1] else "") if got[0] != "ok" else "ok")
+    assert {
+        "ok", "MalformedExpressionError", "MalformedExpressionError:arity", "UnsupportedWordError"
+    } <= seen
+    # of two words with no adjoint, the one m* meets first, in m's own entry order, is named
+    g = builtin("E", [2, 2])
+    m = FormalMatrix((0, 1), (0,), {
+        (1, 0): FormalExpr({("x", "a1"): 1}), (0, 0): FormalExpr({("e", "a1"): 1, ("v",): 1}),
+    })
+    got = _outcome(_gram_entries, StarContext(g), m)
+    assert got == _outcome(_reference_grams, ReferenceCalculus(g), m)
+    named = f"malformed word {('x', 'a1')!r}: unknown tag or wrong arity"
+    assert got == ("MalformedExpressionError", named)
+
+
+def test_index_skip_keeps_the_malformed_factor_rule():
+    # a2 b1* begins with a2, of a1's group, so the index never pairs it with
+    # a word ending in a1*; its shape is read first, and it still raises
+    g = builtin("lamplighter", [2])
+    ctx = StarContext(g)
+    left = FormalMatrix((0,), (0,), {(0, 0): ctx.adjoint("a1")})
+    for bad, message in (
+        (("ea", "a2", "b1"), "a2b1*: sources differ, word is not composable"),
+        (("ea", "a2", "zz"), "unknown edge 'zz'"),
+    ):
+        word = FormalExpr({bad: 1})
+        row = FormalMatrix((0,), (0, 1), {(0, 0): ctx.edge("a1"), (0, 1): word})
+        gm = GeneratorMatrices(g, {}, row, row, {}, {}, row, row)
+        for product in (
+            lambda: ctx.mul(ctx.adjoint("a1"), word),
+            lambda: ctx.mul(ctx.adjoint("a1"), ctx.edge("a1") + word),
+            lambda: matmul(ctx, left, FormalMatrix((0,), (0,), {(0, 0): word})),
+            lambda: matmul(ctx, left, row),
+            lambda: matmul(ctx, row.star(), row),
+            lambda: verify_partial_unitary(gm),
+        ):
+            with pytest.raises(MalformedExpressionError) as exc:
+                product()
+            assert str(exc.value) == message
 
 
 def _reference_matrices_equal(ref, a, b):
