@@ -478,7 +478,8 @@ def main(argv=None) -> int:
     try:
         code, as_json, as_text = args.func(_load_graph(args), args)
         if args.format == "json" or as_text is None:
-            # in pieces, all made before the first: one write past 2 GiB can be cut short
+            # in pieces, all made before the first: one write past 2 GiB can be cut
+            # short (a graph's or the sequence's laid out, the stdlib encoder's)
             out = as_json()
             if not isinstance(out, _Pieces):
                 out = json_chunks(out)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from itertools import chain, filterfalse, repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
@@ -354,48 +354,12 @@ def builtin_group_aliases(text_or_name: str) -> dict[str, GroupKey]:
 
 
 # JSON text -----------------------------------------------------------------
+#
+# Every JSON text reads as json.dumps(value, indent=2, ensure_ascii=False),
+# made as a list of pieces: graphs and the sequence are laid out here from
+# the JSON literals of their names, any other value by the stdlib encoder.
 
-_INF = float("inf")
-
-
-def _scalar_text(v) -> str:
-    if v is None:
-        return "null"
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    if isinstance(v, int):
-        return int.__repr__(v)
-    if isinstance(v, float):
-        if v != v:
-            return "NaN"
-        if v == _INF:
-            return "Infinity"
-        if v == -_INF:
-            return "-Infinity"
-        return float.__repr__(v)
-    raise TypeError(f"Object of type {v.__class__.__name__} is not JSON serializable")
-
-
-def _key_text(k) -> str:
-    """A non-str dict key as the string the stdlib encoder writes for it."""
-    if k is None or isinstance(k, (int, float)):
-        return _scalar_text(k)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
-
-
-class _Quoted(dict):
-    """Each string's JSON literal, escaped on first use."""
-
-    __slots__ = ()
-
-    def __missing__(self, s: str) -> str:
-        q = self[s] = encode_basestring(s)
-        return q
-
-
-_EDGE_ID = itemgetter(0)
+_ENCODER = json.JSONEncoder(indent=2, ensure_ascii=False)
 
 
 def _items(chunks: list[str], head: str, literals, inner: str, outer: str) -> str:
@@ -457,17 +421,17 @@ def _layout(vertices, edges, separation, bipartite, indent: str, chunks: list[st
     append(head + indent + "}")
 
 
-def _graph_chunks(g: SeparatedGraph, indent: str, quoted: _Quoted, chunks: list[str]) -> None:
+def _graph_chunks(g: SeparatedGraph, indent: str, chunks: list[str]) -> None:
     """Append the pieces json_chunks writes for to_obj(g), read off g's tuples.
 
-    Each name is laid out as its literal in quoted.  to_obj's separation map
-    holds a repeated name at its first place, with the groups of its last.  A
-    name that is not a str raises TypeError, possibly after some pieces have
-    been appended.
+    Each vertex name and edge id is escaped once, in bulk.  to_obj's
+    separation map holds a repeated name at its first place, with the groups
+    of its last.  A name that is not a str raises TypeError, and an end,
+    member or layer entry naming no vertex or edge of g KeyError, mid-layout.
     """
-    for names in (g.vertices, map(_EDGE_ID, g.edges)):  # escaped in C, once per call
-        fresh = list(filterfalse(quoted.__contains__, names))
-        quoted.update(zip(fresh, map(encode_basestring, fresh)))
+    ids = list(map(itemgetter(0), g.edges))
+    quoted = dict(zip(g.vertices, map(encode_basestring, g.vertices)))
+    quoted.update(zip(ids, map(encode_basestring, ids)))
     q = quoted.__getitem__
 
     def literals(names) -> list[str]:
@@ -484,15 +448,16 @@ def _graph_chunks(g: SeparatedGraph, indent: str, quoted: _Quoted, chunks: list[
 
 
 def _sequence_chunks(g: SeparatedGraph, depth: int, steps) -> list[str]:
-    """The pieces json_chunks writes for the to_json_obj() of a canonical
-    sequence, from its first graph g and the literals of each step.
+    """The pieces of a canonical sequence's JSON (its depth, each layer's
+    to_obj dict, and its W sets and sorted root tables keyed by layer), from
+    its first graph g and the literals of each step.
 
     steps yields, for layers 1..depth in order, the layer's _layout
     arguments, the literals of its W set and its root table as the (keys,
     values) literals in key order.
     """
     chunks = ['{\n  "depth": ' + str(depth) + ',\n  "layers": [\n    ']
-    _graph_chunks(g, "\n    ", _Quoted(), chunks)
+    _graph_chunks(g, "\n    ", chunks)
     w_sets, roots = [], []
     for layout, w_set, root in steps:
         chunks.append(",\n    ")
@@ -519,77 +484,23 @@ def _sequence_chunks(g: SeparatedGraph, depth: int, steps) -> list[str]:
 
 
 def json_chunks(obj) -> list[str]:
-    """The pieces of the text the stdlib's json `dumps(obj, indent=2,
-    ensure_ascii=False)` returns, byte for byte once joined, where a
-    SeparatedGraph anywhere in obj stands for its to_obj dict.
+    """The pieces of json.dumps(obj, indent=2, ensure_ascii=False), all made
+    before the first is returned, where a SeparatedGraph stands for its
+    to_obj dict.
 
-    With indent set, the stdlib (before Python 3.13) leaves its C encoder
-    for a pure-Python one built from nested generators, and escapes every
-    occurrence of a string again.  The layers of a canonical sequence name
-    their vertices and edges by nesting the escaped names of the layer
-    before, so the same long names recur many times.  This writer walks the
-    value once, escapes each distinct string once per call and appends
-    every piece to one list.  A graph is written from its tuples, not
-    through per-edge dicts: its vertex names and edge ids are escaped in
-    bulk, and each of its lists is laid out by slicing the escaped names
-    into a list of the constant pieces between them.  A name is always a
-    piece of its own; only a run of constant structure (a separator, the
-    indentation, brackets and a fixed key with its colon, such as
-    `"id": `) is merged into one piece.  A repeated vertex name is written
-    as to_obj's separation map collapses it; only a graph with a name that
-    is not a str is written from to_obj(g).  The writer accepts what the
-    stdlib call accepts by default, prints int and float subclasses as the
-    built-in type, and raises TypeError for anything else.
+    A graph is laid out from its tuples (_graph_chunks), each name a piece of
+    its own.  A graph with a name that is not a str, or that names a vertex
+    or edge it does not have, goes through the stdlib encoder on to_obj(g),
+    as any other value does, raising what json.dumps raises.
     """
-    quoted = _Quoted()
-    chunks: list[str] = []
-    emit = chunks.append
-
-    def write(v, indent: str) -> None:  # indent: newline and v's own indentation
-        if isinstance(v, str):
-            emit(quoted[v])
-        elif isinstance(v, (list, tuple)):
-            if not v:
-                emit("[]")
-                return
-            inner = indent + "  "
-            sep, comma = "[" + inner, "," + inner
-            for item in v:
-                emit(sep)
-                sep = comma
-                if isinstance(item, str):
-                    emit(quoted[item])
-                else:
-                    write(item, inner)
-            emit(indent + "]")
-        elif isinstance(v, dict):
-            if not v:
-                emit("{}")
-                return
-            inner = indent + "  "
-            sep, comma = "{" + inner, "," + inner
-            for key, item in v.items():
-                emit(sep)
-                sep = comma
-                emit(quoted[key if isinstance(key, str) else _key_text(key)])
-                emit(": ")
-                if isinstance(item, str):
-                    emit(quoted[item])
-                else:
-                    write(item, inner)
-            emit(indent + "}")
-        elif isinstance(v, SeparatedGraph):
-            start = len(chunks)
-            try:
-                _graph_chunks(v, indent, quoted, chunks)
-            except TypeError:  # a name that is not a str
-                del chunks[start:]
-                write(to_obj(v), indent)
-        else:
-            emit(_scalar_text(v))
-
-    write(obj, "\n")
-    return chunks
+    if isinstance(obj, SeparatedGraph):
+        chunks: list[str] = []
+        try:
+            _graph_chunks(obj, "\n", chunks)
+            return chunks
+        except (KeyError, TypeError):
+            obj = to_obj(obj)
+    return list(_ENCODER.iterencode(obj))
 
 
 # file format ---------------------------------------------------------------

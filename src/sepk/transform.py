@@ -50,7 +50,6 @@ from .graph_model import (
     SeparatedGraph,
     ValidationReport,
     _sequence_chunks,
-    to_obj,
     validate,
 )
 
@@ -378,9 +377,17 @@ def multiresolution_data(g: SeparatedGraph, vertex_set) -> MultiresolutionData:
     ensure_valid(g)
     resolved = _check_resolved_set(g, vertex_set)
     step = _fresh_layer(g, resolved, g.vertices)
-    h = step.graph  # its vertices are g's, then the new ones
-    separation = {v: old + new for v, old, new in zip(g.vertices, g.separation, h.separation)}
-    graph = SeparatedGraph.build(h.vertices, g.edges + h.edges, separation)
+    # h's vertices are g's, at g's indexes, then the new ones; its edges follow g's
+    h, n, shift = step.graph, len(g.vertices), len(g.edges)
+    groups = [tuple([tuple(map(shift.__add__, grp)) for grp in new]) for new in h._groups[:n]]
+    eindex = dict(g._eindex)
+    eindex.update(zip(h._eindex, range(shift, shift + len(h.edges))))
+    graph = SeparatedGraph._of_form(
+        h.vertices, g.edges + h.edges,
+        tuple(map(tuple.__add__, g.separation, h.separation)) + h.separation[n:],
+        None, h._vindex, eindex, g._src + h._src, g._dst + h._dst,
+        tuple(map(tuple.__add__, g._groups, groups)) + h._groups[n:],
+    )
     return MultiresolutionData(graph, step)
 
 
@@ -495,16 +502,6 @@ class CanonicalSequence:
             n -= 2
         return v
 
-    def to_json_obj(self) -> dict:
-        return {
-            "depth": self.depth,
-            "layers": [to_obj(g) for g in self.graphs],
-            "w_sets": {str(k): list(ws) for k, ws in sorted(self.w_sets.items())},
-            "root_tables": {
-                str(k): dict(sorted(t.items())) for k, t in sorted(self.root_tables.items())
-            },
-        }
-
 
 def canonical_sequence(
     g: SeparatedGraph, depth: int, budget: int = DEFAULT_BUDGET
@@ -552,8 +549,8 @@ def _levels(names, top: int) -> list[list[str]]:
 
 
 def _sequence_json(g: SeparatedGraph, depth: int, budget: int = DEFAULT_BUDGET) -> list[str]:
-    """The pieces json_chunks writes for canonical_sequence(g, depth,
-    budget).to_json_obj(), made from the walk of each step with no layer,
+    """The pieces of the JSON of canonical_sequence(g, depth, budget) (see
+    _sequence_chunks), made from the walk of each step with no layer,
     plain generated name or escaper call.  The checks of canonical_sequence
     run first, with its refusals; they leave no name clash to check."""
     w_set_sizes(g, depth, budget)

@@ -1,13 +1,19 @@
-"""Seeded values that compare graph_model.json_chunks with the stdlib encoder.
+"""The stdlib encoder as the byte oracle of sepk's JSON, and seeded inputs for it.
 
-dump_json joins json_chunks' pieces.  The reference is json.dumps(value,
-indent=2, ensure_ascii=False); dump_json must return the same string for
-every value the stdlib call accepts and raise TypeError wherever it does.  The values mix strings that need
-escaping (quotes, backslashes, control characters, lone surrogates,
-non-ASCII text), long and negative ints, the float corner cases, non-str
-dict keys, empty containers, tuples and repeated strings.
+Every JSON text sepk writes must read as json.dumps(value, indent=2,
+ensure_ascii=False) on its dict form: a graph's is graph_model.to_obj(g), a
+canonical sequence's is to_json_obj(seq) below.  Graphs are laid out by
+sepk's own writer, so they are what the seeded comparison draws: vertex
+names and edge ids that need escaping (quotes, backslashes, control
+characters, lone surrogates, non-ASCII text), repeated vertex names, edgeless
+graphs, and ends, group members and layer entries that name no vertex or
+edge.  serialize(g) must equal the reference bytes, or raise the same error
+class, and the text beneath must be the reference text.  The seeded values
+(strings as above, long and negative ints, the float corner cases, non-str
+dict keys, empty containers, tuples) and the unsupported ones check that
+json_chunks hands other values to the stdlib encoder unchanged.
 
-Run as a script, the comparison needs no pytest, so it also runs under
+Run as a script, the graph comparison needs no pytest, so it also runs under
 interpreters that lack it:
 
     PYTHONPATH=src python tests/json_oracles.py [count] [seed]
@@ -17,11 +23,11 @@ import json
 import random
 import sys
 
-from sepk.graph_model import json_chunks
+from sepk.graph_model import Edge, SeparatedGraph, json_chunks, serialize, to_obj
 
 STRINGS = (
     "", "v", "X", 'say "hi"', "back\\slash", "v|a1,b1", "v\\|a1\\,b1",
-    "\x00\x01\x1f\x7f", "\n\r\t\b\f", "ünïcödé ✓ 𝔸", "  ",
+    "\x00\x01\x1f\x7f", "\n\r\t\b\f", "ünïcödé ✓ 𝔸", "  ",
     "\ud800", "x\udfffy", "😀",
 )
 NUMBERS = (
@@ -53,6 +59,31 @@ def reference(value) -> str:
     return json.dumps(value, indent=2, ensure_ascii=False)
 
 
+def to_json_obj(seq) -> dict:
+    """The dict form of a canonical sequence, which its JSON reads as."""
+    return {
+        "depth": seq.depth,
+        "layers": [to_obj(g) for g in seq.graphs],
+        "w_sets": {str(k): list(ws) for k, ws in sorted(seq.w_sets.items())},
+        "root_tables": {
+            str(k): dict(sorted(t.items())) for k, t in sorted(seq.root_tables.items())
+        },
+    }
+
+
+def graph_reference(g: SeparatedGraph) -> bytes:
+    """The bytes serialize(g) must return: g's dict form through the stdlib, with a newline."""
+    return (reference(to_obj(g)) + "\n").encode("utf-8")
+
+
+def outcome(write, g):
+    """write(g), or the class of the error it raises."""
+    try:
+        return write(g)
+    except Exception as exc:
+        return type(exc)
+
+
 def random_string(rng: random.Random) -> str:
     """Random code points below U+10000, so lone surrogates occur."""
     return "".join(chr(rng.choice((rng.randrange(0x80), rng.randrange(0x10000))))
@@ -77,29 +108,59 @@ def random_value(rng: random.Random, depth: int = 3):
     return {rng.choice(KEYS + (random_string(rng),)): item for item in items}
 
 
-def raises_type_error(write, value) -> bool:
-    try:
-        write(value)
-    except TypeError:
-        return True
-    return False
+def random_graph(rng: random.Random) -> SeparatedGraph:
+    """A seeded graph with escaped names, written as it is, valid or not.
+
+    Names come mostly from STRINGS, so vertex names repeat.  In about one
+    graph in five, an edge end, group member or layer entry may name no
+    vertex or edge.
+    """
+    loose = rng.random() < 0.2
+
+    def name() -> str:
+        return rng.choice(STRINGS) if rng.random() < 0.7 else random_string(rng)
+
+    def pick(names):
+        return rng.choice(names) if names and not (loose and rng.random() < 0.3) else name()
+
+    vertices = tuple(name() for _ in range(rng.randrange(5)))
+    edges = tuple(
+        Edge(name(), pick(vertices), pick(vertices)) for _ in range(rng.randrange(6))
+    )
+    ids = [e.id for e in edges]
+    separation = tuple(
+        tuple(tuple(pick(ids) for _ in range(rng.randrange(3))) for _ in range(rng.randrange(3)))
+        for _ in vertices
+    )
+    bipartite = None if rng.random() < 0.5 else tuple(
+        tuple(pick(vertices) for _ in range(rng.randrange(3))) for _ in range(2)
+    )
+    return SeparatedGraph(vertices, edges, separation, bipartite)
+
+
+def serializes_as_reference(g: SeparatedGraph) -> bool:
+    """serialize(g) against graph_reference(g), and the text beneath both.
+
+    The text is compared too, since a name with a lone surrogate makes both
+    sides raise UnicodeEncodeError whatever text they wrote.
+    """
+    return (
+        dump_json(g) == reference(to_obj(g))
+        and outcome(serialize, g) == outcome(graph_reference, g)
+    )
 
 
 def main(argv: list[str]) -> int:
     count = int(argv[0]) if argv else 2000
     rng = random.Random(int(argv[1]) if len(argv) > 1 else 0)
     for i in range(count):
-        value = random_value(rng)
-        if dump_json(value) != reference(value):
-            print(f"value {i} differs: {value!r:.200}")
-            return 1
-    for value in UNSUPPORTED.values():
-        if not (raises_type_error(reference, value) and raises_type_error(dump_json, value)):
-            print(f"{value!r:.200} does not raise TypeError in both writers")
+        g = random_graph(rng)
+        if not serializes_as_reference(g):
+            print(f"graph {i} differs: {g!r:.300}")
             return 1
     print(
-        f"Python {sys.version.split()[0]}: dump_json equals json.dumps on {count} "
-        f"seeded values; {len(UNSUPPORTED)} unsupported values raise TypeError in both"
+        f"Python {sys.version.split()[0]}: serialize writes the stdlib encoder's bytes "
+        f"of to_obj(g), or raises its error class, on {count} seeded graphs"
     )
     return 0
 

@@ -23,6 +23,7 @@ from sepk.ktheory import phi_transport
 from sepk.transform import canonical_sequence, multiresolution_at, multiresolution_data
 
 from conftest import name_collision_graphs
+from json_oracles import to_json_obj
 
 
 def run(capsys, *argv):
@@ -331,13 +332,20 @@ def test_json_output_is_written_in_pieces(monkeypatch):
     monkeypatch.setattr(sys, "stdout", out)
     argv = ["sequence", "--builtin", "lamplighter(2)", "--depth", "6", "--format", "json"]
     assert main(argv) == 0
-    obj = canonical_sequence(builtin("lamplighter", [2]), 6).to_json_obj()
+    obj = to_json_obj(canonical_sequence(builtin("lamplighter", [2]), 6))
     text = json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
     assert "".join(out.writes) == text
     longest = max(len(json.dumps(s, ensure_ascii=False)) for s in _strings(obj))
     indent = max(len(line) - len(line.lstrip(" ")) for line in text.splitlines())
     assert len(out.writes) > 1000
     assert max(map(len, out.writes)) <= longest + indent
+    # so is a value's, in the stdlib encoder's pieces: none holds two lines
+    out.writes.clear()
+    argv = ["k1-generator", "--builtin", "E(3,3)", "--element", "X:1,Y:-1", "--format", "json"]
+    assert main(argv) == 0
+    assert json.loads("".join(out.writes))["rows"]
+    assert len(out.writes) > 2
+    assert max(w.count("\n") for w in out.writes) == 1
 
 
 def test_output_that_fails_to_render_writes_nothing(monkeypatch):

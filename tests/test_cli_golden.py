@@ -39,9 +39,13 @@ COMMANDS = {
 }
 
 
+def _source(graph: str) -> list[str]:
+    return ["{tmp}/layer2.graph"] if graph == "layer2" else ["--builtin", graph]
+
+
 def _graph_cases():
     for graph, element in ELEMENTS.items():
-        source = ["{tmp}/layer2.graph"] if graph == "layer2" else ["--builtin", graph]
+        source = _source(graph)
         for command, extra in COMMANDS.items():
             extra = extra + [element] if extra == ["--element"] else extra
             for fmt in ("text", "json"):
@@ -83,6 +87,13 @@ CASES.update({
     "verify-generator-E(3,3)-text": [
         "verify-generator", "--builtin", "E(3,3)", "--element", "X:1,Y:-1",
     ],
+    **{
+        f"{command}-{graph}-json": [
+            command, *_source(graph), "--element", ELEMENTS[graph], "--format", "json",
+        ]
+        for command in ("k1-generator", "verify-generator")
+        for graph in ("E(3,3)", "layer2")
+    },
     "character-E(2,2)-text": [
         "character", "--builtin", "E(2,2)", "--base", "{tmp}/base.json",
         "--free", "{tmp}/free.json", "--at", "v",
@@ -125,7 +136,9 @@ DIGESTS = {
     "k0-tame-layer2-json": "667ef8f7e381b609470b03fc76a9360413f0b56a7ffbbf20268dac65a94dd98c",
     "k0-tame-layer2-text": "9c38132b13ba2c562dadcff211cb32f51150a8514f334e4d1c2274c2694d4bf6",
     "k0-tame-negative-depth": "386ec46aad5257b2361fd62df27c9beeb0f2f1e57ad12d533dedacf659b81826",
+    "k1-generator-E(3,3)-json": "4722a4e569031bb4c4f6e5fae4f52c642ffb603aff46ea23988d9c1e3037ae52",
     "k1-generator-E(3,3)-text": "17b6fac50d898e457ef7145a8929cab57d53eb25cde12fe6f73b3e9045101f3d",
+    "k1-generator-layer2-json": "35d25fc9f2cc88163dbe0a1de6ef81fc3e51e0fa9eb24b90ba7a11f97ccdf00f",
     "k1-generator-loop": "37c548193ef6519580b711de2da998eb957a2d64dc00184c6ccfa20605287566",
     "k1-tame-E(2,2)-json": "53c97155701d08b6f67c0b6a0f11a8c91c356cc8210760a074442607914eba6a",
     "k1-tame-E(2,2)-text": "58e54416ac9a3af8ebd24663f9c066f595dc407e9faf0de791d9aef88f391fab",
@@ -167,7 +180,9 @@ DIGESTS = {
     "validate-layer2-json": "fafd295b81011c3f3a8e30aa7d2601148dc7da6eb5eac4771f87369668b469e1",
     "validate-layer2-text": "c84c267666a9f92d2bb37f5d970c2d3ca4164542dc607ea472e9282c892ad616",
     "validation": "764ae2b8a47989eab8d4db126606068f32e6d6766e62299389d7a062af04a994",
+    "verify-generator-E(3,3)-json": "d088242529fb8f0a3518b8893018ddeb601f68e571ab53cf2dfe39ef813a1c6b",
     "verify-generator-E(3,3)-text": "0d2e62b490b6f3367eefcee5b81c5f57e23abf2870bd5b844fbb82ffd8e82f3a",
+    "verify-generator-layer2-json": "d088242529fb8f0a3518b8893018ddeb601f68e571ab53cf2dfe39ef813a1c6b",
 }
 
 

@@ -1,47 +1,51 @@
-"""Property test: dump_json writes what json.dumps(indent=2, ensure_ascii=False) writes.
+"""Property test: serialize(g) writes what the stdlib encoder writes for to_obj(g).
 
-Random nested values of every type the stdlib call accepts: strings with
-quotes, backslashes, control characters, non-ASCII text and lone
-surrogates, drawn partly from a small pool so that they repeat; negative
-and 300-digit ints and bools; floats including -0.0, the smallest
-subnormal, 1e308, NaN and both infinities; lists, tuples and dicts (empty
-ones included) with str, int, float, bool and None keys.
+sepk lays out graph JSON from a graph's tuples; every other value goes
+through json.JSONEncoder itself.  Drawn graphs take their vertex names and
+edge ids from json_oracles.STRINGS and from drawn text with quotes,
+backslashes, control characters, lone surrogates and non-ASCII text, so
+vertex names repeat; they may have no edges, no bipartite split, or ends,
+group members and layer entries that name no vertex or edge.  serialize(g)
+must equal json.dumps(to_obj(g), indent=2, ensure_ascii=False) plus a
+newline in UTF-8, or raise the same error class (a lone surrogate has no
+UTF-8 form), and json_chunks(g) must join to that text.
 """
-
-import json
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from json_oracles import KEYS, NUMBERS, STRINGS, dump_json
+from sepk.graph_model import Edge, SeparatedGraph
 
-strings = st.sampled_from(STRINGS) | st.text(
+from json_oracles import STRINGS, serializes_as_reference
+
+names = st.sampled_from(STRINGS) | st.text(
     alphabet=st.characters(exclude_categories=()) | st.sampled_from('"\\\x00\x1f\n\ud800\udfff'),
     max_size=8,
 )
-numbers = (
-    st.integers()
-    | st.integers(min_value=10**299, max_value=10**320).flatmap(
-        lambda n: st.sampled_from((n, -n))
-    )
-    | st.floats()
-    | st.sampled_from(NUMBERS)
-)
-keys = strings | st.sampled_from(KEYS) | st.integers() | st.floats() | st.booleans() | st.none()
-values = st.recursive(
-    st.none() | st.booleans() | numbers | strings,
-    lambda inner: (
-        st.lists(inner, max_size=4)
-        | st.lists(inner, max_size=4).map(tuple)
-        | st.dictionaries(keys, inner, max_size=4)
-    ),
-    max_leaves=20,
-)
+
+
+@st.composite
+def graphs(draw):
+    loose = draw(st.integers(0, 4)) == 0  # in one graph in five, names may dangle
+
+    def some_of(pool: list[str]):
+        if not pool:
+            return names
+        return st.sampled_from(pool) | names if loose else st.sampled_from(pool)
+
+    vertices = draw(st.lists(names, max_size=5))
+    ends = some_of(vertices)
+    edges = draw(st.lists(st.builds(Edge, names, ends, ends), max_size=6))
+    group = st.lists(some_of([e.id for e in edges]), max_size=3).map(tuple)
+    separation = [draw(st.lists(group, max_size=3).map(tuple)) for _ in vertices]
+    layer = st.lists(ends, max_size=3).map(tuple)
+    bipartite = draw(st.none() | st.tuples(layer, layer))
+    return SeparatedGraph(tuple(vertices), tuple(edges), tuple(separation), bipartite)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
-@given(values)
-def test_dump_json_matches_stdlib(value):
-    assert dump_json(value) == json.dumps(value, indent=2, ensure_ascii=False)
+@given(graphs())
+def test_serialize_matches_stdlib_on_drawn_graphs(g):
+    assert serializes_as_reference(g)

@@ -10,7 +10,6 @@ from sepk.graph_model import (
     SeparatedGraph,
     builtin,
     builtin_from_spec,
-    json_chunks,
     serialize,
     validate,
 )
@@ -45,6 +44,7 @@ from graph_oracles import (
     renamed,
     s_inv,
 )
+from json_oracles import reference, to_json_obj
 
 
 def test_multires_e22_counts():
@@ -381,10 +381,8 @@ def test_idempotent_naming():
     assert serialize(multiresolution_at(g, ["v"])) == serialize(multiresolution_at(g, ["v"]))
     assert serialize(canonical_step(g)) == serialize(canonical_step(g))
     assert serialize(bipartite_companion(g)) == serialize(bipartite_companion(g))
-    import json
-
-    a = json.dumps(canonical_sequence(g, 2).to_json_obj())
-    b = json.dumps(canonical_sequence(g, 2).to_json_obj())
+    a = reference(to_json_obj(canonical_sequence(g, 2)))
+    b = reference(to_json_obj(canonical_sequence(g, 2)))
     assert a == b
 
 
@@ -432,6 +430,25 @@ def test_generated_layers_carry_the_report_and_form_of_their_names():
         assert carried.ok
         assert _int_form(layer) == _int_form(rebuilt)
         assert layer == rebuilt
+
+
+def test_multiresolutions_carry_the_form_of_their_names():
+    # the fresh part's form is joined onto g's, its edge indexes shifted past g's
+    rng = random.Random(2819)
+    cases = [(builtin_from_spec(s), ["v"]) for s in ("E(2,2)", "E(2,3)", "lamplighter(2)")]
+    layer = canonical_sequence(builtin("E", [2, 2]), 2).graphs[2]
+    cases.append((layer, layer.layer0))
+    while len(cases) < 150:
+        g = random_separated_graph(rng)
+        g = _odd_names(g, rng) if len(cases) % 2 else g
+        vs = admissible_vertex_set(g, rng)
+        if vs is not None:
+            cases.append((g, vs))
+    for g, vs in cases:
+        h = multiresolution_at(g, vs)
+        rebuilt = SeparatedGraph.build(h.vertices, h.edges, dict(zip(h.vertices, h.separation)))
+        assert _int_form(h) == _int_form(rebuilt)
+        assert h == rebuilt
 
 
 def test_a_sequence_validates_its_input_only(monkeypatch):
@@ -622,7 +639,7 @@ def _materialized(g, depth, budget):
           f"{len(h.group_keys())} groups" for n, h in enumerate(seq.graphs)),
         *(f"|W_{k}| = {len(seq.w_sets[k])}" for k in sorted(seq.w_sets)),
     ])
-    return text, "".join(json_chunks(seq.to_json_obj()))
+    return text, reference(to_json_obj(seq))
 
 
 def test_sequence_text_counts_match_the_materialized_layers():
