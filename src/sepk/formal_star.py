@@ -15,17 +15,20 @@ raises UnsupportedWordError instead of guessing a reduction.
 A StarContext memoizes, for its graph, the normal form of each word.
 Normalization is linear and idempotent, so an expression normalizes to the
 sum of its words' memoized normal forms; the memo only spares repeated work
-and adds no reduction rule.  Each word is still checked, once per context,
-and a word that fails its check gets no normal form, so it fails again on
-every later use.
+and adds no reduction rule.  The memo is kept on the graph, which is
+immutable, so every context on one graph reads and fills the same one: the
+build's, the check's and a caller's.  It holds only words, shapes, normal
+forms and group keys, nothing that refers back to the graph.  Each word is
+still checked, once per graph, and a word that fails its check gets no
+normal form, so it fails again on every later use.
 
 One table spells each word tag as its letters, edges and adjoints.
 Printing, the adjoint, shapes and products all read it or its inverse, so an
 unknown tag or a wrong number of ids raises MalformedExpressionError from
 every operation.  Beside the normal forms the context keeps the shape of each
-well-formed word's value: its end vertices and its letters, none for an e* e
-of one group, which is a vertex, and no ends for an e* f of one group, which
-is zero.
+well-formed word's value: its end vertices and the kinds of its letters
+(edge or adjoint, whose ids the word spells), none for an e* e of one group,
+which is a vertex, and no ends for an e* f of one group, which is zero.
 
 One kernel, StarContext._multiply_into, multiplies words: for mul, for
 matmul, for the Gram products M M* and M* M of verification, and for
@@ -42,7 +45,7 @@ generator matrix and of its adjoint, a word ending in e* is not paired with
 the words that begin with another edge f of e's group: e* f = 0 kills just
 those pairs.  Every other pair is formed, reduced only at its junction, and
 adds its product's memoized normal form at once.  Products are not memoized: within one
-context a pair of words seldom recurs, and a pair memo held memory without
+product a pair of words seldom recurs, and a pair memo held memory without
 saving time.
 
 The module also builds the labeled generator matrices realizing the K_1
@@ -110,7 +113,10 @@ _PATTERN = {t: "".join("%s*" if x == "A" else "%s" for x in k) or "%s" for t, k 
 # The shape a product reads for a malformed word: its ends are no vertex, so
 # it meets no word, and the word raises its error where a pair first holds it.
 _NOWHERE = object()
-_MALFORMED = (_NOWHERE, _NOWHERE, "", ())
+_MALFORMED = (_NOWHERE, _NOWHERE, "")
+# The memoized normal form of a word that is its own normal form, in place of
+# a ((word, 1),) tuple per word.
+_OWN = object()
 
 
 def _malformed(word: Word) -> MalformedExpressionError:
@@ -208,7 +214,7 @@ class _Line:
         self.words.append(entry)
         shape = entry[3]
         if shape[2][:1] == "E":
-            f = shape[3][0]
+            f = entry[1][1]
             key = group_of[f]
             if self.group != key:
                 self.group = key if self.group is None else _MIXED
@@ -238,19 +244,29 @@ class StarContext:
     Per group, the diagonal word of the last member is the eliminated
     representative of the complete-sum relation, so normal forms are unique
     and normalization is a linear projection.
+
+    Its tables (group_of, the shape memo and the normal-form memo) are made
+    by the first context on a graph and kept on the graph as _formal, so
+    every later context on it shares them.  They refer to no context and
+    no graph, so keeping them makes no reference cycle.
     """
 
     def __init__(self, g: SeparatedGraph):
         ensure_valid(g)
         self.graph = g
-        self.group_of: dict[str, GroupKey] = {
-            eid: (v, i)
-            for v, groups in zip(g.vertices, g.separation)
-            for i, group in enumerate(groups)
-            for eid in group
-        }
-        self._normal: dict[Word, tuple[tuple[Word, int], ...]] = {}
-        self._shape_of: dict[Word, tuple] = {}
+        tables = g.__dict__.get("_formal")
+        if tables is None:
+            group_of = {
+                eid: (v, i)
+                for v, groups in zip(g.vertices, g.separation)
+                for i, group in enumerate(groups)
+                for eid in group
+            }
+            tables = (group_of, {}, {})
+            object.__setattr__(g, "_formal", tables)
+        # each edge's group key; each well-formed word's shape; its normal
+        # form, _OWN or a tuple of (word, coefficient)
+        self.group_of, self._shape_of, self._normal = tables
 
     # constructors ----------------------------------------------------------
 
@@ -274,9 +290,10 @@ class StarContext:
     # word plumbing ----------------------------------------------------------
 
     def _shape(self, word: Word) -> tuple:
-        """(dom, cod, kinds, ids) of a word's value, memoized on first use.
+        """(dom, cod, kinds) of a word's value, memoized on first use.
 
-        The value spells the letters kinds[i] ids[i].  An edge runs from s(e)
+        The value spells the letters kinds[i] word[1 + i], read off the word
+        itself, so a shape holds no tuple of ids.  An edge runs from s(e)
         to r(e) and an adjoint back: dom, the source, is the last letter's
         and cod, the range, the first letter's.  An e* e of one group is the
         vertex s(e) and spells no letters; an e* f of one group, e != f, is
@@ -291,7 +308,7 @@ class StarContext:
             v = word[1]
             if not g.has_vertex(v):
                 raise MalformedExpressionError(f"unknown vertex {v!r}")
-            shape: tuple = (v, v, kinds, ())
+            shape: tuple = (v, v, kinds)
         else:
             ids = word[1:]
             index, edges = g._eindex, g.edges
@@ -308,9 +325,9 @@ class StarContext:
                 what = f"{side} differ, word is not composable"
                 raise MalformedExpressionError(f"{word_str(word)}: {what}")
             if kinds == "AE" and self.group_of[ids[0]] == self.group_of[ids[1]]:
-                shape = (dom, cod, "", ()) if ids[0] == ids[1] else (None, None, "", ())
+                shape = (dom, cod, "") if ids[0] == ids[1] else (None, None, "")
             else:
-                shape = (dom, cod, kinds, ids)
+                shape = (dom, cod, kinds)
         self._shape_of[word] = shape
         return shape
 
@@ -322,16 +339,21 @@ class StarContext:
             return exc
         raise AssertionError(f"{word!r} is well formed")
 
-    def _word_normal(self, word: Word, shape: tuple | None = None) -> tuple[tuple[Word, int], ...]:
-        """Normal form of one word, memoized.
+    def _word_normal(self, word: Word, shape: tuple | None = None):
+        """Normal form of one word, memoized: _OWN, or a tuple of (word, coefficient).
 
         The word is checked by reading its shape, unless the caller passes
-        the shape it has read or made; a word that fails the check is not
-        memoized.
+        the shape it has read or made, which is then memoized too; a word
+        that fails the check is not memoized.
         """
-        dom, _, kinds, _ = shape or self._shape_of.get(word) or self._shape(word)
+        if shape is None:
+            shape = self._shape_of.get(word) or self._shape(word)
+        else:
+            self._shape_of[word] = shape
+        dom, _, kinds = shape
+        out: object = _OWN
         if word[0] == "ae" and not kinds:  # e* f of one group: s(e) when e == f, else zero
-            out: tuple = () if dom is None else ((("v", dom), 1),)
+            out = () if dom is None else ((("v", dom), 1),)
         elif word[0] == "ea" and word[1] == word[2]:
             # Complete-sum elimination: the diagonal word of the last member
             # of each group rewrites to the range vertex minus the others.
@@ -341,10 +363,6 @@ class StarContext:
                 out = ((("v", key[0]), 1),) + tuple(
                     (("ea", other, other), -1) for other in members[:-1]
                 )
-            else:
-                out = ((word, 1),)
-        else:
-            out = ((word, 1),)
         self._normal[word] = out
         return out
 
@@ -356,23 +374,19 @@ class StarContext:
         Idempotent and linear; raises MalformedExpressionError on words that
         do not compose.
         """
-        return FormalExpr.of(self._normal_terms(expr.terms))
-
-    def _normal_terms(
-        self, terms: Mapping[Word, int], acc: dict[Word, int] | None = None
-    ) -> dict[Word, int]:
-        """Add the normal form of terms into acc (a new dict by default)."""
-        normal = self._normal
-        if acc is None:
-            acc = {}
-        for word, coef in terms.items():
+        normal, acc = self._normal, {}
+        for word, coef in expr.terms.items():
             nf = normal.get(word)
             if nf is None:
                 nf = self._word_normal(word)
-            if coef:
+            if not coef:
+                continue
+            if nf is _OWN:
+                acc[word] = acc.get(word, 0) + coef
+            else:
                 for w, c in nf:
                     acc[w] = acc.get(w, 0) + coef * c
-        return acc
+        return FormalExpr.of(acc)
 
     def mul(self, a: FormalExpr, b: FormalExpr) -> FormalExpr:
         """Product in the algebra, normalized."""
@@ -410,7 +424,7 @@ class StarContext:
                     (rows.get(i) or rows.setdefault(i, _Line())).add((k, w, c, s), group_of)
                 if adjoint:
                     if s is not _MALFORMED:
-                        s = (s[1], s[0], _STAR_KINDS[s[2]], s[3][::-1])
+                        s = (s[1], s[0], _STAR_KINDS[s[2]])
                     elif len(w) != _SIZE.get(w[0]):
                         raise _malformed(w)
                     tag = _STAR_TAG[w[0]]
@@ -459,19 +473,19 @@ class StarContext:
                         j, q = line.bad
                         if first is None or (k, j, p, q) < first[0]:
                             first = ((k, j, p, q), self._error(words[q][1]))
-                dom1, cod1, kinds1, ids1 = shape1
+                dom1, cod1, kinds1 = shape1
                 if dom1 is _NOWHERE:
                     place = (k, words[0][0], p, -1)
                     if first is None or place < first[0]:
                         first = (place, self._error(w1))
                     continue
                 if line.group is not None and kinds1[-1:] == "A":
-                    parts = line.meeting(ids1[-1], group_of)
+                    parts = line.meeting(w1[-1], group_of)
                 else:
                     parts = (words,)
                 for part in parts:
                     for j, w2, c2, shape2 in part:
-                        dom2, cod2, kinds2, ids2 = shape2
+                        dom2, cod2, kinds2 = shape2
                         if dom1 != cod2:
                             continue
                         if not kinds1:
@@ -481,20 +495,21 @@ class StarContext:
                         elif (
                             kinds1[-1] == "A"
                             and kinds2[0] == "E"
-                            and group_of[ids1[-1]] == group_of[ids2[0]]
+                            and group_of[w1[-1]] == group_of[w2[1]]
                         ):
-                            if ids1[-1] != ids2[0]:
+                            if w1[-1] != w2[1]:
                                 continue  # distinct edges of one group annihilate
-                            ids = ids1[:-1] + ids2[1:]
+                            ids = w1[1:-1] + w2[2:]
                             word = (_JOIN[kinds1[:-1]][kinds2[1:]],) + ids if ids else ("v", dom2)
                         else:
-                            tag, ids = _JOIN[kinds1][kinds2], ids1 + ids2
+                            tag = _JOIN[kinds1][kinds2]
                             if tag is None:
                                 q = next(q for q, x in enumerate(words) if x[0] == j and x[1] == w2)
                                 if first is None or (k, j, p, q) < first[0]:
-                                    first = ((k, j, p, q), _too_long(kinds1 + kinds2, ids))
+                                    error = _too_long(kinds1 + kinds2, w1[1:] + w2[1:])
+                                    first = ((k, j, p, q), error)
                                 continue
-                            word = (tag,) + ids
+                            word = (tag, w1[1], w2[1])  # two words of one letter each
                         coef = c1 * c2
                         if coef:
                             nf = normal.get(word)
@@ -502,14 +517,17 @@ class StarContext:
                                 nf = self._word_normal(
                                     word,
                                     shape1 if word is w1 else shape2 if word is w2
-                                    else (dom2, cod1, _KINDS[word[0]], word[1:]),
+                                    else (dom2, cod1, _KINDS[word[0]]),
                                 )
                             if nf:
                                 acc = cells.get(j)
                                 if acc is None:
                                     acc = cells[j] = {}
-                                for w, c in nf:
-                                    acc[w] = acc.get(w, 0) + coef * c
+                                if nf is _OWN:
+                                    acc[word] = acc.get(word, 0) + coef
+                                else:
+                                    for w, c in nf:
+                                        acc[w] = acc.get(w, 0) + coef * c
             if first is not None:
                 raise first[1]
             if cells:

@@ -96,9 +96,15 @@ class SeparatedGraph:
     Instances are immutable after construction and safe to share across
     threads.  Construction is lenient: semantic invariants (partitioning,
     bipartite shape) are checked by validate(), not here, so that broken
-    candidate data can be represented and reported on.  transform's
-    ensure_valid keeps the report of its first run on the instance, and a
-    layer made by the canonical step carries its passing report from birth.
+    candidate data can be represented and reported on.
+
+    Since its answers cannot change, a graph keeps on itself what is derived
+    from it once: transform's ensure_valid keeps the report of its first run
+    (a layer made by the canonical step carries its passing report from
+    birth), transform._step_groups the step map X(x) of each edge once its
+    checks pass, and formal_star's StarContext the formal-word memo (group
+    keys, word shapes and normal forms).  None of these refers back to the
+    graph, so keeping them makes no reference cycle.
     """
 
     vertices: tuple[str, ...]

@@ -327,10 +327,20 @@ def _check_input_names(g: SeparatedGraph, step: int) -> None:
 
 
 def _step_groups(g: SeparatedGraph) -> dict[str, GroupKey]:
-    """Per edge x, the key of X(x) after the canonical step's checks: (s(x), x's place there)."""
-    w_set_sizes(g, 1)
-    _, out, picked, _ = _int_layer(g, g.layer0, g.layer1)
-    return {g.edges[picked[x]].id: (w, i) for w, xs in zip(g.layer1, out) for i, x in enumerate(xs)}
+    """Per edge x, the key of X(x) after the canonical step's checks: (s(x), x's place there).
+
+    The map is kept on g once its checks pass, as ensure_valid keeps its
+    report; a graph that fails them keeps nothing and raises on every call.
+    """
+    key = g.__dict__.get("_step_map")
+    if key is None:
+        w_set_sizes(g, 1)
+        _, out, picked, _ = _int_layer(g, g.layer0, g.layer1)
+        key = {
+            g.edges[picked[x]].id: (w, i) for w, xs in zip(g.layer1, out) for i, x in enumerate(xs)
+        }
+        object.__setattr__(g, "_step_map", key)
+    return key
 
 
 # multiresolution --------------------------------------------------------------

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -18,7 +20,7 @@ from sepk.formal_star import (
     word_str,
 )
 from sepk.graph_model import builtin, builtin_from_spec
-from sepk.ktheory import NotInKernelError, connecting_map_image, phi_transport
+from sepk.ktheory import NotInKernelError, connecting_map_image, k_groups_full, phi_transport
 from sepk.transform import PreconditionError, canonical_sequence
 
 from conftest import bipartite_graph_with_kernel, random_kernel_element
@@ -329,13 +331,14 @@ def test_each_tag_is_read_as_the_reference_spells_it(tag):
                     ctx._shape(word)
                 assert str(got.value) == str(exc)
                 continue
-            dom, cod, kinds, ids = ctx._shape(word)
+            dom, cod, kinds = ctx._shape(word)
             if tag == "ae" and ref.group_of[word[1]] == ref.group_of[word[2]]:
                 # the value's shape: e* e is the vertex s(e), and e* f is zero, meeting nothing
                 ends = (ref._dom(word), ref._cod(word)) if word[1] == word[2] else (None, None)
-                assert (dom, cod, kinds, ids) == (*ends, "", ())
+                assert (dom, cod, kinds) == (*ends, "")
                 continue
-            assert list(zip(kinds, ids)) == ref._letters(word)
+            # the word spells its letters' ids; its shape, their kinds
+            assert list(zip(kinds, word[1:])) == ref._letters(word)
             assert (dom, cod) == (ref._dom(word), ref._cod(word))
     assert seen >= 30
 
@@ -458,13 +461,19 @@ def test_gram_products_match_unmemoized_reference():
         cases.append((g, random_kernel_element(g, rng) or x0, seed))
     for g, x, seed in cases:
         gm = build_generator_matrices(g, x, seed=seed)
-        ctx, ref = StarContext(g), ReferenceCalculus(g)
-        for m in (gm.z, gm.t, gm.sigma_t, gm.u):
-            assert _gram_entries(ctx, m) == _reference_grams(ref, m)
+        ref = ReferenceCalculus(g)
+        # one memo per graph: the second context reads what the build and the
+        # first context's products put in it
+        for ctx in (StarContext(g), StarContext(g)):
+            for m in (gm.z, gm.t, gm.sigma_t, gm.u):
+                assert _gram_entries(ctx, m) == _reference_grams(ref, m)
     seen = set()
     for name in sorted(ORACLE_GRAPHS):
         g = ORACLE_GRAPHS[name]()
-        ctx, ref = StarContext(g), ReferenceCalculus(g)
+        ref = ReferenceCalculus(g)
+        ctx, other = StarContext(g), StarContext(g)
+        assert ctx._shape_of is other._shape_of and ctx._normal is other._normal
+        build_generator_matrices(g, k_groups_full(g).k1_basis[0])  # warms the memo of both
         for _ in range(150):
             n, m = rng.randint(1, 3), rng.randint(1, 3)
             a = _random_matrix(g, rng, n, m)
@@ -477,7 +486,10 @@ def test_gram_products_match_unmemoized_reference():
             a = FormalMatrix(a.rows, a.cols, entries)
             got = _outcome(_gram_entries, ctx, a)
             assert got == _outcome(_reference_grams, ref, a)
+            assert _outcome(_gram_entries, other, a) == _outcome(_gram_entries, ctx, a) == got
             seen.add(got[0] + (":arity" if "arity" in got[1] else "") if got[0] != "ok" else "ok")
+        for word in ctx._shape_of.keys() | ctx._normal.keys():
+            ref._check_word(word)  # no malformed word is memoized
     assert {
         "ok", "MalformedExpressionError", "MalformedExpressionError:arity", "UnsupportedWordError"
     } <= seen
@@ -490,6 +502,25 @@ def test_gram_products_match_unmemoized_reference():
     assert got == _outcome(_reference_grams, ReferenceCalculus(g), m)
     named = f"malformed word {('x', 'a1')!r}: unknown tag or wrong arity"
     assert got == ("MalformedExpressionError", named)
+
+
+def test_what_a_graph_keeps_on_itself_does_not_refer_back_to_it():
+    # the validation report, the step map and the formal-word memo live on the
+    # graph; were one of them to refer back to it, the graph would outlive its
+    # last reference until the collector found the cycle
+    gc.disable()
+    try:
+        g = builtin("E", [2, 2])
+        x = {("v", 0): 1, ("v", 1): -1}
+        k_groups_full(g)
+        phi_transport(g, x)
+        assert verify_partial_unitary(build_generator_matrices(g, x)).ok
+        assert {"_validation", "_step_map", "_formal"} <= g.__dict__.keys()
+        alive = weakref.ref(g)
+        del g
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_index_skip_keeps_the_malformed_factor_rule():
