@@ -26,7 +26,7 @@ One table spells each word tag as its letters, edges and adjoints.
 Printing, the adjoint, shapes and products all read it or its inverse, so an
 unknown tag or a wrong number of ids raises MalformedExpressionError from
 every operation.  Beside the normal forms the context keeps the shape of each
-well-formed word's value: its end vertices and the kinds of its letters
+well-formed word it reads as an operand: its value's end vertices and the kinds of its letters
 (edge or adjoint, whose ids the word spells), none for an e* e of one group,
 which is a vertex, and no ends for an e* f of one group, which is zero.
 
@@ -248,7 +248,13 @@ class StarContext:
     Its tables (group_of, the shape memo and the normal-form memo) are made
     by the first context on a graph and kept on the graph as _formal, so
     every later context on it shares them.  They refer to no context and
-    no graph, so keeping them makes no reference cycle.
+    no graph, so keeping them makes no reference cycle.  They are freed
+    with the graph, not with the context: each expression normalized or
+    multiplied on the graph adds the words it meets that were not memoized
+    yet, so a graph on which many elements are checked keeps the words of
+    all of them.  The words of at most two letters of a graph are finitely
+    many, which bounds the memo.  Shapes are memoized only for the words
+    read as operands, not for the words a product makes.
     """
 
     def __init__(self, g: SeparatedGraph):
@@ -343,14 +349,10 @@ class StarContext:
         """Normal form of one word, memoized: _OWN, or a tuple of (word, coefficient).
 
         The word is checked by reading its shape, unless the caller passes
-        the shape it has read or made, which is then memoized too; a word
-        that fails the check is not memoized.
+        the shape it has read or made; a word that fails the check is not
+        memoized.
         """
-        if shape is None:
-            shape = self._shape_of.get(word) or self._shape(word)
-        else:
-            self._shape_of[word] = shape
-        dom, _, kinds = shape
+        dom, _, kinds = shape or self._shape_of.get(word) or self._shape(word)
         out: object = _OWN
         if word[0] == "ae" and not kinds:  # e* f of one group: s(e) when e == f, else zero
             out = () if dom is None else ((("v", dom), 1),)
@@ -761,6 +763,9 @@ def build_generator_matrices(
     vertex; by default both are order-preserving on the canonically sorted
     labels, and a seed requests a random (but still blockwise) choice, which
     must leave all verification identities intact.
+
+    The words met are memoized on g and kept while g lives (StarContext),
+    so verify_partial_unitary and later builds on g find them.
     """
     ensure_bipartite(g, "generator matrices require a bipartite graph")
     require_kernel_element(g, x)
@@ -825,7 +830,9 @@ def verify_partial_unitary(gm: GeneratorMatrices) -> VerificationReport:
     """Check the defining identities of the generator matrices symbolically.
 
     All products are reduced with the graph relations only; each check
-    reports the first offending position and its irreducible residue.
+    reports the first offending position and its irreducible residue.  The
+    normal forms made are memoized on the graph and kept while it lives
+    (StarContext), so checking again on it finds them.
     """
     ctx = StarContext(gm.graph)
     z, t, st, u = gm.z, gm.t, gm.sigma_t, gm.u

@@ -93,18 +93,21 @@ class SeparatedGraph:
     is -1.  Construction derives the form from the names; parse and the
     canonical step fill it in as they check or generate the names.
 
-    Instances are immutable after construction and safe to share across
-    threads.  Construction is lenient: semantic invariants (partitioning,
-    bipartite shape) are checked by validate(), not here, so that broken
-    candidate data can be represented and reported on.
+    The fields are immutable after construction, and an instance is safe to
+    share across threads.  Construction is lenient: semantic invariants
+    (partitioning, bipartite shape) are checked by validate(), not here, so
+    that broken candidate data can be represented and reported on.
 
-    Since its answers cannot change, a graph keeps on itself what is derived
-    from it once: transform's ensure_valid keeps the report of its first run
-    (a layer made by the canonical step carries its passing report from
-    birth), transform._step_groups the step map X(x) of each edge once its
-    checks pass, and formal_star's StarContext the formal-word memo (group
-    keys, word shapes and normal forms).  None of these refers back to the
-    graph, so keeping them makes no reference cycle.
+    Since its fields cannot change, a graph keeps on itself what is derived
+    from them, filled in lazily with values that depend on the fields alone:
+    transform's ensure_valid keeps the report of its first run (a layer made
+    by the canonical step carries its passing report from birth),
+    transform._step_groups the step map X(x) of each edge once its checks
+    pass, and formal_star's StarContext the formal-word memo (group keys,
+    word shapes and normal forms), which grows as words are met on the
+    graph.  None of these refers back to the graph, so keeping them makes no
+    reference cycle.  Two threads that use a graph first at once may each
+    make one of these; either is correct.
     """
 
     vertices: tuple[str, ...]

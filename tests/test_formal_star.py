@@ -467,6 +467,10 @@ def test_gram_products_match_unmemoized_reference():
         for ctx in (StarContext(g), StarContext(g)):
             for m in (gm.z, gm.t, gm.sigma_t, gm.u):
                 assert _gram_entries(ctx, m) == _reference_grams(ref, m)
+        # shapes are memoized for the words read as operands, U's among them,
+        # and not for the Gram products' words, which are only compared
+        operands = {w for m in (gm.z, gm.t, gm.sigma_t, gm.u) for e in m.entries.values() for w in e.terms}
+        assert StarContext(g)._shape_of.keys() <= operands
     seen = set()
     for name in sorted(ORACLE_GRAPHS):
         g = ORACLE_GRAPHS[name]()
