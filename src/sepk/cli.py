@@ -196,8 +196,9 @@ def _load_character_file(path: str) -> dict[str, complex]:
 
 
 # subcommand implementations ---------------------------------------------------
-# Each returns its exit code, a renderer of its JSON object and a renderer
-# of its text (None where the JSON is printed in either format).
+# Each returns its exit code, a renderer of its JSON object, or of the list
+# of pieces of its JSON text, and a renderer of its text (None where the
+# JSON is printed in either format).
 
 
 def _report_output(report, key: str, failure: int):
@@ -270,10 +271,6 @@ def _vertex_list(text: str, g: SeparatedGraph) -> list[str]:
     return out
 
 
-class _Pieces(list):
-    """JSON text already cut into pieces, which main writes as they are."""
-
-
 def _graph_output(g: SeparatedGraph):
     # A graph prints in the graph file format whatever --format says.
     return EXIT_OK, lambda: g, None
@@ -292,7 +289,7 @@ def _cmd_sequence(loaded: _Loaded, args):
     g, depth, budget = loaded.graph, args.depth, _budget(args)
 
     def as_json():  # written from the walk of each step: no layer is built
-        return _Pieces(transform._sequence_json(g, depth, budget))
+        return transform._sequence_json(g, depth, budget)
 
     def as_text():  # counted on the quotient: no layer is built
         counts, sizes = transform._sequence_counts(g, depth, budget)
@@ -481,7 +478,7 @@ def main(argv=None) -> int:
             # in pieces, all made before the first: one write past 2 GiB can be cut
             # short (a graph's or the sequence's laid out, the stdlib encoder's)
             out = as_json()
-            if not isinstance(out, _Pieces):
+            if not isinstance(out, list):  # no JSON value here is a bare list
                 out = json_chunks(out)
             out.append("\n")
         else:

@@ -12,23 +12,26 @@ irreducible atom.
 Words are capped at length 2: a product whose reduced form would be longer
 raises UnsupportedWordError instead of guessing a reduction.
 
-A StarContext memoizes, for its graph, the normal form of each word.
 Normalization is linear and idempotent, so an expression normalizes to the
-sum of its words' memoized normal forms; the memo only spares repeated work
-and adds no reduction rule.  The memo is kept on the graph, which is
-immutable, so every context on one graph reads and fills the same one: the
-build's, the check's and a caller's.  It holds only words, shapes, normal
-forms and group keys, nothing that refers back to the graph.  Each word is
-still checked, once per graph, and a word that fails its check gets no
-normal form, so it fails again on every later use.
+sum of its words' normal forms, and a checked word's normal form is read off
+its tag and ids: an e* f of one group is s(e) when e = f and zero otherwise,
+the diagonal e e* of a group's last member is the group's range vertex minus
+the other members' diagonals, and every other word is its own normal form.
+A StarContext keeps, on its graph, each edge's group key, the rewrite of
+each group's last member, and the shape of each word it has checked.  The
+graph is immutable, so every context on one graph reads and fills the same
+tables: the build's, the check's and a caller's.  They hold nothing that
+refers back to the graph.  Each word is checked once per graph, and a word
+that fails its check gets no shape, so it fails again on every later use.
 
 One table spells each word tag as its letters, edges and adjoints.
 Printing, the adjoint, shapes and products all read it or its inverse, so an
 unknown tag or a wrong number of ids raises MalformedExpressionError from
-every operation.  Beside the normal forms the context keeps the shape of each
-well-formed word it reads as an operand: its value's end vertices and the kinds of its letters
-(edge or adjoint, whose ids the word spells), none for an e* e of one group,
-which is a vertex, and no ends for an e* f of one group, which is zero.
+every operation.  The shape the context keeps of each well-formed word it
+reads as an operand or normalizes is its value's end vertices and the kinds
+of its letters (edge or adjoint, whose ids the word spells), none for an
+e* e of one group, which is a vertex, and no ends for an e* f of one group,
+which is zero.
 
 One kernel, StarContext._multiply_into, multiplies words: for mul, for
 matmul, for the Gram products M M* and M* M of verification, and for
@@ -44,9 +47,9 @@ Each list is also indexed by the group and edge of its words' first letters
 generator matrix and of its adjoint, a word ending in e* is not paired with
 the words that begin with another edge f of e's group: e* f = 0 kills just
 those pairs.  Every other pair is formed, reduced only at its junction, and
-adds its product's memoized normal form at once.  Products are not memoized: within one
-product a pair of words seldom recurs, and a pair memo held memory without
-saving time.
+adds its product's normal form at once.  Products are not memoized: within
+one product a pair of words seldom recurs, and a pair memo held memory
+without saving time.
 
 The module also builds the labeled generator matrices realizing the K_1
 class of a kernel element (a row per unit of positive coefficient, a column
@@ -114,9 +117,6 @@ _PATTERN = {t: "".join("%s*" if x == "A" else "%s" for x in k) or "%s" for t, k 
 # it meets no word, and the word raises its error where a pair first holds it.
 _NOWHERE = object()
 _MALFORMED = (_NOWHERE, _NOWHERE, "")
-# The memoized normal form of a word that is its own normal form, in place of
-# a ((word, 1),) tuple per word.
-_OWN = object()
 
 
 def _malformed(word: Word) -> MalformedExpressionError:
@@ -127,6 +127,15 @@ def _too_long(kinds: str, ids: tuple) -> UnsupportedWordError:
     """The refusal of the word of the letters kinds[i] ids[i], over two letters."""
     letters = (_PATTERN[_TAG[k]] % e for k, e in zip(kinds, ids))  # each as its own word
     return UnsupportedWordError("irreducible word of length > 2: " + " ".join(letters))
+
+
+def _eliminate(acc: dict, rewrite: tuple, coef: int) -> None:
+    """Add coef times a group's last diagonal word, as its rewrite (vertex word, other members)."""
+    vertex, others = rewrite
+    acc[vertex] = acc.get(vertex, 0) + coef
+    for e in others:
+        w = ("ea", e, e)
+        acc[w] = acc.get(w, 0) - coef
 
 
 def word_str(word: Word) -> str:
@@ -245,16 +254,16 @@ class StarContext:
     representative of the complete-sum relation, so normal forms are unique
     and normalization is a linear projection.
 
-    Its tables (group_of, the shape memo and the normal-form memo) are made
-    by the first context on a graph and kept on the graph as _formal, so
-    every later context on it shares them.  They refer to no context and
-    no graph, so keeping them makes no reference cycle.  They are freed
-    with the graph, not with the context: each expression normalized or
-    multiplied on the graph adds the words it meets that were not memoized
-    yet, so a graph on which many elements are checked keeps the words of
-    all of them.  The words of at most two letters of a graph are finitely
-    many, which bounds the memo.  Shapes are memoized only for the words
-    read as operands, not for the words a product makes.
+    Its tables (group_of, the last members' rewrites and the shape memo)
+    are made by the first context on a graph and kept on the graph as
+    _formal, so every later context on it shares them.  They refer to no
+    context and no graph, so keeping them makes no reference cycle.  They
+    are freed with the graph, not with the context.  The first two are
+    fixed, one entry per edge and one per group.  The shape memo grows with
+    the words checked on the graph, those read as operands or normalized,
+    not with the words a product makes, so a graph on which many elements
+    are checked keeps the shapes of all their operands.  The words of at
+    most two letters of a graph are finitely many, which bounds it.
     """
 
     def __init__(self, g: SeparatedGraph):
@@ -262,17 +271,18 @@ class StarContext:
         self.graph = g
         tables = g.__dict__.get("_formal")
         if tables is None:
-            group_of = {
-                eid: (v, i)
-                for v, groups in zip(g.vertices, g.separation)
-                for i, group in enumerate(groups)
-                for eid in group
-            }
-            tables = (group_of, {}, {})
+            keys = [((v, i), group) for v, groups in zip(g.vertices, g.separation)
+                    for i, group in enumerate(groups)]
+            group_of = {eid: key for key, group in keys for eid in group}
+            # Complete-sum elimination: the diagonal word of a group's last
+            # member is the range vertex minus the other members' diagonals.
+            rewrite = {group[-1]: (("v", key[0]), group[:-1]) for key, group in keys}
+            tables = (group_of, rewrite, {})
             object.__setattr__(g, "_formal", tables)
-        # each edge's group key; each well-formed word's shape; its normal
-        # form, _OWN or a tuple of (word, coefficient)
-        self.group_of, self._shape_of, self._normal = tables
+        # each edge's group key; by each group's last member, the range
+        # vertex's word and the other members of its group; each checked
+        # word's shape
+        self.group_of, self._rewrite, self._shape_of = tables
 
     # constructors ----------------------------------------------------------
 
@@ -345,29 +355,6 @@ class StarContext:
             return exc
         raise AssertionError(f"{word!r} is well formed")
 
-    def _word_normal(self, word: Word, shape: tuple | None = None):
-        """Normal form of one word, memoized: _OWN, or a tuple of (word, coefficient).
-
-        The word is checked by reading its shape, unless the caller passes
-        the shape it has read or made; a word that fails the check is not
-        memoized.
-        """
-        dom, _, kinds = shape or self._shape_of.get(word) or self._shape(word)
-        out: object = _OWN
-        if word[0] == "ae" and not kinds:  # e* f of one group: s(e) when e == f, else zero
-            out = () if dom is None else ((("v", dom), 1),)
-        elif word[0] == "ea" and word[1] == word[2]:
-            # Complete-sum elimination: the diagonal word of the last member
-            # of each group rewrites to the range vertex minus the others.
-            key = self.group_of[word[1]]
-            members = self.graph.group(key)
-            if word[1] == members[-1]:
-                out = ((("v", key[0]), 1),) + tuple(
-                    (("ea", other, other), -1) for other in members[:-1]
-                )
-        self._normal[word] = out
-        return out
-
     # public operations -------------------------------------------------------
 
     def normalize(self, expr: FormalExpr) -> FormalExpr:
@@ -376,18 +363,18 @@ class StarContext:
         Idempotent and linear; raises MalformedExpressionError on words that
         do not compose.
         """
-        normal, acc = self._normal, {}
+        shape_of, rewrite, acc = self._shape_of, self._rewrite, {}
         for word, coef in expr.terms.items():
-            nf = normal.get(word)
-            if nf is None:
-                nf = self._word_normal(word)
-            if not coef:
+            dom, _, kinds = shape_of.get(word) or self._shape(word)
+            if not coef or dom is None:  # dom is None for an e* f of one group, e != f: zero
                 continue
-            if nf is _OWN:
+            if word[0] == "ae" and not kinds:  # e* e of one group: the vertex s(e)
+                word = ("v", dom)
+            nf = rewrite.get(word[1]) if word[0] == "ea" and word[1] == word[2] else None
+            if nf is None:
                 acc[word] = acc.get(word, 0) + coef
             else:
-                for w, c in nf:
-                    acc[w] = acc.get(w, 0) + coef * c
+                _eliminate(acc, nf, coef)
         return FormalExpr.of(acc)
 
     def mul(self, a: FormalExpr, b: FormalExpr) -> FormalExpr:
@@ -443,13 +430,14 @@ class StarContext:
         hold the rows of the two factors, read by _read.  A word meets the
         right words whose value's range is its value's source, and the two
         are reduced only at their junction; their product, well formed,
-        adds its memoized normal form at once.  A zero word, whose ends are
-        None, meets only another zero word, and their product is that zero
-        word.  A word ending in e* is not paired with the words that begin
-        with another edge f of e's group, whose product e* f = 0 kills, in a
-        row whose words begin with edges of that group alone
-        (_Line.meeting).  A cell is created once a product leaves a word in
-        it.
+        adds its normal form at once.  A product is its own normal form
+        unless it is a group's last diagonal word, or a vertex-like word
+        times an e* e of one group, which is s(e).  A zero word, whose ends
+        are None, forms no pair: only another zero word meets it.  A word
+        ending in e* is not paired with the words that begin with another
+        edge f of e's group, whose product e* f = 0 kills, in a row whose
+        words begin with edges of that group alone (_Line.meeting).  A cell
+        is created once a product leaves a word in it.
 
         A malformed word, or a product of more than two letters, raises.  Of
         several, the one in the first pair in matmul's order raises, once
@@ -457,7 +445,7 @@ class StarContext:
         left word, then right word, each word's shape read before its
         partner's.
         """
-        group_of, normal = self.group_of, self._normal
+        group_of, rewrite = self.group_of, self._rewrite
         for i in sorted(left):
             cells: dict[int, dict[Word, int]] = {}
             first = None  # ((k, j, p, q), error) of the row's first pair to raise
@@ -475,11 +463,13 @@ class StarContext:
                         j, q = line.bad
                         if first is None or (k, j, p, q) < first[0]:
                             first = ((k, j, p, q), self._error(words[q][1]))
-                dom1, cod1, kinds1 = shape1
+                dom1, _, kinds1 = shape1
                 if dom1 is _NOWHERE:
                     place = (k, words[0][0], p, -1)
                     if first is None or place < first[0]:
                         first = (place, self._error(w1))
+                    continue
+                if dom1 is None:  # an e* f of one group, e != f: every product is zero
                     continue
                 if line.group is not None and kinds1[-1:] == "A":
                     parts = line.meeting(w1[-1], group_of)
@@ -490,8 +480,8 @@ class StarContext:
                         dom2, cod2, kinds2 = shape2
                         if dom1 != cod2:
                             continue
-                        if not kinds1:
-                            word = w2
+                        if not kinds1:  # w2, or s(e) where w2 is an e* e of one group
+                            word = w2 if kinds2 or w2[0] != "ae" else ("v", dom2)
                         elif not kinds2:
                             word = w1
                         elif (
@@ -514,22 +504,14 @@ class StarContext:
                             word = (tag, w1[1], w2[1])  # two words of one letter each
                         coef = c1 * c2
                         if coef:
-                            nf = normal.get(word)
-                            if nf is None:  # a factor's own word, or one made of checked letters
-                                nf = self._word_normal(
-                                    word,
-                                    shape1 if word is w1 else shape2 if word is w2
-                                    else (dom2, cod1, _KINDS[word[0]]),
-                                )
-                            if nf:
-                                acc = cells.get(j)
-                                if acc is None:
-                                    acc = cells[j] = {}
-                                if nf is _OWN:
-                                    acc[word] = acc.get(word, 0) + coef
-                                else:
-                                    for w, c in nf:
-                                        acc[w] = acc.get(w, 0) + coef * c
+                            acc = cells.get(j)
+                            if acc is None:
+                                acc = cells[j] = {}
+                            nf = rewrite.get(word[1]) if word[0] == "ea" and word[1] == word[2] else None
+                            if nf is None:
+                                acc[word] = acc.get(word, 0) + coef
+                            else:
+                                _eliminate(acc, nf, coef)
             if first is not None:
                 raise first[1]
             if cells:
@@ -764,8 +746,8 @@ def build_generator_matrices(
     labels, and a seed requests a random (but still blockwise) choice, which
     must leave all verification identities intact.
 
-    The words met are memoized on g and kept while g lives (StarContext),
-    so verify_partial_unitary and later builds on g find them.
+    The shapes of the words read are memoized on g and kept while g lives
+    (StarContext), so verify_partial_unitary and later builds on g find them.
     """
     ensure_bipartite(g, "generator matrices require a bipartite graph")
     require_kernel_element(g, x)
@@ -831,8 +813,8 @@ def verify_partial_unitary(gm: GeneratorMatrices) -> VerificationReport:
 
     All products are reduced with the graph relations only; each check
     reports the first offending position and its irreducible residue.  The
-    normal forms made are memoized on the graph and kept while it lives
-    (StarContext), so checking again on it finds them.
+    shapes of the words read are memoized on the graph and kept while it
+    lives (StarContext), so checking again on it finds them.
     """
     ctx = StarContext(gm.graph)
     z, t, st, u = gm.z, gm.t, gm.sigma_t, gm.u

@@ -476,7 +476,7 @@ def test_gram_products_match_unmemoized_reference():
         g = ORACLE_GRAPHS[name]()
         ref = ReferenceCalculus(g)
         ctx, other = StarContext(g), StarContext(g)
-        assert ctx._shape_of is other._shape_of and ctx._normal is other._normal
+        assert ctx._shape_of is other._shape_of and ctx._rewrite is other._rewrite
         build_generator_matrices(g, k_groups_full(g).k1_basis[0])  # warms the memo of both
         for _ in range(150):
             n, m = rng.randint(1, 3), rng.randint(1, 3)
@@ -492,7 +492,7 @@ def test_gram_products_match_unmemoized_reference():
             assert got == _outcome(_reference_grams, ref, a)
             assert _outcome(_gram_entries, other, a) == _outcome(_gram_entries, ctx, a) == got
             seen.add(got[0] + (":arity" if "arity" in got[1] else "") if got[0] != "ok" else "ok")
-        for word in ctx._shape_of.keys() | ctx._normal.keys():
+        for word in ctx._shape_of:
             ref._check_word(word)  # no malformed word is memoized
     assert {
         "ok", "MalformedExpressionError", "MalformedExpressionError:arity", "UnsupportedWordError"
@@ -525,6 +525,28 @@ def test_what_a_graph_keeps_on_itself_does_not_refer_back_to_it():
         assert alive() is None
     finally:
         gc.enable()
+
+
+def test_a_graph_keeps_group_keys_rewrites_and_operand_shapes_only():
+    # a checked word's normal form is read off the word, so after two seeded
+    # generators are built and checked the graph keeps a group key per edge,
+    # one rewrite per group (under its last member) and the shapes of the
+    # words read as operands, none of the words the products make
+    g = canonical_sequence(builtin("E", [2, 2]), 2).graphs[2]
+    x = k_groups_full(g).k1_basis[0]
+    operands = set()
+    for seed in (0, 1):
+        gm = build_generator_matrices(g, x, seed=seed)
+        assert verify_partial_unitary(gm).ok
+        operands |= {w for m in (gm.z, gm.t, gm.sigma_t, gm.u) for e in m.entries.values() for w in e.terms}
+    group_of, rewrite, shape_of = g._formal
+    keys = g.group_keys()
+    assert group_of == {e: key for key in keys for e in g.group(key)}
+    assert len(rewrite) == len(keys)
+    for v, i in keys:
+        *others, last = g.group((v, i))
+        assert rewrite[last] == (("v", v), tuple(others))
+    assert shape_of and shape_of.keys() <= operands
 
 
 def test_index_skip_keeps_the_malformed_factor_rule():

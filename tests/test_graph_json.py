@@ -128,6 +128,13 @@ def test_cli_graph_outputs_read_as_their_dict_form(capsys, tmp_path):
     assert run(capsys, "multires", "--builtin", "E(2,2)", "--at", "v") == dict_form(
         multiresolution_at(builtin_from_spec("E(2,2)"), ["v"])
     )
+    # the empty bipartite graph: its layers have no tuples, so its root tables are {}
+    empty = SeparatedGraph((), (), (), ((), ()))
+    path = tmp_path / "empty.json"
+    path.write_bytes(serialize(empty))
+    for depth in range(3):
+        want = reference(to_json_obj(canonical_sequence(empty, depth))) + "\n"
+        assert run(capsys, "sequence", str(path), "--depth", str(depth), "--format", "json") == want
     rng = random.Random(3)
     for i, g in enumerate(seeded_graphs(60, 25)):
         path = tmp_path / f"g{i}.json"
