@@ -17,21 +17,20 @@ sum of its words' normal forms, and a checked word's normal form is read off
 its tag and ids: an e* f of one group is s(e) when e = f and zero otherwise,
 the diagonal e e* of a group's last member is the group's range vertex minus
 the other members' diagonals, and every other word is its own normal form.
-A StarContext keeps, on its graph, each edge's group key, the rewrite of
-each group's last member, and the shape of each word it has checked.  The
-graph is immutable, so every context on one graph reads and fills the same
-tables: the build's, the check's and a caller's.  They hold nothing that
-refers back to the graph.  Each word is checked once per graph, and a word
-that fails its check gets no shape, so it fails again on every later use.
+A word's shape, its value's end vertices and the kinds of its letters (edge
+or adjoint, whose ids the word spells), is read off its tag, its ids and the
+graph's edge list each time the word is read: none for an e* e of one group,
+which is a vertex, and no ends for an e* f of one group, which is zero.  A
+StarContext keeps only what one run's build and check share, on its graph:
+each edge's group key and the rewrite of each group's last member, fixed
+tables of one entry per edge and one per group, which refer to no context
+and no graph.  No word is remembered, so a malformed word raises on every
+use.
 
 One table spells each word tag as its letters, edges and adjoints.
 Printing, the adjoint, shapes and products all read it or its inverse, so an
-unknown tag or a wrong number of ids raises MalformedExpressionError from
-every operation.  The shape the context keeps of each well-formed word it
-reads as an operand or normalizes is its value's end vertices and the kinds
-of its letters (edge or adjoint, whose ids the word spells), none for an
-e* e of one group, which is a vertex, and no ends for an e* f of one group,
-which is zero.
+unknown tag, no tag or a wrong number of ids raises MalformedExpressionError
+from every operation.
 
 One kernel, StarContext._multiply_into, multiplies words: for mul, for
 matmul, for the Gram products M M* and M* M of verification, and for
@@ -141,7 +140,7 @@ def _eliminate(acc: dict, rewrite: tuple, coef: int) -> None:
 def word_str(word: Word) -> str:
     try:
         return _PATTERN[word[0]] % word[1:]
-    except (KeyError, TypeError):  # an unknown tag, or ids that do not fit it
+    except (KeyError, TypeError, IndexError):  # an unknown tag or none, or ids that do not fit it
         raise _malformed(word) from None
 
 
@@ -178,7 +177,7 @@ class FormalExpr:
         flipped = {}
         for w, c in self.terms.items():
             n = len(w)
-            if n != _SIZE.get(w[0]):
+            if n != _SIZE.get(w and w[0]):
                 raise _malformed(w)
             tag = _STAR_TAG[w[0]]  # the ids reversed: one, or two
             flipped[(tag, w[1]) if n == 2 else (tag, w[2], w[1])] = c
@@ -254,16 +253,12 @@ class StarContext:
     representative of the complete-sum relation, so normal forms are unique
     and normalization is a linear projection.
 
-    Its tables (group_of, the last members' rewrites and the shape memo)
-    are made by the first context on a graph and kept on the graph as
-    _formal, so every later context on it shares them.  They refer to no
-    context and no graph, so keeping them makes no reference cycle.  They
-    are freed with the graph, not with the context.  The first two are
-    fixed, one entry per edge and one per group.  The shape memo grows with
-    the words checked on the graph, those read as operands or normalized,
-    not with the words a product makes, so a graph on which many elements
-    are checked keeps the shapes of all their operands.  The words of at
-    most two letters of a graph are finitely many, which bounds it.
+    Its two tables, group_of and the last members' rewrites, are made by
+    the first context on a graph and kept on the graph as _formal, so every
+    later context on it shares them.  They are fixed, one entry per edge and
+    one per group, and refer to no context and no graph, so keeping them
+    makes no reference cycle.  A word's shape is read off the graph on each
+    use (_shape), and nothing grows with the words checked.
     """
 
     def __init__(self, g: SeparatedGraph):
@@ -277,12 +272,11 @@ class StarContext:
             # Complete-sum elimination: the diagonal word of a group's last
             # member is the range vertex minus the other members' diagonals.
             rewrite = {group[-1]: (("v", key[0]), group[:-1]) for key, group in keys}
-            tables = (group_of, rewrite, {})
+            tables = (group_of, rewrite)
             object.__setattr__(g, "_formal", tables)
         # each edge's group key; by each group's last member, the range
-        # vertex's word and the other members of its group; each checked
-        # word's shape
-        self.group_of, self._rewrite, self._shape_of = tables
+        # vertex's word and the other members of its group
+        self.group_of, self._rewrite = tables
 
     # constructors ----------------------------------------------------------
 
@@ -306,46 +300,41 @@ class StarContext:
     # word plumbing ----------------------------------------------------------
 
     def _shape(self, word: Word) -> tuple:
-        """(dom, cod, kinds) of a word's value, memoized on first use.
+        """(dom, cod, kinds) of a word's value, read off the word and the graph.
 
-        The value spells the letters kinds[i] word[1 + i], read off the word
-        itself, so a shape holds no tuple of ids.  An edge runs from s(e)
-        to r(e) and an adjoint back: dom, the source, is the last letter's
-        and cod, the range, the first letter's.  An e* e of one group is the
-        vertex s(e) and spells no letters; an e* f of one group, e != f, is
-        zero, and its ends are None, so it meets no word of nonzero value.
-        A malformed word raises MalformedExpressionError and is not
-        memoized, so it raises on every use.
+        The value spells the letters kinds[i] word[1 + i], so a shape holds
+        no tuple of ids.  An edge runs from s(e) to r(e) and an adjoint
+        back: dom, the source, is the last letter's and cod, the range, the
+        first letter's.  An e* e of one group is the vertex s(e) and spells
+        no letters; an e* f of one group, e != f, is zero, and its ends are
+        None, so it meets no word of nonzero value.  A malformed word raises
+        MalformedExpressionError.
         """
-        if len(word) != _SIZE.get(word[0]):
+        if len(word) != _SIZE.get(word and word[0]):  # an empty word has no tag
             raise _malformed(word)
         kinds, g = _KINDS[word[0]], self.graph
         if not kinds:
             v = word[1]
-            if not g.has_vertex(v):
+            if v not in g._vindex:
                 raise MalformedExpressionError(f"unknown vertex {v!r}")
-            shape: tuple = (v, v, kinds)
-        else:
-            ids = word[1:]
-            index, edges = g._eindex, g.edges
-            for e in ids:
-                if e not in index:
-                    raise MalformedExpressionError(f"unknown edge {e!r}")
-            first, last = edges[index[ids[0]]], edges[index[ids[-1]]]
-            cod = first.dst if kinds[0] == "E" else first.src
-            dom = last.src if kinds[-1] == "E" else last.dst
-            if len(ids) == 2 and (first.src if kinds[0] == "E" else first.dst) != (
+            return (v, v, kinds)
+        index, edges = g._eindex, g.edges
+        try:  # the first id, then the last
+            first, last = edges[index[word[1]]], edges[index[word[-1]]]
+        except KeyError as exc:
+            raise MalformedExpressionError(f"unknown edge {exc.args[0]!r}") from None
+        cod = first.dst if kinds[0] == "E" else first.src
+        dom = last.src if kinds[-1] == "E" else last.dst
+        if len(kinds) == 2:
+            if (first.src if kinds[0] == "E" else first.dst) != (
                 last.dst if kinds[1] == "E" else last.src
             ):
                 side = "sources" if kinds[0] == "E" else "ranges"
                 what = f"{side} differ, word is not composable"
                 raise MalformedExpressionError(f"{word_str(word)}: {what}")
-            if kinds == "AE" and self.group_of[ids[0]] == self.group_of[ids[1]]:
-                shape = (dom, cod, "") if ids[0] == ids[1] else (None, None, "")
-            else:
-                shape = (dom, cod, kinds)
-        self._shape_of[word] = shape
-        return shape
+            if kinds == "AE" and self.group_of[word[1]] == self.group_of[word[2]]:
+                return (dom, cod, "") if word[1] == word[2] else (None, None, "")
+        return (dom, cod, kinds)
 
     def _error(self, word: Word) -> MalformedExpressionError:
         """The error that reading a malformed word's shape raises."""
@@ -363,9 +352,9 @@ class StarContext:
         Idempotent and linear; raises MalformedExpressionError on words that
         do not compose.
         """
-        shape_of, rewrite, acc = self._shape_of, self._rewrite, {}
+        rewrite, acc = self._rewrite, {}
         for word, coef in expr.terms.items():
-            dom, _, kinds = shape_of.get(word) or self._shape(word)
+            dom, _, kinds = self._shape(word)
             if not coef or dom is None:  # dom is None for an e* f of one group, e != f: zero
                 continue
             if word[0] == "ae" and not kinds:  # e* e of one group: the vertex s(e)
@@ -398,23 +387,21 @@ class StarContext:
         ids) raises MalformedExpressionError when the adjoint is asked for;
         any other malformed word raises only where a product pairs it.
         """
-        shape_of, group_of = self._shape_of, self.group_of
+        shape, group_of = self._shape, self.group_of
         rows: dict[int, _Line] = {}
         adj: dict[int, _Line] = {}
         for (i, k), expr in entries:
             for w, c in expr.terms.items():
-                s = shape_of.get(w)
-                if s is None:
-                    try:
-                        s = self._shape(w)
-                    except MalformedExpressionError:
-                        s = _MALFORMED
+                try:
+                    s = shape(w)
+                except MalformedExpressionError:
+                    s = _MALFORMED
                 if own:
                     (rows.get(i) or rows.setdefault(i, _Line())).add((k, w, c, s), group_of)
                 if adjoint:
                     if s is not _MALFORMED:
                         s = (s[1], s[0], _STAR_KINDS[s[2]])
-                    elif len(w) != _SIZE.get(w[0]):
+                    elif len(w) != _SIZE.get(w and w[0]):
                         raise _malformed(w)
                     tag = _STAR_TAG[w[0]]
                     w = (tag, w[1]) if len(w) == 2 else (tag, w[2], w[1])
@@ -746,8 +733,8 @@ def build_generator_matrices(
     labels, and a seed requests a random (but still blockwise) choice, which
     must leave all verification identities intact.
 
-    The shapes of the words read are memoized on g and kept while g lives
-    (StarContext), so verify_partial_unitary and later builds on g find them.
+    The group keys and rewrites are kept on g (StarContext), so
+    verify_partial_unitary and later builds on g share them.
     """
     ensure_bipartite(g, "generator matrices require a bipartite graph")
     require_kernel_element(g, x)
@@ -812,9 +799,9 @@ def verify_partial_unitary(gm: GeneratorMatrices) -> VerificationReport:
     """Check the defining identities of the generator matrices symbolically.
 
     All products are reduced with the graph relations only; each check
-    reports the first offending position and its irreducible residue.  The
-    shapes of the words read are memoized on the graph and kept while it
-    lives (StarContext), so checking again on it finds them.
+    reports the first offending position and its irreducible residue.  It
+    shares the group keys and rewrites kept on the graph (StarContext), and
+    keeps nothing of the words it reads.
     """
     ctx = StarContext(gm.graph)
     z, t, st, u = gm.z, gm.t, gm.sigma_t, gm.u

@@ -103,12 +103,11 @@ class SeparatedGraph:
     transform's ensure_valid keeps the report of its first run (a layer made
     by the canonical step carries its passing report from birth),
     transform._step_groups the step map X(x) of each edge once its checks
-    pass, and formal_star's StarContext its tables (each edge's group key,
-    one complete-sum rewrite per group, and the shapes of the words checked,
-    which grow as words are read on the graph).  None of these refers back
-    to the graph, so keeping them makes no reference cycle.  Two threads
-    that use a graph first at once may each make one of these; either is
-    correct.
+    pass, and formal_star's StarContext its two fixed tables (each edge's
+    group key and one complete-sum rewrite per group).  None of these
+    refers back to the graph, so keeping them makes no reference cycle.  Two
+    threads that use a graph first at once may each make one of these;
+    either is correct.
     """
 
     vertices: tuple[str, ...]

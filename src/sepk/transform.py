@@ -790,10 +790,16 @@ def _sequence_counts(g: SeparatedGraph, depth: int, budget: int = DEFAULT_BUDGET
     a range vertex with group sizes ns spans prod(ns) tuples of len(ns) arrows,
     prod(ns) - sum(ns) + len(ns) - 1 of them in W, and each edge makes a group.
     The sizes come off the quotients of _layer_sizes, so no vertex is made.
+    A depth past DEFAULT_BUDGET layers is refused before any is counted:
+    layers that never grow would otherwise be counted without end.
     """
     ensure_bipartite(g, "canonical sequence requires a bipartite graph")
     if depth < 0:
         raise PreconditionError("depth must be nonnegative")
+    if depth > DEFAULT_BUDGET:
+        raise BudgetExceededError(
+            f"depth {_decimal(depth)} would take more than {DEFAULT_BUDGET} layers to count", 0
+        )
     counts = [(len(g.vertices), len(g.edges), len(g.group_keys()))]
     sources, sizes = len(g.layer1), []
     for n, layer in zip(range(depth), _layer_sizes(g)):

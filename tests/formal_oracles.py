@@ -1,9 +1,9 @@
 """Unmemoized word calculus: a second path for StarContext's reductions.
 
 ReferenceCalculus re-derives every normal form and product from the graph on
-each call, checking each word as it goes, exactly as the calculus did before
-StarContext memoized its reductions.  Tests compare the two on seeded random
-words, malformed ones included.  spell and adjoint_word print and star a
+each call, checking each word as it goes and reducing lists of letters, apart
+from StarContext's shapes and read-once rows.  Tests compare the two on seeded
+random words, malformed ones included.  spell and adjoint_word print and star a
 word tag by tag, apart from the one table that formal_star reads.
 assemble_generator_matrices builds the generator matrices for bijections a
 test chooses, so tests can corrupt them.  reference_generator_matrices
@@ -149,9 +149,9 @@ class ReferenceCalculus:
         return g.edge(word[1]).src
 
     def _check_word(self, word):
-        tag, g = word[0], self.graph
-        if len(word) != 1 + ARITY.get(tag, -1):
+        if not word or len(word) != 1 + ARITY.get(word[0], -1):
             raise MalformedExpressionError(f"malformed word {word!r}: unknown tag or wrong arity")
+        tag, g = word[0], self.graph
         if tag == "v":
             if word[1] not in set(g.vertices):
                 raise MalformedExpressionError(f"unknown vertex {word[1]!r}")

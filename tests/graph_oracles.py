@@ -9,8 +9,9 @@ of a vertex, in edge-list order, by scanning every edge.
 from a built layer.  `reference_step` spells out the fresh part of a
 multiresolution name by name, and `reference_character_values` extends a
 character across a multiresolution by spelling every generated vertex's name.
-`corrupt` gives a graph seeded defects of the kinds validate reports, and
-`renamed` wraps each of its names in seeded `FRAGMENTS`.
+`corrupt` gives a graph seeded defects of the kinds validate reports,
+`renamed` wraps each of its names in seeded `FRAGMENTS`, and `shuffled`
+puts each of its orders in a seeded order.
 """
 
 import itertools
@@ -322,4 +323,23 @@ def renamed(g: SeparatedGraph, rng: random.Random) -> SeparatedGraph:
         tuple(Edge(es[e.id], vs[e.src], vs[e.dst]) for e in g.edges),
         tuple(tuple(tuple(es[x] for x in grp) for grp in groups) for groups in g.separation),
         None if g.bipartite is None else tuple(tuple(vs[v] for v in layer) for layer in g.bipartite),
+    )
+
+
+def shuffled(g: SeparatedGraph, rng: random.Random) -> SeparatedGraph:
+    """g with its vertex list, edge list, each vertex's groups, each group's
+    members and each bipartite layer in seeded orders."""
+
+    def mixed(items):
+        items = list(items)
+        rng.shuffle(items)
+        return tuple(items)
+
+    at = mixed(range(len(g.vertices)))
+    separation = (mixed(mixed(group) for group in g.separation[i]) for i in at)
+    return SeparatedGraph(
+        tuple(g.vertices[i] for i in at),
+        mixed(g.edges),
+        tuple(separation),
+        None if g.bipartite is None else tuple(map(mixed, g.bipartite)),
     )

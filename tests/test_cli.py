@@ -538,6 +538,36 @@ def test_generator_matrices_past_the_budget_are_refused_before_any_row(capsys, m
         build_generator_matrices(builtin("E", [2, 2]), {("v", 0): n + 1, ("v", 1): -n - 1})
 
 
+def test_a_depth_past_the_budget_is_refused_before_any_layer_is_counted(tmp_path, monkeypatch):
+    # the layers of this graph never grow, so no vertex or class budget
+    # stops its count; each run is timed out, so a count without end fails
+    from sepk import transform
+    from sepk.ktheory import k0_tame
+    from sepk.transform import DEFAULT_BUDGET, BudgetExceededError, w_set_sizes
+
+    graph = tmp_path / "one-edge.json"
+    graph.write_text(json.dumps({
+        "vertices": ["v", "w"], "edges": [{"id": "a", "src": "w", "dst": "v"}],
+        "separation": {"v": [["a"]]}, "bipartite": {"layer0": ["v"], "layer1": ["w"]},
+    }))
+    depth = "99999999999999999999"
+    want = f"error: depth {depth} would take more than {DEFAULT_BUDGET} layers to count\n"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    for argv in (["k0-tame"], ["sequence"], ["sequence", "--format", "json"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "sepk", *argv, str(graph), "--depth", depth],
+            env=env, capture_output=True, text=True, timeout=20,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", want), argv
+    # the bound is DEFAULT_BUDGET layers: reached, not passed, on every path to the count
+    monkeypatch.setattr(transform, "DEFAULT_BUDGET", 3)
+    g = parse(graph.read_bytes())
+    assert w_set_sizes(g, 3) == (0, 0, 0)
+    for count in (w_set_sizes, canonical_sequence, k0_tame):
+        with pytest.raises(BudgetExceededError, match="^depth 4 would take more than 3 layers to count$"):
+            count(g, 4)
+
+
 def test_character_command(tmp_path, capsys):
     base = tmp_path / "base.json"
     base.write_text(json.dumps({"v": 0.5, "w": 0.25}))  # v = -1, w = i

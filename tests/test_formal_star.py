@@ -31,7 +31,7 @@ from formal_oracles import (
     reference_generator_matrices,
     spell,
 )
-from graph_oracles import r_inv, s_inv
+from graph_oracles import r_inv, renamed, s_inv, shuffled
 
 
 def ctx_e(m, n):
@@ -131,7 +131,7 @@ def test_products_reject_unknown_edges_as_normalize_does():
         assert str(exc.value) == "unknown edge 'zz'"
 
 
-MALFORMED_WORDS = [("x", "a1"), ("e", "a1", "b1"), ("ea", "a1"), ("v",), ("v", "v", "w")]
+MALFORMED_WORDS = [("x", "a1"), ("e", "a1", "b1"), ("ea", "a1"), ("v",), ("v", "v", "w"), ()]
 
 
 @pytest.mark.parametrize("word", MALFORMED_WORDS, ids=repr)
@@ -279,7 +279,7 @@ def test_diagonal_classes_match_connecting_map():
         assert diff == delta
 
 
-# memoized calculus against the unmemoized reference ---------------------------
+# the calculus against the reference -------------------------------------------
 
 
 def _random_word(g, rng):
@@ -357,22 +357,48 @@ def _outcome(fn, *args):
         return (type(exc).__name__, str(exc))
 
 
+def _lamplighter_l2():
+    return canonical_sequence(builtin("lamplighter", [2]), 2).graphs[2]
+
+
+SHUFFLE_SEED = 11
+
+
+def _shuffled_renamed_lamplighter_l2():
+    rng = random.Random(SHUFFLE_SEED)
+    return renamed(shuffled(_lamplighter_l2(), rng), rng)
+
+
 ORACLE_GRAPHS = {
     "E(2,2)": lambda: builtin("E", [2, 2]),
     "E(3,3)": lambda: builtin("E", [3, 3]),
-    "lamplighter(2) L2": lambda: canonical_sequence(builtin("lamplighter", [2]), 2).graphs[2],
+    "lamplighter(2) L2": _lamplighter_l2,
+    "lamplighter(2) L2 shuffled and renamed": _shuffled_renamed_lamplighter_l2,
 }
 
 
+def test_shuffled_oracle_graph_moves_eliminated_members_and_escapes_names():
+    # the shuffled copy eliminates another member of some group in the
+    # complete-sum rewrite, and its names hold characters that need escaping
+    g = _lamplighter_l2()
+    h = shuffled(g, random.Random(SHUFFLE_SEED))
+    last = {frozenset(group): group[-1] for groups in g.separation for group in groups}
+    assert any(last[frozenset(group)] != group[-1] for groups in h.separation for group in groups)
+    assert h.vertices != g.vertices and h.edges != g.edges
+    r = _shuffled_renamed_lamplighter_l2()
+    chars = set("".join(r.vertices + tuple(e.id for e in r.edges)))
+    assert set('\\|,"\x01') <= chars and any(ord(c) > 127 for c in chars)
+
+
 @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
-def test_memoized_calculus_matches_unmemoized_reference(name):
+def test_calculus_matches_reference(name):
     g = ORACLE_GRAPHS[name]()
     rng = random.Random(sum(map(ord, name)))
     ctx, ref = StarContext(g), ReferenceCalculus(g)
     seen = set()
     for _ in range(400):
         a, b = _random_expr(g, rng), _random_expr(g, rng)
-        # twice each: the second call reads the memos the first one filled
+        # twice each: nothing the first call leaves on the graph changes the second
         for _ in range(2):
             got = _outcome(ctx.normalize, a)
             assert got == _outcome(ref.normalize, a)
@@ -450,7 +476,7 @@ def _gram_entries(ctx, m):
     return tuple(product.entries for product in _grams(ctx, m))
 
 
-def test_gram_products_match_unmemoized_reference():
+def test_gram_products_match_reference():
     # verification forms m m* and m* m from m alone, each adjoint word made
     # as m is read; where m* has no value (a word with no adjoint), forming
     # it raises first
@@ -462,22 +488,18 @@ def test_gram_products_match_unmemoized_reference():
     for g, x, seed in cases:
         gm = build_generator_matrices(g, x, seed=seed)
         ref = ReferenceCalculus(g)
-        # one memo per graph: the second context reads what the build and the
-        # first context's products put in it
+        # the tables are kept on the graph: the second context reads those
+        # that the build made
         for ctx in (StarContext(g), StarContext(g)):
             for m in (gm.z, gm.t, gm.sigma_t, gm.u):
                 assert _gram_entries(ctx, m) == _reference_grams(ref, m)
-        # shapes are memoized for the words read as operands, U's among them,
-        # and not for the Gram products' words, which are only compared
-        operands = {w for m in (gm.z, gm.t, gm.sigma_t, gm.u) for e in m.entries.values() for w in e.terms}
-        assert StarContext(g)._shape_of.keys() <= operands
     seen = set()
     for name in sorted(ORACLE_GRAPHS):
         g = ORACLE_GRAPHS[name]()
         ref = ReferenceCalculus(g)
         ctx, other = StarContext(g), StarContext(g)
-        assert ctx._shape_of is other._shape_of and ctx._rewrite is other._rewrite
-        build_generator_matrices(g, k_groups_full(g).k1_basis[0])  # warms the memo of both
+        assert ctx.group_of is other.group_of and ctx._rewrite is other._rewrite
+        build_generator_matrices(g, k_groups_full(g).k1_basis[0])  # on the tables of both
         for _ in range(150):
             n, m = rng.randint(1, 3), rng.randint(1, 3)
             a = _random_matrix(g, rng, n, m)
@@ -492,8 +514,6 @@ def test_gram_products_match_unmemoized_reference():
             assert got == _outcome(_reference_grams, ref, a)
             assert _outcome(_gram_entries, other, a) == _outcome(_gram_entries, ctx, a) == got
             seen.add(got[0] + (":arity" if "arity" in got[1] else "") if got[0] != "ok" else "ok")
-        for word in ctx._shape_of:
-            ref._check_word(word)  # no malformed word is memoized
     assert {
         "ok", "MalformedExpressionError", "MalformedExpressionError:arity", "UnsupportedWordError"
     } <= seen
@@ -509,7 +529,7 @@ def test_gram_products_match_unmemoized_reference():
 
 
 def test_what_a_graph_keeps_on_itself_does_not_refer_back_to_it():
-    # the validation report, the step map and the formal-word memo live on the
+    # the validation report, the step map and the formal tables live on the
     # graph; were one of them to refer back to it, the graph would outlive its
     # last reference until the collector found the cycle
     gc.disable()
@@ -527,26 +547,24 @@ def test_what_a_graph_keeps_on_itself_does_not_refer_back_to_it():
         gc.enable()
 
 
-def test_a_graph_keeps_group_keys_rewrites_and_operand_shapes_only():
-    # a checked word's normal form is read off the word, so after two seeded
-    # generators are built and checked the graph keeps a group key per edge,
-    # one rewrite per group (under its last member) and the shapes of the
-    # words read as operands, none of the words the products make
+def test_a_graph_keeps_one_group_key_per_edge_and_one_rewrite_per_group():
+    # a checked word's shape and normal form are read off the word and the
+    # graph, so two seeded generators built and checked on one graph leave it
+    # the two fixed tables that the first context made, and nothing more
     g = canonical_sequence(builtin("E", [2, 2]), 2).graphs[2]
     x = k_groups_full(g).k1_basis[0]
-    operands = set()
+    kept = []
     for seed in (0, 1):
-        gm = build_generator_matrices(g, x, seed=seed)
-        assert verify_partial_unitary(gm).ok
-        operands |= {w for m in (gm.z, gm.t, gm.sigma_t, gm.u) for e in m.entries.values() for w in e.terms}
-    group_of, rewrite, shape_of = g._formal
+        assert verify_partial_unitary(build_generator_matrices(g, x, seed=seed)).ok
+        kept.append(tuple(map(dict, g._formal)))
+    group_of, rewrite = g._formal
     keys = g.group_keys()
     assert group_of == {e: key for key in keys for e in g.group(key)}
     assert len(rewrite) == len(keys)
     for v, i in keys:
         *others, last = g.group((v, i))
         assert rewrite[last] == (("v", v), tuple(others))
-    assert shape_of and shape_of.keys() <= operands
+    assert kept[0] == kept[1] == (group_of, rewrite)
 
 
 def test_index_skip_keeps_the_malformed_factor_rule():
