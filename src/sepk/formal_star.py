@@ -32,28 +32,33 @@ Printing, the adjoint, shapes and products all read it or its inverse, so an
 unknown tag, no tag or a wrong number of ids raises MalformedExpressionError
 from every operation.
 
-One kernel, StarContext._multiply_into, multiplies words: for mul, for
-matmul, for the Gram products M M* and M* M of verification, and for
-U = Z sigma(T)*.  Each operand is read once (StarContext._read) into a list
-per row of (position, word, coefficient, shape), so no pair looks a shape
-up; the Gram products and U make each adjoint word, and its shape, from the
-word they read, and build no adjoint matrix.  Pairs are formed by row, then
-inner index, then right position, then left word, then right word, and the
-first in that order that holds a malformed word (whose shape was read, and
-failed, as its list was made) or leaves a word of over two letters raises.
-Each list is also indexed by the group and edge of its words' first letters
-(_Line).  Where those letters are edges of one group, as in every row of a
-generator matrix and of its adjoint, a word ending in e* is not paired with
-the words that begin with another edge f of e's group: e* f = 0 kills just
-those pairs.  Every other pair is formed, reduced only at its junction, and
-adds its product's normal form at once.  Products are not memoized: within
-one product a pair of words seldom recurs, and a pair memo held memory
-without saving time.
+One kernel, StarContext._multiply_into, multiplies words: for mul, for the
+Gram products M M* and M* M of verification, and for U = Z sigma(T)*.  Each
+operand is read once (StarContext._read) into a list per row of (position,
+word, coefficient, shape), so no pair looks a shape up; the Gram products and
+U make each adjoint word, and its shape, from the word they read, and build
+no adjoint matrix.  Pairs are formed by row, then inner index, then right
+position, then left word, then right word, and the first in that order that
+holds a malformed word (whose shape was read, and failed, as its list was
+made) or leaves a word of over two letters raises.  Each list is also
+indexed by the group and edge of its words' first letters (_Line).  Where
+those letters are edges of one group, as in every row of a generator matrix
+and of its adjoint, a word ending in e* is not paired with the words that
+begin with another edge f of e's group: e* f = 0 kills just those pairs.
+Every other pair is formed, reduced only at its junction, and adds its
+product's normal form at once; as a row closes, its zero terms and the cells
+they empty are dropped.  Products are not memoized: within one product a
+pair of words seldom recurs, and a pair memo held memory without saving
+time.
 
 The module also builds the labeled generator matrices realizing the K_1
 class of a kernel element (a row per unit of positive coefficient, a column
 per arrow occurrence) and verifies, by formal matrix arithmetic, that they
-multiply to the expected vertex diagonals.
+multiply to the expected vertex diagonals.  A check compares the kernel's
+cells {i: {j: terms}} of a product with those of the expected side: both are
+normal forms with no zero term, so they are equal exactly when their values
+are.  Only a failing check builds the two FormalMatrix objects, to name its
+first mismatch and residue.
 """
 
 from __future__ import annotations
@@ -198,7 +203,7 @@ class _Line:
     """One row of a product's factor, read once, with an index by first letter.
 
     words lists (position, word, coefficient, shape) in the order in which
-    matmul pairs them: by the position on the other axis, then in the
+    a product pairs them: by the position on the other axis, then in the
     entry's term order.  A malformed word keeps its place with the shape
     _MALFORMED, and bad is the (position, index in words) of the first one.
     The same entries are indexed as they are added: first[f] lists, in
@@ -368,9 +373,8 @@ class StarContext:
 
     def mul(self, a: FormalExpr, b: FormalExpr) -> FormalExpr:
         """Product in the algebra, normalized."""
-        out: dict[int, dict[int, dict[Word, int]]] = {}
-        self._multiply_into(self._read((((0, 0), a),))[0], self._read((((0, 0), b),))[0], out)
-        return FormalExpr.of(out.get(0, {}).get(0, {}))
+        out = self._multiply_into(self._read((((0, 0), a),))[0], self._read((((0, 0), b),))[0], {})
+        return FormalExpr(out.get(0, {}).get(0, {}))
 
     def _read(
         self,
@@ -410,8 +414,8 @@ class StarContext:
 
     def _multiply_into(
         self, left: Mapping[int, _Line], right: Mapping[int, _Line], out: dict
-    ) -> None:
-        """Add the normal form of row i of left times right into out[i][j], for each i and j.
+    ) -> dict[int, dict[int, dict[Word, int]]]:
+        """Add the normal form of row i of left times right into out[i][j], and return out.
 
         This is the one place where words are multiplied.  left and right
         hold the rows of the two factors, read by _read.  A word meets the
@@ -424,11 +428,13 @@ class StarContext:
         ending in e* is not paired with the words that begin with another
         edge f of e's group, whose product e* f = 0 kills, in a row whose
         words begin with edges of that group alone (_Line.meeting).  A cell
-        is created once a product leaves a word in it.
+        is created once a product leaves a word in it; as its row closes,
+        zero terms are dropped and so are the cells they leave empty, so
+        every cell in out is a normal form with no zero term.
 
         A malformed word, or a product of more than two letters, raises.  Of
-        several, the one in the first pair in matmul's order raises, once
-        its row is done: by row, then inner index, then right position, then
+        several, the one in the first pair in this order raises, once its
+        row is done: by row, then inner index, then right position, then
         left word, then right word, each word's shape read before its
         partner's.
         """
@@ -501,8 +507,13 @@ class StarContext:
                                 _eliminate(acc, nf, coef)
             if first is not None:
                 raise first[1]
+            for j in [j for j, acc in cells.items() if 0 in acc.values()]:
+                cells[j] = {w: c for w, c in cells[j].items() if c}
+                if not cells[j]:
+                    del cells[j]
             if cells:
                 out[i] = cells
+        return out
 
 
 # formal matrices -------------------------------------------------------------
@@ -542,43 +553,15 @@ def _label_str(label) -> str:
     return str(label)
 
 
-def matmul(ctx: StarContext, a: FormalMatrix, b: FormalMatrix) -> FormalMatrix:
-    """a b, its entries normalized.
-
-    Each factor is read once: its words, each with its shape, go into a list
-    per row (StarContext._read).  Pairs of entries are then multiplied by
-    row of a, then inner index, then column of b, and the first pair in that
-    order that holds a malformed word or leaves a word of over two letters
-    raises, whatever order the entries were given in.  A word of a ending in
-    e* is not paired with the words of a row of b that begin with another
-    edge of e's group, when the row's words begin with edges of that group
-    alone: e* f = 0 kills those pairs.  Every other pair is formed.
-    """
-    if len(a.cols) != len(b.rows):
-        raise ValueError("inner dimensions do not match")
-    left, _ = ctx._read(sorted(a.entries.items()))
-    right, _ = ctx._read(sorted(b.entries.items()))
-    return _product(ctx, a.rows, b.cols, left, right)
+def _matrix(rows: tuple, cols: tuple, cells: Mapping[int, dict]) -> FormalMatrix:
+    """The matrix of the kernel's cells {i: {j: terms}}, each a normal form with no zero term."""
+    return FormalMatrix(rows, cols, {
+        (i, j): FormalExpr(terms) for i, row in cells.items() for j, terms in row.items()
+    })
 
 
-def _product(ctx: StarContext, rows: tuple, cols: tuple, left, right) -> FormalMatrix:
-    """The product of the factors whose rows, read by StarContext._read, are left and right."""
-    out: dict[int, dict[int, dict[Word, int]]] = {}
-    ctx._multiply_into(left, right, out)
-    # A sum of normal forms is a normal form: normalization is a linear
-    # projection, and each word here came out of one, checked.
-    entries = {}
-    for i, cells in out.items():
-        for j, terms in cells.items():
-            if 0 in terms.values():
-                terms = {w: c for w, c in terms.items() if c}
-            if terms:
-                entries[(i, j)] = FormalExpr(terms)
-    return FormalMatrix(rows, cols, entries)
-
-
-def _grams(ctx: StarContext, m: FormalMatrix) -> tuple[FormalMatrix, FormalMatrix]:
-    """m m* and m* m, from one read of m that makes each adjoint word from m's own.
+def _grams(ctx: StarContext, m: FormalMatrix) -> tuple[tuple[int, dict], ...]:
+    """(size, kernel cells) of m m* and m* m, from one read of m that makes m*'s words.
 
     A word with no adjoint raises first, as forming m* would.
     """
@@ -587,7 +570,8 @@ def _grams(ctx: StarContext, m: FormalMatrix) -> tuple[FormalMatrix, FormalMatri
     except MalformedExpressionError:
         m.star()  # raises for the first such word in m's own order
         raise
-    return _product(ctx, m.rows, m.rows, rows, cols), _product(ctx, m.cols, m.cols, cols, rows)
+    mm = ctx._multiply_into(rows, cols, {})
+    return (len(m.rows), mm), (len(m.cols), ctx._multiply_into(cols, rows, {}))
 
 
 def matrices_equal(ctx: StarContext, a: FormalMatrix, b: FormalMatrix):
@@ -718,7 +702,7 @@ def _assemble(
     sigma_t = FormalMatrix(z.rows, z.cols, dict(sorted(entries.items())))
     left, _ = ctx._read(sorted(z.entries.items()))
     _, right = ctx._read(sigma_t.entries.items(), own=False, adjoint=True)
-    u = _product(ctx, z.rows, z.rows, left, right)  # z sigma_t*
+    u = _matrix(z.rows, z.rows, ctx._multiply_into(left, right, {}))  # z sigma_t*
     return GeneratorMatrices(g, dict(x), z, t, dict(sigma1), dict(sigma2), sigma_t, u)
 
 
@@ -784,11 +768,12 @@ class VerificationReport:
         return "\n".join(str(c) for c in self.checks)
 
 
-def _vertex_diag(ctx: StarContext, labels, vertex_of) -> FormalMatrix:
-    entries = {
-        (i, i): ctx.vertex(vertex_of(lbl)) for i, lbl in enumerate(labels)
-    }
-    return FormalMatrix(tuple(labels), tuple(labels), entries)
+def _vertex_diag(ctx: StarContext, labels, vertex_of) -> tuple[int, dict]:
+    """(size, cells) of the diagonal of each label's vertex; the first unknown vertex raises."""
+    cells, unit = {}, {}
+    for i, v in enumerate(map(vertex_of, labels)):
+        cells[i] = {i: unit[v] if v in unit else unit.setdefault(v, ctx.vertex(v).terms)}
+    return len(labels), cells
 
 
 def _class_counts(labels, vertex_of) -> dict[str, int]:
@@ -801,36 +786,45 @@ def verify_partial_unitary(gm: GeneratorMatrices) -> VerificationReport:
     All products are reduced with the graph relations only; each check
     reports the first offending position and its irreducible residue.  It
     shares the group keys and rewrites kept on the graph (StarContext), and
-    keeps nothing of the words it reads.
+    keeps nothing of the words it reads.  A Gram product of T or sigma(T)
+    equal to Z's is dropped for Z's as it is made, saving memory.
     """
     ctx = StarContext(gm.graph)
     z, t, st, u = gm.z, gm.t, gm.sigma_t, gm.u
     zz, zsz = _grams(ctx, z)
-    tt, tst = _grams(ctx, t)
-    ss, sst = _grams(ctx, st)
+    tt, tst = (q if p == q else p for p, q in zip(_grams(ctx, t), (zz, zsz)))
+    ss, sst = (q if p == q else p for p, q in zip(_grams(ctx, st), (zz, zsz)))
     uu, usu = _grams(ctx, u)
 
     checks = []
 
-    def add_equality(name, a, b):
-        mismatch = matrices_equal(ctx, a, b)
+    def add_equality(name, labels, a, b):
+        """Check a = b, each (size, cells); labels name a's rows and columns."""
+        mismatch = None
+        if a != b:  # normal forms with no zero term: only a real mismatch differs
+            n, cells = b
+            found = _matrix(labels, labels, a[1]), _matrix(range(n), range(n), cells)
+            mismatch = matrices_equal(ctx, *found)
         if mismatch is None:
             checks.append(Check(name, True))
         else:
             (i, j), diff = mismatch
-            pos = "shape" if i < 0 else f"({_label_str(a.rows[i])}, {_label_str(a.cols[j])})"
+            pos = "shape" if i < 0 else f"({_label_str(labels[i])}, {_label_str(labels[j])})"
             checks.append(Check(name, False, f"at {pos}: residue {diff}"))
 
-    add_equality("ZZ* is the range-vertex diagonal", zz, _vertex_diag(ctx, zz.rows, _range_of))
-    add_equality("Z*Z is the source-vertex diagonal", zsz, _vertex_diag(ctx, zsz.rows, _source_of))
-    add_equality("TT* is the range-vertex diagonal", tt, _vertex_diag(ctx, tt.rows, _range_of))
-    add_equality("T*T is the source-vertex diagonal", tst, _vertex_diag(ctx, tst.rows, _source_of))
-    add_equality("ZZ* = sig(T)sig(T)*", zz, ss)
-    add_equality("Z*Z = sig(T)*sig(T)", zsz, sst)
+    for name, product, labels, vertex_of in (
+        ("ZZ* is the range-vertex diagonal", zz, z.rows, _range_of),
+        ("Z*Z is the source-vertex diagonal", zsz, z.cols, _source_of),
+        ("TT* is the range-vertex diagonal", tt, t.rows, _range_of),
+        ("T*T is the source-vertex diagonal", tst, t.cols, _source_of),
+    ):
+        add_equality(name, labels, product, _vertex_diag(ctx, labels, vertex_of))
+    add_equality("ZZ* = sig(T)sig(T)*", z.rows, zz, ss)
+    add_equality("Z*Z = sig(T)*sig(T)", z.cols, zsz, sst)
     # u is square over the rows of z; both uu* and u*u must collapse to the
     # same range-vertex diagonal, witnessing a formal partial unitary.
-    add_equality("UU* = ZZ*", uu, zz)
-    add_equality("U*U = UU*", usu, uu)
+    add_equality("UU* = ZZ*", u.rows, uu, zz)
+    add_equality("U*U = UU*", u.cols, usu, uu)
 
     # Classwise agreement of the two sides (same multiset of diagonal
     # vertices per block), which is what the row/column balance asserts.

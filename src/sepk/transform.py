@@ -761,11 +761,17 @@ def _layer_sizes(g: SeparatedGraph):
     Layer n + 1's range vertices are layer n's sources, and its groups are the
     X(x) of layer n's edges x, one arrow per tuple through x.  So its sizes are
     read off layer n's quotient, and layer n's tuples are enumerated only when
-    layer n + 2 is asked for.
+    layer n + 2 is asked for.  A quotient equal to the one before it is a
+    fixed point, since the next quotient depends on it alone: its sizes are
+    then every later layer's, and no further quotient is made.  Comparing
+    two quotients stops at their first difference of length or class.
     """
     yield [(1, [len(grp) for grp in g.groups_at(u)]) for u in g.layer0]
+    last = None
     for q in _quotients(g):
-        mult, inside = q.mult, q.inside
+        if last is not None and (q.kind, q.mult, q.up) == (last.kind, last.mult, last.up):
+            yield from itertools.repeat(layer)
+        last, mult, inside = q, q.mult, q.inside
         size = {grp: sum(mult[e] // mult[grp] for e in inside[grp]) for grp in q.sort[_GROUP]}
         tuples = {
             r: math.prod(size[grp] ** (mult[grp] // mult[r]) for grp in inside[r])
@@ -775,7 +781,7 @@ def _layer_sizes(g: SeparatedGraph):
         for e in q.sort[_EDGE]:
             grp, s = q.up[e]
             sizes[s] += [tuples[q.up[grp][0]] // size[grp]] * (mult[e] // mult[s])
-        yield [(mult[s], ns) for s, ns in sizes.items()]
+        yield (layer := [(mult[s], ns) for s, ns in sizes.items()])
 
 
 def w_set_sizes(g: SeparatedGraph, depth: int, budget: int = DEFAULT_BUDGET) -> tuple[int, ...]:

@@ -8,16 +8,26 @@ word tag by tag, apart from the one table that formal_star reads.
 assemble_generator_matrices builds the generator matrices for bijections a
 test chooses, so tests can corrupt them.  reference_generator_matrices
 builds the same matrices from sorted labels and cell-by-cell lookups.
+matmul multiplies two whole matrices through StarContext's one product
+kernel, so tests can compare that kernel with the reference on any factors.
+reference_matmul, reference_grams and reference_matrices_equal form
+products and compare matrices entry by entry with ReferenceCalculus, and
+reference_verify builds a whole verification report from them.
 """
 
 from sepk.formal_star import (
     ZERO,
+    Check,
     FormalExpr,
     FormalMatrix,
     GeneratorMatrices,
     MalformedExpressionError,
+    StarContext,
     UnsupportedWordError,
+    VerificationReport,
     _assemble,
+    _label_str,
+    _matrix,
     _side,
 )
 from sepk.graph_model import SeparatedGraph
@@ -49,6 +59,25 @@ def adjoint_word(word):
     if tag == "a":
         return ("e", word[1])
     return (tag, word[2], word[1])
+
+
+def matmul(ctx: StarContext, a: FormalMatrix, b: FormalMatrix) -> FormalMatrix:
+    """a b, its entries normalized, by StarContext's product kernel.
+
+    Each factor is read once: its words, each with its shape, go into a list
+    per row (StarContext._read).  Pairs of entries are then multiplied by
+    row of a, then inner index, then column of b, and the first pair in that
+    order that holds a malformed word or leaves a word of over two letters
+    raises, whatever order the entries were given in.  A word of a ending in
+    e* is not paired with the words of a row of b that begin with another
+    edge of e's group, when the row's words begin with edges of that group
+    alone: e* f = 0 kills those pairs.  Every other pair is formed.
+    """
+    if len(a.cols) != len(b.rows):
+        raise ValueError("inner dimensions do not match")
+    left, _ = ctx._read(sorted(a.entries.items()))
+    right, _ = ctx._read(sorted(b.entries.items()))
+    return _matrix(a.rows, b.cols, ctx._multiply_into(left, right, {}))
 
 
 def assemble_generator_matrices(g: SeparatedGraph, x, sigma1, sigma2) -> GeneratorMatrices:
@@ -257,3 +286,110 @@ class ReferenceCalculus:
                 word = self._word_of_letters(reduced, self._dom(w2))
                 acc[word] = acc.get(word, 0) + c1 * c2
         return self.normalize(FormalExpr.of(acc))
+
+
+def reference_matmul(ref: ReferenceCalculus, a: FormalMatrix, b: FormalMatrix) -> dict:
+    """The entries of a b by the unmemoized calculus, every entry pair in turn.
+
+    Entry pairs are taken by row of a, then by inner index, then by column
+    of b, so a product with several bad entries raises where matmul does.
+    """
+    totals = {}
+    for i in range(len(a.rows)):
+        for k in range(len(a.cols)):
+            for j in range(len(b.cols)):
+                prod = ref.mul(a.entry(i, k), b.entry(k, j))
+                totals[(i, j)] = totals.get((i, j), FormalExpr({})) + prod
+    entries = {}
+    for pos, total in totals.items():
+        total = ref.normalize(total)
+        if not total.is_zero:
+            entries[pos] = total
+    return entries
+
+
+def reference_grams(ref: ReferenceCalculus, m: FormalMatrix) -> tuple[dict, dict]:
+    """The entries of m m* and m* m by the unmemoized calculus, m* formed as its own matrix."""
+    adj = m.star()
+    return reference_matmul(ref, m, adj), reference_matmul(ref, adj, m)
+
+
+def reference_matrices_equal(ref: ReferenceCalculus, a: FormalMatrix, b: FormalMatrix):
+    """None when equal, else the first position, in sorted order, with a nonzero difference."""
+    if len(a.rows) != len(b.rows) or len(a.cols) != len(b.cols):
+        return ((-1, -1), ZERO)
+    for pos in sorted(set(a.entries) | set(b.entries)):
+        diff = ref.normalize(a.entry(*pos) - b.entry(*pos))
+        if not diff.is_zero:
+            return (pos, diff)
+    return None
+
+
+def reference_verify(gm: GeneratorMatrices) -> VerificationReport:
+    """gm's verification report, each product formed by ReferenceCalculus.
+
+    The Gram products of Z, T, sigma(T) and U are formed first, in that
+    order, each m m* and then m* m with m* built as its own matrix.  Then
+    the checks run in verify_partial_unitary's order.  A diagonal check
+    builds the vertex diagonal of its product's labels just before it is
+    compared, so an unknown vertex raises there.  A failing check names the
+    first position, in sorted order, whose normalized difference is not
+    zero, and that residue.
+    """
+    ref = ReferenceCalculus(gm.graph)
+    products = []
+    for m in (gm.z, gm.t, gm.sigma_t, gm.u):
+        for entries, labels in zip(reference_grams(ref, m), (m.rows, m.cols)):
+            products.append(FormalMatrix(labels, labels, entries))
+    zz, zsz, tt, tst, ss, sst, uu, usu = products
+
+    def range_of(row):
+        return row[0][0]
+
+    def source_of(col):
+        return col[2]
+
+    def diagonal(labels, vertex_of):
+        entries = {
+            (i, i): ref.normalize(FormalExpr({("v", vertex_of(label)): 1}))
+            for i, label in enumerate(labels)
+        }
+        return FormalMatrix(labels, labels, entries)
+
+    def check(name, a, b):
+        found = reference_matrices_equal(ref, a, b)
+        if found is None:
+            return Check(name, True)
+        (i, j), diff = found
+        at = "shape" if i < 0 else f"({_label_str(a.rows[i])}, {_label_str(a.cols[j])})"
+        return Check(name, False, f"at {at}: residue {diff}")
+
+    def classes(labels, vertex_of):
+        out = {}
+        for label in labels:
+            out[vertex_of(label)] = out.get(vertex_of(label), 0) + 1
+        return out
+
+    checks = [
+        check(name, a, diagonal(a.rows, vertex_of))
+        for name, a, vertex_of in (
+            ("ZZ* is the range-vertex diagonal", zz, range_of),
+            ("Z*Z is the source-vertex diagonal", zsz, source_of),
+            ("TT* is the range-vertex diagonal", tt, range_of),
+            ("T*T is the source-vertex diagonal", tst, source_of),
+        )
+    ]
+    checks += [
+        check("ZZ* = sig(T)sig(T)*", zz, ss),
+        check("Z*Z = sig(T)*sig(T)", zsz, sst),
+        check("UU* = ZZ*", uu, zz),
+        check("U*U = UU*", usu, uu),
+    ]
+    range_class, source_class = classes(gm.z.rows, range_of), classes(gm.z.cols, source_of)
+    for name, t_class, z_class in (
+        ("TT* class matches ZZ* class", classes(gm.t.rows, range_of), range_class),
+        ("T*T class matches Z*Z class", classes(gm.t.cols, source_of), source_class),
+    ):
+        same = t_class == z_class
+        checks.append(Check(name, same, "" if same else f"{t_class} != {z_class}"))
+    return VerificationReport(tuple(checks), range_class, source_class)

@@ -1,11 +1,11 @@
 import gc
 import random
 import weakref
+from dataclasses import replace
 
 import pytest
 
 from sepk.formal_star import (
-    ZERO,
     FormalExpr,
     FormalMatrix,
     GeneratorMatrices,
@@ -13,7 +13,6 @@ from sepk.formal_star import (
     StarContext,
     UnsupportedWordError,
     build_generator_matrices,
-    matmul,
     matrices_equal,
     _grams,
     verify_partial_unitary,
@@ -28,7 +27,12 @@ from formal_oracles import (
     ReferenceCalculus,
     adjoint_word,
     assemble_generator_matrices,
+    matmul,
     reference_generator_matrices,
+    reference_grams,
+    reference_matmul,
+    reference_matrices_equal,
+    reference_verify,
     spell,
 )
 from graph_oracles import r_inv, renamed, s_inv, shuffled
@@ -409,26 +413,6 @@ def test_calculus_matches_reference(name):
     assert {"ok", "MalformedExpressionError", "UnsupportedWordError"} <= seen
 
 
-def _reference_matmul(ref, a, b):
-    """a b by the unmemoized calculus, every entry pair in turn.
-
-    Entry pairs are taken by row of a, then by inner index, then by column
-    of b, so a product with several bad entries raises where matmul does.
-    """
-    totals = {}
-    for i in range(len(a.rows)):
-        for k in range(len(a.cols)):
-            for j in range(len(b.cols)):
-                prod = ref.mul(a.entry(i, k), b.entry(k, j))
-                totals[(i, j)] = totals.get((i, j), FormalExpr({})) + prod
-    entries = {}
-    for pos, total in totals.items():
-        total = ref.normalize(total)
-        if not total.is_zero:
-            entries[pos] = total
-    return entries
-
-
 def test_matmul_matches_unmemoized_reference_on_generator_matrices():
     rng = random.Random(14)
     cases = [(builtin("E", [3, 3]), {("v", 0): 2, ("v", 1): -2}, None)]
@@ -440,7 +424,7 @@ def test_matmul_matches_unmemoized_reference_on_generator_matrices():
         ctx, ref = StarContext(g), ReferenceCalculus(g)
         for m in (gm.z, gm.t, gm.sigma_t, gm.u):
             for a, b in ((m, m.star()), (m.star(), m)):
-                assert matmul(ctx, a, b).entries == _reference_matmul(ref, a, b)
+                assert matmul(ctx, a, b).entries == reference_matmul(ref, a, b)
 
 
 def _random_matrix(g, rng, rows, cols):
@@ -461,19 +445,24 @@ def test_matmul_matches_unmemoized_reference_on_random_matrices(name):
         n, m, p = (rng.randint(1, 3) for _ in range(3))
         a, b = _random_matrix(g, rng, n, m), _random_matrix(g, rng, m, p)
         got = _outcome(lambda: matmul(ctx, a, b).entries)
-        assert got == _outcome(_reference_matmul, ref, a, b)
+        assert got == _outcome(reference_matmul, ref, a, b)
         seen.add(got[0])
     assert {"ok", "MalformedExpressionError", "UnsupportedWordError"} <= seen
 
 
-def _reference_grams(ref, m):
-    """m m* and m* m by the unmemoized calculus, after m* is formed as its own matrix."""
-    adj = m.star()
-    return _reference_matmul(ref, m, adj), _reference_matmul(ref, adj, m)
-
-
 def _gram_entries(ctx, m):
-    return tuple(product.entries for product in _grams(ctx, m))
+    """The entries of m m* and m* m, read off the kernel's cells; each size is m's own.
+
+    A zero term or an empty cell left in the cells shows as an entry that
+    the reference, which drops them, does not have.
+    """
+    out = []
+    for (size, cells), labels in zip(_grams(ctx, m), (m.rows, m.cols)):
+        assert size == len(labels)
+        out.append({
+            (i, j): FormalExpr(terms) for i, row in cells.items() for j, terms in row.items()
+        })
+    return tuple(out)
 
 
 def test_gram_products_match_reference():
@@ -492,7 +481,7 @@ def test_gram_products_match_reference():
         # that the build made
         for ctx in (StarContext(g), StarContext(g)):
             for m in (gm.z, gm.t, gm.sigma_t, gm.u):
-                assert _gram_entries(ctx, m) == _reference_grams(ref, m)
+                assert _gram_entries(ctx, m) == reference_grams(ref, m)
     seen = set()
     for name in sorted(ORACLE_GRAPHS):
         g = ORACLE_GRAPHS[name]()
@@ -511,7 +500,7 @@ def test_gram_products_match_reference():
                     entries[pos] = FormalExpr(terms)
             a = FormalMatrix(a.rows, a.cols, entries)
             got = _outcome(_gram_entries, ctx, a)
-            assert got == _outcome(_reference_grams, ref, a)
+            assert got == _outcome(reference_grams, ref, a)
             assert _outcome(_gram_entries, other, a) == _outcome(_gram_entries, ctx, a) == got
             seen.add(got[0] + (":arity" if "arity" in got[1] else "") if got[0] != "ok" else "ok")
     assert {
@@ -523,7 +512,7 @@ def test_gram_products_match_reference():
         (1, 0): FormalExpr({("x", "a1"): 1}), (0, 0): FormalExpr({("e", "a1"): 1, ("v",): 1}),
     })
     got = _outcome(_gram_entries, StarContext(g), m)
-    assert got == _outcome(_reference_grams, ReferenceCalculus(g), m)
+    assert got == _outcome(reference_grams, ReferenceCalculus(g), m)
     named = f"malformed word {('x', 'a1')!r}: unknown tag or wrong arity"
     assert got == ("MalformedExpressionError", named)
 
@@ -593,17 +582,6 @@ def test_index_skip_keeps_the_malformed_factor_rule():
             assert str(exc.value) == message
 
 
-def _reference_matrices_equal(ref, a, b):
-    """None when equal, else the first position, in sorted order, with a nonzero difference."""
-    if len(a.rows) != len(b.rows) or len(a.cols) != len(b.cols):
-        return ((-1, -1), ZERO)
-    for pos in sorted(set(a.entries) | set(b.entries)):
-        diff = ref.normalize(a.entry(*pos) - b.entry(*pos))
-        if not diff.is_zero:
-            return (pos, diff)
-    return None
-
-
 def _unnormalized_twin(g, expr, rng):
     """expr plus words of normal form zero: e* e - s(e), and e* f for e != f of one group."""
     terms = dict(expr.terms)
@@ -644,7 +622,7 @@ def test_matrices_equal_matches_reference_on_random_matrices(name):
         if rng.random() < 0.1:
             b = FormalMatrix(a.rows + ("extra",), a.cols, entries)
         got = _outcome(matrices_equal, ctx, a, b)
-        assert got == _outcome(_reference_matrices_equal, ref, a, b)
+        assert got == _outcome(reference_matrices_equal, ref, a, b)
         seen.add("equal" if got == ("ok", None) else got[0])
     assert {"equal", "ok", "MalformedExpressionError"} <= seen
 
@@ -667,7 +645,7 @@ def test_matrices_equal_matches_reference_on_corrupted_sigma2():
                 (matmul(ctx, m.star(), m), matmul(ctx, other.star(), other)),
             ):
                 got = matrices_equal(ctx, a, b)
-                assert got == _reference_matrices_equal(ref, a, b)
+                assert got == reference_matrices_equal(ref, a, b)
                 mismatches += got is not None
     assert mismatches
 
@@ -710,3 +688,75 @@ def test_generator_matrices_match_sorted_label_reference_on_random_graphs():
         x = random_kernel_element(g, rng) or x0
         for seed in (None, 0, 1):
             _assert_matches_reference(g, x, seed)
+
+
+def _cross_swapped(sigma, block_of, swaps):
+    """sigma composed with up to `swaps` swaps of two labels of different blocks."""
+    out, labels, done = dict(sigma), list(sigma), 0
+    for i, a in enumerate(labels):
+        b = next((b for b in labels[i + 1 :] if block_of(b) != block_of(a)), None)
+        if b is not None and done < swaps:
+            out[a], out[b] = out[b], out[a]
+            done += 1
+    return out
+
+
+def _same_report(gm):
+    report, want = verify_partial_unitary(gm), reference_verify(gm)
+    assert str(report) == str(want)
+    assert report.checks == want.checks
+    assert (report.range_class, report.source_class) == (want.range_class, want.source_class)
+    return report
+
+
+def test_verify_matches_the_reference_report():
+    # the kernel's cells decide each check; the reference forms every product
+    # cell by cell and compares the matrices in the same order
+    rng = random.Random(36)
+    cases = [(builtin_from_spec(s), {("v", 0): 1, ("v", 1): -1}, None)
+             for s in ("E(2,2)", "E(3,3)", "lamplighter(2)", "lamplighter(3)")]
+    graphs = canonical_sequence(builtin("E", [2, 2]), 2).graphs
+    x = {("v", 0): 1, ("v", 1): -1}
+    for g, h in zip(graphs, graphs[1:]):  # X - Y carried to layers 1 and 2
+        x = phi_transport(g, x)
+        cases.append((h, x, 1))
+    for seed in range(12):
+        g, x0 = bipartite_graph_with_kernel(rng)
+        cases.append((g, random_kernel_element(g, rng) or x0, seed % 3 or None))
+    failed = 0
+    for g, x, seed in cases:
+        gm = build_generator_matrices(g, x, seed=seed)
+        assert _same_report(gm).ok
+        for swaps in (1, 2, 3):  # sigma2 across sources
+            s2 = _cross_swapped(gm.sigma2, lambda c: c[2], swaps)
+            failed += not _same_report(assemble_generator_matrices(g, x, gm.sigma1, s2)).ok
+        s1 = _cross_swapped(gm.sigma1, lambda r: r[0][0], 1)  # sigma1 across ranges
+        failed += not _same_report(assemble_generator_matrices(g, x, s1, gm.sigma2)).ok
+    assert failed > len(cases)
+    # U's own labels name the positions of its checks
+    made = (build_generator_matrices(g, x, seed=seed) for g, x, seed in cases)
+    gm = next(gm for gm in made if len(gm.u.rows) > 2)
+    rows, cols = (tuple((name, i) for i in range(len(gm.u.rows))) for name in "uc")
+    u = FormalMatrix(rows, cols, dict(list(gm.u.entries.items())[1:]))
+    text = str(_same_report(replace(gm, u=u)))
+    assert "FAIL UU* = ZZ*: at (('u', 0)" in text and "FAIL U*U = UU*: at (('c', 0)" in text
+
+
+def test_verify_raises_as_the_reference_does():
+    # U's Gram products are formed before any vertex diagonal, so a malformed
+    # word in U raises before an unknown vertex in a label
+    g = builtin("E", [2, 2])
+    gm = build_generator_matrices(g, {("v", 0): 1, ("v", 1): -1})
+    key, t = gm.z.rows[0]
+    z = FormalMatrix(((("nowhere", key[1]), t),) + gm.z.rows[1:], gm.z.cols, gm.z.entries)
+    for word in [*MALFORMED_WORDS, ("e", "zz"), ("ae", "a1", "b1"), None]:  # all but None raise
+        u = gm.u
+        if word is not None:
+            terms = dict(u.entry(0, 0).terms)
+            terms[word] = 1
+            u = FormalMatrix(u.rows, u.cols, {**u.entries, (0, 0): FormalExpr(terms)})
+        for zm in (gm.z, z):
+            bad = GeneratorMatrices(g, gm.element, zm, gm.t, gm.sigma1, gm.sigma2, gm.sigma_t, u)
+            got = _outcome(verify_partial_unitary, bad)
+            assert got == _outcome(reference_verify, bad)
+            assert (got[1] == "unknown vertex 'nowhere'") == (word is None and zm is z)

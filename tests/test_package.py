@@ -16,3 +16,34 @@ def test_every_imported_public_name_is_exported():
     assert imported, "no imports found in sepk/__init__.py"
     assert sorted(imported - set(sepk.__all__)) == []
     assert all(hasattr(sepk, name) for name in sepk.__all__)
+
+
+def _defined_and_used(path: Path) -> tuple[set[str], set[str]]:
+    """A module's top-level functions and classes, and the names its code reads.
+
+    A name counts as read where it is loaded, imported, or read as an
+    attribute; a definition's reads of its own name (recursion) do not count.
+    """
+    defined, used = set(), set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        names = {
+            n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute) else n.name
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute, ast.alias))
+        }
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+            names.discard(node.name)
+        used |= names
+    return defined, used
+
+
+def test_nothing_in_src_exists_only_for_tests():
+    # every top-level function and class is read by the package or exported;
+    # matrix_rank stays until the bench tracer no longer wraps it by name
+    defined, used = set(), set()
+    for path in sorted(Path(sepk.__file__).parent.glob("*.py")):
+        names, reads = _defined_and_used(path)
+        defined |= names
+        used |= reads
+    assert sorted(defined - used - set(sepk.__all__)) == ["matrix_rank"]

@@ -832,3 +832,35 @@ def test_class_budget_counts_exactly_the_source_classes_a_step_makes(monkeypatch
         )
         assert exc.value.last_layer == 3
         monkeypatch.undo()
+
+
+def test_a_stationary_quotient_gives_every_later_layer_its_sizes(monkeypatch):
+    # a quotient equal to the one before it is a fixed point: no later one is made
+    import sepk.transform
+
+    calls = []
+    coarsest = sepk.transform._coarsest
+    monkeypatch.setattr(sepk.transform, "_coarsest", lambda q: calls.append(q) or coarsest(q))
+    one_edge = SeparatedGraph.build(["v", "w"], [("a", "w", "v")], {"v": [["a"]]}, (["v"], ["w"]))
+    assert w_set_sizes(one_edge, 200_000) == (0,) * 200_000
+    assert len(calls) <= 3
+    # on seeded graphs, those that reach a fixed point and those that do not,
+    # the counts are those of the built layers, past the fixed point; |W| is
+    # zero on a layer that does not grow, so the layer sizes are compared too
+    rng, depth = random.Random(12), 6
+    starts = [one_edge] + [random_bipartite_graph(rng, max_size=2) for _ in range(120)]
+    stationary = growing = 0
+    for g in starts:
+        calls.clear()
+        try:
+            counts, ranks = sepk.transform._sequence_counts(g, depth, budget=300)
+        except BudgetExceededError:
+            continue
+        if len(calls) < depth - 1:
+            stationary += 1
+        else:
+            growing += 1
+        layers = canonical_sequence(g, depth, budget=300).graphs
+        assert ranks == tuple(w_count_formula(h, h.layer0) for h in layers[:depth])
+        assert counts == [(len(h.vertices), len(h.edges), len(h.group_keys())) for h in layers]
+    assert stationary >= 10 and growing >= 10
