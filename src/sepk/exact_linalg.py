@@ -402,6 +402,22 @@ def kernel_basis(matrix: IntMatrix) -> list[tuple[int, ...]]:
 
 
 def in_lattice_span(basis: Sequence[Sequence[int]], target: Sequence[int]) -> bool:
-    """Exact membership of target in the integer span of basis vectors."""
-    dim = len(target)
-    return hnf_column_basis(basis, dim) == hnf_column_basis([*basis, target], dim)
+    """Exact membership of target in the integer span of basis vectors.
+
+    The target is reduced against the Hermite form of the basis, in pivot
+    order: each pivot must divide what is left at its coordinate, and
+    nothing may be left at the end.  As in hnf_column_basis, the basis is
+    read on the target's coordinates; a target with more coordinates than a
+    basis vector is refused with ValueError.
+    """
+    rest = list(target)
+    if any(len(v) < len(rest) for v in basis):
+        raise ValueError(f"the target has {len(rest)} coordinates, more than a basis vector")
+    for v in hnf_column_basis(basis, len(rest)):
+        p = next(i for i, x in enumerate(v) if x)
+        t, r = divmod(rest[p], v[p])
+        if r:
+            return False
+        if t:
+            rest = [a - t * b for a, b in zip(rest, v)]
+    return not any(rest)

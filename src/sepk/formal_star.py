@@ -53,7 +53,8 @@ time.
 
 The module also builds the labeled generator matrices realizing the K_1
 class of a kernel element (a row per unit of positive coefficient, a column
-per arrow occurrence) and verifies, by formal matrix arithmetic, that they
+per arrow occurrence), keeping Z, T and sigma(T) as a row and an edge per
+column (_monomial), and verifies, by formal matrix arithmetic, that they
 multiply to the expected vertex diagonals.  A check compares the kernel's
 cells {i: {j: terms}} of a product with those of the expected side: both are
 normal forms with no zero term, so they are equal exactly when their values
@@ -377,10 +378,7 @@ class StarContext:
         return FormalExpr(out.get(0, {}).get(0, {}))
 
     def _read(
-        self,
-        entries: Iterable[tuple[tuple[int, int], FormalExpr]],
-        own: bool = True,
-        adjoint: bool = False,
+        self, entries: Iterable[tuple[tuple[int, int], FormalExpr]], adjoint: bool = False
     ) -> tuple[dict[int, _Line], dict[int, _Line]]:
         """The rows of a matrix and of its adjoint, as _Lines, from one read of its words.
 
@@ -400,8 +398,7 @@ class StarContext:
                     s = shape(w)
                 except MalformedExpressionError:
                     s = _MALFORMED
-                if own:
-                    (rows.get(i) or rows.setdefault(i, _Line())).add((k, w, c, s), group_of)
+                (rows.get(i) or rows.setdefault(i, _Line())).add((k, w, c, s), group_of)
                 if adjoint:
                     if s is not _MALFORMED:
                         s = (s[1], s[0], _STAR_KINDS[s[2]])
@@ -410,6 +407,29 @@ class StarContext:
                     tag = _STAR_TAG[w[0]]
                     w = (tag, w[1]) if len(w) == 2 else (tag, w[2], w[1])
                     (adj.get(k) or adj.setdefault(k, _Line())).add((i, w, c, s), group_of)
+        return rows, adj
+
+    def _read_matrix(self, m: FormalMatrix, adjoint: bool = False, own: bool = True):
+        """_read of m's entries, or the same lines filled off a side's lists (_monomial).
+
+        own=False leaves out a side's rows.  A side with an edge the graph does
+        not know is read by _read, which finds that word malformed.
+        """
+        arrays, edges, index = m.__dict__.get("_arrays"), self.graph.edges, self.graph._eindex
+        if not arrays or not index.keys() >= set(arrays[1]):
+            return self._read(sorted(m.entries.items()), adjoint)
+        rows, adj, group_of = {}, {}, self.group_of
+        for j, (i, e) in enumerate(zip(*arrays[:2])):
+            x = edges[index[e]]
+            if own:  # as _Line.add does for an edge word
+                line = rows.get(i) or rows.setdefault(i, _Line())
+                if line.group != (key := group_of[e]):
+                    line.group = key if line.group is None else _MIXED
+                line.words.append(entry := (j, ("e", e), 1, (x.src, x.dst, "E")))
+                (line.first.get(e) or line.first.setdefault(e, [])).append(entry)
+            if adjoint:  # the one word e*, which begins with no edge
+                line = adj[j] = _Line()
+                line.words = line.rest = [(i, ("a", e), 1, (x.dst, x.src, "A"))]
         return rows, adj
 
     def _multiply_into(
@@ -521,11 +541,25 @@ class StarContext:
 
 @dataclass(frozen=True)
 class FormalMatrix:
-    """A labeled matrix of formal expressions; absent entries are zero."""
+    """A labeled matrix of formal expressions; absent entries are zero.
+
+    A side (_monomial) keeps two lists, the word ("e", edge[j]) of column j
+    on row at[j], until its entries are first read and made from them.
+    """
 
     rows: tuple
     cols: tuple
     entries: dict[tuple[int, int], FormalExpr] = field(repr=False)
+
+    def __getattr__(self, name: str):  # called for names not found: a side's unmade entries
+        arrays = self.__dict__.pop("_arrays", None) if name == "entries" else None
+        if arrays is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        at, edge, by_row = arrays
+        order = sorted(range(len(at)), key=at.__getitem__) if by_row else range(len(at))
+        entries = {(at[j], j): FormalExpr({("e", edge[j]): 1}) for j in order}
+        object.__setattr__(self, "entries", entries)
+        return entries
 
     def entry(self, i: int, j: int) -> FormalExpr:
         return self.entries.get((i, j), ZERO)
@@ -566,7 +600,7 @@ def _grams(ctx: StarContext, m: FormalMatrix) -> tuple[tuple[int, dict], ...]:
     A word with no adjoint raises first, as forming m* would.
     """
     try:
-        rows, cols = ctx._read(sorted(m.entries.items()), adjoint=True)
+        rows, cols = ctx._read_matrix(m, adjoint=True)
     except MalformedExpressionError:
         m.star()  # raises for the first such word in m's own order
         raise
@@ -608,12 +642,12 @@ def _source_of(col: ColLabel) -> str:
 class GeneratorMatrices:
     """The labeled matrices realizing the K_1 class of a kernel element.
 
-    z collects the positive part (one row per unit of coefficient, one
-    column per arrow occurrence; each column holds a single edge), t the
-    negative part.  sigma1 and sigma2 are the row and column bijections,
-    restricting per range vertex and per source vertex respectively;
-    sigma_t is t pulled back along them, and u = z sigma(t)* is the partial
-    unitary whose class generates the image of the element.
+    z collects the positive part (a row per unit of coefficient, a column
+    per arrow occurrence, each column a single edge: a side, _monomial), t
+    the negative part.  sigma1 and sigma2 are the row and column bijections,
+    restricting per range vertex and per source vertex respectively; the
+    side sigma_t is t pulled back along them, and u = z sigma(t)*, given by
+    its entries, is the partial unitary generating the element's image.
     """
 
     graph: SeparatedGraph
@@ -632,7 +666,7 @@ def _side(g: SeparatedGraph, part: Mapping[GroupKey, int]) -> FormalMatrix:
     Rows run over the used groups in group order; columns over the source
     vertices in layer1 order, then the used groups with an arrow from that
     source, in group order, then t, then the arrows in their group order.
-    The column (key, t, w, s) holds its arrow on the row (key, t).
+    The column (key, t, w, s) holds its arrow on the row (key, t) (_monomial).
     """
     rows: list[RowLabel] = []
     first_row: dict[GroupKey, int] = {}
@@ -647,15 +681,23 @@ def _side(g: SeparatedGraph, part: Mapping[GroupKey, int]) -> FormalMatrix:
                 for eid in group:
                     by_source.setdefault(src[eindex[eid]], {}).setdefault((u, i), []).append(eid)
     cols: list[ColLabel] = []
-    entries = {}
+    at, edge = [], []  # by column: its row, its edge
     for w in g.layer1:
         for key, arrows in by_source.get(vindex[w], {}).items():
             for t in range(1, part[key] + 1):
                 row = first_row[key] + t - 1
                 for s, eid in enumerate(arrows, start=1):
-                    entries[(row, len(cols))] = FormalExpr({("e", eid): 1})
+                    at.append(row)
+                    edge.append(eid)
                     cols.append((key, t, w, s))
-    return FormalMatrix(tuple(rows), tuple(cols), entries)
+    return _monomial(tuple(rows), tuple(cols), at, edge)
+
+
+def _monomial(rows: tuple, cols: tuple, at: list, edge: list, by_row=False) -> FormalMatrix:
+    """The side with edge[j] on row at[j]; its entries run by column, or sorted by_row."""
+    m = object.__new__(FormalMatrix)
+    m.__dict__.update(rows=rows, cols=cols, _arrays=(at, edge, by_row))
+    return m
 
 
 def _blocks(labels, block_of):
@@ -681,27 +723,24 @@ def _pair_blocks(left, right, block_of, what, rng=None):
 
 
 def _assemble(
-    g: SeparatedGraph,
-    x: Mapping[GroupKey, int],
-    z: FormalMatrix,
-    t: FormalMatrix,
-    sigma1: dict[RowLabel, RowLabel],
-    sigma2: dict[ColLabel, ColLabel],
+    g: SeparatedGraph, x: Mapping[GroupKey, int], z: FormalMatrix, t: FormalMatrix,
+    sigma1: dict[RowLabel, RowLabel], sigma2: dict[ColLabel, ColLabel],
 ) -> GeneratorMatrices:
     """The matrices for the given bijections between the sides z and t.
 
-    sigma_t[i1, j1] = t[sigma1(row i1), sigma2(col j1)]: each entry of t goes
-    to the row and column that the inverse bijections send its own to.
+    sigma_t[i1, j1] = t[sigma1(row i1), sigma2(col j1)]: each column of t,
+    its row and edge, goes to where the inverse bijections send its own.
     """
     ctx = StarContext(g)
     row_of = {sigma1[r]: i1 for i1, r in enumerate(z.rows)}
     col_of = {sigma2[c]: j1 for j1, c in enumerate(z.cols)}
-    entries = {
-        (row_of[t.rows[i]], col_of[t.cols[j]]): expr for (i, j), expr in t.entries.items()
-    }
-    sigma_t = FormalMatrix(z.rows, z.cols, dict(sorted(entries.items())))
-    left, _ = ctx._read(sorted(z.entries.items()))
-    _, right = ctx._read(sigma_t.entries.items(), own=False, adjoint=True)
+    at, edge = [0] * len(z.cols), [""] * len(z.cols)
+    for i, e, c in zip(*t._arrays[:2], t.cols):  # each column of t, its row and edge
+        i1, j1 = row_of[t.rows[i]], col_of[c]
+        at[j1], edge[j1] = i1, e
+    sigma_t = _monomial(z.rows, z.cols, at, edge, by_row=True)
+    left, _ = ctx._read_matrix(z)
+    _, right = ctx._read_matrix(sigma_t, adjoint=True, own=False)
     u = _matrix(z.rows, z.rows, ctx._multiply_into(left, right, {}))  # z sigma_t*
     return GeneratorMatrices(g, dict(x), z, t, dict(sigma1), dict(sigma2), sigma_t, u)
 

@@ -761,17 +761,21 @@ def _layer_sizes(g: SeparatedGraph):
     Layer n + 1's range vertices are layer n's sources, and its groups are the
     X(x) of layer n's edges x, one arrow per tuple through x.  So its sizes are
     read off layer n's quotient, and layer n's tuples are enumerated only when
-    layer n + 2 is asked for.  A quotient equal to the one before it is a
-    fixed point, since the next quotient depends on it alone: its sizes are
-    then every later layer's, and no further quotient is made.  Comparing
-    two quotients stops at their first difference of length or class.
+    layer n + 2 is asked for.  The next quotient depends on a quotient alone
+    (_tuple_classes reads the layer number only to name a refusal, which a
+    quotient met before has passed), so a quotient equal to either of the two
+    before it closes a cycle: the sizes of the cycle's layers then repeat in
+    turn, and no further quotient is made.  Comparing two quotients stops at
+    their first difference of length or class.
     """
     yield [(1, [len(grp) for grp in g.groups_at(u)]) for u in g.layer0]
-    last = None
+    seen: list[tuple] = []  # (classes, sizes of the next layer) of the last two quotients
     for q in _quotients(g):
-        if last is not None and (q.kind, q.mult, q.up) == (last.kind, last.mult, last.up):
-            yield from itertools.repeat(layer)
-        last, mult, inside = q, q.mult, q.inside
+        classes = (q.kind, q.mult, q.up)
+        for back in (1, 2):  # a cycle of one quotient, or of two
+            if len(seen) >= back and seen[-back][0] == classes:
+                yield from itertools.cycle([layer for _, layer in seen[-back:]])
+        mult, inside = q.mult, q.inside
         size = {grp: sum(mult[e] // mult[grp] for e in inside[grp]) for grp in q.sort[_GROUP]}
         tuples = {
             r: math.prod(size[grp] ** (mult[grp] // mult[r]) for grp in inside[r])
@@ -781,7 +785,8 @@ def _layer_sizes(g: SeparatedGraph):
         for e in q.sort[_EDGE]:
             grp, s = q.up[e]
             sizes[s] += [tuples[q.up[grp][0]] // size[grp]] * (mult[e] // mult[s])
-        yield (layer := [(mult[s], ns) for s, ns in sizes.items()])
+        seen = [*seen[-1:], (classes, [(mult[s], ns) for s, ns in sizes.items()])]
+        yield seen[-1][1]
 
 
 def w_set_sizes(g: SeparatedGraph, depth: int, budget: int = DEFAULT_BUDGET) -> tuple[int, ...]:

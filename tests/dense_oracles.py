@@ -9,10 +9,12 @@ decides whether a Smith transform is unimodular, and mat_mul checks that
 the transforms multiply the input to its Smith form.  reference_incidence
 spells out the columns of 1_C - A by looking every edge up by name, and
 dense_one and dense_difference spell out an incidence pair's matrices cell
-by cell, the reference for its sparse views.
+by cell, the reference for its sparse views.  in_span_by_two_forms decides
+lattice membership by comparing two Hermite forms, the basis's and the
+basis's with the target appended.
 """
 
-from sepk.exact_linalg import IntMatrix, _format_grid, smith_normal_form
+from sepk.exact_linalg import IntMatrix, _format_grid, hnf_column_basis, smith_normal_form
 from sepk.graph_model import SeparatedGraph
 
 
@@ -82,6 +84,12 @@ def det_bareiss(matrix: IntMatrix) -> int:
 
 def is_unimodular(matrix: IntMatrix) -> bool:
     return abs(det_bareiss(matrix)) == 1
+
+
+def in_span_by_two_forms(basis, target) -> bool:
+    """Whether target lies in the integer span of basis: appending it leaves the Hermite form."""
+    dim = len(target)
+    return hnf_column_basis(basis, dim) == hnf_column_basis([*basis, target], dim)
 
 
 def reference_incidence(g: SeparatedGraph) -> tuple[dict[int, int], ...]:

@@ -17,6 +17,7 @@ from sepk.exact_linalg import (
 from dense_oracles import (
     det_bareiss,
     diagonal,
+    in_span_by_two_forms,
     is_unimodular,
     mat_mul,
     smith_diagonal,
@@ -265,6 +266,38 @@ def test_in_lattice_span_edges():
     assert not in_lattice_span([], [1, 0])
     assert in_lattice_span([[2, 0]], [4, 0])
     assert not in_lattice_span([[2, 0]], [3, 0])
+    assert in_lattice_span([[2, 0, 1]], [4, 0]) and not in_lattice_span([[2, 0, 1]], [3, 0])
+    with pytest.raises(ValueError):
+        in_lattice_span([[2, 0]], [2, 0, 0])
+
+
+def test_in_lattice_span_matches_the_two_form_oracle_on_kernels():
+    # targets inside and outside each kernel, zero, and of one coordinate
+    # fewer or more: a target longer than the basis vectors is refused, where
+    # the two-form oracle raises IndexError or, for some, answers
+    rng = random.Random(2002)
+    kinds = ("units", "no-units", "sparse", "large")
+    answers = {True: 0, False: 0}
+    for n in range(300):
+        m = oracle_matrix(rng, kinds[n % len(kinds)])
+        c = m.shape[1]
+        basis = kernel_basis(m)
+        targets = [[0] * c]
+        for _ in range(3):
+            combo = [rng.randint(-3, 3) for _ in basis]
+            inside = [sum(k * v[i] for k, v in zip(combo, basis)) for i in range(c)]
+            targets += [inside, [x + rng.choice((0, 1, 2)) for x in inside]]
+            targets.append([rng.randint(-3, 3) for _ in range(c)])
+        targets += [t[:-1] for t in targets if t] + [t + [rng.choice((0, 1))] for t in targets]
+        for target in targets:
+            if basis and len(target) > c:
+                with pytest.raises(ValueError, match="more than a basis vector"):
+                    in_lattice_span(basis, target)
+                continue
+            want = in_span_by_two_forms(basis, target)
+            assert in_lattice_span(basis, target) is want
+            answers[want] += 1
+    assert min(answers.values()) > 500
 
 
 def test_det_and_unimodularity():

@@ -1,4 +1,6 @@
+import copy
 import gc
+import pickle
 import random
 import weakref
 from dataclasses import replace
@@ -18,7 +20,7 @@ from sepk.formal_star import (
     verify_partial_unitary,
     word_str,
 )
-from sepk.graph_model import builtin, builtin_from_spec
+from sepk.graph_model import Edge, SeparatedGraph, builtin, builtin_from_spec
 from sepk.ktheory import NotInKernelError, connecting_map_image, k_groups_full, phi_transport
 from sepk.transform import PreconditionError, canonical_sequence
 
@@ -707,6 +709,87 @@ def _same_report(gm):
     assert report.checks == want.checks
     assert (report.range_class, report.source_class) == (want.range_class, want.source_class)
     return report
+
+
+def _side_cases():
+    """E(2,2) layer 2 with X - Y carried there, and three seeded graphs with kernel elements."""
+    graphs = canonical_sequence(builtin("E", [2, 2]), 2).graphs
+    x = {("v", 0): 1, ("v", 1): -1}
+    for g in graphs[:-1]:
+        x = phi_transport(g, x)
+    cases, rng = [(graphs[-1], x, None)], random.Random(41)
+    for seed in range(3):
+        g, x0 = bipartite_graph_with_kernel(rng)
+        cases.append((g, random_kernel_element(g, rng) or x0, seed or None))
+    return cases
+
+
+def _line_state(lines):
+    return {i: (x.words, x.bad, x.first, x.rest, x.group) for i, x in lines.items()}
+
+
+def test_sides_are_built_and_checked_without_making_their_entries():
+    for g, x, seed in _side_cases():
+        gm = build_generator_matrices(g, x, seed=seed)
+        assert verify_partial_unitary(gm).ok
+        sides = (gm.z, gm.t, gm.sigma_t)
+        assert not any("entries" in m.__dict__ for m in sides)
+        kept = [copy.deepcopy(m) for m in sides]
+        # made on first read, equal to the reference's, in the reference's key order
+        z, t, sigma_t, _ = reference_generator_matrices(g, x, gm.sigma1, gm.sigma2)
+        for m, want in zip(sides, (z, t, sigma_t)):
+            assert list(m.entries.items()) == list(want.entries.items())
+            assert "entries" in m.__dict__ and m == want
+        assert list(gm.sigma_t.entries) == sorted(gm.sigma_t.entries)
+        # a side's lines are the lines _read makes of its entries
+        ctx = StarContext(g)
+        for m, want in zip(kept, sides):
+            for adjoint in (False, True):
+                got = ctx._read_matrix(m, adjoint)
+                assert "entries" not in m.__dict__
+                wanted = ctx._read(sorted(want.entries.items()), adjoint)
+                assert list(map(_line_state, got)) == list(map(_line_state, wanted))
+            assert ctx._read_matrix(m, True, own=False)[0] == {}
+
+
+def test_sides_survive_pickle_copy_and_replace():
+    g, x, _ = _side_cases()[0]
+    gm = build_generator_matrices(g, x)
+    copies = map(copy.deepcopy, (gm.z, gm.t, gm.sigma_t))
+    want = [FormalMatrix(m.rows, m.cols, dict(m.entries)) for m in copies]
+    for m, entries in zip((gm.z, gm.t, gm.sigma_t), want):
+        for other in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m), copy.copy(m)):
+            assert "entries" not in other.__dict__ and other == entries
+        assert "entries" not in m.__dict__
+        moved = replace(m, rows=m.rows)
+        assert moved == m == entries and "entries" in moved.__dict__
+    blank = object.__new__(FormalMatrix)  # as unpickling meets it: an empty __dict__
+    assert not hasattr(blank, "entries") and not hasattr(blank, "rows")
+    with pytest.raises(AttributeError, match="'FormalMatrix' object has no attribute 'entries'"):
+        blank.entries
+
+
+def _with_edge_renamed(g, eid, new):
+    name = {e.id: e.id for e in g.edges} | {eid: new}
+    return SeparatedGraph(
+        g.vertices,
+        tuple(Edge(name[e.id], e.src, e.dst) for e in g.edges),
+        tuple(tuple(tuple(name[e] for e in grp) for grp in groups) for groups in g.separation),
+        g.bipartite,
+    )
+
+
+def test_a_side_on_a_graph_without_its_edge_raises_as_its_entries_do():
+    for g, x, seed in _side_cases():
+        gm = build_generator_matrices(g, x, seed=seed)
+        last = gm.z.__dict__["_arrays"][1][-1]
+        for other in (renamed(g, random.Random(5)), _with_edge_renamed(g, last, "unknown")):
+            sides = replace(copy.deepcopy(gm), graph=other)
+            z = copy.deepcopy(gm.z)
+            given = replace(gm, graph=other, z=FormalMatrix(z.rows, z.cols, dict(z.entries)))
+            got = _outcome(verify_partial_unitary, sides)
+            assert got[0] == "MalformedExpressionError"
+            assert got == _outcome(verify_partial_unitary, given)
 
 
 def test_verify_matches_the_reference_report():

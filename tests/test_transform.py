@@ -864,3 +864,33 @@ def test_a_stationary_quotient_gives_every_later_layer_its_sizes(monkeypatch):
         assert ranks == tuple(w_count_formula(h, h.layer0) for h in layers[:depth])
         assert counts == [(len(h.vertices), len(h.edges), len(h.group_keys())) for h in layers]
     assert stationary >= 10 and growing >= 10
+
+
+def test_quotients_that_return_with_period_two_give_every_later_layer_its_sizes(monkeypatch):
+    # a quotient equal to the one two layers back closes a cycle of two: the
+    # last two layers' sizes alternate from then on, and no later quotient is made
+    import sepk.transform
+
+    calls = []
+    coarsest = sepk.transform._coarsest
+    monkeypatch.setattr(sepk.transform, "_coarsest", lambda q: calls.append(q) or coarsest(q))
+    rng, depth = random.Random(12), 6
+    draws = [random_bipartite_graph(rng, max_size=2 - n % 2) for n in range(200)][1::2]
+    cycles, deep = 0, ()
+    for g in draws:
+        calls.clear()
+        try:
+            counts, ranks = sepk.transform._sequence_counts(g, depth, budget=300)
+        except BudgetExceededError:
+            continue
+        made = [(q.kind, q.mult, q.up) for q in map(coarsest, calls)]
+        if len(made) > 2 and made[-1] == made[-3] != made[-2]:
+            cycles += 1
+            if len(made) == 4 and not deep:  # a cycle closed at layer 3, far past it
+                calls.clear()
+                deep = w_set_sizes(g, 200_000)
+                assert len(calls) == 4 and deep[:depth] == ranks and deep[4:] == deep[2:-2]
+        layers = canonical_sequence(g, depth, budget=300).graphs
+        assert ranks == tuple(w_count_formula(h, h.layer0) for h in layers[:depth])
+        assert counts == [(len(h.vertices), len(h.edges), len(h.group_keys())) for h in layers]
+    assert cycles >= 50 and deep
