@@ -293,6 +293,13 @@ def _cmd_sequence(loaded: _Loaded, args):
 
     def as_text():  # counted on the quotient: no layer is built
         counts, sizes = transform._sequence_counts(g, depth, budget)
+        largest = max(map(max, counts))  # no |W_k| exceeds a layer's vertex count
+        try:  # refused before any line is made, as _printable refuses an answer
+            str(largest)
+        except ValueError:
+            raise PreconditionError(
+                f"a count of {transform._decimal(largest)} has too many digits to print"
+            ) from None
         return "\n".join([
             *(f"layer {n}: {v} vertices, {e} edges, {k} groups"
               for n, (v, e, k) in enumerate(counts)),

@@ -58,8 +58,8 @@ column (_monomial), and verifies, by formal matrix arithmetic, that they
 multiply to the expected vertex diagonals.  A check compares the kernel's
 cells {i: {j: terms}} of a product with those of the expected side: both are
 normal forms with no zero term, so they are equal exactly when their values
-are.  Only a failing check builds the two FormalMatrix objects, to name its
-first mismatch and residue.
+are, and a failing check names the first cell, in position order, where
+they differ, with their difference there as its residue.
 """
 
 from __future__ import annotations
@@ -67,6 +67,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Iterable, Mapping
 
 from .exact_linalg import _format_grid
@@ -608,19 +609,13 @@ def _grams(ctx: StarContext, m: FormalMatrix) -> tuple[tuple[int, dict], ...]:
     return (len(m.rows), mm), (len(m.cols), ctx._multiply_into(cols, rows, {}))
 
 
-def matrices_equal(ctx: StarContext, a: FormalMatrix, b: FormalMatrix):
-    """None when equal, else (position, difference) of the first mismatch."""
-    if len(a.rows) != len(b.rows) or len(a.cols) != len(b.cols):
-        return ((-1, -1), ZERO)
-    ae, be = a.entries, b.entries
-    for pos in sorted(ae.keys() | be.keys()):
-        left, right = ae.get(pos, ZERO), be.get(pos, ZERO)
-        if left.terms == right.terms:
-            continue  # the difference is zero before normalizing
-        diff = ctx.normalize(left - right)
-        if not diff.is_zero:
-            return (pos, diff)
-    return None
+def _first_mismatch(a: Mapping[int, dict], b: Mapping[int, dict]) -> tuple[tuple, FormalExpr]:
+    """The first position, in order, where the kernel's cells a and b differ, and a's minus b's."""
+    for i in sorted(a.keys() | b.keys()):
+        left, right = a.get(i, {}), b.get(i, {})
+        for j in sorted(left.keys() | right.keys()):
+            if left.get(j) != right.get(j):
+                return (i, j), FormalExpr(left.get(j, {})) - FormalExpr(right.get(j, {}))
 
 
 # generator matrices -----------------------------------------------------------
@@ -700,26 +695,20 @@ def _monomial(rows: tuple, cols: tuple, at: list, edge: list, by_row=False) -> F
     return m
 
 
-def _blocks(labels, block_of):
-    out: dict = {}
-    for lbl in labels:
-        out.setdefault(block_of(lbl), []).append(lbl)
-    return out
+def _pair(left: tuple, right: tuple, block_of, rng: random.Random | None) -> dict:
+    """The blockwise bijection zipping left's labels with right's; rng shuffles right's runs.
 
-
-def _pair_blocks(left, right, block_of, what, rng=None):
-    """Blockwise bijection from left to right labels, order-preserving or seeded."""
-    lb = _blocks(left, block_of)
-    rb = _blocks(right, block_of)
-    if set(lb) != set(rb) or any(len(lb[k]) != len(rb[k]) for k in lb):
-        raise PreconditionError(f"{what} blocks do not match; element is not balanced")
-    out = {}
-    for k, ls in lb.items():
-        rs = list(rb[k])
-        if rng is not None:
-            rng.shuffle(rs)
-        out.update(zip(ls, rs))
-    return out
+    _side lists rows by layer0 vertex and columns by layer1 vertex, so each
+    side's blocks are runs of its labels; a kernel element balances every
+    block (require_kernel_element), so the runs of both sides come in one
+    order and of equal sizes.
+    """
+    if rng is not None:
+        runs = [list(run) for _, run in groupby(right, block_of)]
+        for run in runs:
+            rng.shuffle(run)
+        right = [label for run in runs for label in run]
+    return dict(zip(left, right))
 
 
 def _assemble(
@@ -752,9 +741,9 @@ def build_generator_matrices(
 
     The row bijection pairs the positive and negative units over each range
     vertex, the column bijection pairs arrow occurrences over each source
-    vertex; by default both are order-preserving on the canonically sorted
-    labels, and a seed requests a random (but still blockwise) choice, which
-    must leave all verification identities intact.
+    vertex.  By default both zip the two sides' labels in order (_pair); a
+    seed shuffles the negative side's labels within each block, which must
+    leave all verification identities intact.
 
     The group keys and rewrites are kept on g (StarContext), so
     verify_partial_unitary and later builds on g share them.
@@ -773,8 +762,8 @@ def build_generator_matrices(
             )
     z, t = (_side(g, part) for part in parts)
     rng = random.Random(seed) if seed is not None else None
-    sigma1 = _pair_blocks(z.rows, t.rows, _range_of, "row", rng)
-    sigma2 = _pair_blocks(z.cols, t.cols, _source_of, "column", rng)
+    sigma1 = _pair(z.rows, t.rows, _range_of, rng)
+    sigma2 = _pair(z.cols, t.cols, _source_of, rng)
     return _assemble(g, x, z, t, sigma1, sigma2)
 
 
@@ -839,17 +828,15 @@ def verify_partial_unitary(gm: GeneratorMatrices) -> VerificationReport:
 
     def add_equality(name, labels, a, b):
         """Check a = b, each (size, cells); labels name a's rows and columns."""
-        mismatch = None
-        if a != b:  # normal forms with no zero term: only a real mismatch differs
-            n, cells = b
-            found = _matrix(labels, labels, a[1]), _matrix(range(n), range(n), cells)
-            mismatch = matrices_equal(ctx, *found)
-        if mismatch is None:
+        if a == b:  # normal forms with no zero term: only a real mismatch differs
             checks.append(Check(name, True))
+            return
+        if a[0] != b[0]:
+            pos, diff = "shape", ZERO
         else:
-            (i, j), diff = mismatch
-            pos = "shape" if i < 0 else f"({_label_str(labels[i])}, {_label_str(labels[j])})"
-            checks.append(Check(name, False, f"at {pos}: residue {diff}"))
+            (i, j), diff = _first_mismatch(a[1], b[1])
+            pos = f"({_label_str(labels[i])}, {_label_str(labels[j])})"
+        checks.append(Check(name, False, f"at {pos}: residue {diff}"))
 
     for name, product, labels, vertex_of in (
         ("ZZ* is the range-vertex diagonal", zz, z.rows, _range_of),

@@ -8,12 +8,17 @@ word tag by tag, apart from the one table that formal_star reads.
 assemble_generator_matrices builds the generator matrices for bijections a
 test chooses, so tests can corrupt them.  reference_generator_matrices
 builds the same matrices from sorted labels and cell-by-cell lookups.
+reference_bijections pairs the two sides' labels block by block through a
+dict of blocks per side, as a second path to build_generator_matrices'
+zipped runs.
 matmul multiplies two whole matrices through StarContext's one product
 kernel, so tests can compare that kernel with the reference on any factors.
 reference_matmul, reference_grams and reference_matrices_equal form
 products and compare matrices entry by entry with ReferenceCalculus, and
 reference_verify builds a whole verification report from them.
 """
+
+import random
 
 from sepk.formal_star import (
     ZERO,
@@ -84,6 +89,37 @@ def assemble_generator_matrices(g: SeparatedGraph, x, sigma1, sigma2) -> Generat
     """The generator matrices of x for explicitly chosen bijections."""
     z, t = _side(g, positive_part(x)), _side(g, negative_part(x))
     return _assemble(g, x, z, t, sigma1, sigma2)
+
+
+def reference_bijections(g: SeparatedGraph, x, seed=None):
+    """(sigma1, sigma2) of x, each block of T's labels paired with Z's through dicts of blocks.
+
+    Each side's labels are grouped by block (range vertex of a row, source
+    of a column) in order of first appearance; the blocks must balance.  A
+    seed shuffles a copy of each of T's blocks, rows first, then columns, in
+    the order of Z's blocks.
+    """
+    z, t = _side(g, positive_part(x)), _side(g, negative_part(x))
+    rng = None if seed is None else random.Random(seed)
+    out = []
+    for left, right, block_of in (
+        (z.rows, t.rows, lambda r: r[0][0]),
+        (z.cols, t.cols, lambda c: c[2]),
+    ):
+        blocks = [{}, {}]
+        for side, labels in zip(blocks, (left, right)):
+            for label in labels:
+                side.setdefault(block_of(label), []).append(label)
+        lb, rb = blocks
+        assert set(lb) == set(rb) and all(len(lb[k]) == len(rb[k]) for k in lb), "unbalanced"
+        sigma = {}
+        for k, ls in lb.items():
+            rs = list(rb[k])
+            if rng is not None:
+                rng.shuffle(rs)
+            sigma.update(zip(ls, rs))
+        out.append(sigma)
+    return tuple(out)
 
 
 def reference_generator_matrices(g: SeparatedGraph, x, sigma1, sigma2):

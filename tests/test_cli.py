@@ -515,6 +515,23 @@ def test_coefficients_past_the_digits_an_int_is_written_with_exit_4(capsys):
     assert code == 0 and len(out) > 2 * 4300
 
 
+def test_sequence_counts_past_the_digits_an_int_is_written_with_exit_4(capsys, monkeypatch):
+    # layer 9011 of lamplighter(3) has 10^4300 or more edges, and layer 7141 of
+    # lamplighter(4) as many vertices, though the vertices each generates fit
+    # under 4 300 nines: the text is refused before any output, in one line
+    budget = "9" * 4300
+    want = "error: a count of 10^4300 or more has too many digits to print\n"
+    for spec, depth in (("lamplighter(3)", "9011"), ("lamplighter(4)", "7141")):
+        argv = ("sequence", "--builtin", spec, "--depth", depth, "--budget", budget)
+        assert run(capsys, *argv) == (4, "", want)
+    import sepk.transform
+    n = 10**4300 - 1  # at the limit: 4 300 digits are printed
+    counted = ([(n, n, n)], (n,))
+    monkeypatch.setattr(sepk.transform, "_sequence_counts", lambda g, depth, budget: counted)
+    code, out, _ = run(capsys, "sequence", "--builtin", "E(2,2)", "--depth", "0")
+    assert (code, out) == (0, f"layer 0: {n} vertices, {n} edges, {n} groups\n|W_2| = {n}\n")
+
+
 def test_generator_matrices_past_the_budget_are_refused_before_any_row(capsys, monkeypatch):
     import sepk.formal_star
     from sepk.formal_star import build_generator_matrices
