@@ -9,6 +9,7 @@ from itertools import groupby
 import pytest
 
 from sepk.formal_star import (
+    ZERO,
     FormalExpr,
     FormalMatrix,
     GeneratorMatrices,
@@ -16,6 +17,7 @@ from sepk.formal_star import (
     StarContext,
     UnsupportedWordError,
     build_generator_matrices,
+    _first_mismatch,
     _grams,
     verify_partial_unitary,
     word_str,
@@ -34,6 +36,7 @@ from formal_oracles import (
     reference_generator_matrices,
     reference_grams,
     reference_matmul,
+    reference_matrices_equal,
     reference_verify,
     spell,
 )
@@ -582,6 +585,95 @@ def test_index_skip_keeps_the_malformed_factor_rule():
             with pytest.raises(MalformedExpressionError) as exc:
                 product()
             assert str(exc.value) == message
+
+
+def _unnormalized_twin(g, expr, rng):
+    """expr plus words of normal form zero: e* e - s(e), and e* f for e != f of one group."""
+    terms = dict(expr.terms)
+    e = rng.choice(g.edges)
+    for word, coef in ((("ae", e.id, e.id), 1), (("v", e.src), -1)):
+        terms[word] = terms.get(word, 0) + coef
+    members = g.group(rng.choice(g.group_keys()))
+    if len(members) > 1:
+        terms[("ae", members[0], members[1])] = rng.choice((-2, 1, 3))
+    return FormalExpr(terms)
+
+
+def _gram_matrices(ref, m):
+    """m m* and m* m as matrices, by the unmemoized calculus."""
+    return tuple(
+        FormalMatrix(labels, labels, entries)
+        for entries, labels in zip(reference_grams(ref, m), (m.rows, m.cols))
+    )
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+def test_matrices_equal_matches_reference_on_random_matrices(name):
+    # a failing check compares two products' kernel cells (_first_mismatch);
+    # the reference compares the two matrices entry by entry, normalizing
+    # each difference
+    g = ORACLE_GRAPHS[name]()
+    rng = random.Random(5 + sum(map(ord, name)))
+    ctx, ref = StarContext(g), ReferenceCalculus(g)
+    seen = set()
+    for _ in range(200):
+        n, m = rng.randint(1, 3), rng.randint(1, 3)
+        a = _random_matrix(g, rng, n, m)
+        entries = {}
+        for pos, expr in a.entries.items():
+            kind = rng.randrange(5)
+            if kind == 0:
+                entries[pos] = FormalExpr(dict(expr.terms))  # equal terms
+            elif kind == 1:
+                entries[pos] = _unnormalized_twin(g, expr, rng)
+            elif kind == 2:
+                entries[pos] = _random_expr(g, rng)  # most likely a mismatch
+            elif kind == 3:
+                # the same words, one coefficient moved
+                terms = dict(expr.terms)
+                w = rng.choice(list(terms))
+                terms[w] += rng.choice((-1, 1))
+                entries[pos] = FormalExpr(terms)
+        b = FormalMatrix(a.rows, a.cols, entries)
+        got = _outcome(lambda: [_grams(ctx, a), _grams(ctx, b)])
+        want = _outcome(lambda: [_gram_matrices(ref, a), _gram_matrices(ref, b)])
+        if got[0] != "ok":
+            assert got == want
+            seen.add(got[0])
+            continue
+        (ga, gb), (wa, wb) = got[1], want[1]
+        for (size, cells), (other_size, other_cells), left, right in zip(ga, gb, wa, wb):
+            assert size == other_size == len(left.rows)
+            found = _first_mismatch(cells, other_cells)
+            assert found == reference_matrices_equal(ref, left, right)
+            seen.add("equal" if found is None else "differ")
+    assert {"equal", "differ", "MalformedExpressionError"} <= seen
+
+
+def test_matrices_equal_matches_reference_on_corrupted_sigma2():
+    g = builtin("lamplighter", [2])
+    x = {("v", 0): 1, ("v", 1): -1}
+    gm = build_generator_matrices(g, x)
+    s2 = dict(gm.sigma2)
+    c1 = next(c for c in s2 if c[2] == "w1")
+    c2 = next(c for c in s2 if c[2] == "w2")
+    s2[c1], s2[c2] = s2[c2], s2[c1]
+    bad = assemble_generator_matrices(g, x, gm.sigma1, s2)
+    ctx, ref = StarContext(g), ReferenceCalculus(g)
+    mismatches = 0
+    for m in (bad.z, bad.t, bad.sigma_t, bad.u):
+        for other in (bad.z, bad.sigma_t):
+            pairs = zip(_grams(ctx, m), _grams(ctx, other),
+                        _gram_matrices(ref, m), _gram_matrices(ref, other))
+            for (size, cells), (other_size, other_cells), left, right in pairs:
+                want = reference_matrices_equal(ref, left, right)
+                if size != other_size:  # verify reports these "at shape"
+                    assert want == ((-1, -1), ZERO)
+                    continue
+                found = _first_mismatch(cells, other_cells)
+                assert found == want
+                mismatches += found is not None
+    assert mismatches
 
 
 def _assert_matches_reference(g, x, seed):
