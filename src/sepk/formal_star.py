@@ -32,24 +32,29 @@ Printing, the adjoint, shapes and products all read it or its inverse, so an
 unknown tag, no tag or a wrong number of ids raises MalformedExpressionError
 from every operation.
 
-One kernel, StarContext._multiply_into, multiplies words: for mul, for the
-Gram products M M* and M* M of verification, and for U = Z sigma(T)*.  Each
-operand is read once (StarContext._read) into a list per row of (position,
-word, coefficient, shape), so no pair looks a shape up; the Gram products and
-U make each adjoint word, and its shape, from the word they read, and build
-no adjoint matrix.  Pairs are formed by row, then inner index, then right
-position, then left word, then right word, and the first in that order that
-holds a malformed word (whose shape was read, and failed, as its list was
-made) or leaves a word of over two letters raises.  Each list is also
-indexed by the group and edge of its words' first letters (_Line).  Where
-those letters are edges of one group, as in every row of a generator matrix
-and of its adjoint, a word ending in e* is not paired with the words that
-begin with another edge f of e's group: e* f = 0 kills just those pairs.
-Every other pair is formed, reduced only at its junction, and adds its
-product's normal form at once; as a row closes, its zero terms and the cells
-they empty are dropped.  Products are not memoized: within one product a
-pair of words seldom recurs, and a pair memo held memory without saving
-time.
+Words are multiplied on two paths that apply the same relations and leave
+the same cells in the same order.  The sides Z, T and sigma(T), a row and an
+edge per column (_monomial), are multiplied from those lists: _side_grams
+forms their Gram products M M* and M* M, and _assemble forms U = Z sigma(T)*,
+each in a pass over the columns, where a column meets only the columns on
+its row.  Every matrix given by its entries goes through the kernel,
+StarContext._multiply_into: mul, U's Gram products, a hand-made matrix, a
+side whose entries were read, and a side naming an edge the graph does not
+know.  Each of its operands is read once (StarContext._read) into a list per
+row of (position, word, coefficient, shape), so no pair looks a shape up; the
+Gram products make each adjoint word, and its shape, from the word they
+read, and build no adjoint matrix.  Pairs are formed by row, then inner
+index, then right position, then left word, then right word, and the first
+in that order that holds a malformed word (whose shape was read, and failed,
+as its list was made) or leaves a word of over two letters raises.  Each
+list is also indexed by the group and edge of its words' first letters
+(_Line).  Where those letters are edges of one group, a word ending in e* is
+not paired with the words that begin with another edge f of e's group: e* f
+= 0 kills just those pairs.  Every other pair is formed, reduced only at its
+junction, and adds its product's normal form at once; as a row closes, its
+zero terms and the cells they empty are dropped.  Products are not memoized:
+within one product a pair of words seldom recurs, and a pair memo held
+memory without saving time.
 
 The module also builds the labeled generator matrices realizing the K_1
 class of a kernel element (a row per unit of positive coefficient, a column
@@ -142,6 +147,16 @@ def _eliminate(acc: dict, rewrite: tuple, coef: int) -> None:
     for e in others:
         w = ("ea", e, e)
         acc[w] = acc.get(w, 0) - coef
+
+
+def _close(out: dict, i: int, cells: dict) -> None:
+    """Put row i's cells into out, their zero terms dropped and so the cells they leave empty."""
+    for j in [j for j, acc in cells.items() if 0 in acc.values()]:
+        cells[j] = {w: c for w, c in cells[j].items() if c}
+        if not cells[j]:
+            del cells[j]
+    if cells:
+        out[i] = cells
 
 
 def word_str(word: Word) -> str:
@@ -410,36 +425,15 @@ class StarContext:
                     (adj.get(k) or adj.setdefault(k, _Line())).add((i, w, c, s), group_of)
         return rows, adj
 
-    def _read_matrix(self, m: FormalMatrix, adjoint: bool = False, own: bool = True):
-        """_read of m's entries, or the same lines filled off a side's lists (_monomial).
-
-        own=False leaves out a side's rows.  A side with an edge the graph does
-        not know is read by _read, which finds that word malformed.
-        """
-        arrays, edges, index = m.__dict__.get("_arrays"), self.graph.edges, self.graph._eindex
-        if not arrays or not index.keys() >= set(arrays[1]):
-            return self._read(sorted(m.entries.items()), adjoint)
-        rows, adj, group_of = {}, {}, self.group_of
-        for j, (i, e) in enumerate(zip(*arrays[:2])):
-            x = edges[index[e]]
-            if own:  # as _Line.add does for an edge word
-                line = rows.get(i) or rows.setdefault(i, _Line())
-                if line.group != (key := group_of[e]):
-                    line.group = key if line.group is None else _MIXED
-                line.words.append(entry := (j, ("e", e), 1, (x.src, x.dst, "E")))
-                (line.first.get(e) or line.first.setdefault(e, [])).append(entry)
-            if adjoint:  # the one word e*, which begins with no edge
-                line = adj[j] = _Line()
-                line.words = line.rest = [(i, ("a", e), 1, (x.dst, x.src, "A"))]
-        return rows, adj
-
     def _multiply_into(
         self, left: Mapping[int, _Line], right: Mapping[int, _Line], out: dict
     ) -> dict[int, dict[int, dict[Word, int]]]:
         """Add the normal form of row i of left times right into out[i][j], and return out.
 
-        This is the one place where words are multiplied.  left and right
-        hold the rows of the two factors, read by _read.  A word meets the
+        This multiplies every matrix given by its entries; the sides are
+        multiplied from their lists (_side_grams, _assemble) by the same
+        relations.  left and right hold the rows of the two factors, read
+        by _read.  A word meets the
         right words whose value's range is its value's source, and the two
         are reduced only at their junction; their product, well formed,
         adds its normal form at once.  A product is its own normal form
@@ -528,12 +522,7 @@ class StarContext:
                                 _eliminate(acc, nf, coef)
             if first is not None:
                 raise first[1]
-            for j in [j for j, acc in cells.items() if 0 in acc.values()]:
-                cells[j] = {w: c for w, c in cells[j].items() if c}
-                if not cells[j]:
-                    del cells[j]
-            if cells:
-                out[i] = cells
+            _close(out, i, cells)
         return out
 
 
@@ -596,17 +585,62 @@ def _matrix(rows: tuple, cols: tuple, cells: Mapping[int, dict]) -> FormalMatrix
 
 
 def _grams(ctx: StarContext, m: FormalMatrix) -> tuple[tuple[int, dict], ...]:
-    """(size, kernel cells) of m m* and m* m, from one read of m that makes m*'s words.
+    """(size, kernel cells) of m m* and m* m.
 
-    A word with no adjoint raises first, as forming m* would.
+    A side whose edges the graph knows is multiplied from its lists
+    (_side_grams).  Any other matrix, a side whose entries were read among
+    them, goes through the kernel from one read of its entries that makes
+    m*'s words; a word with no adjoint raises first, as forming m* would.
     """
-    try:
-        rows, cols = ctx._read_matrix(m, adjoint=True)
-    except MalformedExpressionError:
-        m.star()  # raises for the first such word in m's own order
-        raise
-    mm = ctx._multiply_into(rows, cols, {})
-    return (len(m.rows), mm), (len(m.cols), ctx._multiply_into(cols, rows, {}))
+    arrays = m.__dict__.get("_arrays")
+    if arrays and ctx.graph._eindex.keys() >= set(arrays[1]):
+        mm, msm = _side_grams(ctx, *arrays[:2])
+    else:
+        try:
+            rows, cols = ctx._read(sorted(m.entries.items()), adjoint=True)
+        except MalformedExpressionError:
+            m.star()  # raises for the first such word in m's own order
+            raise
+        mm, msm = ctx._multiply_into(rows, cols, {}), ctx._multiply_into(cols, rows, {})
+    return (len(m.rows), mm), (len(m.cols), msm)
+
+
+def _side_grams(ctx: StarContext, at: list, edge: list) -> tuple[dict, dict]:
+    """The kernel's cells of m m* and m* m for the side m with edge[j] on row at[j].
+
+    Both are formed by the kernel's relations, in its order.  Row i of m m*
+    has the one cell (i, i): the sum of e e* over the row's edges, a
+    group's last member rewritten by complete sum.  In m* m, column j meets
+    the columns on its row: one of its own edge e in s(e), and one of an
+    edge f of another group at e's range in the atom e* f; the rest give
+    zero.  A row that holds one group's edges leaves j its own edge's.
+    """
+    g, group_of, rewrite = ctx.graph, ctx.group_of, ctx._rewrite
+    index, edges, on_row = g._eindex, g.edges, {}
+    for j, i in enumerate(at):
+        (on_row.get(i) or on_row.setdefault(i, [])).append(j)
+    mm, cells, unit = {}, [None] * len(at), {}  # unit: one terms dict per vertex word
+    for i in sorted(on_row):
+        acc, same = {}, {}  # the row's terms; its columns by edge
+        for j in on_row[i]:
+            e = edge[j]
+            same[e] = same[e] + [j] if e in same else [j]
+            nf = rewrite.get(e)
+            if nf is None:
+                acc[("ea", e, e)] = acc.get(("ea", e, e), 0) + 1
+            else:
+                _eliminate(acc, nf, 1)
+        _close(mm, i, {i: acc})
+        mixed = len({group_of[e] for e in same}) > 1
+        for j in on_row[i]:
+            x = edges[index[e := edge[j]]]
+            row = cells[j] = {}
+            for k in on_row[i] if mixed else same[e]:
+                if (f := edge[k]) == e:
+                    row[k] = unit.get(x.src) or unit.setdefault(x.src, {("v", x.src): 1})
+                elif group_of[f] != group_of[e] and edges[index[f]].dst == x.dst:
+                    row[k] = {("ae", e, f): 1}
+    return mm, dict(enumerate(cells))
 
 
 def _first_mismatch(a: Mapping[int, dict], b: Mapping[int, dict]) -> tuple[tuple, FormalExpr]:
@@ -719,6 +753,10 @@ def _assemble(
 
     sigma_t[i1, j1] = t[sigma1(row i1), sigma2(col j1)]: each column of t,
     its row and edge, goes to where the inverse bijections send its own.
+    U = z sigma_t* is formed from the two lists, as the kernel would: column
+    j adds e f*, its two edges, at (z's row of j, sigma_t's row of j) when
+    s(e) = s(f), rewritten where e = f is its group's last member; rows come
+    ascending, cells in the order first formed, and zero terms are dropped.
     """
     ctx = StarContext(g)
     row_of = {sigma1[r]: i1 for i1, r in enumerate(z.rows)}
@@ -728,9 +766,19 @@ def _assemble(
         i1, j1 = row_of[t.rows[i]], col_of[c]
         at[j1], edge[j1] = i1, e
     sigma_t = _monomial(z.rows, z.cols, at, edge, by_row=True)
-    left, _ = ctx._read_matrix(z)
-    _, right = ctx._read_matrix(sigma_t, adjoint=True, own=False)
-    u = _matrix(z.rows, z.rows, ctx._multiply_into(left, right, {}))  # z sigma_t*
+    index, src, rewrite, rows = g._eindex, g._src, ctx._rewrite, {}
+    for i, e, k, f in zip(*z._arrays[:2], at, edge):
+        if src[index[e]] == src[index[f]]:
+            row = rows.get(i) or rows.setdefault(i, {})
+            acc = row.get(k) or row.setdefault(k, {})
+            if e == f and e in rewrite:
+                _eliminate(acc, rewrite[e], 1)
+            else:
+                acc[("ea", e, f)] = acc.get(("ea", e, f), 0) + 1
+    cells = {}
+    for i in sorted(rows):
+        _close(cells, i, rows[i])
+    u = _matrix(z.rows, z.rows, cells)
     return GeneratorMatrices(g, dict(x), z, t, dict(sigma1), dict(sigma2), sigma_t, u)
 
 

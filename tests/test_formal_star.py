@@ -3,6 +3,7 @@ import gc
 import pickle
 import random
 import weakref
+from collections import Counter
 from dataclasses import replace
 from itertools import groupby
 
@@ -17,8 +18,10 @@ from sepk.formal_star import (
     StarContext,
     UnsupportedWordError,
     build_generator_matrices,
+    _assemble,
     _first_mismatch,
     _grams,
+    _monomial,
     verify_partial_unitary,
     word_str,
 )
@@ -783,32 +786,104 @@ def _side_cases():
     return cases
 
 
-def _line_state(lines):
-    return {i: (x.words, x.bad, x.first, x.rest, x.group) for i, x in lines.items()}
-
-
 def test_sides_are_built_and_checked_without_making_their_entries():
     for g, x, seed in _side_cases():
         gm = build_generator_matrices(g, x, seed=seed)
         assert verify_partial_unitary(gm).ok
         sides = (gm.z, gm.t, gm.sigma_t)
         assert not any("entries" in m.__dict__ for m in sides)
-        kept = [copy.deepcopy(m) for m in sides]
         # made on first read, equal to the reference's, in the reference's key order
         z, t, sigma_t, _ = reference_generator_matrices(g, x, gm.sigma1, gm.sigma2)
         for m, want in zip(sides, (z, t, sigma_t)):
             assert list(m.entries.items()) == list(want.entries.items())
             assert "entries" in m.__dict__ and m == want
         assert list(gm.sigma_t.entries) == sorted(gm.sigma_t.entries)
-        # a side's lines are the lines _read makes of its entries
-        ctx = StarContext(g)
-        for m, want in zip(kept, sides):
-            for adjoint in (False, True):
-                got = ctx._read_matrix(m, adjoint)
-                assert "entries" not in m.__dict__
-                wanted = ctx._read(sorted(want.entries.items()), adjoint)
-                assert list(map(_line_state, got)) == list(map(_line_state, wanted))
-            assert ctx._read_matrix(m, True, own=False)[0] == {}
+
+
+def _in_order(cells):
+    """The kernel's cells {i: {j: terms}} as nested lists, so that key order counts."""
+    return [(i, [(j, list(terms.items())) for j, terms in row.items()]) for i, row in cells.items()]
+
+
+def _assert_side_products_are_the_kernels(gm):
+    """Each side's Gram products and U, formed from the sides' lists, equal the kernel's.
+
+    The kernel reads copies of the sides through their entries, as it reads
+    any matrix given by them; the products must agree in value and in key
+    order, U's terms included.
+    """
+    ctx = StarContext(gm.graph)
+    for m in (gm.z, gm.t, gm.sigma_t):
+        kept = copy.deepcopy(m)
+        got = _grams(ctx, m)
+        assert "entries" not in m.__dict__  # formed from the lists
+        want = _grams(ctx, FormalMatrix(kept.rows, kept.cols, dict(kept.entries)))
+        assert got == want
+        assert [(n, _in_order(cells)) for n, cells in got] == [
+            (n, _in_order(cells)) for n, cells in want
+        ]
+    z, sigma_t = copy.deepcopy(gm.z), copy.deepcopy(gm.sigma_t)
+    want = matmul(ctx, z, sigma_t.star())
+    assert (gm.u.rows, gm.u.cols) == (want.rows, want.cols)
+    assert [(k, list(e.terms.items())) for k, e in gm.u.entries.items()] == [
+        (k, list(e.terms.items())) for k, e in want.entries.items()
+    ]
+
+
+def test_side_products_equal_the_kernel_products_of_their_entries():
+    for g, x in _pairing_cases():
+        for seed in (None, 0, 1, 7):
+            _assert_side_products_are_the_kernels(build_generator_matrices(g, x, seed=seed))
+
+
+def _traded(t, j, e):
+    """The side t with column j's edge traded for e."""
+    at, edge, by_row = t.__dict__["_arrays"]
+    return _monomial(t.rows, t.cols, list(at), edge[:j] + [e] + edge[j + 1 :], by_row)
+
+
+def test_side_products_equal_the_kernels_under_corrupted_pairings():
+    # sigma(T) as a corrupted pairing leaves it: a row of two groups at one
+    # range vertex, where e* f stays an atom; an edge twice on a row; T
+    # traded for Z; and sigma2 swapped across sources, where U forms nothing
+    # at the column
+    rng = random.Random(40)
+    cases = [(builtin_from_spec(s), {("v", 0): 1, ("v", 1): -1})
+             for s in ("E(2,2)", "E(3,3)", "lamplighter(2)", "lamplighter(3)")]
+    cases += [(g, random_kernel_element(g, rng) or x0)
+              for g, x0 in (bipartite_graph_with_kernel(rng) for _ in range(40))]
+    seen = Counter()
+    for g, x in cases:
+        gm = build_generator_matrices(g, x)
+        t, (at, edge, _) = gm.t, gm.t.__dict__["_arrays"]
+        group_of, trades = StarContext(g).group_of, []
+        for j, e in enumerate(edge):
+            v, i = group_of[e]
+            others = [f for n, grp in enumerate(g.groups_at(v)) if n != i for f in grp]
+            if others:
+                trades.append(("mixed", j, rng.choice(others)))
+            twins = [edge[k] for k in range(len(edge)) if at[k] == at[j] and edge[k] != e]
+            if twins:
+                trades.append(("repeated", j, rng.choice(twins)))
+        for kind, j, e in rng.sample(trades, min(len(trades), 4)):
+            bad = _assemble(g, x, gm.z, _traded(t, j, e), gm.sigma1, gm.sigma2)
+            _assert_side_products_are_the_kernels(bad)
+            seen[kind] += 1
+        # T traded for Z: U = Z Z*, where each row's complete sum leaves
+        # its range vertex and its members' terms cancel to zero
+        same = _assemble(g, x, gm.z, gm.z, dict(zip(gm.z.rows, gm.z.rows)),
+                         dict(zip(gm.z.cols, gm.z.cols)))
+        _assert_side_products_are_the_kernels(same)
+        assert {k: e.terms for k, e in same.u.entries.items()} == {
+            (i, i): {("v", r[0][0]): 1} for i, r in enumerate(gm.z.rows)
+        }
+        swapped = _cross_swapped(gm.sigma2, lambda c: c[2], rng.randint(1, 3))
+        bad = assemble_generator_matrices(g, x, gm.sigma1, swapped)
+        z_edges, st_edges = bad.z.__dict__["_arrays"][1], bad.sigma_t.__dict__["_arrays"][1]
+        apart = sum(g.edge(e).src != g.edge(f).src for e, f in zip(z_edges, st_edges))
+        _assert_side_products_are_the_kernels(bad)
+        seen["sources differ"] += apart > 0
+    assert min(seen[k] for k in ("mixed", "repeated", "sources differ")) >= 10
 
 
 def test_sides_survive_pickle_copy_and_replace():
