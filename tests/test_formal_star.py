@@ -818,7 +818,6 @@ def _assert_side_products_are_the_kernels(gm):
         got = _grams(ctx, m)
         assert "entries" not in m.__dict__  # formed from the lists
         want = _grams(ctx, FormalMatrix(kept.rows, kept.cols, dict(kept.entries)))
-        assert got == want
         assert [(n, _in_order(cells)) for n, cells in got] == [
             (n, _in_order(cells)) for n, cells in want
         ]
