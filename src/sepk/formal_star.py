@@ -12,65 +12,47 @@ irreducible atom.
 Words are capped at length 2: a product whose reduced form would be longer
 raises UnsupportedWordError instead of guessing a reduction.
 
-Normalization is linear and idempotent, so an expression normalizes to the
-sum of its words' normal forms, and a checked word's normal form is read off
-its tag and ids: an e* f of one group is s(e) when e = f and zero otherwise,
-the diagonal e e* of a group's last member is the group's range vertex minus
-the other members' diagonals, and every other word is its own normal form.
-A word's shape, its value's end vertices and the kinds of its letters (edge
-or adjoint, whose ids the word spells), is read off its tag, its ids and the
-graph's edge list each time the word is read: none for an e* e of one group,
-which is a vertex, and no ends for an e* f of one group, which is zero.  A
-StarContext keeps only what one run's build and check share, on its graph:
-each edge's group key and the rewrite of each group's last member, fixed
-tables of one entry per edge and one per group, which refer to no context
-and no graph.  No word is remembered, so a malformed word raises on every
-use.
-
-One table spells each word tag as its letters, edges and adjoints.
-Printing, the adjoint, shapes and products all read it or its inverse, so an
-unknown tag, no tag or a wrong number of ids raises MalformedExpressionError
-from every operation.
+Normalization is linear and idempotent, and a checked word's normal form is
+read off its tag and ids: an e* f of one group is s(e) when e = f and zero
+otherwise, the diagonal e e* of a group's last member is the group's range
+vertex minus the other members' diagonals, and every other word is its own
+normal form.  A word's shape, its value's end vertices and the kinds of its
+letters, is read off the word and the graph each time the word is read.  A
+StarContext keeps on its graph only each edge's group key and the rewrite of
+each group's last member, tables that refer to no context and no graph; no
+word is remembered, so a malformed word raises on every use.  One table
+spells each word tag as its letters, and printing, the adjoint, shapes and
+products all read it, so an unknown tag, no tag or a wrong number of ids
+raises MalformedExpressionError from every operation.
 
 Words are multiplied on two paths that apply the same relations and leave
 the same cells in the same order.  The sides Z, T and sigma(T), a row and an
-edge per column (_monomial), are multiplied from those lists: _side_grams
-forms their Gram products M M* and M* M, and _assemble forms U = Z sigma(T)*,
-each in a pass over the columns, where a column meets only the columns on
-its row.  Every matrix given by its entries goes through the kernel,
-StarContext._multiply_into: mul, U's Gram products, a hand-made matrix, a
-side whose entries were read, and a side naming an edge the graph does not
-know.  Each of its operands is read once (StarContext._read) into a list per
-row of (position, word, coefficient, shape), so no pair looks a shape up; the
-Gram products make each adjoint word, and its shape, from the word they
-read, and build no adjoint matrix.  Pairs are formed by row, then inner
-index, then right position, then left word, then right word, and the first
-in that order that holds a malformed word (whose shape was read, and failed,
-as its list was made) or leaves a word of over two letters raises.  Each
-list is also indexed by the group and edge of its words' first letters
-(_Line).  Where those letters are edges of one group, a word ending in e* is
-not paired with the words that begin with another edge f of e's group: e* f
-= 0 kills just those pairs.  Every other pair is formed, reduced only at its
-junction, and adds its product's normal form at once; as a row closes, its
-zero terms and the cells they empty are dropped.  Products are not memoized:
-within one product a pair of words seldom recurs, and a pair memo held
-memory without saving time.
+edge per column (_monomial), are multiplied from those lists, where a column
+meets only the columns on its row: their Gram products (_side_grams), U = Z
+sigma(T)* (_assemble) and U's Gram products (_unitary_grams).  Every other
+matrix, one given by its entries or on a graph other than its own, goes
+through the kernel StarContext._multiply_into, as mul does.  It reads each
+operand once (_read) into a list per row (_Line) of (position, word,
+coefficient, shape), makes each adjoint word from the word it reads, and
+reduces each pair only at its junction.  The first pair, by row, inner
+index, right position, left word and right word, that holds a malformed
+word or leaves a word of over two letters raises.  Zero terms, and the
+cells they empty, are dropped as each row closes.  Products are not
+memoized: within one product a pair of words seldom recurs.
 
 The module also builds the labeled generator matrices realizing the K_1
 class of a kernel element (a row per unit of positive coefficient, a column
-per arrow occurrence), keeping Z, T and sigma(T) as a row and an edge per
-column (_monomial), and verifies, by formal matrix arithmetic, that they
-multiply to the expected vertex diagonals.  A check compares the kernel's
-cells {i: {j: terms}} of a product with those of the expected side: both are
-normal forms with no zero term, so they are equal exactly when their values
-are, and a failing check names the first cell, in position order, where
-they differ, with their difference there as its residue.
+per arrow occurrence) and verifies symbolically that they multiply to the
+expected vertex diagonals.  A check compares each product's cells
+{i: {j: terms}}, row by row as they are formed, with the expected side's:
+both are normal forms with no zero term, so they are equal exactly when
+their values are.  A failing check names the first cell, in position order,
+where they differ, with their difference there as its residue.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Iterable, Mapping
@@ -213,59 +195,24 @@ class FormalExpr:
 ZERO = FormalExpr({})
 
 
-_MIXED = object()  # _Line.group of a line whose words begin with edges of two groups
-
-
 class _Line:
-    """One row of a product's factor, read once, with an index by first letter.
+    """One row of a product's factor, read once.
 
-    words lists (position, word, coefficient, shape) in the order in which
-    a product pairs them: by the position on the other axis, then in the
-    entry's term order.  A malformed word keeps its place with the shape
-    _MALFORMED, and bad is the (position, index in words) of the first one.
-    The same entries are indexed as they are added: first[f] lists, in
-    order, those whose value begins with the edge f, and rest the others;
-    group is the group of every such f, None when there is none, and _MIXED
-    when they lie in two groups.  Each row of a generator matrix or of its
-    adjoint holds the edges of one group at most.
+    words lists (position, word, coefficient, shape) in the order a product
+    pairs them; bad is the (position, index) of the first malformed word.
     """
 
-    __slots__ = ("words", "bad", "first", "rest", "group")
+    __slots__ = ("words", "bad")
 
     def __init__(self):
         self.words: list[tuple] = []
         self.bad: tuple[int, int] | None = None
-        self.first: dict[str, list[tuple]] = {}
-        self.rest: list[tuple] = []
-        self.group = None
 
-    def add(self, entry: tuple, group_of: Mapping[str, GroupKey]) -> None:
-        """Append (position, word, coefficient, shape) to words and to its part of the index."""
+    def add(self, entry: tuple) -> None:
+        """Append (position, word, coefficient, shape) to words, noting the first malformed one."""
         self.words.append(entry)
-        shape = entry[3]
-        if shape[2][:1] == "E":
-            f = entry[1][1]
-            key = group_of[f]
-            if self.group != key:
-                self.group = key if self.group is None else _MIXED
-            (self.first.get(f) or self.first.setdefault(f, [])).append(entry)
-        else:
-            self.rest.append(entry)
-            if shape is _MALFORMED and self.bad is None:
-                self.bad = (entry[0], len(self.words) - 1)
-
-    def meeting(self, e: str, group_of: Mapping[str, GroupKey]) -> tuple[list[tuple], ...]:
-        """The parts of words that a word ending in e* is paired with.
-
-        In a line whose words begin with edges of e's group alone, left out
-        are those that begin with an edge f != e, where e* f = 0 kills the
-        pair.  A word of any other shape is kept, so every pair that can
-        leave a word is still formed; a line of two groups is kept whole.
-        """
-        if self.group != group_of[e]:
-            return (self.words,)
-        own = self.first.get(e)
-        return (own, self.rest) if own else (self.rest,)
+        if entry[3] is _MALFORMED and self.bad is None:
+            self.bad = (entry[0], len(self.words) - 1)
 
 
 class StarContext:
@@ -273,14 +220,10 @@ class StarContext:
 
     Per group, the diagonal word of the last member is the eliminated
     representative of the complete-sum relation, so normal forms are unique
-    and normalization is a linear projection.
-
-    Its two tables, group_of and the last members' rewrites, are made by
-    the first context on a graph and kept on the graph as _formal, so every
-    later context on it shares them.  They are fixed, one entry per edge and
-    one per group, and refer to no context and no graph, so keeping them
-    makes no reference cycle.  A word's shape is read off the graph on each
-    use (_shape), and nothing grows with the words checked.
+    and normalization is a linear projection.  The two tables, group_of and
+    the last members' rewrites, are made by the first context on a graph and
+    kept on it as _formal for every later one; they refer to no context and
+    no graph, so keeping them makes no reference cycle.
     """
 
     def __init__(self, g: SeparatedGraph):
@@ -405,7 +348,7 @@ class StarContext:
         ids) raises MalformedExpressionError when the adjoint is asked for;
         any other malformed word raises only where a product pairs it.
         """
-        shape, group_of = self._shape, self.group_of
+        shape = self._shape
         rows: dict[int, _Line] = {}
         adj: dict[int, _Line] = {}
         for (i, k), expr in entries:
@@ -414,7 +357,7 @@ class StarContext:
                     s = shape(w)
                 except MalformedExpressionError:
                     s = _MALFORMED
-                (rows.get(i) or rows.setdefault(i, _Line())).add((k, w, c, s), group_of)
+                (rows.get(i) or rows.setdefault(i, _Line())).add((k, w, c, s))
                 if adjoint:
                     if s is not _MALFORMED:
                         s = (s[1], s[0], _STAR_KINDS[s[2]])
@@ -422,7 +365,7 @@ class StarContext:
                         raise _malformed(w)
                     tag = _STAR_TAG[w[0]]
                     w = (tag, w[1]) if len(w) == 2 else (tag, w[2], w[1])
-                    (adj.get(k) or adj.setdefault(k, _Line())).add((i, w, c, s), group_of)
+                    (adj.get(k) or adj.setdefault(k, _Line())).add((i, w, c, s))
         return rows, adj
 
     def _multiply_into(
@@ -430,28 +373,18 @@ class StarContext:
     ) -> dict[int, dict[int, dict[Word, int]]]:
         """Add the normal form of row i of left times right into out[i][j], and return out.
 
-        This multiplies every matrix given by its entries; the sides are
-        multiplied from their lists (_side_grams, _assemble) by the same
-        relations.  left and right hold the rows of the two factors, read
-        by _read.  A word meets the
-        right words whose value's range is its value's source, and the two
-        are reduced only at their junction; their product, well formed,
-        adds its normal form at once.  A product is its own normal form
-        unless it is a group's last diagonal word, or a vertex-like word
-        times an e* e of one group, which is s(e).  A zero word, whose ends
-        are None, forms no pair: only another zero word meets it.  A word
-        ending in e* is not paired with the words that begin with another
-        edge f of e's group, whose product e* f = 0 kills, in a row whose
-        words begin with edges of that group alone (_Line.meeting).  A cell
-        is created once a product leaves a word in it; as its row closes,
-        zero terms are dropped and so are the cells they leave empty, so
-        every cell in out is a normal form with no zero term.
-
-        A malformed word, or a product of more than two letters, raises.  Of
-        several, the one in the first pair in this order raises, once its
-        row is done: by row, then inner index, then right position, then
-        left word, then right word, each word's shape read before its
-        partner's.
+        left and right hold the rows of the two factors, read by _read.  A
+        word meets the right words whose value's range is its value's
+        source; the pair is reduced only at its junction and adds its normal
+        form at once, which is the product itself unless it is a group's
+        last diagonal word, or a vertex-like word times an e* e of one
+        group, which is s(e).  A zero word (ends None) meets no other word,
+        and e* f = 0 for distinct edges of one group.  As a row closes, zero
+        terms and the cells they empty are dropped.  Of several malformed
+        words or products of over two letters, the one in the first pair
+        raises once its row is done: by row, then inner index, then right
+        position, then left word, then right word, each word's shape read
+        before its partner's.
         """
         group_of, rewrite = self.group_of, self._rewrite
         for i in sorted(left):
@@ -479,47 +412,42 @@ class StarContext:
                     continue
                 if dom1 is None:  # an e* f of one group, e != f: every product is zero
                     continue
-                if line.group is not None and kinds1[-1:] == "A":
-                    parts = line.meeting(w1[-1], group_of)
-                else:
-                    parts = (words,)
-                for part in parts:
-                    for j, w2, c2, shape2 in part:
-                        dom2, cod2, kinds2 = shape2
-                        if dom1 != cod2:
+                for j, w2, c2, shape2 in words:
+                    dom2, cod2, kinds2 = shape2
+                    if dom1 != cod2:
+                        continue
+                    if not kinds1:  # w2, or s(e) where w2 is an e* e of one group
+                        word = w2 if kinds2 or w2[0] != "ae" else ("v", dom2)
+                    elif not kinds2:
+                        word = w1
+                    elif (
+                        kinds1[-1] == "A"
+                        and kinds2[0] == "E"
+                        and group_of[w1[-1]] == group_of[w2[1]]
+                    ):
+                        if w1[-1] != w2[1]:
+                            continue  # distinct edges of one group annihilate
+                        ids = w1[1:-1] + w2[2:]
+                        word = (_JOIN[kinds1[:-1]][kinds2[1:]],) + ids if ids else ("v", dom2)
+                    else:
+                        tag = _JOIN[kinds1][kinds2]
+                        if tag is None:
+                            q = next(q for q, x in enumerate(words) if x[0] == j and x[1] == w2)
+                            if first is None or (k, j, p, q) < first[0]:
+                                error = _too_long(kinds1 + kinds2, w1[1:] + w2[1:])
+                                first = ((k, j, p, q), error)
                             continue
-                        if not kinds1:  # w2, or s(e) where w2 is an e* e of one group
-                            word = w2 if kinds2 or w2[0] != "ae" else ("v", dom2)
-                        elif not kinds2:
-                            word = w1
-                        elif (
-                            kinds1[-1] == "A"
-                            and kinds2[0] == "E"
-                            and group_of[w1[-1]] == group_of[w2[1]]
-                        ):
-                            if w1[-1] != w2[1]:
-                                continue  # distinct edges of one group annihilate
-                            ids = w1[1:-1] + w2[2:]
-                            word = (_JOIN[kinds1[:-1]][kinds2[1:]],) + ids if ids else ("v", dom2)
+                        word = (tag, w1[1], w2[1])  # two words of one letter each
+                    coef = c1 * c2
+                    if coef:
+                        acc = cells.get(j)
+                        if acc is None:
+                            acc = cells[j] = {}
+                        nf = rewrite.get(word[1]) if word[0] == "ea" and word[1] == word[2] else None
+                        if nf is None:
+                            acc[word] = acc.get(word, 0) + coef
                         else:
-                            tag = _JOIN[kinds1][kinds2]
-                            if tag is None:
-                                q = next(q for q, x in enumerate(words) if x[0] == j and x[1] == w2)
-                                if first is None or (k, j, p, q) < first[0]:
-                                    error = _too_long(kinds1 + kinds2, w1[1:] + w2[1:])
-                                    first = ((k, j, p, q), error)
-                                continue
-                            word = (tag, w1[1], w2[1])  # two words of one letter each
-                        coef = c1 * c2
-                        if coef:
-                            acc = cells.get(j)
-                            if acc is None:
-                                acc = cells[j] = {}
-                            nf = rewrite.get(word[1]) if word[0] == "ea" and word[1] == word[2] else None
-                            if nf is None:
-                                acc[word] = acc.get(word, 0) + coef
-                            else:
-                                _eliminate(acc, nf, coef)
+                            _eliminate(acc, nf, coef)
             if first is not None:
                 raise first[1]
             _close(out, i, cells)
@@ -533,8 +461,9 @@ class StarContext:
 class FormalMatrix:
     """A labeled matrix of formal expressions; absent entries are zero.
 
-    A side (_monomial) keeps two lists, the word ("e", edge[j]) of column j
-    on row at[j], until its entries are first read and made from them.
+    A side (_monomial) keeps the word ("e", edge[j]) of column j on row
+    at[j] as two lists, and its graph, until its entries are first read; a
+    U that _assemble formed keeps the lists it read (_unitary_grams).
     """
 
     rows: tuple
@@ -545,7 +474,7 @@ class FormalMatrix:
         arrays = self.__dict__.pop("_arrays", None) if name == "entries" else None
         if arrays is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        at, edge, by_row = arrays
+        at, edge, by_row, _ = arrays
         order = sorted(range(len(at)), key=at.__getitem__) if by_row else range(len(at))
         entries = {(at[j], j): FormalExpr({("e", edge[j]): 1}) for j in order}
         object.__setattr__(self, "entries", entries)
@@ -584,72 +513,139 @@ def _matrix(rows: tuple, cols: tuple, cells: Mapping[int, dict]) -> FormalMatrix
     })
 
 
-def _grams(ctx: StarContext, m: FormalMatrix) -> tuple[tuple[int, dict], ...]:
-    """(size, kernel cells) of m m* and m* m.
+def _grams(ctx: StarContext, m: FormalMatrix) -> tuple[tuple[int, Iterable], ...]:
+    """(size, rows) of m m* and m* m, each yielding its cells (i, {j: terms}) by ascending i.
 
-    A side whose edges the graph knows is multiplied from its lists
-    (_side_grams).  Any other matrix, a side whose entries were read among
-    them, goes through the kernel from one read of its entries that makes
-    m*'s words; a word with no adjoint raises first, as forming m* would.
+    A side, or a U that _assemble formed, on ctx's graph is multiplied from
+    its lists (_side_grams, _unitary_grams).  Any other matrix goes through
+    the kernel from one read of its entries that makes m*'s words; a word
+    with no adjoint raises first, as forming m* would.
     """
-    arrays = m.__dict__.get("_arrays")
-    if arrays and ctx.graph._eindex.keys() >= set(arrays[1]):
-        mm, msm = _side_grams(ctx, *arrays[:2])
+    arrays, lists = m.__dict__.get("_arrays"), m.__dict__.get("_lists")
+    if arrays and arrays[3] is ctx.graph:
+        grams = _side_grams(ctx, *arrays[:2])
     else:
+        grams = lists and lists[4] is ctx.graph and _unitary_grams(ctx, *lists[:4])
+    if not grams:
         try:
             rows, cols = ctx._read(sorted(m.entries.items()), adjoint=True)
         except MalformedExpressionError:
             m.star()  # raises for the first such word in m's own order
             raise
         mm, msm = ctx._multiply_into(rows, cols, {}), ctx._multiply_into(cols, rows, {})
-    return (len(m.rows), mm), (len(m.cols), msm)
+        grams = mm.items(), msm.items()
+    return (len(m.rows), grams[0]), (len(m.cols), grams[1])
 
 
-def _side_grams(ctx: StarContext, at: list, edge: list) -> tuple[dict, dict]:
-    """The kernel's cells of m m* and m* m for the side m with edge[j] on row at[j].
+def _one_group_each(at: list, edge: list, group_of: Mapping[str, GroupKey]) -> bool:
+    """Whether each row of the side with edge[j] on row at[j] holds one group's edges, each once."""
+    groups = set(zip(at, map(group_of.__getitem__, edge)))
+    return len(groups) == len(set(at)) and len(set(zip(at, edge))) == len(at)
 
-    Both are formed by the kernel's relations, in its order.  Row i of m m*
-    has the one cell (i, i): the sum of e e* over the row's edges, a
-    group's last member rewritten by complete sum.  In m* m, column j meets
-    the columns on its row: one of its own edge e in s(e), and one of an
-    edge f of another group at e's range in the atom e* f; the rest give
-    zero.  A row that holds one group's edges leaves j its own edge's.
+
+def _sums(
+    rewrite: Mapping, order: Iterable[int], at: list, to: list, left: list, right: list
+) -> dict:
+    """The kernel's cells of the sum of left[j] right[j]* at (at[j], to[j]) over j in order.
+
+    Rows run ascending, cells and terms in the order first given; e e* of a
+    group's last member is rewritten by complete sum, and zero terms dropped.
     """
-    g, group_of, rewrite = ctx.graph, ctx.group_of, ctx._rewrite
-    index, edges, on_row = g._eindex, g.edges, {}
-    for j, i in enumerate(at):
-        (on_row.get(i) or on_row.setdefault(i, [])).append(j)
-    mm, cells, unit = {}, [None] * len(at), {}  # unit: one terms dict per vertex word
-    for i in sorted(on_row):
-        acc, same = {}, {}  # the row's terms; its columns by edge
-        for j in on_row[i]:
-            e = edge[j]
-            same[e] = same[e] + [j] if e in same else [j]
-            nf = rewrite.get(e)
-            if nf is None:
-                acc[("ea", e, e)] = acc.get(("ea", e, e), 0) + 1
-            else:
-                _eliminate(acc, nf, 1)
-        _close(mm, i, {i: acc})
-        mixed = len({group_of[e] for e in same}) > 1
-        for j in on_row[i]:
-            x = edges[index[e := edge[j]]]
-            row = cells[j] = {}
-            for k in on_row[i] if mixed else same[e]:
+    rows, out = {}, {}
+    for j in order:
+        row = rows.get(i := at[j]) or rows.setdefault(i, {})
+        acc = row.get(k := to[j]) or row.setdefault(k, {})
+        e, f = left[j], right[j]
+        nf = rewrite.get(e) if e == f else None
+        if nf is None:
+            w = ("ea", e, f)
+            acc[w] = acc.get(w, 0) + 1
+        else:
+            _eliminate(acc, nf, 1)
+    for i in sorted(rows):
+        _close(out, i, rows[i])
+    return out
+
+
+def _side_grams(ctx: StarContext, at: list, edge: list) -> tuple[Iterable, Iterable]:
+    """The rows of m m* and m* m for the side m with edge[j] on row at[j], as the kernel forms them.
+
+    Row i of m m* is the sum of e e* over the row's edges at (i, i).  Row j of
+    m* m, formed as it is read, has s(e) at each column of its edge e on its
+    row and e* f at each of an edge f of another group at e's range: only at
+    (j, j) where each row holds one group's edges, each once.
+    """
+    g, group_of = ctx.graph, ctx.group_of
+    index, edges = g._eindex, g.edges
+
+    def columns():
+        unit, on_row = {}, {}  # one terms dict per vertex word; the columns on each row
+        clean = _one_group_each(at, edge, group_of)
+        for j, i in enumerate(() if clean else at):
+            (on_row.get(i) or on_row.setdefault(i, [])).append(j)
+        for j, e in enumerate(edge):
+            x = edges[index[e]]
+            own = unit.get(x.src) or unit.setdefault(x.src, {("v", x.src): 1})
+            if clean:
+                yield j, {j: own}
+                continue
+            row = {}
+            for k in on_row[at[j]]:
                 if (f := edge[k]) == e:
-                    row[k] = unit.get(x.src) or unit.setdefault(x.src, {("v", x.src): 1})
+                    row[k] = own
                 elif group_of[f] != group_of[e] and edges[index[f]].dst == x.dst:
                     row[k] = {("ae", e, f): 1}
-    return mm, dict(enumerate(cells))
+            yield j, row
+
+    return _sums(ctx._rewrite, range(len(at)), at, at, edge, edge).items(), columns()
 
 
-def _first_mismatch(a: Mapping[int, dict], b: Mapping[int, dict]) -> tuple[tuple, FormalExpr]:
-    """The first position, in order, where the kernel's cells a and b differ, and a's minus b's."""
-    for i in sorted(a.keys() | b.keys()):
-        left, right = a.get(i, {}), b.get(i, {})
-        for j in sorted(left.keys() | right.keys()):
-            if left.get(j) != right.get(j):
-                return (i, j), FormalExpr(left.get(j, {})) - FormalExpr(right.get(j, {}))
+def _unitary_grams(ctx: StarContext, z_at: list, z_edge: list, at: list, edge: list):
+    """The rows of U U* and U* U for U = Z sigma(T)*, from Z's and sigma(T)'s lists.
+
+    U holds e f* at (Z's row, sigma(T)'s row) of each kept column (_kept).
+    Where a row of sigma(T) holds one group's edges, each once, f* f' of two
+    of its columns is s(f) = s(e) if they are one and zero otherwise, so U U*
+    is the diagonal of e e* on Z's rows, summed in the kernel's order (by
+    sigma(T)'s row, then column); symmetrically U* U is that of f f* on
+    sigma(T)'s.  None where a row of either side is not so.
+    """
+    group_of, g = ctx.group_of, ctx.graph
+    if not (_one_group_each(z_at, z_edge, group_of) and _one_group_each(at, edge, group_of)):
+        return None
+    kept, rewrite = _kept(g, z_edge, edge), ctx._rewrite
+    return (_sums(rewrite, sorted(kept, key=at.__getitem__), z_at, z_at, z_edge, z_edge).items(),
+            _sums(rewrite, sorted(kept, key=z_at.__getitem__), at, at, edge, edge).items())
+
+
+def _kept(g: SeparatedGraph, left: list, right: list) -> list:
+    """The columns j where the edges left[j] and right[j] share their source."""
+    index, src = g._eindex, g._src
+    return [j for j, (e, f) in enumerate(zip(left, right)) if src[index[e]] == src[index[f]]]
+
+
+def _first_mismatch(formed: Iterable[tuple[int, dict]], want, wanted: range | Mapping):
+    """The first position where a product's rows and the wanted ones differ, and the difference.
+
+    formed yields the product's cells (i, {j: terms}) by ascending i, each
+    compared as it comes; want(i) is the wanted row i or None, and wanted
+    lists the rows where it is not None, ascending.  None if they are equal.
+    """
+    rest = iter(wanted)
+    due = next(rest, None)  # the next wanted row
+    for i, row in formed:
+        if due is not None and due < i:  # never formed
+            break
+        if due == i:
+            due = next(rest, None)
+        other = want(i) or {}
+        if row != other:
+            j = min(j for j in row.keys() | other.keys() if row.get(j) != other.get(j))
+            return (i, j), FormalExpr(row.get(j, {})) - FormalExpr(other.get(j, {}))
+    if due is not None:
+        other = want(due)
+        j = min(other)
+        return (due, j), ZERO - FormalExpr(other[j])
 
 
 # generator matrices -----------------------------------------------------------
@@ -719,13 +715,15 @@ def _side(g: SeparatedGraph, part: Mapping[GroupKey, int]) -> FormalMatrix:
                     at.append(row)
                     edge.append(eid)
                     cols.append((key, t, w, s))
-    return _monomial(tuple(rows), tuple(cols), at, edge)
+    return _monomial(g, tuple(rows), tuple(cols), at, edge)
 
 
-def _monomial(rows: tuple, cols: tuple, at: list, edge: list, by_row=False) -> FormalMatrix:
-    """The side with edge[j] on row at[j]; its entries run by column, or sorted by_row."""
+def _monomial(
+    g: SeparatedGraph, rows: tuple, cols: tuple, at: list, edge: list, by_row=False
+) -> FormalMatrix:
+    """The side on g with edge[j] on row at[j]; its entries run by column, or sorted by_row."""
     m = object.__new__(FormalMatrix)
-    m.__dict__.update(rows=rows, cols=cols, _arrays=(at, edge, by_row))
+    m.__dict__.update(rows=rows, cols=cols, _arrays=(at, edge, by_row, g))
     return m
 
 
@@ -755,8 +753,8 @@ def _assemble(
     its row and edge, goes to where the inverse bijections send its own.
     U = z sigma_t* is formed from the two lists, as the kernel would: column
     j adds e f*, its two edges, at (z's row of j, sigma_t's row of j) when
-    s(e) = s(f), rewritten where e = f is its group's last member; rows come
-    ascending, cells in the order first formed, and zero terms are dropped.
+    s(e) = s(f) (_kept, _sums).  U keeps the four lists and g, from which
+    its Gram products are formed.
     """
     ctx = StarContext(g)
     row_of = {sigma1[r]: i1 for i1, r in enumerate(z.rows)}
@@ -765,20 +763,10 @@ def _assemble(
     for i, e, c in zip(*t._arrays[:2], t.cols):  # each column of t, its row and edge
         i1, j1 = row_of[t.rows[i]], col_of[c]
         at[j1], edge[j1] = i1, e
-    sigma_t = _monomial(z.rows, z.cols, at, edge, by_row=True)
-    index, src, rewrite, rows = g._eindex, g._src, ctx._rewrite, {}
-    for i, e, k, f in zip(*z._arrays[:2], at, edge):
-        if src[index[e]] == src[index[f]]:
-            row = rows.get(i) or rows.setdefault(i, {})
-            acc = row.get(k) or row.setdefault(k, {})
-            if e == f and e in rewrite:
-                _eliminate(acc, rewrite[e], 1)
-            else:
-                acc[("ea", e, f)] = acc.get(("ea", e, f), 0) + 1
-    cells = {}
-    for i in sorted(rows):
-        _close(cells, i, rows[i])
-    u = _matrix(z.rows, z.rows, cells)
+    sigma_t = _monomial(g, z.rows, z.cols, at, edge, by_row=True)
+    z_at, z_edge = z._arrays[:2]
+    u = _matrix(z.rows, z.rows, _sums(ctx._rewrite, _kept(g, z_edge, edge), z_at, at, z_edge, edge))
+    u.__dict__["_lists"] = (z_at, z_edge, at, edge, g)
     return GeneratorMatrices(g, dict(x), z, t, dict(sigma1), dict(sigma2), sigma_t, u)
 
 
@@ -791,10 +779,8 @@ def build_generator_matrices(
     vertex, the column bijection pairs arrow occurrences over each source
     vertex.  By default both zip the two sides' labels in order (_pair); a
     seed shuffles the negative side's labels within each block, which must
-    leave all verification identities intact.
-
-    The group keys and rewrites are kept on g (StarContext), so
-    verify_partial_unitary and later builds on g share them.
+    leave all verification identities intact.  The group keys and rewrites
+    are kept on g (StarContext) for the check and later builds to share.
     """
     ensure_bipartite(g, "generator matrices require a bipartite graph")
     require_kernel_element(g, x)
@@ -844,69 +830,63 @@ class VerificationReport:
         return "\n".join(str(c) for c in self.checks)
 
 
-def _vertex_diag(ctx: StarContext, labels, vertex_of) -> tuple[int, dict]:
-    """(size, cells) of the diagonal of each label's vertex; the first unknown vertex raises."""
-    cells, unit = {}, {}
-    for i, v in enumerate(map(vertex_of, labels)):
-        cells[i] = {i: unit[v] if v in unit else unit.setdefault(v, ctx.vertex(v).terms)}
-    return len(labels), cells
-
-
-def _class_counts(labels, vertex_of) -> dict[str, int]:
-    return dict(Counter(map(vertex_of, labels)))
-
-
 def verify_partial_unitary(gm: GeneratorMatrices) -> VerificationReport:
     """Check the defining identities of the generator matrices symbolically.
 
     All products are reduced with the graph relations only; each check
-    reports the first offending position and its irreducible residue.  It
-    shares the group keys and rewrites kept on the graph (StarContext), and
-    keeps nothing of the words it reads.  A Gram product of T or sigma(T)
-    equal to Z's is dropped for Z's as it is made, saving memory.
+    reports the first offending position and its irreducible residue.  The
+    Gram products of Z, T, sigma(T) and U are formed in that order and each
+    is compared as it is formed (_first_mismatch), so only ZZ*, Z*Z and UU*
+    are held; a vertex diagonal is read off its labels, and an unknown
+    vertex there raises only once every product is formed.
     """
     ctx = StarContext(gm.graph)
     z, t, st, u = gm.z, gm.t, gm.sigma_t, gm.u
-    zz, zsz = _grams(ctx, z)
-    tt, tst = (q if p == q else p for p, q in zip(_grams(ctx, t), (zz, zsz)))
-    ss, sst = (q if p == q else p for p, q in zip(_grams(ctx, st), (zz, zsz)))
-    uu, usu = _grams(ctx, u)
+    checks, unknown, classes = [], [], []
 
-    checks = []
+    def diagonal(labels, vertex_of):  # (size, row i, rows); counts to classes
+        vertices, counts = list(map(vertex_of, labels)), {}
+        for v in vertices:
+            counts[v] = counts.get(v, 0) + 1
+        classes.append(counts)
+        unknown.extend([v for v in counts if v not in ctx.graph._vindex])
+        return len(labels), lambda i: {i: {("v", vertices[i]): 1}}, range(len(labels))
 
-    def add_equality(name, labels, a, b):
-        """Check a = b, each (size, cells); labels name a's rows and columns."""
-        if a == b:  # normal forms with no zero term: only a real mismatch differs
+    def kept(product):  # (size, rows) and (size, row i, rows) of a product held
+        size, cells = product[0], dict(product[1])
+        return (size, cells.items()), (size, cells.get, cells)
+
+    def add(name, labels, a, b, sign=1):  # a = b, at labels[i], labels[j]: residue sign (a - b)
+        found = _first_mismatch(a[1], *b[1:]) if a[0] == b[0] else ("shape", ZERO)
+        if found is None:
             checks.append(Check(name, True))
             return
-        if a[0] != b[0]:
-            pos, diff = "shape", ZERO
-        else:
-            (i, j), diff = _first_mismatch(a[1], b[1])
-            pos = f"({_label_str(labels[i])}, {_label_str(labels[j])})"
-        checks.append(Check(name, False, f"at {pos}: residue {diff}"))
+        pos, diff = found
+        if pos != "shape":
+            pos = f"({_label_str(labels[pos[0]])}, {_label_str(labels[pos[1]])})"
+        checks.append(Check(name, False, f"at {pos}: residue {sign * diff}"))
 
-    for name, product, labels, vertex_of in (
-        ("ZZ* is the range-vertex diagonal", zz, z.rows, _range_of),
-        ("Z*Z is the source-vertex diagonal", zsz, z.cols, _source_of),
-        ("TT* is the range-vertex diagonal", tt, t.rows, _range_of),
-        ("T*T is the source-vertex diagonal", tst, t.cols, _source_of),
-    ):
-        add_equality(name, labels, product, _vertex_diag(ctx, labels, vertex_of))
-    add_equality("ZZ* = sig(T)sig(T)*", z.rows, zz, ss)
-    add_equality("Z*Z = sig(T)*sig(T)", z.cols, zsz, sst)
-    # u is square over the rows of z; both uu* and u*u must collapse to the
-    # same range-vertex diagonal, witnessing a formal partial unitary.
-    add_equality("UU* = ZZ*", u.rows, uu, zz)
-    add_equality("U*U = UU*", u.cols, usu, uu)
+    zz, zsz = map(kept, _grams(ctx, z))
+    add("ZZ* is the range-vertex diagonal", z.rows, zz[0], diagonal(z.rows, _range_of))
+    add("Z*Z is the source-vertex diagonal", z.cols, zsz[0], diagonal(z.cols, _source_of))
+    tt, tst = _grams(ctx, t)
+    add("TT* is the range-vertex diagonal", t.rows, tt, diagonal(t.rows, _range_of))
+    add("T*T is the source-vertex diagonal", t.cols, tst, diagonal(t.cols, _source_of))
+    ss, sst = _grams(ctx, st)
+    add("ZZ* = sig(T)sig(T)*", z.rows, ss, zz[1], -1)
+    add("Z*Z = sig(T)*sig(T)", z.cols, sst, zsz[1], -1)
+    uu, usu = _grams(ctx, u)
+    uu = kept(uu)
+    add("UU* = ZZ*", u.rows, uu[0], zz[1])
+    add("U*U = UU*", u.cols, usu, uu[1])
+    if unknown:
+        ctx.vertex(unknown[0])  # raises, as reading that diagonal would
 
-    # Classwise agreement of the two sides (same multiset of diagonal
-    # vertices per block), which is what the row/column balance asserts.
-    range_class = _class_counts(z.rows, _range_of)
-    source_class = _class_counts(z.cols, _source_of)
+    # the two sides' vertices agree per block, as the row/column balance asserts
+    range_class, source_class, t_range, t_source = classes
     for name, t_class, z_class in (
-        ("TT* class matches ZZ* class", _class_counts(t.rows, _range_of), range_class),
-        ("T*T class matches Z*Z class", _class_counts(t.cols, _source_of), source_class),
+        ("TT* class matches ZZ* class", t_range, range_class),
+        ("T*T class matches Z*Z class", t_source, source_class),
     ):
         same = t_class == z_class
         checks.append(Check(name, same, "" if same else f"{t_class} != {z_class}"))

@@ -73,10 +73,7 @@ def matmul(ctx: StarContext, a: FormalMatrix, b: FormalMatrix) -> FormalMatrix:
     per row (StarContext._read).  Pairs of entries are then multiplied by
     row of a, then inner index, then column of b, and the first pair in that
     order that holds a malformed word or leaves a word of over two letters
-    raises, whatever order the entries were given in.  A word of a ending in
-    e* is not paired with the words of a row of b that begin with another
-    edge of e's group, when the row's words begin with edges of that group
-    alone: e* f = 0 kills those pairs.  Every other pair is formed.
+    raises, whatever order the entries were given in.  Every pair is formed.
     """
     if len(a.cols) != len(b.rows):
         raise ValueError("inner dimensions do not match")

@@ -4,6 +4,7 @@ import pickle
 import random
 import weakref
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import replace
 from itertools import groupby
 
@@ -465,12 +466,15 @@ def _gram_entries(ctx, m):
     the reference, which drops them, does not have.
     """
     out = []
-    for (size, cells), labels in zip(_grams(ctx, m), (m.rows, m.cols)):
+    for (size, rows), labels in zip(_grams(ctx, m), (m.rows, m.cols)):
         assert size == len(labels)
-        out.append({
-            (i, j): FormalExpr(terms) for i, row in cells.items() for j, terms in row.items()
-        })
+        out.append({(i, j): FormalExpr(terms) for i, row in rows for j, terms in row.items()})
     return tuple(out)
+
+
+def _cells(ctx, m):
+    """(size, kernel cells) of m m* and m* m, their rows read into dicts in the order formed."""
+    return tuple((size, dict(rows)) for size, rows in _grams(ctx, m))
 
 
 def test_gram_products_match_reference():
@@ -565,8 +569,8 @@ def test_a_graph_keeps_one_group_key_per_edge_and_one_rewrite_per_group():
 
 
 def test_index_skip_keeps_the_malformed_factor_rule():
-    # a2 b1* begins with a2, of a1's group, so the index never pairs it with
-    # a word ending in a1*; its shape is read first, and it still raises
+    # a2 b1* begins with a2, of a1's group, so a1* a2 b1* would be zero; its
+    # shape is read as its factor is, and it still raises
     g = builtin("lamplighter", [2])
     ctx = StarContext(g)
     left = FormalMatrix((0,), (0,), {(0, 0): ctx.adjoint("a1")})
@@ -638,7 +642,7 @@ def test_matrices_equal_matches_reference_on_random_matrices(name):
                 terms[w] += rng.choice((-1, 1))
                 entries[pos] = FormalExpr(terms)
         b = FormalMatrix(a.rows, a.cols, entries)
-        got = _outcome(lambda: [_grams(ctx, a), _grams(ctx, b)])
+        got = _outcome(lambda: [_cells(ctx, a), _cells(ctx, b)])
         want = _outcome(lambda: [_gram_matrices(ref, a), _gram_matrices(ref, b)])
         if got[0] != "ok":
             assert got == want
@@ -647,7 +651,7 @@ def test_matrices_equal_matches_reference_on_random_matrices(name):
         (ga, gb), (wa, wb) = got[1], want[1]
         for (size, cells), (other_size, other_cells), left, right in zip(ga, gb, wa, wb):
             assert size == other_size == len(left.rows)
-            found = _first_mismatch(cells, other_cells)
+            found = _first_mismatch(cells.items(), other_cells.get, other_cells)
             assert found == reference_matrices_equal(ref, left, right)
             seen.add("equal" if found is None else "differ")
     assert {"equal", "differ", "MalformedExpressionError"} <= seen
@@ -666,14 +670,14 @@ def test_matrices_equal_matches_reference_on_corrupted_sigma2():
     mismatches = 0
     for m in (bad.z, bad.t, bad.sigma_t, bad.u):
         for other in (bad.z, bad.sigma_t):
-            pairs = zip(_grams(ctx, m), _grams(ctx, other),
+            pairs = zip(_cells(ctx, m), _cells(ctx, other),
                         _gram_matrices(ref, m), _gram_matrices(ref, other))
             for (size, cells), (other_size, other_cells), left, right in pairs:
                 want = reference_matrices_equal(ref, left, right)
                 if size != other_size:  # verify reports these "at shape"
                     assert want == ((-1, -1), ZERO)
                     continue
-                found = _first_mismatch(cells, other_cells)
+                found = _first_mismatch(cells.items(), other_cells.get, other_cells)
                 assert found == want
                 mismatches += found is not None
     assert mismatches
@@ -805,23 +809,45 @@ def _in_order(cells):
     return [(i, [(j, list(terms.items())) for j, terms in row.items()]) for i, row in cells.items()]
 
 
-def _assert_side_products_are_the_kernels(gm):
-    """Each side's Gram products and U, formed from the sides' lists, equal the kernel's.
+@contextmanager
+def _kernel_products():
+    """A list that grows by one for each product StarContext's kernel forms meanwhile."""
+    formed, kernel = [], StarContext._multiply_into
 
-    The kernel reads copies of the sides through their entries, as it reads
-    any matrix given by them; the products must agree in value and in key
+    def counted(self, *args):
+        formed.append(None)
+        return kernel(self, *args)
+
+    StarContext._multiply_into = counted
+    try:
+        yield formed
+    finally:
+        StarContext._multiply_into = kernel
+
+
+def _assert_side_products_are_the_kernels(gm, lists=True):
+    """The Gram products of each side and of U, and U itself, equal the kernel's.
+
+    The sides' products and U are formed from the sides' lists, and so are
+    U's when lists is true; the kernel forms them otherwise.  The kernel
+    reads copies of the matrices through their entries, as it reads any
+    matrix given by them; the products must agree in value and in key
     order, U's terms included.
     """
+    def in_order(outcome):  # the products' cells in key order, or the error raised
+        kind, value = outcome
+        return outcome if kind != "ok" else [(n, _in_order(cells)) for n, cells in value]
+
     ctx = StarContext(gm.graph)
-    for m in (gm.z, gm.t, gm.sigma_t):
-        kept = copy.deepcopy(m)
-        got = _grams(ctx, m)
-        assert "entries" not in m.__dict__  # formed from the lists
-        want = _grams(ctx, FormalMatrix(kept.rows, kept.cols, dict(kept.entries)))
-        assert [(n, _in_order(cells)) for n, cells in got] == [
-            (n, _in_order(cells)) for n, cells in want
-        ]
-    z, sigma_t = copy.deepcopy(gm.z), copy.deepcopy(gm.sigma_t)
+    for m in (gm.z, gm.t, gm.sigma_t, gm.u):
+        kept = copy.copy(m)
+        with _kernel_products() as formed:
+            got = in_order(_outcome(_cells, ctx, m))
+        assert bool(formed) == (m is gm.u and not lists)
+        assert m is gm.u or "entries" not in m.__dict__  # a side's, formed from the lists
+        given = FormalMatrix(kept.rows, kept.cols, dict(kept.entries))
+        assert got == in_order(_outcome(_cells, ctx, given))
+    z, sigma_t = copy.copy(gm.z), copy.copy(gm.sigma_t)
     want = matmul(ctx, z, sigma_t.star())
     assert (gm.u.rows, gm.u.cols) == (want.rows, want.cols)
     assert [(k, list(e.terms.items())) for k, e in gm.u.entries.items()] == [
@@ -837,8 +863,18 @@ def test_side_products_equal_the_kernel_products_of_their_entries():
 
 def _traded(t, j, e):
     """The side t with column j's edge traded for e."""
-    at, edge, by_row = t.__dict__["_arrays"]
-    return _monomial(t.rows, t.cols, list(at), edge[:j] + [e] + edge[j + 1 :], by_row)
+    at, edge, by_row, g = t.__dict__["_arrays"]
+    return _monomial(g, t.rows, t.cols, list(at), edge[:j] + [e] + edge[j + 1 :], by_row)
+
+
+def _holds_one_group_each_once(side, group_of):
+    """Whether each row of the side holds the edges of one group, each at most once."""
+    at, edge = side.__dict__["_arrays"][:2]
+    rows = {}
+    for i, e in zip(at, edge):
+        rows.setdefault(i, []).append(e)
+    return all(len(set(es)) == len(es) and len({group_of[e] for e in es}) == 1
+               for es in rows.values())
 
 
 def test_side_products_equal_the_kernels_under_corrupted_pairings():
@@ -854,7 +890,7 @@ def test_side_products_equal_the_kernels_under_corrupted_pairings():
     seen = Counter()
     for g, x in cases:
         gm = build_generator_matrices(g, x)
-        t, (at, edge, _) = gm.t, gm.t.__dict__["_arrays"]
+        t, (at, edge, _, _) = gm.t, gm.t.__dict__["_arrays"]
         group_of, trades = StarContext(g).group_of, []
         for j, e in enumerate(edge):
             v, i = group_of[e]
@@ -866,8 +902,11 @@ def test_side_products_equal_the_kernels_under_corrupted_pairings():
                 trades.append(("repeated", j, rng.choice(twins)))
         for kind, j, e in rng.sample(trades, min(len(trades), 4)):
             bad = _assemble(g, x, gm.z, _traded(t, j, e), gm.sigma1, gm.sigma2)
-            _assert_side_products_are_the_kernels(bad)
+            # a trade in a row of one column leaves it one group's edge
+            clean = _holds_one_group_each_once(bad.sigma_t, group_of)
+            _assert_side_products_are_the_kernels(bad, lists=clean)
             seen[kind] += 1
+            seen[kind, clean] += 1
         # T traded for Z: U = Z Z*, where each row's complete sum leaves
         # its range vertex and its members' terms cancel to zero
         same = _assemble(g, x, gm.z, gm.z, dict(zip(gm.z.rows, gm.z.rows)),
@@ -883,6 +922,29 @@ def test_side_products_equal_the_kernels_under_corrupted_pairings():
         _assert_side_products_are_the_kernels(bad)
         seen["sources differ"] += apart > 0
     assert min(seen[k] for k in ("mixed", "repeated", "sources differ")) >= 10
+    assert min(seen["mixed", False], seen["repeated", False], seen["mixed", True]) >= 10, seen
+
+
+def test_u_products_read_the_lists_only_on_the_graph_they_were_made_on():
+    # a copy or a pickle of the matrices keeps the graph and the lists
+    # together, so U's products are still read off the lists; a matrix
+    # moved to another graph, even an equal one, or a U given by its
+    # entries goes through the kernel, and every report is the reference's
+    for g, x, seed in _side_cases():
+        gm = build_generator_matrices(g, x, seed=seed)
+        rebuilt = SeparatedGraph(g.vertices, g.edges, g.separation, g.bipartite)
+        u = copy.copy(gm.u)
+        hand_made = FormalMatrix(u.rows, u.cols, dict(u.entries))
+        for other, lists in (
+            (gm, True), (copy.deepcopy(gm), True), (pickle.loads(pickle.dumps(gm)), True),
+            (replace(gm, graph=rebuilt), False), (replace(gm, u=hand_made), False),
+        ):
+            with _kernel_products() as formed:
+                assert _same_report(other).ok
+            assert (len(formed) == 0) == lists  # the sides' products take the lists with U's
+        moved = replace(gm, graph=renamed(g, random.Random(5)))
+        got = _outcome(verify_partial_unitary, moved)
+        assert got[0] == "MalformedExpressionError" and got == _outcome(reference_verify, moved)
 
 
 def test_sides_survive_pickle_copy_and_replace():
