@@ -26,19 +26,20 @@ products all read it, so an unknown tag, no tag or a wrong number of ids
 raises MalformedExpressionError from every operation.
 
 Words are multiplied on two paths that apply the same relations and leave
-the same cells in the same order.  The sides Z, T and sigma(T), a row and an
-edge per column (_monomial), are multiplied from those lists, where a column
-meets only the columns on its row: their Gram products (_side_grams), U = Z
-sigma(T)* (_assemble) and U's Gram products (_unitary_grams).  Every other
-matrix, one given by its entries or on a graph other than its own, goes
-through the kernel StarContext._multiply_into, as mul does.  It reads each
-operand once (_read) into a list per row (_Line) of (position, word,
-coefficient, shape), makes each adjoint word from the word it reads, and
-reduces each pair only at its junction.  The first pair, by row, inner
-index, right position, left word and right word, that holds a malformed
-word or leaves a word of over two letters raises.  Zero terms, and the
-cells they empty, are dropped as each row closes.  Products are not
-memoized: within one product a pair of words seldom recurs.
+the same cells in the same order, and one rule picks the path.  A side, Z, T
+or sigma(T), is a row and an edge per column (_monomial), and keeps its
+graph only when it is clean: each row holds one group's edges, each once,
+so that e* f = 0 for two distinct columns of a row.  On that graph a clean
+side is multiplied from its lists (_side_grams), and so is U where Z and sigma(T)
+are both clean (_unitary_grams); U = Z sigma(T)* is formed from the lists
+(_assemble).  Every other matrix goes through the kernel
+StarContext._multiply_into, as mul does: m m* and m* m from m and m*, each
+read once (_read) into a list per row (_Line) of (position, word,
+coefficient, shape), each pair reduced only at its junction.  The first
+pair, by row, inner index, right position, left word and right word, that
+holds a malformed word or leaves a word of over two letters raises.  Zero
+terms, and the cells they empty, are dropped as each row closes.  Products
+are not memoized: within one product a pair of words seldom recurs.
 
 The module also builds the labeled generator matrices realizing the K_1
 class of a kernel element (a row per unit of positive coefficient, a column
@@ -95,15 +96,13 @@ class UnsupportedWordError(ValueError):
 # words up instead of building strings:
 #   _SIZE      a word's length: the tag, then its ids
 #   _STAR_TAG  the adjoint's tag: the letters reversed, edges and adjoints swapped
-#   _STAR_KINDS  the same on letter sequences
 #   _JOIN      the tag of two letter sequences joined, or None past two letters
 #   _PATTERN   the %-format that prints a word's ids, an adjoint with a "*"
 Word = tuple
 _KINDS = {"v": "", "e": "E", "a": "A", "ea": "EA", "ae": "AE"}
 _TAG = {k: t for t, k in _KINDS.items()}
 _SIZE = {t: 1 + (len(k) or 1) for t, k in _KINDS.items()}
-_STAR_KINDS = {k: k[::-1].translate(str.maketrans("EA", "AE")) for k in _TAG}
-_STAR_TAG = {t: _TAG[_STAR_KINDS[k]] for t, k in _KINDS.items()}
+_STAR_TAG = {t: _TAG[k[::-1].translate(str.maketrans("EA", "AE"))] for t, k in _KINDS.items()}
 _JOIN = {k: {m: _TAG.get(k + m) for m in _TAG} for k in _TAG}
 _PATTERN = {t: "".join("%s*" if x == "A" else "%s" for x in k) or "%s" for t, k in _KINDS.items()}
 # The shape a product reads for a malformed word: its ends are no vertex, so
@@ -215,33 +214,38 @@ class _Line:
             self.bad = (entry[0], len(self.words) - 1)
 
 
+def _tables(g: SeparatedGraph) -> tuple[dict, dict]:
+    """g's (group_of, rewrite), made on the first call and kept on g as _formal."""
+    tables = g.__dict__.get("_formal")
+    if tables is None:
+        keys = [((v, i), group) for v, groups in zip(g.vertices, g.separation)
+                for i, group in enumerate(groups)]
+        group_of = {eid: key for key, group in keys for eid in group}
+        # Complete-sum elimination: the diagonal word of a group's last
+        # member is the range vertex minus the other members' diagonals.
+        rewrite = {group[-1]: (("v", key[0]), group[:-1]) for key, group in keys}
+        tables = (group_of, rewrite)
+        object.__setattr__(g, "_formal", tables)
+    return tables
+
+
 class StarContext:
     """Reduction rules of a fixed separated graph.
 
     Per group, the diagonal word of the last member is the eliminated
     representative of the complete-sum relation, so normal forms are unique
     and normalization is a linear projection.  The two tables, group_of and
-    the last members' rewrites, are made by the first context on a graph and
-    kept on it as _formal for every later one; they refer to no context and
-    no graph, so keeping them makes no reference cycle.
+    the last members' rewrites, are made once per graph (_tables), by the
+    first context or side on it, and kept on it as _formal; they refer to no
+    context and no graph, so keeping them makes no reference cycle.
     """
 
     def __init__(self, g: SeparatedGraph):
         ensure_valid(g)
         self.graph = g
-        tables = g.__dict__.get("_formal")
-        if tables is None:
-            keys = [((v, i), group) for v, groups in zip(g.vertices, g.separation)
-                    for i, group in enumerate(groups)]
-            group_of = {eid: key for key, group in keys for eid in group}
-            # Complete-sum elimination: the diagonal word of a group's last
-            # member is the range vertex minus the other members' diagonals.
-            rewrite = {group[-1]: (("v", key[0]), group[:-1]) for key, group in keys}
-            tables = (group_of, rewrite)
-            object.__setattr__(g, "_formal", tables)
         # each edge's group key; by each group's last member, the range
         # vertex's word and the other members of its group
-        self.group_of, self._rewrite = tables
+        self.group_of, self._rewrite = _tables(g)
 
     # constructors ----------------------------------------------------------
 
@@ -333,24 +337,17 @@ class StarContext:
 
     def mul(self, a: FormalExpr, b: FormalExpr) -> FormalExpr:
         """Product in the algebra, normalized."""
-        out = self._multiply_into(self._read((((0, 0), a),))[0], self._read((((0, 0), b),))[0], {})
+        out = self._multiply_into(self._read((((0, 0), a),)), self._read((((0, 0), b),)), {})
         return FormalExpr(out.get(0, {}).get(0, {}))
 
-    def _read(
-        self, entries: Iterable[tuple[tuple[int, int], FormalExpr]], adjoint: bool = False
-    ) -> tuple[dict[int, _Line], dict[int, _Line]]:
-        """The rows of a matrix and of its adjoint, as _Lines, from one read of its words.
+    def _read(self, entries: Iterable[tuple[tuple[int, int], FormalExpr]]) -> dict[int, _Line]:
+        """The rows of a matrix, as _Lines, from its ((i, k), expression) pairs in sorted order.
 
-        entries are the matrix's ((i, k), expression) pairs in sorted order.
-        Each word's shape is read once; the adjoint's row k holds, at i, the
-        adjoint of each word of entry (i, k), its shape made from the word's
-        shape.  A word with no adjoint (an unknown tag or a wrong number of
-        ids) raises MalformedExpressionError when the adjoint is asked for;
-        any other malformed word raises only where a product pairs it.
+        Each word's shape is read once; a malformed word raises only where a
+        product pairs it.
         """
         shape = self._shape
         rows: dict[int, _Line] = {}
-        adj: dict[int, _Line] = {}
         for (i, k), expr in entries:
             for w, c in expr.terms.items():
                 try:
@@ -358,15 +355,7 @@ class StarContext:
                 except MalformedExpressionError:
                     s = _MALFORMED
                 (rows.get(i) or rows.setdefault(i, _Line())).add((k, w, c, s))
-                if adjoint:
-                    if s is not _MALFORMED:
-                        s = (s[1], s[0], _STAR_KINDS[s[2]])
-                    elif len(w) != _SIZE.get(w and w[0]):
-                        raise _malformed(w)
-                    tag = _STAR_TAG[w[0]]
-                    w = (tag, w[1]) if len(w) == 2 else (tag, w[2], w[1])
-                    (adj.get(k) or adj.setdefault(k, _Line())).add((i, w, c, s))
-        return rows, adj
+        return rows
 
     def _multiply_into(
         self, left: Mapping[int, _Line], right: Mapping[int, _Line], out: dict
@@ -462,8 +451,9 @@ class FormalMatrix:
     """A labeled matrix of formal expressions; absent entries are zero.
 
     A side (_monomial) keeps the word ("e", edge[j]) of column j on row
-    at[j] as two lists, and its graph, until its entries are first read; a
-    U that _assemble formed keeps the lists it read (_unitary_grams).
+    at[j] as two lists until its entries are first read, and its graph only
+    where it is clean; a U that _assemble formed from two clean sides keeps
+    their lists and its kept columns (_unitary_grams).
     """
 
     rows: tuple
@@ -516,22 +506,19 @@ def _matrix(rows: tuple, cols: tuple, cells: Mapping[int, dict]) -> FormalMatrix
 def _grams(ctx: StarContext, m: FormalMatrix) -> tuple[tuple[int, Iterable], ...]:
     """(size, rows) of m m* and m* m, each yielding its cells (i, {j: terms}) by ascending i.
 
-    A side, or a U that _assemble formed, on ctx's graph is multiplied from
-    its lists (_side_grams, _unitary_grams).  Any other matrix goes through
-    the kernel from one read of its entries that makes m*'s words; a word
-    with no adjoint raises first, as forming m* would.
+    A clean side on ctx's graph, one that kept it (_monomial), is multiplied
+    from its lists (_side_grams), and so is a U whose lists are on ctx's
+    graph (_unitary_grams).  Any other matrix goes through the kernel from
+    m's entries and m*'s; a word with no adjoint raises as forming m* does.
     """
     arrays, lists = m.__dict__.get("_arrays"), m.__dict__.get("_lists")
     if arrays and arrays[3] is ctx.graph:
         grams = _side_grams(ctx, *arrays[:2])
+    elif lists and lists[5] is ctx.graph:
+        grams = _unitary_grams(ctx, *lists[:5])
     else:
-        grams = lists and lists[4] is ctx.graph and _unitary_grams(ctx, *lists[:4])
-    if not grams:
-        try:
-            rows, cols = ctx._read(sorted(m.entries.items()), adjoint=True)
-        except MalformedExpressionError:
-            m.star()  # raises for the first such word in m's own order
-            raise
+        rows = ctx._read(sorted(m.entries.items()))
+        cols = ctx._read(sorted(m.star().entries.items()))
         mm, msm = ctx._multiply_into(rows, cols, {}), ctx._multiply_into(cols, rows, {})
         grams = mm.items(), msm.items()
     return (len(m.rows), grams[0]), (len(m.cols), grams[1])
@@ -568,60 +555,47 @@ def _sums(
 
 
 def _side_grams(ctx: StarContext, at: list, edge: list) -> tuple[Iterable, Iterable]:
-    """The rows of m m* and m* m for the side m with edge[j] on row at[j], as the kernel forms them.
+    """The rows of m m* and m* m for the clean side m with edge[j] on row at[j], as the kernel's.
 
-    Row i of m m* is the sum of e e* over the row's edges at (i, i).  Row j of
-    m* m, formed as it is read, has s(e) at each column of its edge e on its
-    row and e* f at each of an edge f of another group at e's range: only at
-    (j, j) where each row holds one group's edges, each once.
+    Row i of m m* is the sum of e e* over the row's edges at (i, i).  Each row
+    holds one group's edges, each once, so e* f = 0 for two distinct columns
+    of a row, and row j of m* m, formed as it is read, is s(e) at (j, j).
     """
-    g, group_of = ctx.graph, ctx.group_of
+    g = ctx.graph
     index, edges = g._eindex, g.edges
 
     def columns():
-        unit, on_row = {}, {}  # one terms dict per vertex word; the columns on each row
-        clean = _one_group_each(at, edge, group_of)
-        for j, i in enumerate(() if clean else at):
-            (on_row.get(i) or on_row.setdefault(i, [])).append(j)
+        unit = {}  # one terms dict per vertex word
         for j, e in enumerate(edge):
-            x = edges[index[e]]
-            own = unit.get(x.src) or unit.setdefault(x.src, {("v", x.src): 1})
-            if clean:
-                yield j, {j: own}
-                continue
-            row = {}
-            for k in on_row[at[j]]:
-                if (f := edge[k]) == e:
-                    row[k] = own
-                elif group_of[f] != group_of[e] and edges[index[f]].dst == x.dst:
-                    row[k] = {("ae", e, f): 1}
-            yield j, row
+            v = edges[index[e]].src
+            yield j, {j: unit.get(v) or unit.setdefault(v, {("v", v): 1})}
 
     return _sums(ctx._rewrite, range(len(at)), at, at, edge, edge).items(), columns()
 
 
-def _unitary_grams(ctx: StarContext, z_at: list, z_edge: list, at: list, edge: list):
-    """The rows of U U* and U* U for U = Z sigma(T)*, from Z's and sigma(T)'s lists.
+def _unitary_grams(ctx: StarContext, z_at: list, z_edge: list, at: list, edge: list, kept):
+    """The rows of U U* and U* U for U = Z sigma(T)*, from the clean sides Z's and sigma(T)'s lists.
 
     U holds e f* at (Z's row, sigma(T)'s row) of each kept column (_kept).
-    Where a row of sigma(T) holds one group's edges, each once, f* f' of two
-    of its columns is s(f) = s(e) if they are one and zero otherwise, so U U*
-    is the diagonal of e e* on Z's rows, summed in the kernel's order (by
+    A row of sigma(T) holds one group's edges, each once, so f* f' of two of
+    its columns is s(f) = s(e) if they are one and zero otherwise: U U* is
+    the diagonal of e e* on Z's rows, summed in the kernel's order (by
     sigma(T)'s row, then column); symmetrically U* U is that of f f* on
-    sigma(T)'s.  None where a row of either side is not so.
+    sigma(T)'s.
     """
-    group_of, g = ctx.group_of, ctx.graph
-    if not (_one_group_each(z_at, z_edge, group_of) and _one_group_each(at, edge, group_of)):
-        return None
-    kept, rewrite = _kept(g, z_edge, edge), ctx._rewrite
+    rewrite = ctx._rewrite
     return (_sums(rewrite, sorted(kept, key=at.__getitem__), z_at, z_at, z_edge, z_edge).items(),
             _sums(rewrite, sorted(kept, key=z_at.__getitem__), at, at, edge, edge).items())
 
 
-def _kept(g: SeparatedGraph, left: list, right: list) -> list:
-    """The columns j where the edges left[j] and right[j] share their source."""
+def _kept(g: SeparatedGraph, left: list, right: list) -> list | range:
+    """The columns j where the edges left[j] and right[j] share their source, a range if all do.
+
+    U keeps them for its Gram products, and a range holds no int per column.
+    """
     index, src = g._eindex, g._src
-    return [j for j, (e, f) in enumerate(zip(left, right)) if src[index[e]] == src[index[f]]]
+    kept = [j for j, (e, f) in enumerate(zip(left, right)) if src[index[e]] == src[index[f]]]
+    return range(len(left)) if len(kept) == len(left) else kept
 
 
 def _first_mismatch(formed: Iterable[tuple[int, dict]], want, wanted: range | Mapping):
@@ -721,9 +695,14 @@ def _side(g: SeparatedGraph, part: Mapping[GroupKey, int]) -> FormalMatrix:
 def _monomial(
     g: SeparatedGraph, rows: tuple, cols: tuple, at: list, edge: list, by_row=False
 ) -> FormalMatrix:
-    """The side on g with edge[j] on row at[j]; its entries run by column, or sorted by_row."""
+    """The side on g with edge[j] on row at[j]; its entries run by column, or sorted by_row.
+
+    The side keeps g only when it is clean, each row holding one group's
+    edges, each once; only then are its products formed from its lists.
+    """
+    clean = _one_group_each(at, edge, _tables(g)[0])
     m = object.__new__(FormalMatrix)
-    m.__dict__.update(rows=rows, cols=cols, _arrays=(at, edge, by_row, g))
+    m.__dict__.update(rows=rows, cols=cols, _arrays=(at, edge, by_row, g if clean else None))
     return m
 
 
@@ -753,8 +732,9 @@ def _assemble(
     its row and edge, goes to where the inverse bijections send its own.
     U = z sigma_t* is formed from the two lists, as the kernel would: column
     j adds e f*, its two edges, at (z's row of j, sigma_t's row of j) when
-    s(e) = s(f) (_kept, _sums).  U keeps the four lists and g, from which
-    its Gram products are formed.
+    s(e) = s(f) (_kept, _sums).  Where z and sigma_t are clean sides on g,
+    U keeps the four lists, those columns and g, from which its Gram
+    products are formed.
     """
     ctx = StarContext(g)
     row_of = {sigma1[r]: i1 for i1, r in enumerate(z.rows)}
@@ -765,8 +745,10 @@ def _assemble(
         at[j1], edge[j1] = i1, e
     sigma_t = _monomial(g, z.rows, z.cols, at, edge, by_row=True)
     z_at, z_edge = z._arrays[:2]
-    u = _matrix(z.rows, z.rows, _sums(ctx._rewrite, _kept(g, z_edge, edge), z_at, at, z_edge, edge))
-    u.__dict__["_lists"] = (z_at, z_edge, at, edge, g)
+    kept = _kept(g, z_edge, edge)
+    u = _matrix(z.rows, z.rows, _sums(ctx._rewrite, kept, z_at, at, z_edge, edge))
+    if z._arrays[3] is g and sigma_t._arrays[3] is g:
+        u.__dict__["_lists"] = (z_at, z_edge, at, edge, kept, g)
     return GeneratorMatrices(g, dict(x), z, t, dict(sigma1), dict(sigma2), sigma_t, u)
 
 

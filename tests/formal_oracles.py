@@ -77,8 +77,8 @@ def matmul(ctx: StarContext, a: FormalMatrix, b: FormalMatrix) -> FormalMatrix:
     """
     if len(a.cols) != len(b.rows):
         raise ValueError("inner dimensions do not match")
-    left, _ = ctx._read(sorted(a.entries.items()))
-    right, _ = ctx._read(sorted(b.entries.items()))
+    left = ctx._read(sorted(a.entries.items()))
+    right = ctx._read(sorted(b.entries.items()))
     return _matrix(a.rows, b.cols, ctx._multiply_into(left, right, {}))
 
 

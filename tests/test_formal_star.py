@@ -23,6 +23,7 @@ from sepk.formal_star import (
     _first_mismatch,
     _grams,
     _monomial,
+    _one_group_each,
     verify_partial_unitary,
     word_str,
 )
@@ -804,6 +805,26 @@ def test_sides_are_built_and_checked_without_making_their_entries():
         assert list(gm.sigma_t.entries) == sorted(gm.sigma_t.entries)
 
 
+def test_a_sides_rows_are_checked_once_where_it_is_built(monkeypatch):
+    # Z, T and sigma(T) each check their rows when made and keep the graph;
+    # verification reads the kept graph and U's lists, not the rows
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return _one_group_each(*args)
+
+    monkeypatch.setattr("sepk.formal_star._one_group_each", counted)
+    for g, x, seed in _side_cases():
+        gm = build_generator_matrices(g, x, seed=seed)
+        assert len(calls) == 3
+        assert all(m.__dict__["_arrays"][3] is g for m in (gm.z, gm.t, gm.sigma_t))
+        assert gm.u.__dict__["_lists"][-1] is g
+        assert verify_partial_unitary(gm).ok
+        assert len(calls) == 3
+        calls.clear()
+
+
 def _in_order(cells):
     """The kernel's cells {i: {j: terms}} as nested lists, so that key order counts."""
     return [(i, [(j, list(terms.items())) for j, terms in row.items()]) for i, row in cells.items()]
@@ -825,26 +846,29 @@ def _kernel_products():
         StarContext._multiply_into = kernel
 
 
-def _assert_side_products_are_the_kernels(gm, lists=True):
+def _assert_side_products_are_the_kernels(gm):
     """The Gram products of each side and of U, and U itself, equal the kernel's.
 
-    The sides' products and U are formed from the sides' lists, and so are
-    U's when lists is true; the kernel forms them otherwise.  The kernel
-    reads copies of the matrices through their entries, as it reads any
-    matrix given by them; the products must agree in value and in key
-    order, U's terms included.
+    U is formed from the sides' lists.  A side's products are formed from
+    its lists where its rows are clean, each holding one group's edges, each
+    once, and U's where both Z's and sigma(T)'s are; the kernel forms the
+    others.  The kernel reads copies of the matrices through their entries,
+    as it reads any matrix given by them; the products must agree in value
+    and in key order, U's terms included.
     """
     def in_order(outcome):  # the products' cells in key order, or the error raised
         kind, value = outcome
         return outcome if kind != "ok" else [(n, _in_order(cells)) for n, cells in value]
 
     ctx = StarContext(gm.graph)
-    for m in (gm.z, gm.t, gm.sigma_t, gm.u):
+    clean = [_holds_one_group_each_once(m, ctx.group_of) for m in (gm.z, gm.t, gm.sigma_t)]
+    clean.append(clean[0] and clean[2])
+    for m, lists in zip((gm.z, gm.t, gm.sigma_t, gm.u), clean):
         kept = copy.copy(m)
         with _kernel_products() as formed:
             got = in_order(_outcome(_cells, ctx, m))
-        assert bool(formed) == (m is gm.u and not lists)
-        assert m is gm.u or "entries" not in m.__dict__  # a side's, formed from the lists
+        assert bool(formed) != lists
+        assert m is gm.u or ("entries" in m.__dict__) != lists  # a side's lists, or its entries
         given = FormalMatrix(kept.rows, kept.cols, dict(kept.entries))
         assert got == in_order(_outcome(_cells, ctx, given))
     z, sigma_t = copy.copy(gm.z), copy.copy(gm.sigma_t)
@@ -904,7 +928,7 @@ def test_side_products_equal_the_kernels_under_corrupted_pairings():
             bad = _assemble(g, x, gm.z, _traded(t, j, e), gm.sigma1, gm.sigma2)
             # a trade in a row of one column leaves it one group's edge
             clean = _holds_one_group_each_once(bad.sigma_t, group_of)
-            _assert_side_products_are_the_kernels(bad, lists=clean)
+            _assert_side_products_are_the_kernels(bad)
             seen[kind] += 1
             seen[kind, clean] += 1
         # T traded for Z: U = Z Z*, where each row's complete sum leaves
