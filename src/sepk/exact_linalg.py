@@ -6,11 +6,13 @@ so machine integers are never used.
 
 IntMatrix stores sparse columns, the form read by ColumnReduction, the one
 elimination behind cokernels, kernels and ranks: it pivots on +-1 entries
-first, in Markowitz order, and leaves only a core without unit entries,
-usually tiny, to one dense Smith elimination.  The
-cokernel and the rank read its diagonal; the kernel reads the column
-transform V, collected, like both transforms of smith_normal_form, by
-identity rows or columns appended to the matrix the elimination works on.
+first, in Markowitz order, recording each pivot's column operations, and
+leaves only a core without unit entries, usually tiny, to one dense Smith
+elimination.  The cokernel and the rank read its diagonal.  The kernel reads
+the column transform V, collected, like both transforms of
+smith_normal_form, by identity rows appended to the matrix the elimination
+works on, and carries it to the input columns by back-substitution over the
+recorded pivots; K-groups read the cokernel and the kernel off that one pass.
 Smith form picks pivots of minimal absolute value to damp entry growth.
 Hermite form only canonicalizes: kernel bases come out in canonical column
 Hermite form, so results do not depend on the elimination path, and
@@ -240,105 +242,101 @@ class ColumnReduction:
     """Unit-pivot elimination of the integer matrix with the given columns.
 
     columns[j] maps row indices in range(nrows) to the nonzero entries of
-    column j; the input is not modified.  Every pivot is a +-1 entry.
-    Pivoting drops one row and one column, so the cokernel loses a trivial
-    summand and the rank gains one.  The columns that remain form the core:
-    they have no +-1 entry, meet the rows in core_rows, and each carries its
-    tail, the combination of input columns that it now is, from which
-    kernel() reads kernel vectors.
+    column j; the input is not modified.  A pivot is a +-1 entry u at row r
+    of column c: every other column q meeting row r takes col_q -= t * col_c
+    with t = col_q[r] * u, and then row r and column c leave the matrix, so
+    the cokernel loses a trivial summand and the rank gains one.  Each pivot
+    is recorded in steps as (c, [(q, t), ...]).  The columns that remain,
+    core_cols, form the core: they have no +-1 entry and meet the rows in
+    core_rows.  One dense Smith pass of the core gives the cokernel, and,
+    with V appended, the core's kernel, which back-substitution over the
+    steps carries to the input columns.
     """
 
     def __init__(self, nrows: int, columns: Sequence[Mapping[int, int]]):
         cols: list[dict[int, int] | None] = [dict(c) for c in columns]
-        tails: list[dict[int, int] | None] = [{j: 1} for j in range(len(cols))]
-        units = [sum(1 for x in col.values() if x == 1 or x == -1) for col in cols]
         in_row: list[set[int]] = [set() for _ in range(nrows)]
         for j, col in enumerate(cols):
             for i in col:
                 in_row[i].add(j)
         # Markowitz order, approximated: the shortest column with a unit
         # entry, pivoted at its shortest row, fills in least.  A column is
-        # queued again whenever a pivot changes it; stale entries are skipped.
-        queue = [(len(col), j) for j, col in enumerate(cols) if units[j]]
+        # queued again whenever a pivot changes it; stale entries, and
+        # columns left without a unit entry, are skipped.
+        queue = [(len(col), j) for j, col in enumerate(cols)]
         heapq.heapify(queue)
-        pivots = 0
+        steps = []
         while queue:
             size, c = heapq.heappop(queue)
             col = cols[c]
-            if col is None or size != len(col) or not units[c]:
+            if col is None or size != len(col):
                 continue
             r, shortest = -1, len(cols) + 1  # a row meets at most len(cols) columns
             for i, x in col.items():
                 if (x == 1 or x == -1) and len(in_row[i]) < shortest:
                     r, shortest = i, len(in_row[i])
+            if r < 0:
+                continue
             unit = col[r]
-            tail = tails[c]
+            ops = []
             for q in [q for q in in_row[r] if q != c]:
                 colq = cols[q]
                 t = colq[r] * unit  # unit is its own inverse
-                u = units[q]
                 for i, x in col.items():
                     old = colq.get(i, 0)
                     new = old - t * x
-                    if old == 1 or old == -1:
-                        u -= 1
                     if new:
                         if not old:
                             in_row[i].add(q)
                         colq[i] = new
-                        if new == 1 or new == -1:
-                            u += 1
                     else:
                         del colq[i]
                         in_row[i].discard(q)
-                units[q] = u
-                tq = tails[q]
-                for k, x in tail.items():
-                    new = tq.get(k, 0) - t * x
-                    if new:
-                        tq[k] = new
-                    else:
-                        del tq[k]
-                if u:
-                    heapq.heappush(queue, (len(colq), q))
+                ops.append((q, t))
+                heapq.heappush(queue, (len(colq), q))
             for i in col:
                 in_row[i].discard(c)
-            cols[c] = tails[c] = None
-            pivots += 1
+            cols[c] = None
+            steps.append((c, ops))
         self.nrows = nrows
         self.ncols = len(cols)
-        self.pivots = pivots
-        self.core = [col for col in cols if col is not None]
+        self.steps = steps
+        self.core_cols = [j for j, col in enumerate(cols) if col is not None]
+        self.core = [cols[j] for j in self.core_cols]
         self.core_rows = sorted({i for col in self.core for i in col})
-        self.tails = [tail for tail in tails if tail is not None]
 
     def cokernel(self) -> AbelianGroupInvariants:
         """Invariants of Z^nrows / column span, by Smith form of the core."""
         a = _dense(self.core_rows, self.core)
         core = _smith_cokernel(a, len(a), len(self.core))
-        return core.with_free_summand(self.nrows - self.pivots - len(a))
+        return core.with_free_summand(self.nrows - len(self.steps) - len(a))
 
-    def kernel(self) -> list[tuple[int, ...]]:
-        """A Z-basis of the kernel, in canonical column Hermite form.
+    def cokernel_and_kernel(self) -> tuple[AbelianGroupInvariants, list[tuple[int, ...]]]:
+        """The cokernel and kernel(), from one Smith pass of the core with V appended.
 
-        The columns of the core's V past its rank span the core's kernel;
-        summing the tails they select carries them to the input columns.
+        The columns of V past the core's rank span the core's kernel.  Each,
+        written on the core columns, is carried back over the steps in
+        reverse, x_c = -sum(t * x_q): a step is x = E x', and x'_c = 0 on the
+        kernel, since in the reduced matrix row r meets only column c.
         """
         a = _dense(self.core_rows, self.core)
         m, n = len(a), len(self.core)
         a += [[int(i == j) for j in range(n)] for i in range(n)]
-        _smith(a, m, n)
-        core_rank = sum(1 for k in range(min(m, n)) if a[k][k])
+        core = _smith_cokernel(a, m, n)
         vectors = []
-        for j in range(core_rank, n):
-            vec = [0] * self.ncols
-            for v_row, tail in zip(a[m:], self.tails):
-                t = v_row[j]
-                if t:
-                    for q, x in tail.items():
-                        vec[q] += t * x
-            vectors.append(vec)
-        return hnf_column_basis(vectors, self.ncols)
+        for j in range(m - core.rank, n):
+            x = [0] * self.ncols
+            for c, v_row in zip(self.core_cols, a[m:]):
+                x[c] = v_row[j]
+            for c, ops in reversed(self.steps):
+                x[c] = -sum(t * x[q] for q, t in ops)
+            vectors.append(x)
+        cokernel = core.with_free_summand(self.nrows - len(self.steps) - m)
+        return cokernel, hnf_column_basis(vectors, self.ncols)
+
+    def kernel(self) -> list[tuple[int, ...]]:
+        """A Z-basis of the kernel, in canonical column Hermite form."""
+        return self.cokernel_and_kernel()[1]
 
 
 def cokernel_invariants(matrix: IntMatrix) -> AbelianGroupInvariants:

@@ -525,9 +525,15 @@ def _grams(ctx: StarContext, m: FormalMatrix) -> tuple[tuple[int, Iterable], ...
 
 
 def _one_group_each(at: list, edge: list, group_of: Mapping[str, GroupKey]) -> bool:
-    """Whether each row of the side with edge[j] on row at[j] holds one group's edges, each once."""
-    groups = set(zip(at, map(group_of.__getitem__, edge)))
-    return len(groups) == len(set(at)) and len(set(zip(at, edge))) == len(at)
+    """Whether each row of the side with edge[j] on row at[j] holds one group's edges, each once.
+
+    A row holds one group when its last column's group, read back, is every
+    column's; an edge can repeat on a row only if some edge repeats at all.
+    """
+    keys = list(map(group_of.__getitem__, edge))
+    if list(map(dict(zip(at, keys)).__getitem__, at)) != keys:
+        return False
+    return len(set(edge)) == len(edge) or len(set(zip(at, edge))) == len(at)
 
 
 def _sums(

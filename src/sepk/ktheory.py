@@ -162,11 +162,8 @@ class KGroups:
 def k_groups_full(g: SeparatedGraph) -> KGroups:
     """K-groups of the (untamed) graph algebra: cokernel and kernel."""
     pair = incidence(g)
-    reduction = pair.reduction()
-    vecs = tuple(
-        {key: c for key, c in zip(pair.cols, vec) if c} for vec in reduction.kernel()
-    )
-    return KGroups(reduction.cokernel(), vecs)
+    k0, basis = pair.reduction().cokernel_and_kernel()
+    return KGroups(k0, tuple({key: c for key, c in zip(pair.cols, vec) if c} for vec in basis))
 
 
 # K_1 of the tame algebra: the projection is a K_1-isomorphism, so the

@@ -1,10 +1,13 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
+from sepk import exact_linalg
 from sepk.exact_linalg import (
     AbelianGroupInvariants,
+    ColumnReduction,
     IntMatrix,
     cokernel_invariants,
     hnf_column_basis,
@@ -13,7 +16,9 @@ from sepk.exact_linalg import (
     matrix_rank,
     smith_normal_form,
 )
+from sepk.ktheory import incidence
 
+from conftest import random_bipartite_graph
 from dense_oracles import (
     det_bareiss,
     diagonal,
@@ -23,6 +28,7 @@ from dense_oracles import (
     smith_diagonal,
     to_lists,
 )
+from test_exact_linalg_golden import KINDS, seeded_matrices
 
 
 def mat(rows):
@@ -314,3 +320,71 @@ def test_big_integer_entries_survive():
     assert to_lists(mat_mul(mat_mul(u, m), v)) == to_lists(d)
     assert d.data[0][0] == 1
     assert d.data[1][1] == n * n - 1
+
+
+def _permuted(m, rng):
+    """m with its rows and columns in seeded order, and the column order."""
+    r, c = m.shape
+    rows, cols = rng.sample(range(r), r), rng.sample(range(c), c)
+    return IntMatrix(range(r), range(c), [[m.data[i][j] for j in cols] for i in rows]), cols
+
+
+def test_elimination_does_not_depend_on_input_order():
+    # the golden kinds and seeded incidences, K0 torsion among them, each
+    # under two seeded row and column orders: a reordered copy pivots in
+    # another order, and must give the same cokernel and the same kernel
+    # lattice, carried across the column order
+    rng = random.Random(4301)
+    matrices = [(kind, m) for kind in sorted(KINDS) for m in seeded_matrices(kind)]
+    matrices += [("incidence", incidence(random_bipartite_graph(rng)).difference())
+                 for _ in range(100)]
+    torsion = Counter()
+    for kind, m in matrices:
+        k0, basis = cokernel_invariants(m), kernel_basis(m)
+        torsion[kind] += bool(k0.factors)
+        for _ in range(2):
+            p, cols = _permuted(m, rng)
+            assert cokernel_invariants(p) == k0
+            moved = kernel_basis(p)
+            carried = [[v[j] for j in cols] for v in basis]
+            assert all(in_lattice_span(moved, v) for v in carried)
+            assert all(in_lattice_span(carried, v) for v in moved)
+    assert torsion["incidence"] >= 10 and torsion.total() >= 100, torsion
+
+
+def test_one_smith_pass_gives_both_groups_and_the_cokernel_appends_no_v(monkeypatch):
+    # cokernel_and_kernel() reads K_0 and K_1 off one Smith pass of the core
+    # with V appended; cokernel(), cokernel_invariants and matrix_rank run
+    # their one pass without it.  Zero columns, empty shapes and repeated
+    # columns (one of them negated) are among the cases.
+    rng = random.Random(4302)
+    kinds = ("units", "no-units", "sparse", "large")
+    matrices = [oracle_matrix(rng, kinds[n % len(kinds)]) for n in range(400)]
+    matrices += [IntMatrix(range(r), range(c), [[0] * c] * r)
+                 for r, c in ((0, 0), (0, 3), (3, 0), (1, 1), (2, 4))]
+    for m in matrices[:200]:
+        r, c = m.shape
+        if c:
+            j, k = rng.randrange(c), rng.randrange(c)
+            rows = [row + (row[j], -row[k]) for row in m.data]
+            matrices.append(IntMatrix(range(r), range(c + 2), rows))
+    appended = []
+    smith = exact_linalg._smith
+
+    def recorded(a, m, n):
+        appended.append(len(a) - m)
+        smith(a, m, n)
+
+    monkeypatch.setattr(exact_linalg, "_smith", recorded)
+    for m in matrices:
+        reduction = ColumnReduction(len(m.rows), m._columns)
+        k0, basis = reduction.cokernel_and_kernel()
+        assert appended == [len(reduction.core)]
+        appended.clear()
+        assert k0 == reduction.cokernel() == cokernel_invariants(m)
+        assert len(m.rows) - k0.rank == matrix_rank(m)
+        assert appended == [0, 0, 0]
+        appended.clear()
+        assert basis == kernel_basis(m)
+        assert len(basis) == m.shape[1] - matrix_rank(m)
+        appended.clear()

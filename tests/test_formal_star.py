@@ -901,6 +901,51 @@ def _holds_one_group_each_once(side, group_of):
                for es in rows.values())
 
 
+def test_one_group_each_agrees_with_its_definition_by_sets():
+    # seeded sides on random graphs: rows of one group's edges, then one
+    # column more that may bring a second group onto a row, repeat an edge
+    # on its row, or repeat it on another row of the same group (which
+    # stays clean); the column order is shuffled
+    def by_sets(at, edge, group_of):
+        groups = set(zip(at, map(group_of.__getitem__, edge)))
+        return len(groups) == len(set(at)) and len(set(zip(at, edge))) == len(at)
+
+    rng = random.Random(43)
+    seen = Counter()
+    for _ in range(400):
+        g, _x = bipartite_graph_with_kernel(rng)
+        group_of = StarContext(g).group_of
+        keys = sorted(set(group_of.values()))
+        at, edge = [], []
+        for row in range(rng.randint(0, 5)):
+            members = g.group(rng.choice(keys))
+            for e in rng.sample(members, rng.randint(1, len(members))):
+                at.append(row)
+                edge.append(e)
+        kind = rng.choice(("as made", "two groups", "repeat on its row", "repeat on another row"))
+        if at and kind == "two groups":
+            j = rng.randrange(len(at))
+            others = [e for e, k in group_of.items() if k != group_of[edge[j]]]
+            at.append(at[j])
+            edge.append(rng.choice(others))
+        elif at and kind == "repeat on its row":
+            j = rng.randrange(len(at))
+            at.append(at[j])
+            edge.append(edge[j])
+        elif at and kind == "repeat on another row":
+            j = rng.randrange(len(at))
+            at.append(max(at) + 1)
+            edge.append(edge[j])
+        order = list(range(len(at)))
+        rng.shuffle(order)
+        at, edge = [at[j] for j in order], [edge[j] for j in order]
+        want = by_sets(at, edge, group_of)
+        assert _one_group_each(at, edge, group_of) is want
+        seen[kind, want] += 1
+    assert min(seen["as made", True], seen["repeat on another row", True]) >= 30, seen
+    assert min(seen["two groups", False], seen["repeat on its row", False]) >= 30, seen
+
+
 def test_side_products_equal_the_kernels_under_corrupted_pairings():
     # sigma(T) as a corrupted pairing leaves it: a row of two groups at one
     # range vertex, where e* f stays an atom; an edge twice on a row; T

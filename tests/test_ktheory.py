@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from sepk import formal_star, ktheory
+from sepk import exact_linalg, formal_star, ktheory
 from sepk.exact_linalg import (
     AbelianGroupInvariants,
     IntMatrix,
@@ -211,6 +211,36 @@ def test_k_groups_examples():
     kg = k_groups_full(builtin("lamplighter", [2]))
     assert kg.k0 == AbelianGroupInvariants(2)
     assert kg.k1_basis == ({("v", 0): 1, ("v", 1): -1},)
+
+
+def test_k_groups_read_both_groups_off_one_smith_pass(monkeypatch):
+    # seeded graphs, K0 torsion among them: k_groups_full runs one Smith
+    # pass, with V appended, and its K0 is the V-free cokernel's, which
+    # k0_tame also reads without V
+    appended = []
+    smith = exact_linalg._smith
+
+    def recorded(a, m, n):
+        appended.append((len(a) - m, n))  # rows below the block, and its columns
+        smith(a, m, n)
+
+    monkeypatch.setattr(exact_linalg, "_smith", recorded)
+    rng = random.Random(4303)
+    torsion = cores = 0
+    for _ in range(120):
+        g = random_bipartite_graph(rng)
+        kg = k_groups_full(g)
+        [(v_rows, n)] = appended
+        assert v_rows == n
+        cores += n > 0
+        appended.clear()
+        k0 = cokernel_invariants(incidence(g).difference())
+        assert kg.k0 == k0 == k0_tame(g, 1).base
+        assert kg.k1_rank == len(incidence(g).cols) - matrix_rank(incidence(g).difference())
+        assert len(appended) == 3 and all(v_rows == 0 for v_rows, _ in appended)
+        appended.clear()
+        torsion += bool(k0.factors)
+    assert torsion >= 15 and cores >= 30, (torsion, cores)
 
 
 def test_k1_tame_equals_k1():
