@@ -312,7 +312,7 @@ class ColumnReduction:
         return core.with_free_summand(self.nrows - len(self.steps) - len(a))
 
     def cokernel_and_kernel(self) -> tuple[AbelianGroupInvariants, list[tuple[int, ...]]]:
-        """The cokernel and kernel(), from one Smith pass of the core with V appended.
+        """The cokernel and the kernel's Hermite basis, from one Smith pass of the core with V.
 
         The columns of V past the core's rank span the core's kernel.  Each,
         written on the core columns, is carried back over the steps in
@@ -333,10 +333,6 @@ class ColumnReduction:
             vectors.append(x)
         cokernel = core.with_free_summand(self.nrows - len(self.steps) - m)
         return cokernel, hnf_column_basis(vectors, self.ncols)
-
-    def kernel(self) -> list[tuple[int, ...]]:
-        """A Z-basis of the kernel, in canonical column Hermite form."""
-        return self.cokernel_and_kernel()[1]
 
 
 def cokernel_invariants(matrix: IntMatrix) -> AbelianGroupInvariants:
@@ -384,10 +380,9 @@ def hnf_column_basis(vectors: Sequence[Sequence[int]], dim: int) -> list[tuple[i
                 for i in range(dim):
                     basis[j][i] -= t * basis[placed][i]
         placed += 1
-    # Zero vectors (linear dependencies among inputs) are dropped.
-    basis = basis[:placed]
-    basis.sort(key=lambda v: next(i for i, x in enumerate(v) if x))
-    return [tuple(v) for v in basis]
+    # Zero vectors (linear dependencies among inputs) are dropped.  The rest
+    # were placed in increasing pivot order, each zero before its pivot.
+    return [tuple(v) for v in basis[:placed]]
 
 
 def kernel_basis(matrix: IntMatrix) -> list[tuple[int, ...]]:
@@ -396,7 +391,7 @@ def kernel_basis(matrix: IntMatrix) -> list[tuple[int, ...]]:
     Vectors are returned as dense coordinate tuples over matrix.cols; the
     list is empty when the kernel is trivial.
     """
-    return ColumnReduction(len(matrix.rows), matrix._columns).kernel()
+    return ColumnReduction(len(matrix.rows), matrix._columns).cokernel_and_kernel()[1]
 
 
 def in_lattice_span(basis: Sequence[Sequence[int]], target: Sequence[int]) -> bool:

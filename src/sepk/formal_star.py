@@ -27,14 +27,14 @@ raises MalformedExpressionError from every operation.
 
 Words are multiplied on two paths that apply the same relations and leave
 the same cells in the same order, and one rule picks the path.  A side, Z, T
-or sigma(T), is a row and an edge per column (_monomial), and keeps its
-graph only when it is clean: each row holds one group's edges, each once,
-so that e* f = 0 for two distinct columns of a row.  On that graph a clean
-side is multiplied from its lists (_side_grams), and so is U where Z and sigma(T)
-are both clean (_unitary_grams); U = Z sigma(T)* is formed from the lists
-(_assemble).  Every other matrix goes through the kernel
-StarContext._multiply_into, as mul does: m m* and m* m from m and m*, each
-read once (_read) into a list per row (_Line) of (position, word,
+or sigma(T), is a row and an edge per column (_monomial), and keeps the
+graph its rows are clean on, as the build makes them: each row holds one
+group's edges, each once, so that e* f = 0 for two distinct columns of a
+row.  On that graph a side is multiplied from its lists (_side_grams), and
+so is U where Z and sigma(T) both kept it (_unitary_grams); U = Z sigma(T)*
+is formed from the lists (_assemble).  Every other matrix goes through the
+kernel StarContext._multiply_into, as mul does: m m* and m* m from m and
+m*, each read once (_read) into a list per row (_Line) of (position, word,
 coefficient, shape), each pair reduced only at its junction.  The first
 pair, by row, inner index, right position, left word and right word, that
 holds a malformed word or leaves a word of over two letters raises.  Zero
@@ -214,30 +214,15 @@ class _Line:
             self.bad = (entry[0], len(self.words) - 1)
 
 
-def _tables(g: SeparatedGraph) -> tuple[dict, dict]:
-    """g's (group_of, rewrite), made on the first call and kept on g as _formal."""
-    tables = g.__dict__.get("_formal")
-    if tables is None:
-        keys = [((v, i), group) for v, groups in zip(g.vertices, g.separation)
-                for i, group in enumerate(groups)]
-        group_of = {eid: key for key, group in keys for eid in group}
-        # Complete-sum elimination: the diagonal word of a group's last
-        # member is the range vertex minus the other members' diagonals.
-        rewrite = {group[-1]: (("v", key[0]), group[:-1]) for key, group in keys}
-        tables = (group_of, rewrite)
-        object.__setattr__(g, "_formal", tables)
-    return tables
-
-
 class StarContext:
     """Reduction rules of a fixed separated graph.
 
     Per group, the diagonal word of the last member is the eliminated
     representative of the complete-sum relation, so normal forms are unique
     and normalization is a linear projection.  The two tables, group_of and
-    the last members' rewrites, are made once per graph (_tables), by the
-    first context or side on it, and kept on it as _formal; they refer to no
-    context and no graph, so keeping them makes no reference cycle.
+    the last members' rewrites, are made once per graph, by the first
+    context on it, and kept on it as _formal; they refer to no context and
+    no graph, so keeping them makes no reference cycle.
     """
 
     def __init__(self, g: SeparatedGraph):
@@ -245,7 +230,17 @@ class StarContext:
         self.graph = g
         # each edge's group key; by each group's last member, the range
         # vertex's word and the other members of its group
-        self.group_of, self._rewrite = _tables(g)
+        tables = g.__dict__.get("_formal")
+        if tables is None:
+            keys = [((v, i), group) for v, groups in zip(g.vertices, g.separation)
+                    for i, group in enumerate(groups)]
+            group_of = {eid: key for key, group in keys for eid in group}
+            # Complete-sum elimination: the diagonal word of a group's last
+            # member is the range vertex minus the other members' diagonals.
+            rewrite = {group[-1]: (("v", key[0]), group[:-1]) for key, group in keys}
+            tables = (group_of, rewrite)
+            object.__setattr__(g, "_formal", tables)
+        self.group_of, self._rewrite = tables
 
     # constructors ----------------------------------------------------------
 
@@ -451,9 +446,9 @@ class FormalMatrix:
     """A labeled matrix of formal expressions; absent entries are zero.
 
     A side (_monomial) keeps the word ("e", edge[j]) of column j on row
-    at[j] as two lists until its entries are first read, and its graph only
-    where it is clean; a U that _assemble formed from two clean sides keeps
-    their lists and its kept columns (_unitary_grams).
+    at[j] as two lists until its entries are first read, and the graph its
+    rows are clean on, or None; a U that _assemble formed from two sides that
+    kept its graph keeps their lists and its kept columns (_unitary_grams).
     """
 
     rows: tuple
@@ -522,18 +517,6 @@ def _grams(ctx: StarContext, m: FormalMatrix) -> tuple[tuple[int, Iterable], ...
         mm, msm = ctx._multiply_into(rows, cols, {}), ctx._multiply_into(cols, rows, {})
         grams = mm.items(), msm.items()
     return (len(m.rows), grams[0]), (len(m.cols), grams[1])
-
-
-def _one_group_each(at: list, edge: list, group_of: Mapping[str, GroupKey]) -> bool:
-    """Whether each row of the side with edge[j] on row at[j] holds one group's edges, each once.
-
-    A row holds one group when its last column's group, read back, is every
-    column's; an edge can repeat on a row only if some edge repeats at all.
-    """
-    keys = list(map(group_of.__getitem__, edge))
-    if list(map(dict(zip(at, keys)).__getitem__, at)) != keys:
-        return False
-    return len(set(edge)) == len(edge) or len(set(zip(at, edge))) == len(at)
 
 
 def _sums(
@@ -671,7 +654,9 @@ def _side(g: SeparatedGraph, part: Mapping[GroupKey, int]) -> FormalMatrix:
     Rows run over the used groups in group order; columns over the source
     vertices in layer1 order, then the used groups with an arrow from that
     source, in group order, then t, then the arrows in their group order.
-    The column (key, t, w, s) holds its arrow on the row (key, t) (_monomial).
+    The column (key, t, w, s) holds its arrow on the row (key, t) (_monomial):
+    a valid g lists each edge in one group, so each row holds one group's
+    edges, each once, and the side keeps g.
     """
     rows: list[RowLabel] = []
     first_row: dict[GroupKey, int] = {}
@@ -701,14 +686,14 @@ def _side(g: SeparatedGraph, part: Mapping[GroupKey, int]) -> FormalMatrix:
 def _monomial(
     g: SeparatedGraph, rows: tuple, cols: tuple, at: list, edge: list, by_row=False
 ) -> FormalMatrix:
-    """The side on g with edge[j] on row at[j]; its entries run by column, or sorted by_row.
+    """The side with edge[j] on row at[j]; its entries run by column, or sorted by_row.
 
-    The side keeps g only when it is clean, each row holding one group's
-    edges, each once; only then are its products formed from its lists.
+    g is the graph the side's rows are clean on, each holding one group's
+    edges, each once, or None; the caller vouches for it, and only on that
+    graph are the side's products formed from its lists.
     """
-    clean = _one_group_each(at, edge, _tables(g)[0])
     m = object.__new__(FormalMatrix)
-    m.__dict__.update(rows=rows, cols=cols, _arrays=(at, edge, by_row, g if clean else None))
+    m.__dict__.update(rows=rows, cols=cols, _arrays=(at, edge, by_row, g))
     return m
 
 
@@ -735,21 +720,22 @@ def _assemble(
     """The matrices for the given bijections between the sides z and t.
 
     sigma_t[i1, j1] = t[sigma1(row i1), sigma2(col j1)]: each column of t,
-    its row and edge, goes to where the inverse bijections send its own.
+    its row and edge, goes to where the inverse bijections send its own.  A
+    row of sigma_t receives at most one row of t, so sigma_t keeps t's graph.
     U = z sigma_t* is formed from the two lists, as the kernel would: column
     j adds e f*, its two edges, at (z's row of j, sigma_t's row of j) when
-    s(e) = s(f) (_kept, _sums).  Where z and sigma_t are clean sides on g,
-    U keeps the four lists, those columns and g, from which its Gram
-    products are formed.
+    s(e) = s(f) (_kept, _sums).  Where z and sigma_t both kept g, U keeps
+    the four lists, those columns and g, from which its Gram products are
+    formed.
     """
     ctx = StarContext(g)
     row_of = {sigma1[r]: i1 for i1, r in enumerate(z.rows)}
     col_of = {sigma2[c]: j1 for j1, c in enumerate(z.cols)}
-    at, edge = [0] * len(z.cols), [""] * len(z.cols)
+    at, edge = [0] * len(z.cols), [None] * len(z.cols)  # an unreached column raises in _kept
     for i, e, c in zip(*t._arrays[:2], t.cols):  # each column of t, its row and edge
         i1, j1 = row_of[t.rows[i]], col_of[c]
         at[j1], edge[j1] = i1, e
-    sigma_t = _monomial(g, z.rows, z.cols, at, edge, by_row=True)
+    sigma_t = _monomial(t._arrays[3], z.rows, z.cols, at, edge, by_row=True)
     z_at, z_edge = z._arrays[:2]
     kept = _kept(g, z_edge, edge)
     u = _matrix(z.rows, z.rows, _sums(ctx._rewrite, kept, z_at, at, z_edge, edge))

@@ -183,7 +183,7 @@ def _walk(base_groups, edges: int) -> _Walk:
     one pass; a list of a layer's arrows is scanned again at every older
     collection while the step runs.
     """
-    chain, repeat = itertools.chain.from_iterable, itertools.repeat
+    chain = itertools.chain.from_iterable
     arity = list(map(len, base_groups))
     count = [math.prod(map(len, groups)) for groups in base_groups]
     through = tuple(chain(chain(itertools.starmap(itertools.product, base_groups))))

@@ -423,10 +423,13 @@ def test_element_syntax_and_errors(capsys):
     code, out, _ = run(capsys, "delta", "--builtin", "E(3,3)", "--element", "v.1:+1,v.2:-1")
     assert code == 0
     assert out.strip() == "-1 v +3 w"
+    # a trailing comma leaves a blank last term, which is skipped
+    assert run(capsys, "delta", "--builtin", "E(3,3)", "--element", "v.1:+1,v.2:-1, ")[:2] == (0, out)
     for element, detail in (
         ("Q:1", "group name 'Q' is not of the form v.k"),
         ("Y:x", "bad coefficient 'x' in 'Y:x'"),
         ("v.7:1", "unknown group 'v.7'"),
+        ("X", "element term 'X' is not of the form group:coef"),
     ):
         code, out, err = run(capsys, "delta", "--builtin", "E(3,3)", "--element", element)
         assert (code, out, err) == (4, "", f"error: {detail}\n")

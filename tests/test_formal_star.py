@@ -23,7 +23,7 @@ from sepk.formal_star import (
     _first_mismatch,
     _grams,
     _monomial,
-    _one_group_each,
+    _side,
     verify_partial_unitary,
     word_str,
 )
@@ -805,24 +805,14 @@ def test_sides_are_built_and_checked_without_making_their_entries():
         assert list(gm.sigma_t.entries) == sorted(gm.sigma_t.entries)
 
 
-def test_a_sides_rows_are_checked_once_where_it_is_built(monkeypatch):
-    # Z, T and sigma(T) each check their rows when made and keep the graph;
-    # verification reads the kept graph and U's lists, not the rows
-    calls = []
-
-    def counted(*args):
-        calls.append(None)
-        return _one_group_each(*args)
-
-    monkeypatch.setattr("sepk.formal_star._one_group_each", counted)
+def test_a_side_keeps_its_graph_where_it_is_built():
+    # Z, T and sigma(T) are clean as built and keep the graph; U keeps its
+    # lists, and verification reads the kept graph and U's lists
     for g, x, seed in _side_cases():
         gm = build_generator_matrices(g, x, seed=seed)
-        assert len(calls) == 3
         assert all(m.__dict__["_arrays"][3] is g for m in (gm.z, gm.t, gm.sigma_t))
         assert gm.u.__dict__["_lists"][-1] is g
         assert verify_partial_unitary(gm).ok
-        assert len(calls) == 3
-        calls.clear()
 
 
 def _in_order(cells):
@@ -861,7 +851,8 @@ def _assert_side_products_are_the_kernels(gm):
         return outcome if kind != "ok" else [(n, _in_order(cells)) for n, cells in value]
 
     ctx = StarContext(gm.graph)
-    clean = [_holds_one_group_each_once(m, ctx.group_of) for m in (gm.z, gm.t, gm.sigma_t)]
+    clean = [_holds_one_group_each_once(*m.__dict__["_arrays"][:2], ctx.group_of)
+             for m in (gm.z, gm.t, gm.sigma_t)]
     clean.append(clean[0] and clean[2])
     for m, lists in zip((gm.z, gm.t, gm.sigma_t, gm.u), clean):
         kept = copy.copy(m)
@@ -886,14 +877,15 @@ def test_side_products_equal_the_kernel_products_of_their_entries():
 
 
 def _traded(t, j, e):
-    """The side t with column j's edge traded for e."""
+    """The side t with column j's edge traded for e, keeping t's graph only where it stays clean."""
     at, edge, by_row, g = t.__dict__["_arrays"]
-    return _monomial(g, t.rows, t.cols, list(at), edge[:j] + [e] + edge[j + 1 :], by_row)
+    edge = edge[:j] + [e] + edge[j + 1 :]
+    clean = _holds_one_group_each_once(at, edge, StarContext(g).group_of)
+    return _monomial(g if clean else None, t.rows, t.cols, list(at), edge, by_row)
 
 
-def _holds_one_group_each_once(side, group_of):
-    """Whether each row of the side holds the edges of one group, each at most once."""
-    at, edge = side.__dict__["_arrays"][:2]
+def _holds_one_group_each_once(at, edge, group_of):
+    """Whether each row of the side with edge[j] on row at[j] holds one group's edges, each once."""
     rows = {}
     for i, e in zip(at, edge):
         rows.setdefault(i, []).append(e)
@@ -902,7 +894,8 @@ def _holds_one_group_each_once(side, group_of):
 
 
 def test_one_group_each_agrees_with_its_definition_by_sets():
-    # seeded sides on random graphs: rows of one group's edges, then one
+    # the oracle that the side tests read each path off, on seeded sides of
+    # random graphs: rows of one group's edges, then one
     # column more that may bring a second group onto a row, repeat an edge
     # on its row, or repeat it on another row of the same group (which
     # stays clean); the column order is shuffled
@@ -940,7 +933,7 @@ def test_one_group_each_agrees_with_its_definition_by_sets():
         rng.shuffle(order)
         at, edge = [at[j] for j in order], [edge[j] for j in order]
         want = by_sets(at, edge, group_of)
-        assert _one_group_each(at, edge, group_of) is want
+        assert _holds_one_group_each_once(at, edge, group_of) is want
         seen[kind, want] += 1
     assert min(seen["as made", True], seen["repeat on another row", True]) >= 30, seen
     assert min(seen["two groups", False], seen["repeat on its row", False]) >= 30, seen
@@ -972,7 +965,7 @@ def test_side_products_equal_the_kernels_under_corrupted_pairings():
         for kind, j, e in rng.sample(trades, min(len(trades), 4)):
             bad = _assemble(g, x, gm.z, _traded(t, j, e), gm.sigma1, gm.sigma2)
             # a trade in a row of one column leaves it one group's edge
-            clean = _holds_one_group_each_once(bad.sigma_t, group_of)
+            clean = _holds_one_group_each_once(*bad.sigma_t.__dict__["_arrays"][:2], group_of)
             _assert_side_products_are_the_kernels(bad)
             seen[kind] += 1
             seen[kind, clean] += 1
@@ -1054,6 +1047,17 @@ def test_a_side_on_a_graph_without_its_edge_raises_as_its_entries_do():
             got = _outcome(verify_partial_unitary, sides)
             assert got[0] == "MalformedExpressionError"
             assert got == _outcome(verify_partial_unitary, given)
+
+
+def test_a_column_no_pairing_reaches_raises_even_where_an_edge_is_named_empty():
+    # T has fewer columns than Z, so two columns of sigma(T) receive none of
+    # T's; they hold no edge, not one named "", and raise where U reads them
+    g = _with_edge_renamed(builtin("E", [2, 2]), "a1", "")
+    z, t = _side(g, {("v", 0): 2}), _side(g, {("v", 1): 1})
+    sigma1 = {z.rows[0]: t.rows[0], z.rows[1]: "nowhere"}
+    sigma2 = dict(zip(z.cols, t.cols + ("x", "y")))
+    with pytest.raises(KeyError):
+        _assemble(g, {("v", 0): 1, ("v", 1): -1}, z, t, sigma1, sigma2)
 
 
 def test_verify_matches_the_reference_report():

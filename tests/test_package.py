@@ -47,3 +47,31 @@ def test_nothing_in_src_exists_only_for_tests():
         defined |= names
         used |= reads
     assert sorted(defined - used - set(sepk.__all__)) == ["matrix_rank"]
+
+
+def _assigned_and_never_read(path: Path) -> list[str]:
+    """function:name for each public name a function assigns and never reads.
+
+    A function's reads include those of the functions nested in it, so a
+    name its closures read counts as read; global and nonlocal names, and
+    names that start with "_", are left out.
+    """
+    found = []
+    for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored, read = set(), set()
+        for n in ast.walk(fn):
+            if isinstance(n, ast.Name):
+                (read if isinstance(n.ctx, ast.Load) else stored).add(n.id)
+            elif isinstance(n, (ast.Global, ast.Nonlocal)):
+                read.update(n.names)
+        found += [f"{fn.name}:{name}" for name in sorted(stored - read) if not name.startswith("_")]
+    return found
+
+
+def test_no_function_in_src_assigns_a_name_it_never_reads():
+    found = []
+    for path in sorted(Path(sepk.__file__).parent.glob("*.py")):
+        found += [f"{path.name}:{f}" for f in _assigned_and_never_read(path)]
+    assert found == []
