@@ -34,12 +34,14 @@ row.  On that graph a side is multiplied from its lists (_side_grams), and
 so is U where Z and sigma(T) both kept it (_unitary_grams); U = Z sigma(T)*
 is formed from the lists (_assemble).  Every other matrix goes through the
 kernel StarContext._multiply_into, as mul does: m m* and m* m from m and
-m*, each read once (_read) into a list per row (_Line) of (position, word,
-coefficient, shape), each pair reduced only at its junction.  The first
-pair, by row, inner index, right position, left word and right word, that
-holds a malformed word or leaves a word of over two letters raises.  Zero
-terms, and the cells they empty, are dropped as each row closes.  Products
-are not memoized: within one product a pair of words seldom recurs.
+m*, each read once (_read) into a list per row of cells (position, words),
+each word with its coefficient and shape.  The kernel forms pairs by row,
+inner index, right position, left word and right word, and reduces each
+only at its junction.  So it raises at the first pair that holds a
+malformed word, the left one checked first, or leaves a word of over two
+letters.  Zero terms, and the cells they empty, are dropped as each row
+closes.  Products are not memoized: within one product a pair of words
+seldom recurs.
 
 The module also builds the labeled generator matrices realizing the K_1
 class of a kernel element (a row per unit of positive coefficient, a column
@@ -105,10 +107,6 @@ _SIZE = {t: 1 + (len(k) or 1) for t, k in _KINDS.items()}
 _STAR_TAG = {t: _TAG[k[::-1].translate(str.maketrans("EA", "AE"))] for t, k in _KINDS.items()}
 _JOIN = {k: {m: _TAG.get(k + m) for m in _TAG} for k in _TAG}
 _PATTERN = {t: "".join("%s*" if x == "A" else "%s" for x in k) or "%s" for t, k in _KINDS.items()}
-# The shape a product reads for a malformed word: its ends are no vertex, so
-# it meets no word, and the word raises its error where a pair first holds it.
-_NOWHERE = object()
-_MALFORMED = (_NOWHERE, _NOWHERE, "")
 
 
 def _malformed(word: Word) -> MalformedExpressionError:
@@ -128,6 +126,15 @@ def _eliminate(acc: dict, rewrite: tuple, coef: int) -> None:
     for e in others:
         w = ("ea", e, e)
         acc[w] = acc.get(w, 0) - coef
+
+
+def _add(acc: dict, rewrite: Mapping, word: Word, coef: int) -> None:
+    """Add coef times a word's normal form: itself, or a group's last diagonal word's rewrite."""
+    nf = rewrite.get(word[1]) if word[0] == "ea" and word[1] == word[2] else None
+    if nf is None:
+        acc[word] = acc.get(word, 0) + coef
+    else:
+        _eliminate(acc, nf, coef)
 
 
 def _close(out: dict, i: int, cells: dict) -> None:
@@ -192,26 +199,6 @@ class FormalExpr:
 
 
 ZERO = FormalExpr({})
-
-
-class _Line:
-    """One row of a product's factor, read once.
-
-    words lists (position, word, coefficient, shape) in the order a product
-    pairs them; bad is the (position, index) of the first malformed word.
-    """
-
-    __slots__ = ("words", "bad")
-
-    def __init__(self):
-        self.words: list[tuple] = []
-        self.bad: tuple[int, int] | None = None
-
-    def add(self, entry: tuple) -> None:
-        """Append (position, word, coefficient, shape) to words, noting the first malformed one."""
-        self.words.append(entry)
-        if entry[3] is _MALFORMED and self.bad is None:
-            self.bad = (entry[0], len(self.words) - 1)
 
 
 class StarContext:
@@ -300,14 +287,6 @@ class StarContext:
                 return (dom, cod, "") if word[1] == word[2] else (None, None, "")
         return (dom, cod, kinds)
 
-    def _error(self, word: Word) -> MalformedExpressionError:
-        """The error that reading a malformed word's shape raises."""
-        try:
-            self._shape(word)
-        except MalformedExpressionError as exc:
-            return exc
-        raise AssertionError(f"{word!r} is well formed")
-
     # public operations -------------------------------------------------------
 
     def normalize(self, expr: FormalExpr) -> FormalExpr:
@@ -323,117 +302,89 @@ class StarContext:
                 continue
             if word[0] == "ae" and not kinds:  # e* e of one group: the vertex s(e)
                 word = ("v", dom)
-            nf = rewrite.get(word[1]) if word[0] == "ea" and word[1] == word[2] else None
-            if nf is None:
-                acc[word] = acc.get(word, 0) + coef
-            else:
-                _eliminate(acc, nf, coef)
+            _add(acc, rewrite, word, coef)
         return FormalExpr.of(acc)
 
     def mul(self, a: FormalExpr, b: FormalExpr) -> FormalExpr:
-        """Product in the algebra, normalized."""
+        """Product in the algebra, normalized: the kernel's product of a and b as 1 x 1 matrices."""
         out = self._multiply_into(self._read((((0, 0), a),)), self._read((((0, 0), b),)), {})
         return FormalExpr(out.get(0, {}).get(0, {}))
 
-    def _read(self, entries: Iterable[tuple[tuple[int, int], FormalExpr]]) -> dict[int, _Line]:
-        """The rows of a matrix, as _Lines, from its ((i, k), expression) pairs in sorted order.
+    def _read(self, entries: Iterable[tuple[tuple[int, int], FormalExpr]]) -> dict[int, list]:
+        """The rows of a matrix from its ((i, k), expression) pairs in sorted order.
 
-        Each word's shape is read once; a malformed word raises only where a
-        product pairs it.
+        Row i lists a cell (k, [(word, coefficient, shape), ...]) per entry
+        that holds a word.  Each word's shape is read once; a malformed
+        word's is None, and it raises only where a product pairs it.
         """
         shape = self._shape
-        rows: dict[int, _Line] = {}
+        rows: dict[int, list] = {}
         for (i, k), expr in entries:
+            words = []
             for w, c in expr.terms.items():
                 try:
-                    s = shape(w)
+                    words.append((w, c, shape(w)))
                 except MalformedExpressionError:
-                    s = _MALFORMED
-                (rows.get(i) or rows.setdefault(i, _Line())).add((k, w, c, s))
+                    words.append((w, c, None))
+            if words:
+                (rows.get(i) or rows.setdefault(i, [])).append((k, words))
         return rows
 
     def _multiply_into(
-        self, left: Mapping[int, _Line], right: Mapping[int, _Line], out: dict
+        self, left: Mapping[int, list], right: Mapping[int, list], out: dict
     ) -> dict[int, dict[int, dict[Word, int]]]:
         """Add the normal form of row i of left times right into out[i][j], and return out.
 
-        left and right hold the rows of the two factors, read by _read.  A
-        word meets the right words whose value's range is its value's
-        source; the pair is reduced only at its junction and adds its normal
-        form at once, which is the product itself unless it is a group's
-        last diagonal word, or a vertex-like word times an e* e of one
-        group, which is s(e).  A zero word (ends None) meets no other word,
-        and e* f = 0 for distinct edges of one group.  As a row closes, zero
-        terms and the cells they empty are dropped.  Of several malformed
-        words or products of over two letters, the one in the first pair
-        raises once its row is done: by row, then inner index, then right
-        position, then left word, then right word, each word's shape read
-        before its partner's.
+        left and right hold the rows of the two factors, read by _read.
+        Pairs are formed by row, then inner index k, then right position j,
+        then left word, then right word, so each cell receives its terms in
+        (k, left word, right word) order.  A word meets the right words whose
+        value's range is its value's source; the pair is reduced only at its
+        junction and adds its normal form at once, which is the product
+        itself unless it is a group's last diagonal word, or a vertex-like
+        word times an e* e of one group, which is s(e).  A zero word (ends
+        None) meets no other word, and e* f = 0 for distinct edges of one
+        group.  The first pair in that order that holds a malformed word,
+        the left one checked first, or leaves a word of over two letters
+        raises.  As a row closes, zero terms and the cells they empty are
+        dropped.
         """
         group_of, rewrite = self.group_of, self._rewrite
         for i in sorted(left):
             cells: dict[int, dict[Word, int]] = {}
-            first = None  # ((k, j, p, q), error) of the row's first pair to raise
-            cell = None
-            for p, (k, w1, c1, shape1) in enumerate(left[i].words):
-                line = right.get(k)
-                if line is None:
-                    continue
-                if first is not None and k > first[0][0]:
-                    break
-                words = line.words
-                if k != cell:  # the cell's first word is read before each right word
-                    cell = k
-                    if line.bad is not None:
-                        j, q = line.bad
-                        if first is None or (k, j, p, q) < first[0]:
-                            first = ((k, j, p, q), self._error(words[q][1]))
-                dom1, _, kinds1 = shape1
-                if dom1 is _NOWHERE:
-                    place = (k, words[0][0], p, -1)
-                    if first is None or place < first[0]:
-                        first = (place, self._error(w1))
-                    continue
-                if dom1 is None:  # an e* f of one group, e != f: every product is zero
-                    continue
-                for j, w2, c2, shape2 in words:
-                    dom2, cod2, kinds2 = shape2
-                    if dom1 != cod2:
-                        continue
-                    if not kinds1:  # w2, or s(e) where w2 is an e* e of one group
-                        word = w2 if kinds2 or w2[0] != "ae" else ("v", dom2)
-                    elif not kinds2:
-                        word = w1
-                    elif (
-                        kinds1[-1] == "A"
-                        and kinds2[0] == "E"
-                        and group_of[w1[-1]] == group_of[w2[1]]
-                    ):
-                        if w1[-1] != w2[1]:
-                            continue  # distinct edges of one group annihilate
-                        ids = w1[1:-1] + w2[2:]
-                        word = (_JOIN[kinds1[:-1]][kinds2[1:]],) + ids if ids else ("v", dom2)
-                    else:
-                        tag = _JOIN[kinds1][kinds2]
-                        if tag is None:
-                            q = next(q for q, x in enumerate(words) if x[0] == j and x[1] == w2)
-                            if first is None or (k, j, p, q) < first[0]:
-                                error = _too_long(kinds1 + kinds2, w1[1:] + w2[1:])
-                                first = ((k, j, p, q), error)
-                            continue
-                        word = (tag, w1[1], w2[1])  # two words of one letter each
-                    coef = c1 * c2
-                    if coef:
-                        acc = cells.get(j)
-                        if acc is None:
-                            acc = cells[j] = {}
-                        nf = rewrite.get(word[1]) if word[0] == "ea" and word[1] == word[2] else None
-                        if nf is None:
-                            acc[word] = acc.get(word, 0) + coef
-                        else:
-                            _eliminate(acc, nf, coef)
-            if first is not None:
-                raise first[1]
+            for k, words1 in left[i]:
+                for j, words2 in right.get(k, ()):
+                    for w1, c1, shape1 in words1:
+                        if shape1 is None:
+                            self._shape(w1)  # raises: the word is malformed
+                        dom1, _, kinds1 = shape1
+                        for w2, c2, shape2 in words2:
+                            if shape2 is None:
+                                self._shape(w2)  # raises likewise
+                            dom2, cod2, kinds2 = shape2
+                            if dom1 != cod2 or dom1 is None:
+                                continue
+                            if not kinds1:  # w2, or s(e) where w2 is an e* e of one group
+                                word = w2 if kinds2 or w2[0] != "ae" else ("v", dom2)
+                            elif not kinds2:
+                                word = w1
+                            elif (
+                                kinds1[-1] == "A"
+                                and kinds2[0] == "E"
+                                and group_of[w1[-1]] == group_of[w2[1]]
+                            ):
+                                if w1[-1] != w2[1]:
+                                    continue  # distinct edges of one group annihilate
+                                ids = w1[1:-1] + w2[2:]
+                                word = (_JOIN[kinds1[:-1]][kinds2[1:]],) + ids if ids else ("v", dom2)
+                            else:
+                                tag = _JOIN[kinds1][kinds2]
+                                if tag is None:
+                                    raise _too_long(kinds1 + kinds2, w1[1:] + w2[1:])
+                                word = (tag, w1[1], w2[1])  # two words of one letter each
+                            coef = c1 * c2
+                            if coef:
+                                _add(cells.get(j) or cells.setdefault(j, {}), rewrite, word, coef)
             _close(out, i, cells)
         return out
 

@@ -69,11 +69,12 @@ def adjoint_word(word):
 def matmul(ctx: StarContext, a: FormalMatrix, b: FormalMatrix) -> FormalMatrix:
     """a b, its entries normalized, by StarContext's product kernel.
 
-    Each factor is read once: its words, each with its shape, go into a list
-    per row (StarContext._read).  Pairs of entries are then multiplied by
-    row of a, then inner index, then column of b, and the first pair in that
-    order that holds a malformed word or leaves a word of over two letters
-    raises, whatever order the entries were given in.  Every pair is formed.
+    Each factor is read once into rows of cells (position, words), each word
+    with its shape (StarContext._read).  Pairs of words are then formed by
+    row of a, inner index, column of b, word of a and word of b, and the
+    first pair in that order that holds a malformed word, a's checked first,
+    or leaves a word of over two letters raises, whatever order the entries
+    were given in.  No pair before it is skipped.
     """
     if len(a.cols) != len(b.rows):
         raise ValueError("inner dimensions do not match")

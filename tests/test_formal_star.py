@@ -569,7 +569,7 @@ def test_a_graph_keeps_one_group_key_per_edge_and_one_rewrite_per_group():
     assert kept[0] == kept[1] == (group_of, rewrite)
 
 
-def test_index_skip_keeps_the_malformed_factor_rule():
+def test_a_malformed_factor_raises_where_its_product_would_be_zero():
     # a2 b1* begins with a2, of a1's group, so a1* a2 b1* would be zero; its
     # shape is read as its factor is, and it still raises
     g = builtin("lamplighter", [2])

@@ -49,6 +49,27 @@ def test_nothing_in_src_exists_only_for_tests():
     assert sorted(defined - used - set(sepk.__all__)) == ["matrix_rank"]
 
 
+def test_every_private_method_in_src_is_read_in_src():
+    # a method named with one "_" that nothing in the package reads is dead
+    # code, whatever a test may call
+    methods, reads = set(), set()
+    for path in sorted(Path(sepk.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                methods |= {
+                    f"{node.name}.{f.name}"
+                    for f in node.body
+                    if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and f.name.startswith("_")
+                    and not f.name.startswith("__")
+                }
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+    assert methods, "no private methods found in src"
+    assert sorted(m for m in methods if m.split(".")[1] not in reads) == []
+
+
 def _assigned_and_never_read(path: Path) -> list[str]:
     """function:name for each public name a function assigns and never reads.
 
