@@ -235,11 +235,16 @@ def phi_transport(g: SeparatedGraph, x: Mapping[GroupKey, int]) -> KernelElement
 
 
 def connecting_map_image(g: SeparatedGraph, x: Mapping[GroupKey, int]) -> dict[str, int]:
-    """Image of the K_1 class of x under the connecting map, over vertices.
+    """-(1_C - A)(x+) over the vertices, for a kernel element x: what `delta` prints.
 
     Minus the residual of x's positive part: n_X times (source-sum of X
-    minus the range vertex of X), summed.  On a bipartite graph the two
-    parts live on different layers, so the image is nonzero whenever x is.
+    minus the range vertex of X), summed over the groups with n_X > 0.  It
+    equals the vertex classes of Z*Z minus those of ZZ* for x's K_1
+    generator (VerificationReport's source_class minus its range_class).
+    It is not the image of x's K_1 class under a group homomorphism: x+ and
+    x- have the same residual, since (1_C - A)x = 0, so x and -x give the
+    same value, and it is not additive.  On a bipartite graph the two parts
+    live on different layers, so the value is nonzero whenever x is.
     """
     ensure_bipartite(g, "connecting map image requires a bipartite graph")
     require_kernel_element(g, x)

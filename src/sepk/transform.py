@@ -27,9 +27,13 @@ literal from the literals of its parts, and escapes only input names.
 Every layer's counts depend only on group sizes, so w_set_sizes builds no
 layer: it steps the coarsest equitable quotient of each layer (classes of
 range vertices, groups, edges and sources with their multiplicities, merged
-by colour refinement).  canonical_sequence runs it first, so a depth past the
-budget is refused before any layer is built.  A fixed class budget bounds
-the count itself, for vertex budgets raised far past any buildable layer.
+by colour refinement).  A quotient that is k times one of the two before it
+(the same classes, every multiplicity times k) closes a cycle, whose layers'
+sizes then repeat with their multiplicities times k per turn, so a geometric
+family such as lamplighter(p) is counted to any depth off three quotients.
+canonical_sequence runs it first, so a depth past the budget is refused
+before any layer is built.  A fixed class budget bounds the count itself,
+for vertex budgets raised far past any buildable layer.
 """
 
 from __future__ import annotations
@@ -755,26 +759,54 @@ def _quotients(g: SeparatedGraph):
         q = _tuple_classes(q, layer)
 
 
+def _scale(old: tuple, new: tuple) -> int:
+    """k when quotient classes new are old's with every multiplicity times k >= 1, else 0."""
+    (kind, mult, up), (new_kind, new_mult, new_up) = old, new
+    if kind != new_kind or up != new_up:
+        return 0
+    if not mult:  # the empty quotient, the same at every scale
+        return 1
+    k, rest = divmod(new_mult[0], mult[0])
+    return k if not rest and list(map(k.__mul__, mult)) == new_mult else 0
+
+
 def _layer_sizes(g: SeparatedGraph):
     """Per layer 0, 1, ... of g's sequence, (multiplicity, group sizes) per range class.
 
     Layer n + 1's range vertices are layer n's sources, and its groups are the
     X(x) of layer n's edges x, one arrow per tuple through x.  So its sizes are
     read off layer n's quotient, and layer n's tuples are enumerated only when
-    layer n + 2 is asked for.  The next quotient depends on a quotient alone
-    (_tuple_classes reads the layer number only to name a refusal, which a
-    quotient met before has passed), so a quotient equal to either of the two
-    before it closes a cycle: the sizes of the cycle's layers then repeat in
-    turn, and no further quotient is made.  Comparing two quotients stops at
-    their first difference of length or class.
+    layer n + 2 is asked for.
+
+    Why a cycle closes up to a common factor: the next quotient's kinds and
+    ups depend only on a quotient's kinds, ups and ratios mult[c] // mult[p],
+    and its multiplicities are this one's times counts read off those ratios
+    (a source's or an edge's for the range vertex or group it becomes,
+    mult[r] * ways for a tuple class, that times j for its arrows, and sums
+    of them where _coarsest merges).  Group sizes, class counts and with them
+    _tuple_classes' class budget read only the ratios too (it reads the
+    layer number only to name a refusal, which a quotient met before has
+    passed).  So a quotient with the kinds and ups of the one `back` layers
+    before it and k times its multiplicities makes every later quotient k
+    times the one `back` layers before it: the sizes of the cycle's layers
+    repeat in turn, every multiplicity k times larger per turn, and no
+    further quotient is made.  k is an integer, or k**t times a quotient
+    would stop being integral; an equal quotient is k = 1, and the empty
+    quotient matches itself with any k.  Cycles of one and of two quotients
+    are compared, and a comparison stops at the first difference of length,
+    kind or up.
     """
     yield [(1, [len(grp) for grp in g.groups_at(u)]) for u in g.layer0]
     seen: list[tuple] = []  # (classes, sizes of the next layer) of the last two quotients
     for q in _quotients(g):
         classes = (q.kind, q.mult, q.up)
         for back in (1, 2):  # a cycle of one quotient, or of two
-            if len(seen) >= back and seen[-back][0] == classes:
-                yield from itertools.cycle([layer for _, layer in seen[-back:]])
+            if len(seen) >= back and (k := _scale(seen[-back][0], classes)):
+                cycle, scale = [layer for _, layer in seen[-back:]], 1
+                while True:
+                    scale *= k
+                    for layer in cycle:
+                        yield [(scale * m, ns) for m, ns in layer]
         mult, inside = q.mult, q.inside
         size = {grp: sum(mult[e] // mult[grp] for e in inside[grp]) for grp in q.sort[_GROUP]}
         tuples = {
@@ -811,7 +843,7 @@ def _sequence_counts(g: SeparatedGraph, depth: int, budget: int = DEFAULT_BUDGET
         raise BudgetExceededError(
             f"depth {_decimal(depth)} would take more than {DEFAULT_BUDGET} layers to count", 0
         )
-    counts = [(len(g.vertices), len(g.edges), len(g.group_keys()))]
+    counts = [(len(g.vertices), len(g.edges), sum(map(len, g._groups)))]
     sources, sizes = len(g.layer1), []
     for n, layer in zip(range(depth), _layer_sizes(g)):
         size = sum(m * math.prod(ns) for m, ns in layer)

@@ -667,7 +667,9 @@ def test_sequence_text_counts_match_the_materialized_layers():
         [u, "#v", "w"], [(x, "w", u if x in "ab" else "#v") for x in ("a", "b", "c", c)],
         {u: [["a"], ["b"]], "#v": [["c", c]]}, ([u, "#v"], ["w"]),
     ) for u, c in (('"v', "d"), ("v", "c !")))
-    runs += [(g, range(4), (10**6,)) for g in (odd, quoted, spaced)]
+    # and the empty bipartite graph, whose quotients hold no class at all
+    empty = SeparatedGraph.build([], [], {}, bipartite=([], []))
+    runs += [(g, range(4), (10**6,)) for g in (odd, quoted, spaced, empty)]
     refused = Counter()
     for g, depths, budgets in runs:
         for depth, budget in itertools.product(depths, budgets):
@@ -844,6 +846,13 @@ def test_a_stationary_quotient_gives_every_later_layer_its_sizes(monkeypatch):
     one_edge = SeparatedGraph.build(["v", "w"], [("a", "w", "v")], {"v": [["a"]]}, (["v"], ["w"]))
     assert w_set_sizes(one_edge, 200_000) == (0,) * 200_000
     assert len(calls) <= 3
+    # so does one p times the one before it: lamplighter(p)'s layers' sizes
+    # then repeat, p times larger per layer
+    for p in range(2, 7):
+        calls.clear()
+        ranks = w_set_sizes(builtin("lamplighter", [p]), 200, budget=10**400)
+        assert ranks == tuple((p - 1) ** 2 * p**k for k in range(200))
+        assert len(calls) <= 3
     # on seeded graphs, those that reach a fixed point and those that do not,
     # the counts are those of the built layers, past the fixed point; |W| is
     # zero on a layer that does not grow, so the layer sizes are compared too
