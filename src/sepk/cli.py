@@ -59,7 +59,7 @@ def _load_graph(args) -> _Loaded:
         raise UsageError("give either an input file or --builtin, not both")
     if args.builtin:
         g = graph_model.builtin_from_spec(args.builtin)
-        return _Loaded(g, graph_model.builtin_group_aliases(args.builtin))
+        return _Loaded(g, graph_model.builtin_group_aliases())
     if args.input:
         return _Loaded(graph_model._parse_file(args.input), {})
     raise UsageError("an input file or --builtin is required")

@@ -353,20 +353,18 @@ def builtin_from_spec(text: str) -> SeparatedGraph:
     return builtin(name, params)
 
 
-def builtin_group_aliases(text_or_name: str) -> dict[str, GroupKey]:
-    """Human names for the groups of a built-in graph (X, Y at vertex v)."""
-    m = _BUILTIN_SPEC.match(text_or_name)
-    name = m.group(1) if m else text_or_name
-    if name in ("E", "lamplighter"):
-        return {"X": ("v", 0), "Y": ("v", 1)}
-    return {}
+def builtin_group_aliases() -> dict[str, GroupKey]:
+    """Human names for the groups of a built-in graph: every family has X, Y at vertex v."""
+    return {"X": ("v", 0), "Y": ("v", 1)}
 
 
 # JSON text -----------------------------------------------------------------
 #
 # Every JSON text reads as json.dumps(value, indent=2, ensure_ascii=False),
-# made as a list of pieces: graphs and the sequence are laid out here from
-# the JSON literals of their names, any other value by the stdlib encoder.
+# made as a list of pieces: graphs are laid out here from the JSON literals
+# of their names, any other value by the stdlib encoder.  The canonical
+# sequence's layers go through the same _layout, fed by transform with the
+# literals its walk joins.
 
 _ENCODER = json.JSONEncoder(indent=2, ensure_ascii=False)
 
@@ -454,42 +452,6 @@ def _graph_chunks(g: SeparatedGraph, indent: str, chunks: list[str]) -> None:
         None if g.bipartite is None else tuple(map(literals, g.bipartite)),
         indent, chunks,
     )
-
-
-def _sequence_chunks(g: SeparatedGraph, depth: int, steps) -> list[str]:
-    """The pieces of a canonical sequence's JSON (its depth, each layer's
-    to_obj dict, and its W sets and sorted root tables keyed by layer), from
-    its first graph g and the literals of each step.
-
-    steps yields, for layers 1..depth in order, the layer's _layout
-    arguments, the literals of its W set and its root table as the (keys,
-    values) literals in key order.
-    """
-    chunks = ['{\n  "depth": ' + str(depth) + ',\n  "layers": [\n    ']
-    _graph_chunks(g, "\n    ", chunks)
-    w_sets, roots = [], []
-    for layout, w_set, root in steps:
-        chunks.append(",\n    ")
-        _layout(*layout, "\n    ", chunks)
-        w_sets.append(w_set)
-        roots.append(root)
-    head = '\n  ],\n  "w_sets": {'
-    for k, w_set in enumerate(w_sets, 2):
-        head = _items(chunks, f'{head}\n    "{k}": ', w_set, "\n      ", "\n    ") + ","
-    head = (head[:-1] + "\n  }" if w_sets else head + "}") + ',\n  "root_tables": {'
-    for k, (keys, values) in enumerate(roots, 2):
-        head += f'\n    "{k}": '
-        if keys:
-            block = [",\n      ", None, ": ", None] * len(keys)
-            block[0] = head + "{\n      "
-            block[1::4], block[3::4] = keys, values
-            chunks.extend(block)
-            head = "\n    }"
-        else:
-            head += "{}"
-        head += ","
-    chunks.append((head[:-1] + "\n  }" if roots else head + "}") + "\n}")
-    return chunks
 
 
 def json_chunks(obj) -> list[str]:

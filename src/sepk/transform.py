@@ -13,16 +13,18 @@ up the W sets whose counts are the free ranks added to the K-theory of the
 tame algebra.
 
 One generator, _fresh_layer, makes the new part of both once its size fits
-the vertex budget.  One walk over each base's tuples writes the names, the
-integer ends and the W membership of every tuple and its arrows; the groups
-X(x) are then bucketed by distinguished edge.  Callers read its provenance
-(root, group_of_edge), never a name.  A canonical step's layer takes the
-integer arrays as its form, with a passing report: it is valid by
-construction.  Generated names are deterministic ("u|x1,...,xk" for vertices
-and "a^x|companions" for arrows, separator characters escaped) so repeated
-runs serialize byte-identically.  The CLI writes the sequence JSON from the
-same walk, with no layer: _sequence_json joins each generated name's JSON
-literal from the literals of its parts, and escapes only input names.
+the vertex budget.  One walk over each base's tuples, in g's own edge
+numbers, writes the names, the integer ends and the W membership of every
+tuple and its arrows; the groups X(x) are then bucketed by distinguished
+edge.  Callers read its provenance (root, group_of_edge), never a name.  A
+canonical step's layer takes the integer arrays as its form, with a passing
+report: it is valid by construction.  Generated names are deterministic
+("u|x1,...,xk" for vertices and "a^x|companions" for arrows, separator
+characters escaped) so repeated runs serialize byte-identically.  The CLI
+writes the sequence JSON from the same walk, with no layer: _sequence_json
+joins each generated name's JSON literal from the literals of its parts,
+escapes only input names, and lays out each layer as its literals are
+joined.
 
 Every layer's counts depend only on group sizes, so w_set_sizes builds no
 layer: it steps the coarsest equitable quotient of each layer (classes of
@@ -53,7 +55,9 @@ from .graph_model import (
     GroupKey,
     SeparatedGraph,
     ValidationReport,
-    _sequence_chunks,
+    _graph_chunks,
+    _items,
+    _layout,
     validate,
 )
 
@@ -128,26 +132,22 @@ def _split_generated(name: str) -> tuple[str, list[str]] | None:
 # the generator ---------------------------------------------------------------
 
 
-def _int_layer(g: SeparatedGraph, bases, sources) -> tuple[list, list[list[int]], list[int], list]:
-    """The edges of g into bases, numbered 0, 1, ... in edge-list order.
+def _int_layer(g: SeparatedGraph, bases, sources) -> tuple[list, list[list[int]], list[int]]:
+    """The groups of bases and the edges of g into them, in g's own edge numbers.
 
-    Returns (groups, out, picked, at): per base its groups of edge numbers, per
-    source its numbers in order, and per number its index in g and source slot.
+    Returns (groups, out, at): per base its groups, per source the edges into
+    bases that leave it in edge-list order, and per edge of g its source slot.
     """
-    vindex, src = g._vindex, g._src
+    vindex = g._vindex
     into = {vindex[b] for b in bases}
-    picked = [j for j, d in enumerate(g._dst) if d in into]
-    if len(picked) == len(src):  # every edge: the numbering is g's own
-        groups = [g._groups[vindex[b]] for b in bases]
-    else:
-        number = dict(zip(picked, range(len(picked))))
-        groups = [[[number[j] for j in grp] for grp in g._groups[vindex[b]]] for b in bases]
+    groups = [g._groups[vindex[b]] for b in bases]
     slot = {vindex[w]: k for k, w in enumerate(sources)}  # every edge leaves a source
-    at = [slot[src[j]] for j in picked]
+    at = list(map(slot.__getitem__, g._src))
     out: list[list[int]] = [[] for _ in sources]
-    for x, k in enumerate(at):
-        out[k].append(x)
-    return groups, out, picked, at
+    for x, k, d in zip(itertools.count(), at, g._dst):
+        if d in into:
+            out[k].append(x)
+    return groups, out, at
 
 
 def _raise_on_clash(kind: str, names) -> None:
@@ -250,11 +250,11 @@ def _fresh_layer(g: SeparatedGraph, bases, sources, budget: int = DEFAULT_BUDGET
     then the tuples; X(x), the arrows with distinguished edge x, is a group
     at s(x), in tuple order.  More than budget tuples are refused before any
     is made."""
-    base_groups, out, picked, at = _int_layer(g, bases, sources)
+    base_groups, out, at = _int_layer(g, bases, sources)
     size = sum(math.prod(map(len, groups)) for groups in base_groups)
     if size > budget:
         raise _over_budget(0, f"generate {_decimal(size)} vertices (budget {_decimal(budget)})")
-    old, repeat = [g.edges[j] for j in picked], itertools.repeat
+    old, repeat = g.edges, itertools.repeat
     walk = _walk(base_groups, len(old))
     names, ids = _join(walk, list(map(_esc, bases)), [_esc(e.id) for e in old], "|", ",")
     _raise_on_clash("vertex", g._vindex.keys() & names)
@@ -325,8 +325,8 @@ def _check_input_names(g: SeparatedGraph, step: int) -> None:
         _raise_on_clash("vertex", {v for v in vertices if head(v, slots) is not None})
         _raise_on_clash("edge", {x for x in edges if arrow(x) is not None})
     else:
-        _, out, picked, _ = _int_layer(g, g.layer0, g.layer1)
-        sent = {w: [g.edges[picked[x]].id for x in xs] for w, xs in zip(g.layer1, out)}
+        _, out, _ = _int_layer(g, g.layer0, g.layer1)
+        sent = {w: [g.edges[x].id for x in xs] for w, xs in zip(g.layer1, out)}
         _raise_on_clash("vertex", {w for w in names if head(w, sent, arrow) is not None})
 
 
@@ -339,10 +339,8 @@ def _step_groups(g: SeparatedGraph) -> dict[str, GroupKey]:
     key = g.__dict__.get("_step_map")
     if key is None:
         w_set_sizes(g, 1)
-        _, out, picked, _ = _int_layer(g, g.layer0, g.layer1)
-        key = {
-            g.edges[picked[x]].id: (w, i) for w, xs in zip(g.layer1, out) for i, x in enumerate(xs)
-        }
+        _, out, _ = _int_layer(g, g.layer0, g.layer1)
+        key = {g.edges[x].id: (w, i) for w, xs in zip(g.layer1, out) for i, x in enumerate(xs)}
         object.__setattr__(g, "_step_map", key)
     return key
 
@@ -563,31 +561,29 @@ def _levels(names, top: int) -> list[list[str]]:
 
 
 def _sequence_json(g: SeparatedGraph, depth: int, budget: int = DEFAULT_BUDGET) -> list[str]:
-    """The pieces of the JSON of canonical_sequence(g, depth, budget) (see
-    _sequence_chunks), made from the walk of each step with no layer,
-    plain generated name or escaper call.  The checks of canonical_sequence
-    run first, with its refusals; they leave no name clash to check."""
-    w_set_sizes(g, depth, budget)
-    return _sequence_chunks(g, depth, _literal_steps(g, depth))
+    """The pieces of the JSON of canonical_sequence(g, depth, budget): its
+    depth, each layer's to_obj dict, and its W sets and sorted root tables
+    keyed by layer.
 
-
-def _literal_steps(g: SeparatedGraph, depth: int):
-    """Per step of g's sequence to depth, the literals of what it makes.
-
-    Yields, for layers 1..depth, the layer's _layout arguments, its W set and
-    its root table as (keys, values), sorted by key.  Layer n + 1's names are
-    needed at levels 0..depth - n - 1: level 0 is written, and each higher
-    level is a piece of the next steps' literals.  A root table is sorted by
-    plain name, which is the order of the quoted literals when every
-    character of g's names lies above '"' (JSON then only doubles
-    backslashes, and a shorter name's closing quote sorts below the
-    character a longer one goes on with); otherwise by the decoded names.
+    The checks of canonical_sequence run first, with its refusals; they leave
+    no name clash to check.  Each step's layer is then laid out from the
+    literals its walk joins, with no layer, plain generated name or escaper
+    call.  Layer n + 1's names are needed at levels 0..depth - n - 1: level 0
+    is written, and each higher level is a piece of the next steps' literals.
+    A root table is sorted by plain name, which is the order of the quoted
+    literals when every character of g's names lies above '"' (JSON then
+    only doubles backslashes, and a shorter name's closing quote sorts below
+    the character a longer one goes on with); otherwise by the decoded names.
     """
+    w_set_sizes(g, depth, budget)
     chain, repeat = itertools.chain.from_iterable, itertools.repeat
-    base_groups, out, picked, at = _int_layer(g, g.layer0, g.layer1)
+    chunks = ['{\n  "depth": ' + str(depth) + ',\n  "layers": [\n    ']
+    _graph_chunks(g, "\n    ", chunks)
+    base_groups, out, at = _int_layer(g, g.layer0, g.layer1)
     bases, sources = _levels(g.layer0, depth), _levels(g.layer1, depth)
-    edges = _levels([g.edges[j].id for j in picked], depth)
+    edges = _levels([e.id for e in g.edges], depth)
     by_literal = not any(map(_BELOW_QUOTE.search, [*g.vertices, *(e.id for e in g.edges)]))
+    w_sets, roots = [], []
     for n in range(depth):
         walk = _walk(base_groups, len(edges[0]))
         literals = []
@@ -598,7 +594,8 @@ def _literal_steps(g: SeparatedGraph, depth: int):
         names, arrows = zip(*literals)
         tuples, ids, ends = names[0], arrows[0], sources[0]
         groups = [[walk.members[x] for x in xs] for xs in out]  # per source, its X(x)
-        layout = (
+        chunks.append(",\n    ")
+        _layout(
             ends + tuples,
             list(chain(zip(ids, map(tuples.__getitem__, walk.tuple_of),
                            map(ends.__getitem__, map(at.__getitem__, walk.through))))),
@@ -606,21 +603,36 @@ def _literal_steps(g: SeparatedGraph, depth: int):
                 zip(ends, ([list(map(ids.__getitem__, grp)) for grp in gs] for gs in groups)),
                 zip(tuples, repeat(())),
             ),
-            (ends, tuples),
+            (ends, tuples), "\n    ", chunks,
         )
+        w_sets.append(list(map(tuples.__getitem__, walk.w)))
         values = list(chain(map(repeat, bases[0], walk.count)))
         key = tuples.__getitem__ if by_literal else lambda t: json.loads(tuples[t])
         order = sorted(range(len(tuples)), key=key)
-        yield (
-            layout, list(map(tuples.__getitem__, walk.w)),
-            (list(map(tuples.__getitem__, order)), list(map(values.__getitem__, order))),
-        )
+        roots.append((list(map(tuples.__getitem__, order)), list(map(values.__getitem__, order))))
         # the next step resolves these sources by these tuples' arrows
         sizes = list(chain(map(repeat, walk.arity, walk.count)))
         starts, stops = itertools.accumulate(sizes, initial=0), itertools.accumulate(sizes)
         out = list(map(range, starts, stops))
         base_groups, at = groups, walk.tuple_of
         bases, sources, edges = sources, names, arrows
+    head = '\n  ],\n  "w_sets": {'
+    for k, w_set in enumerate(w_sets, 2):
+        head = _items(chunks, f'{head}\n    "{k}": ', w_set, "\n      ", "\n    ") + ","
+    head = (head[:-1] + "\n  }" if w_sets else head + "}") + ',\n  "root_tables": {'
+    for k, (keys, values) in enumerate(roots, 2):
+        head += f'\n    "{k}": '
+        if keys:
+            block = [",\n      ", None, ": ", None] * len(keys)
+            block[0] = head + "{\n      "
+            block[1::4], block[3::4] = keys, values
+            chunks.extend(block)
+            head = "\n    }"
+        else:
+            head += "{}"
+        head += ","
+    chunks.append((head[:-1] + "\n  }" if roots else head + "}") + "\n}")
+    return chunks
 
 
 # counting on an equitable quotient ------------------------------------------
@@ -744,7 +756,7 @@ def _tuple_classes(q: _Classes, layer: int) -> _Classes:
 
 def _quotients(g: SeparatedGraph):
     """The coarsest equitable quotients of layers 0, 1, ... of g's sequence."""
-    base_groups, out, _, at = _int_layer(g, g.layer0, g.layer1)
+    base_groups, out, at = _int_layer(g, g.layer0, g.layer1)
     q = _Classes([], [], [])
     sources = [q.add(_SOURCE, 1) for _ in out]
     for groups in base_groups:
@@ -771,7 +783,11 @@ def _scale(old: tuple, new: tuple) -> int:
 
 
 def _layer_sizes(g: SeparatedGraph):
-    """Per layer 0, 1, ... of g's sequence, (multiplicity, group sizes) per range class.
+    """Per layer 0, 1, ... of g's sequence, (scale, [(multiplicity, group sizes)]).
+
+    The list holds one pair per range class, whose multiplicity is scale
+    times the one listed: a cycle's layers are yielded as first made, with
+    the scale of their turn, and every other layer with scale 1.
 
     Layer n + 1's range vertices are layer n's sources, and its groups are the
     X(x) of layer n's edges x, one arrow per tuple through x.  So its sizes are
@@ -796,7 +812,7 @@ def _layer_sizes(g: SeparatedGraph):
     are compared, and a comparison stops at the first difference of length,
     kind or up.
     """
-    yield [(1, [len(grp) for grp in g.groups_at(u)]) for u in g.layer0]
+    yield 1, [(1, [len(grp) for grp in g.groups_at(u)]) for u in g.layer0]
     seen: list[tuple] = []  # (classes, sizes of the next layer) of the last two quotients
     for q in _quotients(g):
         classes = (q.kind, q.mult, q.up)
@@ -806,7 +822,7 @@ def _layer_sizes(g: SeparatedGraph):
                 while True:
                     scale *= k
                     for layer in cycle:
-                        yield [(scale * m, ns) for m, ns in layer]
+                        yield scale, layer
         mult, inside = q.mult, q.inside
         size = {grp: sum(mult[e] // mult[grp] for e in inside[grp]) for grp in q.sort[_GROUP]}
         tuples = {
@@ -818,7 +834,7 @@ def _layer_sizes(g: SeparatedGraph):
             grp, s = q.up[e]
             sizes[s] += [tuples[q.up[grp][0]] // size[grp]] * (mult[e] // mult[s])
         seen = [*seen[-1:], (classes, [(mult[s], ns) for s, ns in sizes.items()])]
-        yield seen[-1][1]
+        yield 1, seen[-1][1]
 
 
 def w_set_sizes(g: SeparatedGraph, depth: int, budget: int = DEFAULT_BUDGET) -> tuple[int, ...]:
@@ -845,16 +861,16 @@ def _sequence_counts(g: SeparatedGraph, depth: int, budget: int = DEFAULT_BUDGET
         )
     counts = [(len(g.vertices), len(g.edges), sum(map(len, g._groups)))]
     sources, sizes = len(g.layer1), []
-    for n, layer in zip(range(depth), _layer_sizes(g)):
-        size = sum(m * math.prod(ns) for m, ns in layer)
+    for n, (scale, layer) in zip(range(depth), _layer_sizes(g)):
+        size = scale * sum(m * math.prod(ns) for m, ns in layer)
         if size > budget:
             raise _over_budget(n, f"generate {_decimal(size)} vertices (budget {_decimal(budget)})")
         if n < 2:
             _check_input_names(g, n)
-        arrows = sum(m * math.prod(ns) * len(ns) for m, ns in layer)
+        arrows = scale * sum(m * math.prod(ns) * len(ns) for m, ns in layer)
         counts.append((sources + size, arrows, counts[-1][1]))
         sources = size
-        sizes.append(sum(m * (math.prod(ns) - sum(ns) + len(ns) - 1) for m, ns in layer))
+        sizes.append(scale * sum(m * (math.prod(ns) - sum(ns) + len(ns) - 1) for m, ns in layer))
     return counts, tuple(sizes)
 
 
